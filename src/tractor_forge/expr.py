@@ -3,13 +3,23 @@
 Supports real literals, coordinate variables x1..xn, the arithmetic
 operators + - * / ^ (integer exponents only), unary minus, and the
 functions sin, cos, exp, log, sqrt.  Expressions are immutable trees,
-closed under exact symbolic differentiation.  The simplifier is
-deliberately minimal: constant folding and 0/1 identities only.
+closed under exact symbolic differentiation (`Expr.diff`).  The
+simplifier is deliberately minimal: constant folding and 0/1 identities
+only.
+
+Hot paths (metric jets, path segments) evaluate through `compile_exprs`,
+which turns a list of expressions into one straight-line Python function
+with a temporary per distinct subexpression.  The tree-walking `evaluate`
+(also `Expr.__call__`) computes the same values node by node and serves
+as the independent reference in tests.  Both raise EvaluationDomainError
+outside the domain of log, sqrt, division and negative powers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 
 __all__ = [
@@ -26,7 +36,6 @@ __all__ = [
     "ParseError",
     "EvaluationDomainError",
     "parse_expr",
-    "differentiate",
     "substitute",
     "evaluate",
     "const",
@@ -53,10 +62,6 @@ class Expr:
     """Base class; concrete nodes subclass this."""
 
     def diff(self, index: int) -> "Expr":
-        raise NotImplementedError
-
-    def source(self) -> str:
-        """Python source fragment; variables read from a sequence `x`."""
         raise NotImplementedError
 
     def __call__(self, x) -> float:
@@ -106,9 +111,6 @@ class Const(Expr):
     def diff(self, index):
         return Const(0.0)
 
-    def source(self):
-        return repr(self.value)
-
     def __str__(self):
         return repr(self.value)
 
@@ -122,9 +124,6 @@ class Var(Expr):
     def diff(self, index):
         return Const(1.0 if index == self.index else 0.0)
 
-    def source(self):
-        return f"x[{self.index}]"
-
     def __str__(self):
         return f"x{self.index + 1}"
 
@@ -136,9 +135,6 @@ class Add(Expr):
 
     def diff(self, index):
         return add(self.a.diff(index), self.b.diff(index))
-
-    def source(self):
-        return f"({self.a.source()} + {self.b.source()})"
 
     def __str__(self):
         return f"({self.a} + {self.b})"
@@ -152,9 +148,6 @@ class Sub(Expr):
     def diff(self, index):
         return sub(self.a.diff(index), self.b.diff(index))
 
-    def source(self):
-        return f"({self.a.source()} - {self.b.source()})"
-
     def __str__(self):
         return f"({self.a} - {self.b})"
 
@@ -166,9 +159,6 @@ class Mul(Expr):
 
     def diff(self, index):
         return add(mul(self.a.diff(index), self.b), mul(self.a, self.b.diff(index)))
-
-    def source(self):
-        return f"({self.a.source()} * {self.b.source()})"
 
     def __str__(self):
         return f"({self.a} * {self.b})"
@@ -182,9 +172,6 @@ class Div(Expr):
     def diff(self, index):
         num = sub(mul(self.a.diff(index), self.b), mul(self.a, self.b.diff(index)))
         return div(num, mul(self.b, self.b))
-
-    def source(self):
-        return f"({self.a.source()} / {self.b.source()})"
 
     def __str__(self):
         return f"({self.a} / {self.b})"
@@ -203,9 +190,6 @@ class Pow(Expr):
             self.base.diff(index),
         )
 
-    def source(self):
-        return f"({self.base.source()} ** {self.exponent})"
-
     def __str__(self):
         return f"({self.base} ^ {self.exponent})"
 
@@ -216,9 +200,6 @@ class Neg(Expr):
 
     def diff(self, index):
         return neg(self.a.diff(index))
-
-    def source(self):
-        return f"(-{self.a.source()})"
 
     def __str__(self):
         return f"(-{self.a})"
@@ -244,9 +225,6 @@ class Call(Expr):
         else:  # pragma: no cover - constructor restricts names
             raise ValueError(f"unknown function {self.name!r}")
         return mul(outer, inner)
-
-    def source(self):
-        return f"math.{self.name}({self.arg.source()})"
 
     def __str__(self):
         return f"{self.name}({self.arg})"
@@ -372,13 +350,6 @@ def evaluate(e: Expr, x) -> float:
             raise EvaluationDomainError(f"sqrt of negative value in {e}")
         return getattr(math, e.name)(arg)
     raise TypeError(f"not an Expr: {e!r}")
-
-
-def differentiate(e: Expr, k: int) -> Expr:
-    """Exact partial derivative with respect to x_k (k is 1-based)."""
-    if k < 1:
-        raise ValueError("coordinate index must be >= 1")
-    return e.diff(k - 1)
 
 
 def substitute(e: Expr, index: int, replacement: Expr) -> Expr:
@@ -571,15 +542,81 @@ def parse_expr(text: str, n: int) -> Expr:
     return _Parser(_tokenize(text), n).parse()
 
 
-def compile_exprs(exprs, arity_hint: str = "x"):
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_TABLE_GLOBALS = {fn: getattr(math, fn) for fn in _FUNCTIONS}
+_TABLE_GLOBALS.update(_DOMAIN_ERRORS=(ValueError, ZeroDivisionError, OverflowError),
+                      EvaluationDomainError=EvaluationDomainError)
+
+
+@functools.lru_cache(maxsize=256)
+def _table_code(src: str) -> types.CodeType:
+    namespace = {}
+    exec(compile(src, "<expr-table>", "exec"), namespace)
+    return namespace["_table"].__code__
+
+
+def compile_exprs(exprs):
     """Compile a list of expressions into one function x -> tuple of floats.
 
-    One generated function per table keeps per-point evaluation cheap; the
-    symbolic trees stay authoritative for differentiation.
+    The generated function is straight-line code: each variable used is
+    read once as a float, and each distinct subexpression becomes one
+    temporary `tK = a op b`, keyed by its operator and operand names, so a
+    subtree shared between entries (as the partial derivatives of one
+    metric entry share most of theirs) is computed once.  The arithmetic is
+    the scalar float and `math` arithmetic `evaluate` does, in the same
+    order, so the values equal `evaluate`'s exactly.  ValueError,
+    ZeroDivisionError and OverflowError (log or sqrt of a negative,
+    division by zero, 0^-k, overflow) are raised as EvaluationDomainError.
+
+    Constants are parameters `cK` with the values as defaults, so tables
+    that differ only in their constants (the segments of a loop family,
+    say) share one code object, and Python's compiler runs once for them.
+    The generated text is kept on the function as `source`.
     """
-    exprs = list(exprs)
-    body = ", ".join(e.source() for e in exprs)
-    src = f"def _table({arity_hint}, math=math):\n    return ({body}{',' if len(exprs) == 1 else ''})\n"
-    namespace = {"math": math}
-    exec(compile(src, "<expr-table>", "exec"), namespace)
-    return namespace["_table"]
+    loads: set[int] = set()
+    lines: list[str] = []
+    consts: dict[str, str] = {}  # repr of a constant -> parameter
+    temps: dict[str, str] = {}   # right-hand side -> temporary
+    named: dict[int, str] = {}   # id(node) -> operand; the nodes outlive the call
+
+    def name(e: Expr) -> str:
+        got = named.get(id(e))
+        if got is not None:
+            return got
+        if isinstance(e, Const):
+            got = consts.setdefault(repr(e.value), f"c{len(consts)}")
+        elif isinstance(e, Var):
+            loads.add(e.index)
+            got = f"x{e.index}"
+        else:
+            if type(e) in _BINARY:
+                rhs = f"{name(e.a)} {_BINARY[type(e)]} {name(e.b)}"
+            elif isinstance(e, Pow):
+                rhs = f"{name(e.base)} ** {e.exponent}"
+            elif isinstance(e, Neg):
+                rhs = f"-{name(e.a)}"
+            elif isinstance(e, Call):
+                rhs = f"{e.name}({name(e.arg)})"
+            else:
+                raise TypeError(f"not an Expr: {e!r}")
+            got = temps.get(rhs)
+            if got is None:
+                got = temps[rhs] = f"t{len(temps)}"
+                lines.append(f"        {got} = {rhs}\n")
+        named[id(e)] = got
+        return got
+
+    outputs = [name(e) for e in exprs]
+    src = "".join([
+        f"def _table(x, {''.join(c + ', ' for c in consts.values())}):\n",
+        *(f"    x{i} = float(x[{i}])\n" for i in sorted(loads)),
+        "    try:\n",
+        *lines,
+        f"        return ({''.join(o + ', ' for o in outputs)})\n",
+        "    except _DOMAIN_ERRORS as exc:\n",
+        "        raise EvaluationDomainError(str(exc)) from exc\n",
+    ])
+    defaults = tuple(float(text) for text in consts)
+    table = types.FunctionType(_table_code(src), _TABLE_GLOBALS, "_table", defaults)
+    table.source = src
+    return table

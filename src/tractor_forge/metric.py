@@ -16,7 +16,6 @@ import numpy as np
 
 from .expr import (
     Const,
-    EvaluationDomainError,
     Expr,
     ParseError,
     call,
@@ -69,6 +68,9 @@ class MetricSpec:
     signature: tuple
     chart_domain: tuple | None = None
     name: str = "custom"
+    # compiled jet tables by order, filled by metric_jet; freed with the spec
+    _jet_tables: dict = field(default_factory=dict, init=False, compare=False,
+                              hash=False, repr=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -121,68 +123,48 @@ class MetricJet:
 
 
 class _JetEvaluator:
-    """Compiled table of g and its symbolic partials up to order 3.
+    """Compiled table of g and its symbolic partials up to `max_order`.
 
     Only canonical index combinations are compiled (i <= j in the metric
-    indices, sorted derivative multi-indices); arrays are filled
-    symmetrically so mixed-partial symmetry holds exactly.
+    indices, sorted derivative multi-indices), into one straight-line
+    function by `compile_exprs`, which shares the subexpressions common to
+    an entry and its partials.  g, dg, d2g and d3g are consecutive blocks
+    of one flat buffer; the scatter indices `dst`/`src`, computed once
+    here, copy each canonical value to every position it stands for
+    (all derivative orderings, both metric index orders), so mixed-partial
+    symmetry holds exactly and `jet` does one `flat[dst] = values[src]`.
     """
 
     def __init__(self, spec: MetricSpec, max_order: int = 3):
-        self.spec = spec
-        self.max_order = max_order
         n = spec.n
-        self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        self.derivs = {
-            order: list(itertools.combinations_with_replacement(range(n), order))
-            for order in range(1, max_order + 1)
-        }
-        exprs = []
-        self.layout = []  # (order, deriv_multi_index, i, j)
-        for i, j in self.pairs:
-            exprs.append(spec.entries[i][j])
-            self.layout.append((0, (), i, j))
-            base = {(): spec.entries[i][j]}
-            for order in range(1, max_order + 1):
-                level = {}
-                for multi in self.derivs[order]:
-                    parent = base[multi[1:]] if order > 1 else base[()]
-                    level[multi] = parent.diff(multi[0])
-                    exprs.append(level[multi])
-                    self.layout.append((order, multi, i, j))
-                base.update(level)
+        self.shapes = [(n,) * (order + 2) for order in range(4)]
+        self.bounds = np.cumsum([0] + [n ** (order + 2) for order in range(4)])
+        exprs, dst, src = [], [], []
+        for i in range(n):
+            for j in range(i, n):
+                partial = {(): spec.entries[i][j]}
+                for order in range(max_order + 1):
+                    for multi in itertools.combinations_with_replacement(range(n), order):
+                        if order:
+                            partial[multi] = partial[multi[1:]].diff(multi[0])
+                        for index in {perm + ij for perm in itertools.permutations(multi)
+                                      for ij in ((i, j), (j, i))}:
+                            pos = 0
+                            for k in index:
+                                pos = pos * n + k
+                            dst.append(self.bounds[order] + pos)
+                            src.append(len(exprs))
+                        exprs.append(partial[multi])
+        self.dst = np.array(dst, dtype=np.intp)
+        self.src = np.array(src, dtype=np.intp)
         self.table = compile_exprs(exprs)
 
-    def jet(self, x: np.ndarray) -> MetricJet:
-        n = self.spec.n
-        try:
-            values = self.table(x)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvaluationDomainError(str(exc)) from exc
-        g = np.zeros((n, n))
-        dg = np.zeros((n, n, n))
-        d2g = np.zeros((n, n, n, n))
-        d3g = np.zeros((n, n, n, n, n))
-        arrays = {0: g, 1: dg, 2: d2g, 3: d3g}
-        for value, (order, multi, i, j) in zip(values, self.layout):
-            target = arrays[order]
-            for perm in set(itertools.permutations(multi)):
-                target[perm + (i, j)] = value
-                target[perm + (j, i)] = value
-        return MetricJet(point=np.asarray(x, dtype=float), g=g, dg=dg, d2g=d2g,
-                         d3g=d3g, ginv=np.zeros((n, n)), spec=self.spec)
-
-
-_evaluators: dict[tuple, _JetEvaluator] = {}
-
-
-def _evaluator(spec: MetricSpec, order: int = 3) -> _JetEvaluator:
-    key = (id(spec), order)
-    ev = _evaluators.get(key)
-    if ev is None or ev.spec is not spec:
-        ev = _JetEvaluator(spec, order)
-        _evaluators[key] = ev
-    return ev
+    def jet(self, x) -> list:
+        """[g, dg, d2g, d3g] at x; orders above the table's are zero."""
+        flat = np.zeros(self.bounds[-1])
+        flat[self.dst] = np.array(self.table(x))[self.src]
+        return [flat[lo:hi].reshape(shape)
+                for lo, hi, shape in zip(self.bounds, self.bounds[1:], self.shapes)]
 
 
 def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
@@ -194,13 +176,16 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
         raise MetricError(f"point must have {spec.n} coordinates")
     if not spec.contains(x):
         raise ChartDomainError(f"point {x.tolist()} outside chart domain")
-    jet = _evaluator(spec, order).jet(x)
-    det = np.linalg.det(jet.g)
-    scale = max(1.0, float(np.max(np.abs(jet.g))) ** spec.n)
+    evaluator = spec._jet_tables.get(order)
+    if evaluator is None:
+        evaluator = spec._jet_tables[order] = _JetEvaluator(spec, order)
+    g, dg, d2g, d3g = evaluator.jet(x)
+    det = np.linalg.det(g)
+    scale = max(1.0, float(np.max(np.abs(g))) ** spec.n)
     if abs(det) <= _DET_FLOOR * scale:
         raise SingularMetricError(f"metric singular at {x.tolist()} (det={det:.3e})")
-    jet.ginv = np.linalg.solve(jet.g, np.eye(spec.n))
-    return jet
+    return MetricJet(point=x, g=g, dg=dg, d2g=d2g, d3g=d3g,
+                     ginv=np.linalg.solve(g, np.eye(spec.n)), spec=spec)
 
 
 def signature_at(spec: MetricSpec, x) -> tuple:

@@ -59,25 +59,33 @@ class TransportError(RuntimeError):
 
 @dataclass(frozen=True)
 class Segment:
-    """One smooth piece: coordinate Exprs in t with exact tangents."""
+    """One smooth piece: coordinate Exprs in t with exact tangents.
+
+    Coordinates and tangents are compiled once, on construction, by
+    `expr.compile_exprs`; `point` and `tangent` call the compiled code.
+    """
 
     coords: tuple  # tuple of Expr in Var(0)
     tangents: tuple = field(default=None)
+    _point: object = field(default=None, init=False, repr=False, compare=False)
+    _tangent: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tangents is None:
             object.__setattr__(
                 self, "tangents", tuple(c.diff(0) for c in self.coords))
+        object.__setattr__(self, "_point", ex.compile_exprs(self.coords))
+        object.__setattr__(self, "_tangent", ex.compile_exprs(self.tangents))
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
     def point(self, t: float) -> np.ndarray:
-        return np.array([ex.evaluate(c, (t,)) for c in self.coords])
+        return np.array(self._point((t,)))
 
     def tangent(self, t: float) -> np.ndarray:
-        return np.array([ex.evaluate(c, (t,)) for c in self.tangents])
+        return np.array(self._tangent((t,)))
 
     def reversed(self) -> "Segment":
         flip = ex.sub(ex.const(1.0), _T)
@@ -358,13 +366,17 @@ def _integrate_segment(oracle, seg: Segment, v: np.ndarray, tol: float) -> np.nd
 
 
 def parallel_transport(oracle, path: PathSpec, v0, tol: float = 1e-10) -> np.ndarray:
-    """Transport the fiber vector v0 along the path; local error per step <= tol."""
+    """Transport the fiber vector v0 along the path; local error per step <= tol.
+
+    v0 is one fiber vector, or a matrix whose columns are fiber vectors.
+    """
     if path.dim != oracle.point_dim:
         raise MetricError(
             f"path dimension {path.dim} != oracle point dimension {oracle.point_dim}")
     v = np.asarray(v0, dtype=float).copy()
-    if v.ndim == 1 and len(v) != oracle.fiber_dim:
-        raise MetricError("fiber vector has the wrong size")
+    if v.ndim not in (1, 2) or v.shape[0] != oracle.fiber_dim:
+        raise MetricError(f"fiber vectors must have shape ({oracle.fiber_dim},) or "
+                          f"({oracle.fiber_dim}, k), not {v.shape}")
     for seg in path.segments:
         v = _integrate_segment(oracle, seg, v, tol)
     return v

@@ -76,3 +76,24 @@ def test_evaluation_domain_error():
     e = ex.parse_expr("log(x1)", 1)
     with pytest.raises(ex.EvaluationDomainError):
         ex.evaluate(e, (-1.0,))
+
+
+def test_compile_exprs_shares_subexpressions_and_matches_evaluate_exactly():
+    texts = ("sin(x1*x2)^2 + sin(x1*x2)", "exp(x1) / (1 + x2^2) - sqrt(2 + x1)",
+             "-log(3 + x2) * x1^-3", "2.5")
+    exprs = [ex.parse_expr(t, 2) for t in texts]
+    table = ex.compile_exprs(exprs)
+    assert table.source.count("sin(") == 1
+    assert table.source.count("x0 * x1") == 1
+    for x in ((0.4, -1.2), (-0.7, 0.3)):
+        assert table(x) == tuple(ex.evaluate(e, x) for e in exprs)
+
+
+def test_compile_exprs_shares_code_between_tables_differing_in_constants():
+    a = ex.compile_exprs([ex.parse_expr("2.5 * sin(x1) - 1", 1)])
+    b = ex.compile_exprs([ex.parse_expr("0.5 * sin(x1) - 3", 1)])
+    assert a.__code__ is b.__code__
+    assert a((0.3,)) == (2.5 * math.sin(0.3) - 1.0,)
+    assert b((0.3,)) == (0.5 * math.sin(0.3) - 3.0,)
+    signed = ex.compile_exprs([ex.const(-0.0), ex.const(0.0)])(())
+    assert [math.copysign(1.0, v) for v in signed] == [-1.0, 1.0]

@@ -1,12 +1,27 @@
 """Metric specs, presets, jets, and the config-file grammar."""
 
+import ast
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from tractor_forge import expr as ex
-from tractor_forge.metric import (ChartDomainError, MetricError, MetricSpec,
-                                  SingularMetricError, metric_jet,
+from tractor_forge import metric as metric_mod
+from tractor_forge.metric import (PRESET_NAMES, ChartDomainError, MetricError,
+                                  MetricSpec, SingularMetricError, metric_jet,
                                   parse_config, preset, signature_at)
+
+# exp, log and sqrt entries with an off-diagonal coupling; positive
+# definite on the default sampling box [-0.8, 0.8]^3
+TRANSCENDENTAL_CONFIG = """
+dim = 3
+g[1][1] = exp(0.3*x1) + 0.1*log(2 + x2)
+g[2][2] = sqrt(2 + x3*x1)
+g[3][3] = 1 + x2^2/(3 + x1)
+g[1][3] = 0.1*sin(x1*x2)
+"""
 
 
 def test_preset_names_and_dims():
@@ -118,3 +133,74 @@ def test_parse_config_errors():
         parse_config("dim = 3\ng[4][1] = 1\n")
     with pytest.raises(MetricError):
         parse_config("dim = 3\ng[1][1] = +++\n")
+
+
+def _oracle_jet(spec, x, order):
+    """[g, dg, d2g, d3g] from tree-walking `evaluate` of each symbolic partial.
+
+    Each partial is built as the jet builds it (sorted derivative indices,
+    differentiating by the last one first), so the values must agree exactly.
+    """
+    n = spec.n
+    partials, values = {}, {}  # keyed by (i, j, sorted multi-index)
+    arrays = [np.zeros((n,) * (k + 2)) for k in range(4)]
+    for k in range(order + 1):
+        for index in np.ndindex(arrays[k].shape):
+            key = (tuple(sorted(index[:k])), tuple(sorted(index[k:])))
+            if key not in values:
+                multi, (i, j) = key
+                e = spec.entries[i][j]
+                for r in reversed(range(k)):
+                    suffix = (i, j, multi[r:])
+                    if suffix not in partials:
+                        partials[suffix] = e.diff(multi[r])
+                    e = partials[suffix]
+                values[key] = ex.evaluate(e, x)
+            arrays[k][index] = values[key]
+    return arrays
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("config",))
+def test_compiled_jet_equals_evaluate_exactly(name):
+    spec = parse_config(TRANSCENDENTAL_CONFIG) if name == "config" else preset(name)
+    for x in spec.sample_points(np.random.default_rng(13), 2):
+        for order in (2, 3):
+            jet = metric_jet(spec, x, order)
+            got = (jet.g, jet.dg, jet.d2g, jet.d3g)
+            for k, (a, b) in enumerate(zip(got, _oracle_jet(spec, x, order))):
+                assert np.array_equal(a, b), (name, order, k)
+
+
+def test_sphere_order_three_table_has_one_assignment_per_subexpression():
+    spec = preset("sphere")
+    metric_jet(spec, np.zeros(3))
+    tree = ast.parse(spec._jet_tables[3].table.source)
+    assert sum(isinstance(node, ast.Assign) for node in ast.walk(tree)) <= 266
+
+
+def test_jet_tables_live_on_the_spec(monkeypatch):
+    compiled = []
+    real = metric_mod.compile_exprs
+    monkeypatch.setattr(metric_mod, "compile_exprs",
+                        lambda exprs: compiled.append(1) or real(exprs))
+    spec = preset("bumpy", eps=0.1)
+    for x in spec.sample_points(np.random.default_rng(2), 3):
+        metric_jet(spec, x)
+    table = spec._jet_tables[3]
+    metric_jet(spec, np.zeros(3))
+    assert len(compiled) == 1 and spec._jet_tables[3] is table
+    # the cache is not part of the spec's value
+    assert spec == preset("bumpy", eps=0.1)
+    assert hash(spec) == hash(preset("bumpy", eps=0.1))
+    ref = weakref.ref(spec)
+    del spec, table
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("text, bad", [("log(x1)", -0.5), ("sqrt(x1)", -1.0),
+                                       ("1 / x1", 0.0), ("x1^-2", 0.0)])
+def test_jet_domain_errors_raise(text, bad):
+    spec = parse_config(f"dim = 3\ng[1][1] = 2 + {text}\n")
+    with pytest.raises(ex.EvaluationDomainError):
+        metric_jet(spec, np.array([bad, 0.1, 0.2]))

@@ -148,3 +148,43 @@ def test_transport_deterministic():
     a = tp.parallel_transport(oracle, loop, v0, 1e-9)
     b = tp.parallel_transport(oracle, loop, v0, 1e-9)
     assert np.all(a == b)
+
+
+def _oracle_values(exprs, t):
+    return np.array([ex.evaluate(c, (t,)) for c in exprs])
+
+
+def test_compiled_segments_equal_evaluate_exactly():
+    rect = tp.rectangle_loop(BASE, 0, 2, 0.3)
+    trig = tp.trig_loop(BASE, 0.2, np.random.default_rng(4))
+    t = ex.var(0)
+    s_expr = ex.mul(ex.const(0.3), ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), t)), 2))
+    paths = {
+        "rectangle": rect,
+        "trig_loop": trig,
+        "scale_path": tp.scale_path(trig, BASE, 0.5),
+        "reverse_path": tp.reverse_path(rect),
+        "lift_loop": tp.lift_loop(rect, s_expr=s_expr, q_expr=ex.const(1.0) + t * t),
+    }
+    for name, path in paths.items():
+        for seg in path.segments:
+            for tv in [*np.linspace(0.0, 1.0, 9), 0.123, 0.777]:
+                assert np.array_equal(seg.point(tv), _oracle_values(seg.coords, tv)), name
+                assert np.array_equal(seg.tangent(tv), _oracle_values(seg.tangents, tv)), name
+
+
+@pytest.mark.parametrize("text, bad", [("log(x1)", -0.5), ("sqrt(x1)", -1.0),
+                                       ("1 / x1", 0.0), ("x1^-2", 0.0)])
+def test_segment_domain_errors_raise(text, bad):
+    seg = tp.Segment((ex.parse_expr(text, 1), ex.var(0), ex.var(0)))
+    with pytest.raises(ex.EvaluationDomainError):
+        seg.point(bad)
+
+
+def test_parallel_transport_rejects_misshapen_v0():
+    oracle = tp.TractorOracle(preset("flat"), "induced")
+    loop = tp.rectangle_loop(BASE, 0, 1, 0.3)
+    for v0 in (1.0, np.zeros(4), np.eye(4), np.zeros((4, 5)), np.zeros((5, 5, 1))):
+        with pytest.raises(MetricError):
+            tp.parallel_transport(oracle, loop, v0)
+    assert tp.parallel_transport(oracle, loop, np.eye(5)[:, :2]).shape == (5, 2)
