@@ -106,12 +106,14 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
     """R[a,b] = d_a Omega_b - d_b Omega_a + [Omega_a, Omega_b] for all pairs.
 
     Coordinate partials of the connection matrices use 4th-order central
-    differences with step `h`; `omega_fn(point, direction)` must accept any
-    point near `point`.
+    differences with step `h`.  `omega_fn(point, directions)` must accept
+    any point near `point` and a (dim, dim) stack of directions, and return
+    their (dim, fiber, fiber) stack of connection matrices: one call per
+    stencil point.
     """
     point = np.asarray(point, dtype=float)
     basis = np.eye(dim)
-    omegas = np.stack([omega_fn(point, basis[c]) for c in range(dim)])
+    omegas = omega_fn(point, basis)
     fiber = omegas.shape[-1]
     dOmega = np.zeros((dim, dim, fiber, fiber))  # [a, c] = d_a Omega_c
     for a in range(dim):
@@ -119,14 +121,11 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
         for k in (-2, -1, 1, 2):
             pk = point.copy()
             pk[a] += k * h
-            shifts[k] = np.stack([omega_fn(pk, basis[c]) for c in range(dim)])
+            shifts[k] = omega_fn(pk, basis)
         dOmega[a] = (-shifts[2] + 8 * shifts[1] - 8 * shifts[-1] + shifts[-2]) / (12 * h)
-    R = np.zeros((dim, dim, fiber, fiber))
-    for a in range(dim):
-        for b in range(dim):
-            R[a, b] = (dOmega[a, b] - dOmega[b, a]
-                       + omegas[a] @ omegas[b] - omegas[b] @ omegas[a])
-    return R
+    products = omegas[:, None] @ omegas[None, :]  # [a, b] = Omega_a Omega_b
+    return (dOmega - dOmega.transpose(1, 0, 2, 3)
+            + products - products.transpose(1, 0, 2, 3))
 
 
 @dataclass
@@ -204,45 +203,57 @@ class AmbientGeometry:
     # -- connections -----------------------------------------------------------
 
     def omega(self, p, u, stack: CurvatureStack | None = None) -> np.ndarray:
-        """Connection matrix for direction u = (a, U, b): D_t v = vdot + Omega v."""
+        """Connection matrix for direction u = (a, U, b): D_t v = vdot + Omega v.
+
+        u may also be a (k, n+2) stack of directions; the result is then the
+        (k, n+2, n+2) stack of their matrices, each equal to the one for
+        that direction alone.
+        """
         s, x, q = split_point(p)
         if stack is None:
             stack = self.stack(x)
         n = self.n
         u = np.asarray(u, dtype=float)
-        a, U, b = u[0], u[1:-1], u[-1]
+        dirs = u.reshape(-1, self.dim)
+        a, U, b = dirs[:, 0, None, None], dirs[:, 1:-1], dirs[:, -1, None, None]
+        Ucol = U[:, :, None]
         f, m = self.f_map(p, stack)
         gm = stack.g @ m
         Pm = stack.P @ m
-        GammaU = np.einsum("kij,i->kj", stack.Gamma, U)
-        Omega = np.zeros((self.dim, self.dim))
-        Omega[0, 1:-1] = -(U @ gm)
-        Omega[-1, 1:-1] = -(U @ Pm)
-        Omega[1:-1, 0] = f @ (stack.Psharp @ U)
-        Omega[1:-1, -1] = f @ U
+        GammaU = np.einsum("kij,ci->ckj", stack.Gamma, U)
+        Omega = np.zeros((len(dirs), self.dim, self.dim))
+        Omega[:, 0, 1:-1] = -(U[:, None, :] @ gm)[:, 0]
+        Omega[:, -1, 1:-1] = -(U[:, None, :] @ Pm)[:, 0]
+        Omega[:, 1:-1, 0] = (f @ (stack.Psharp @ Ucol))[:, :, 0]
+        Omega[:, 1:-1, -1] = (f @ Ucol)[:, :, 0]
         tm_block = GammaU @ m + a * stack.Psharp + b * np.eye(n)
         if s != 0.0:
-            tm_block = tm_block + s * np.einsum("kij,k->ij", stack.dPsharp, U)
-        Omega[1:-1, 1:-1] = f @ tm_block
-        return Omega
+            tm_block = tm_block + s * np.einsum("kij,ck->cij", stack.dPsharp, U)
+        Omega[:, 1:-1, 1:-1] = f @ tm_block
+        return Omega if u.ndim == 2 else Omega[0]
 
     def omega_crude(self, p, u, stack: CurvatureStack | None = None) -> np.ndarray:
-        """Connection matrix of the crude alternative; regular for all q > 0."""
+        """Connection matrix of the crude alternative; regular for all q > 0.
+
+        Accepts a (k, n+2) stack of directions like `omega`.
+        """
         s, x, q = split_point(p)
         if q <= 0:
             raise MetricError("crude connection requires q > 0")
         if stack is None:
             stack = self.stack(x)
         u = np.asarray(u, dtype=float)
-        a, U, b = u[0], u[1:-1], u[-1]
-        GammaU = np.einsum("kij,i->kj", stack.Gamma, U)
-        Omega = np.zeros((self.dim, self.dim))
-        Omega[0, 1:-1] = -q * (stack.g @ U)
-        Omega[-1, 1:-1] = -q * (stack.P @ U)
-        Omega[1:-1, 0] = (stack.Psharp @ U) / q
-        Omega[1:-1, -1] = U / q
-        Omega[1:-1, 1:-1] = GammaU + (b / q) * np.eye(self.n)
-        return Omega
+        dirs = u.reshape(-1, self.dim)
+        U, b = dirs[:, 1:-1], dirs[:, -1, None, None]
+        Ucol = U[:, :, None]
+        GammaU = np.einsum("kij,ci->ckj", stack.Gamma, U)
+        Omega = np.zeros((len(dirs), self.dim, self.dim))
+        Omega[:, 0, 1:-1] = -q * (stack.g @ Ucol)[:, :, 0]
+        Omega[:, -1, 1:-1] = -q * (stack.P @ Ucol)[:, :, 0]
+        Omega[:, 1:-1, 0] = (stack.Psharp @ Ucol)[:, :, 0] / q
+        Omega[:, 1:-1, -1] = U / q
+        Omega[:, 1:-1, 1:-1] = GammaU + (b / q) * np.eye(self.n)
+        return Omega if u.ndim == 2 else Omega[0]
 
     def covariant_derivative(self, p, u, w, dw=None, stack=None) -> np.ndarray:
         """D_u w for an ambient vector w with directional component derivative dw."""

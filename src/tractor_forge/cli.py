@@ -287,8 +287,7 @@ def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
     alg = hol.holonomy_algebra(oracle, base, loops, 1e-9, cfg.tol_rank)
     H = oracle.fiber_metric(base)
     loop_rows = []
-    for idx, lp in enumerate(loops):
-        G = tp.transport_matrix(oracle, lp, 1e-9)
+    for idx, (lp, G) in enumerate(zip(loops, alg.loop_transports)):
         kind = "rectangle" if len(lp.segments) > 1 else "trig"
         loop_rows.append({
             "loop": idx,

@@ -2,10 +2,13 @@
 
 Generators come from two mechanisms: truncated matrix logs of small-loop
 transport operators, and curvature endomorphisms conjugated by transports
-to partial points of each loop.  Both feed one bracket closure; the
-dimension is the rank of the flattened generator set under a singular-value
-cut (relative threshold plus a small absolute floor, so a flat connection
-whose transports are identity-plus-integrator-noise reports dimension 0).
+to partial points of each loop.  Each loop is transported once, as a chain
+over pieces that end at those partial points, so the running products are
+the prefix transports and the last is the loop transport.  Both mechanisms
+feed one bracket closure; the dimension is the rank of the flattened
+generator set under a singular-value cut (relative threshold plus a small
+absolute floor, so a flat connection whose transports are
+identity-plus-integrator-noise reports dimension 0).
 """
 
 from __future__ import annotations
@@ -35,7 +38,11 @@ class LogConvergenceError(RuntimeError):
 
 
 def matrix_log(G: np.ndarray, tol: float = 1e-15, max_terms: int = 80) -> np.ndarray:
-    """log(G) by the series in X = G - I, valid for ||X|| < 0.5."""
+    """log(G) by the series in X = G - I.
+
+    Raises LogConvergenceError when max|X| >= 0.5, or when the series has
+    not converged after `max_terms` terms (max|X| does not bound the norm).
+    """
     X = G - np.eye(G.shape[0])
     norm = float(np.max(np.abs(X)))
     if norm >= 0.5:
@@ -47,8 +54,9 @@ def matrix_log(G: np.ndarray, tol: float = 1e-15, max_terms: int = 80) -> np.nda
         contrib = ((-1) ** (k + 1)) * term / k
         out += contrib
         if float(np.max(np.abs(contrib))) < tol:
-            break
-    return out
+            return out
+    raise LogConvergenceError(f"log series not converged after {max_terms} terms "
+                              f"(max|G - I| = {norm:.3f})")
 
 
 @dataclass
@@ -62,6 +70,7 @@ class HolonomyAlgebra:
     rank_tol: float
     base: np.ndarray
     fiber_metric: np.ndarray
+    loop_transports: list   # each loop's transport, on the loop as given
 
 
 def _orthonormal_span(mats, rank_tol: float):
@@ -78,20 +87,22 @@ def _orthonormal_span(mats, rank_tol: float):
     return basis, svals
 
 
-def _prefix_paths(path: tp.PathSpec):
-    """A few proper prefixes of the path, for conjugation points."""
+def _pieces(path: tp.PathSpec) -> list:
+    """Consecutive sub-paths of `path` that end at its conjugation points.
+
+    A one-segment path splits at its parameter midpoint; a longer one after
+    segments k//2 and k-1.  Transports chained over the pieces give the
+    prefix transports, and the last of them is the transport of `path`.
+    """
     segs = path.segments
-    prefixes = []
     if len(segs) == 1:
-        half = ex.mul(ex.const(0.5), ex.var(0))
-        seg = segs[0]
-        prefixes.append(tp.PathSpec((tp.Segment(
-            tuple(ex.substitute(c, 0, half) for c in seg.coords)),)))
-    else:
-        for k in (len(segs) // 2, len(segs) - 1):
-            if 0 < k < len(segs):
-                prefixes.append(tp.PathSpec(segs[:k]))
-    return prefixes
+        t = ex.var(0)
+        halves = (ex.mul(ex.const(0.5), t), ex.add(ex.const(0.5), ex.mul(ex.const(0.5), t)))
+        return [tp.PathSpec((tp.Segment(tuple(ex.substitute(c, 0, sub)
+                                              for c in segs[0].coords)),))
+                for sub in halves]
+    cuts = sorted({len(segs) // 2, len(segs) - 1})
+    return [tp.PathSpec(segs[a:b]) for a, b in zip([0] + cuts, cuts + [len(segs)])]
 
 
 def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
@@ -103,15 +114,22 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
     shrunk toward the base point (factor 1/2, up to `max_halvings` times).
     """
     base = np.asarray(base, dtype=float)
+    use_curvature = use_curvature and hasattr(oracle, "curvature_pairs")
+    base_pairs = oracle.curvature_pairs(base) if use_curvature else None
     generators = []
+    loop_transports = []
     for loop in loops:
         if np.max(np.abs(loop.base - base)) > 1e-9:
             raise MetricError("loop is not based at the requested base point")
         if not loop.is_loop():
             raise MetricError("open path passed to holonomy estimation")
+        conj = [(base, np.eye(oracle.fiber_dim))]
+        for piece in _pieces(loop):
+            conj.append((piece.end, tp.parallel_transport(oracle, piece, conj[-1][1], tol)))
+        G = conj.pop()[1]
+        loop_transports.append(G)
         current = loop
         for attempt in range(max_halvings + 1):
-            G = tp.transport_matrix(oracle, current, tol)
             try:
                 generators.append(matrix_log(G))
                 break
@@ -119,17 +137,11 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
                 if attempt == max_halvings:
                     raise
                 current = tp.scale_path(current, base, 0.5)
-        if use_curvature and hasattr(oracle, "curvature_pairs"):
-            conj_paths = [None] + _prefix_paths(loop)
-            for prefix in conj_paths:
-                if prefix is None:
-                    point = base
-                    T = np.eye(oracle.fiber_dim)
-                else:
-                    point = prefix.end
-                    T = tp.transport_matrix(oracle, prefix, tol)
+                G = tp.transport_matrix(oracle, current, tol)
+        if use_curvature:
+            for k, (point, T) in enumerate(conj):
                 Tinv = np.linalg.inv(T)
-                pairs = oracle.curvature_pairs(point)
+                pairs = base_pairs if k == 0 else oracle.curvature_pairs(point)
                 d = pairs.shape[0]
                 for i in range(d):
                     for j in range(i + 1, d):
@@ -149,7 +161,7 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
     return HolonomyAlgebra(
         generators=generators, basis=basis, dim=len(basis),
         sv_profile=svals, rank_tol=rank_tol, base=base,
-        fiber_metric=oracle.fiber_metric(base))
+        fiber_metric=oracle.fiber_metric(base), loop_transports=loop_transports)
 
 
 def algebra_metric_residual(alg: HolonomyAlgebra) -> float:

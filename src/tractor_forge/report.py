@@ -240,8 +240,7 @@ class _Suite:
             h1 = geom.metric(path.end)
             v = self.rng.standard_normal(n + 2)
             w = self.rng.standard_normal(n + 2)
-            v1 = tp.parallel_transport(oracle, path, v, 1e-10)
-            w1 = tp.parallel_transport(oracle, path, w, 1e-10)
+            v1, w1 = tp.parallel_transport(oracle, path, np.column_stack([v, w]), 1e-10).T
             res_compat = max(res_compat, abs(float(v1 @ h1 @ w1) - float(v @ h0 @ w)))
         self.add("ambient-metric-compatibility",
                  "parallel transport preserves the ambient metric", res_compat, tol_t)
@@ -409,11 +408,11 @@ class _Suite:
         self.add("transport-scale-lift", "transport is invariant under scale lifts of loops",
                  res_lift, 1e-6)
 
-        # plumbing invariants: reversal and fiber-metric preservation
+        # plumbing invariants: reversal and fiber-metric preservation, on the
+        # last loop's transport from the tractor holonomy estimate
         oracle = tp.TractorOracle(self.spec, "induced")
-        lp = loops[-1]
-        G = tp.transport_matrix(oracle, lp, ttol)
-        Gi = tp.transport_matrix(oracle, tp.reverse_path(lp), ttol)
+        G = alg_t.loop_transports[-1]
+        Gi = tp.transport_matrix(oracle, tp.reverse_path(loops[-1]), ttol)
         H = oracle.fiber_metric(self.base)
         self.add("transport-reversal", "reverse transport inverts the loop transport",
                  float(np.max(np.abs(Gi @ G - np.eye(self.spec.n + 2)))), self.cfg.tol_transport)

@@ -14,7 +14,10 @@ and optionally curvature_pairs(point) -> [point_dim, point_dim, ...]
 curvature matrices for holonomy generator harvesting.
 
 Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with an adaptive
-embedded Dormand-Prince 5(4) step.
+embedded Dormand-Prince 5(4) step.  Omega depends only on t, so each
+distinct node time costs one `omega` call: five per step attempt.  Every
+transport goes through `parallel_transport`; transports chained over
+consecutive sub-paths equal the transport of the whole path exactly.
 """
 
 from __future__ import annotations
@@ -335,22 +338,30 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 
 def _integrate_segment(oracle, seg: Segment, v: np.ndarray, tol: float) -> np.ndarray:
-    def rhs(t, y):
-        mat = oracle.omega(seg.point(t), seg.tangent(t))
-        return -(mat @ y)
+    """One DP5(4) pass over a segment, one `oracle.omega` call per distinct node.
+
+    Omega depends only on t, so the stage with c7 = c6 = 1 reuses stage 6,
+    an accepted step's last node (t + 1.0*h, bit for bit the new t) is the
+    next step's first, and a rejected step keeps its first node.
+    """
+    def omega_at(t):
+        return oracle.omega(seg.point(t), seg.tangent(t))
 
     t = 0.0
     h = 0.1
     min_h = 1e-10
     scale_ref = max(1.0, float(np.max(np.abs(v))))
+    first = omega_at(t)  # Omega at the current step's first node
     while t < 1.0:
         h = min(h, 1.0 - t)
+        mats = [first] + [omega_at(t + c * h) for c in _DP_C[1:6]]
+        mats.append(mats[5])
         ks = []
-        for stage in range(7):
+        for stage, mat in enumerate(mats):
             y = v.copy()
             for a, k in zip(_DP_A[stage], ks):
                 y = y + h * a * k
-            ks.append(rhs(t + _DP_C[stage] * h, y))
+            ks.append(-(mat @ y))
         v5 = v + h * sum(b * k for b, k in zip(_DP_B5, ks))
         v4 = v + h * sum(b * k for b, k in zip(_DP_B4, ks))
         err = float(np.max(np.abs(v5 - v4))) / scale_ref
@@ -359,6 +370,7 @@ def _integrate_segment(oracle, seg: Segment, v: np.ndarray, tol: float) -> np.nd
                 raise TransportError(f"step underflow at t={t:.6f} (err {err:.2e})")
             t += h
             v = v5
+            first = mats[6]
             scale_ref = max(scale_ref, float(np.max(np.abs(v))))
         factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
         h = max(min_h, h * min(5.0, max(0.2, factor)))

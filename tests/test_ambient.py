@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tractor_forge.ambient import (AmbientGeometry, SingularMapError,
-                                   ambient_point, orthonormal_frame,
-                                   split_point)
+                                   ambient_point, curvature_from_omega,
+                                   orthonormal_frame, split_point)
 from tractor_forge.curvature import stack_at
 from tractor_forge.metric import preset
 
@@ -180,3 +180,54 @@ def test_default_s_bound(sphere_geom):
     assert bound == pytest.approx(1.0)  # 0.5 / max|eig(-1/2 Id)|
     flat_geom = AmbientGeometry(preset("flat"))
     assert flat_geom.default_s_bound(BASE3) == np.inf
+
+
+@pytest.mark.parametrize("name", ["bumpy", "ppwave", "sphere"])
+@pytest.mark.parametrize("s", [0.0, 0.15])
+def test_batched_omega_equals_per_direction_exactly(name, s):
+    geom = AmbientGeometry(preset(name))
+    rng = np.random.default_rng(7)
+    x = geom.spec.sample_points(rng, 1)[0] * 0.5
+    p = ambient_point(s, x, 1.2)
+    dirs = np.vstack([np.eye(geom.dim), rng.standard_normal((3, geom.dim))])
+    for fn in (geom.omega, geom.omega_crude):
+        batch = fn(p, dirs)
+        assert batch.shape == (len(dirs), geom.dim, geom.dim)
+        for u, got in zip(dirs, batch):
+            assert np.array_equal(got, fn(p, u))
+
+
+def _reference_fd_curvature(omega_fn, point, dim, h):
+    """The stencil with one omega call per direction and a loop per pair."""
+    basis = np.eye(dim)
+    omegas = np.stack([omega_fn(point, basis[c]) for c in range(dim)])
+    dOmega = np.zeros((dim, dim) + omegas.shape[1:])
+    for a in range(dim):
+        shifts = {}
+        for k in (-2, -1, 1, 2):
+            pk = point.copy()
+            pk[a] += k * h
+            shifts[k] = np.stack([omega_fn(pk, basis[c]) for c in range(dim)])
+        dOmega[a] = (-shifts[2] + 8 * shifts[1] - 8 * shifts[-1] + shifts[-2]) / (12 * h)
+    R = np.zeros_like(dOmega)
+    for a in range(dim):
+        for b in range(dim):
+            R[a, b] = (dOmega[a, b] - dOmega[b, a]
+                       + omegas[a] @ omegas[b] - omegas[b] @ omegas[a])
+    return R
+
+
+@pytest.mark.parametrize("crude", [False, True])
+def test_fd_curvature_one_omega_call_per_stencil_point(bumpy_geom, crude):
+    fn = bumpy_geom.omega_crude if crude else bumpy_geom.omega
+    calls = []
+
+    def omega_fn(pt, dirs):
+        calls.append(dirs.shape)
+        return fn(pt, dirs)
+
+    p = ambient_point(0.1, BASE3, 1.0)
+    R = curvature_from_omega(omega_fn, p, bumpy_geom.dim)
+    assert calls == [(5, 5)] * (1 + 4 * 5)
+    assert np.array_equal(R, _reference_fd_curvature(fn, p, bumpy_geom.dim, 2e-3))
+    assert np.array_equal(R, bumpy_geom.curvature_all_pairs(p, crude=crude))

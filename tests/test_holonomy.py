@@ -121,3 +121,48 @@ def test_lift_transport_check_sphere():
     assert rep["reparameterized_lift_residual"] < 1e-6
     assert rep["fiber_loop_residual"] < 1e-6
     assert rep["geodesic_flow_residual"] < 1e-9
+
+
+def test_matrix_log_raises_when_series_diverges():
+    # max|G - I| = 0.4 passes the entry gate, but X = 0.4*ones has
+    # eigenvalue 2, so the series diverges (the true log has entries 0.22)
+    with pytest.raises(hol.LogConvergenceError):
+        hol.matrix_log(np.eye(5) + 0.4 * np.ones((5, 5)))
+
+
+def test_chained_rectangle_prefixes_equal_prefix_transports_exactly():
+    oracle = tp.TractorOracle(preset("bumpy", eps=0.1), "induced")
+    loop = tp.rectangle_loop(BASE, 0, 2, 0.25)
+    pieces = hol._pieces(loop)
+    assert [len(p.segments) for p in pieces] == [2, 1, 1]
+    T = np.eye(5)
+    for piece, k in zip(pieces, (2, 3, 4)):
+        T = tp.parallel_transport(oracle, piece, T, 1e-10)
+        want = tp.transport_matrix(oracle, tp.PathSpec(loop.segments[:k]), 1e-10)
+        assert np.array_equal(T, want)
+    alg = hol.holonomy_algebra(oracle, BASE, [loop], 1e-10)
+    assert np.array_equal(alg.loop_transports[0], T)
+
+
+def test_one_segment_loop_splits_at_its_midpoint():
+    oracle = tp.TractorOracle(preset("bumpy", eps=0.1), "induced")
+    loop = tp.trig_loop(BASE, 0.25, np.random.default_rng(8))
+    first, second = hol._pieces(loop)
+    seg = loop.segments[0]
+    for t in (0.0, 0.3, 1.0):
+        assert np.array_equal(first.segments[0].point(t), seg.point(0.5 * t))
+        assert np.array_equal(second.segments[0].point(t), seg.point(0.5 + 0.5 * t))
+    G = hol.holonomy_algebra(oracle, BASE, [loop], 1e-10).loop_transports[0]
+    assert G == pytest.approx(tp.transport_matrix(oracle, loop, 1e-10), abs=1e-8)
+
+
+def test_halving_keeps_the_unshrunk_loop_transport():
+    oracle = tp.TractorOracle(preset("sphere"), "induced")
+    loop = tp.rectangle_loop(BASE, 0, 1, 0.5)
+    G = tp.transport_matrix(oracle, loop, 1e-9)
+    with pytest.raises(hol.LogConvergenceError):
+        hol.matrix_log(G)
+    alg = hol.holonomy_algebra(oracle, BASE, [loop], 1e-9)
+    assert np.array_equal(alg.loop_transports[0], G)
+    shrunk = alg.generators[0]  # the log of a shrunk loop's transport
+    assert np.max(np.abs(shrunk)) < 0.5

@@ -188,3 +188,84 @@ def test_parallel_transport_rejects_misshapen_v0():
         with pytest.raises(MetricError):
             tp.parallel_transport(oracle, loop, v0)
     assert tp.parallel_transport(oracle, loop, np.eye(5)[:, :2]).shape == (5, 2)
+
+
+def _reference_segment(oracle, seg, v, tol):
+    """DP5(4) with every stage evaluating Omega afresh (seven calls a step)."""
+    def rhs(t, y):
+        return -(oracle.omega(seg.point(t), seg.tangent(t)) @ y)
+
+    t, h, min_h = 0.0, 0.1, 1e-10
+    scale_ref = max(1.0, float(np.max(np.abs(v))))
+    while t < 1.0:
+        h = min(h, 1.0 - t)
+        ks = []
+        for stage in range(7):
+            y = v.copy()
+            for a, k in zip(tp._DP_A[stage], ks):
+                y = y + h * a * k
+            ks.append(rhs(t + tp._DP_C[stage] * h, y))
+        v5 = v + h * sum(b * k for b, k in zip(tp._DP_B5, ks))
+        v4 = v + h * sum(b * k for b, k in zip(tp._DP_B4, ks))
+        err = float(np.max(np.abs(v5 - v4))) / scale_ref
+        if err <= tol or h <= min_h:
+            if h <= min_h and err > tol:
+                raise tp.TransportError(f"step underflow at t={t:.6f}")
+            t += h
+            v = v5
+            scale_ref = max(scale_ref, float(np.max(np.abs(v))))
+        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
+        h = max(min_h, h * min(5.0, max(0.2, factor)))
+    return v
+
+
+def _reference_transport(oracle, path, v0, tol):
+    v = np.asarray(v0, dtype=float).copy()
+    for seg in path.segments:
+        v = _reference_segment(oracle, seg, v, tol)
+    return v
+
+
+class _CountingOracle:
+    """Records the (point, tangent) node of every omega call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.point_dim = inner.point_dim
+        self.fiber_dim = inner.fiber_dim
+        self.nodes = []
+
+    def omega(self, point, tangent):
+        self.nodes.append((point.tobytes(), tangent.tobytes()))
+        return self.inner.omega(point, tangent)
+
+
+def _node_reuse_cases():
+    spec = preset("bumpy", eps=0.1)
+    t = ex.var(0)
+    s_expr = ex.mul(ex.const(0.1), ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), t)), 2))
+    q_expr = ex.add(ex.const(1.0), ex.mul(ex.const(0.2), t * (ex.const(1.0) - t)))
+    rect = tp.rectangle_loop(BASE, 0, 2, 0.25)
+    return {
+        "rectangle": (tp.TractorOracle(spec, "induced"), rect, 1e-10),
+        "trig": (tp.TractorOracle(spec, "induced"),
+                 tp.trig_loop(BASE, 0.25, np.random.default_rng(6)), 1e-10),
+        "off-slice": (tp.AmbientOracle(spec),
+                      tp.lift_loop(tp.rectangle_loop(BASE, 0, 1, 0.15), s_expr, q_expr), 1e-8),
+    }
+
+
+@pytest.mark.parametrize("case", ["rectangle", "trig", "off-slice"])
+def test_transport_equals_reference_integrator_exactly(case):
+    oracle, path, tol = _node_reuse_cases()[case]
+    counted = _CountingOracle(oracle)
+    got = tp.transport_matrix(counted, path, tol)
+    reference = _CountingOracle(oracle)
+    want = _reference_transport(reference, path, np.eye(oracle.fiber_dim), tol)
+    assert np.array_equal(got, want)
+    # the same nodes, with one omega call per distinct node time: five new
+    # nodes per step attempt plus each segment's t = 0, against seven
+    attempts, rest = divmod(len(reference.nodes), 7)
+    assert rest == 0
+    assert len(counted.nodes) == 5 * attempts + len(path.segments)
+    assert set(counted.nodes) == set(reference.nodes)
