@@ -26,12 +26,12 @@ the slice q = 1, s = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curvature import CurvatureStack, stack_at
-from .metric import MetricError, MetricSpec
+from .curvature import CurvatureStack, compute_stack, connection_at, stack_at
+from .metric import MetricError, MetricJet, MetricSpec, metric_jet
 
 __all__ = [
     "SingularMapError",
@@ -102,6 +102,15 @@ def orthonormal_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack(frame), np.array(signs)
 
 
+def _stencil(point: np.ndarray, dim: int, h: float) -> np.ndarray:
+    """point, then point + k h e_a for a in range(dim) and k in (-2, -1, 1, 2)."""
+    points = np.repeat(point[None], 1 + 4 * dim, axis=0)
+    for a in range(dim):
+        for j, k in enumerate((-2, -1, 1, 2)):
+            points[1 + 4 * a + j, a] += k * h
+    return points
+
+
 def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.ndarray:
     """R[a,b] = d_a Omega_b - d_b Omega_a + [Omega_a, Omega_b] for all pairs.
 
@@ -111,21 +120,29 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
     their (dim, fiber, fiber) stack of connection matrices: one call per
     stencil point.
     """
-    point = np.asarray(point, dtype=float)
     basis = np.eye(dim)
-    omegas = omega_fn(point, basis)
+    omegas = np.stack([omega_fn(pt, basis)
+                       for pt in _stencil(np.asarray(point, dtype=float), dim, h)])
     fiber = omegas.shape[-1]
-    dOmega = np.zeros((dim, dim, fiber, fiber))  # [a, c] = d_a Omega_c
-    for a in range(dim):
-        shifts = {}
-        for k in (-2, -1, 1, 2):
-            pk = point.copy()
-            pk[a] += k * h
-            shifts[k] = omega_fn(pk, basis)
-        dOmega[a] = (-shifts[2] + 8 * shifts[1] - 8 * shifts[-1] + shifts[-2]) / (12 * h)
-    products = omegas[:, None] @ omegas[None, :]  # [a, b] = Omega_a Omega_b
+    shifts = omegas[1:].reshape(dim, 4, dim, fiber, fiber)  # [a, k, c] at k*h*e_a
+    # [a, c] = d_a Omega_c
+    dOmega = (-shifts[:, 3] + 8 * shifts[:, 2] - 8 * shifts[:, 1] + shifts[:, 0]) / (12 * h)
+    products = omegas[0][:, None] @ omegas[0][None, :]  # [a, b] = Omega_a Omega_b
     return (dOmega - dOmega.transpose(1, 0, 2, 3)
             + products - products.transpose(1, 0, 2, 3))
+
+
+def _take_rows(data, rows):
+    """A batched stack or jet restricted to `rows`."""
+    values = {}
+    for f in fields(data):
+        value = getattr(data, f.name)
+        if isinstance(value, np.ndarray):
+            value = value[rows]
+        elif isinstance(value, MetricJet):
+            value = _take_rows(value, rows)
+        values[f.name] = value
+    return type(data)(**values)
 
 
 @dataclass
@@ -149,17 +166,28 @@ class AmbientGeometry:
     # -- the bundle map and metric -------------------------------------------
 
     def f_map(self, p, stack: CurvatureStack | None = None):
-        """(f, m) with m = s*Psharp + q*Id and f = m^{-1}; raises when singular."""
-        s, x, q = split_point(p)
+        """(f, m) with m = s*Psharp + q*Id and f = m^{-1}; raises when singular.
+
+        p may be a (k, n+2) stack of points with a stack batched like it;
+        f and m are then (k, n, n) stacks.  Only Psharp is read, so a
+        `ConnectionPoint` serves as well as a full stack (and is the default).
+        """
+        p = np.asarray(p, dtype=float)
         if stack is None:
-            stack = self.stack(x)
-        m = s * stack.Psharp + q * np.eye(self.n)
-        if abs(np.linalg.det(m)) <= self.det_tol:
-            evals = np.linalg.eigvals(stack.Psharp)
-            evals = np.real_if_close(evals, tol=1e6)
+            stack = connection_at(self.spec, p[..., 1:-1])
+        points = p.reshape(-1, self.dim)
+        n = self.n
+        Psharp = np.reshape(stack.Psharp, (len(points), n, n))
+        m = points[:, 0, None, None] * Psharp + points[:, -1, None, None] * np.eye(n)
+        singular = np.abs(np.linalg.det(m)) <= self.det_tol
+        if singular.any():
+            row = int(np.argmax(singular))
+            s, q = points[row, 0], points[row, -1]
+            evals = np.real_if_close(np.linalg.eigvals(Psharp[row]), tol=1e6)
             bad = [ev for ev in evals if abs(s * ev + q) <= 1e-6 * max(1.0, abs(q))]
-            raise SingularMapError(p, bad if bad else evals)
-        return np.linalg.inv(m), m
+            raise SingularMapError(points[row], bad if bad else evals)
+        f = np.linalg.inv(m)
+        return (f, m) if p.ndim == 2 else (f[0], m[0])
 
     def lift(self, p, X, stack: CurvatureStack | None = None) -> np.ndarray:
         """Lift of a base vector X: the ambient vector (0, f(X), 0)."""
@@ -169,10 +197,10 @@ class AmbientGeometry:
         return v
 
     def metric(self, p, stack: CurvatureStack | None = None) -> np.ndarray:
-        """Ambient metric h in the coordinate basis (S, d_i, Q)."""
+        """Ambient metric h in the coordinate basis (S, d_i, Q); reads g and Psharp."""
         s, x, q = split_point(p)
         if stack is None:
-            stack = self.stack(x)
+            stack = connection_at(self.spec, x)
         _, m = self.f_map(p, stack)
         h = np.zeros((self.dim, self.dim))
         h[0, -1] = h[-1, 0] = 1.0
@@ -202,58 +230,75 @@ class AmbientGeometry:
 
     # -- connections -----------------------------------------------------------
 
+    def _batch(self, p, u, stack):
+        """Points as (k, n+2), directions as (k, c, n+2), the stack, and its
+        g, P, Psharp and Gamma as (k, 1, ...) arrays that broadcast over c.
+
+        A single point takes its stack from `stack_at` when none is given;
+        a (k, n+2) stack of points from one batched `compute_stack`.
+        """
+        p = np.asarray(p, dtype=float)
+        points = p.reshape(-1, self.dim)
+        if stack is None:
+            xs = points[:, 1:-1]
+            stack = (self.stack(xs[0]) if p.ndim == 1
+                     else compute_stack(metric_jet(self.spec, xs)))
+        dirs = np.asarray(u, dtype=float).reshape(len(points), -1, self.dim)
+        k, n = len(points), self.n
+        fields = [np.reshape(arr, (k, 1, n, n)) for arr in (stack.g, stack.P, stack.Psharp)]
+        fields.append(np.reshape(stack.Gamma, (k, 1, n, n, n)))
+        return points, dirs, stack, fields
+
     def omega(self, p, u, stack: CurvatureStack | None = None) -> np.ndarray:
         """Connection matrix for direction u = (a, U, b): D_t v = vdot + Omega v.
 
-        u may also be a (k, n+2) stack of directions; the result is then the
-        (k, n+2, n+2) stack of their matrices, each equal to the one for
-        that direction alone.
+        p is one point or a (k, n+2) stack of points (with `stack`, if given,
+        batched like it).  At one point u is one direction or a (c, n+2)
+        stack; at k points it is one direction per point, (k, n+2), or
+        (k, c, n+2).  The result has shape u.shape[:-1] + (n+2, n+2), and
+        each matrix equals the one for its point and direction alone.
         """
-        s, x, q = split_point(p)
-        if stack is None:
-            stack = self.stack(x)
-        n = self.n
-        u = np.asarray(u, dtype=float)
-        dirs = u.reshape(-1, self.dim)
-        a, U, b = dirs[:, 0, None, None], dirs[:, 1:-1], dirs[:, -1, None, None]
-        Ucol = U[:, :, None]
-        f, m = self.f_map(p, stack)
-        gm = stack.g @ m
-        Pm = stack.P @ m
-        GammaU = np.einsum("kij,ci->ckj", stack.Gamma, U)
-        Omega = np.zeros((len(dirs), self.dim, self.dim))
-        Omega[:, 0, 1:-1] = -(U[:, None, :] @ gm)[:, 0]
-        Omega[:, -1, 1:-1] = -(U[:, None, :] @ Pm)[:, 0]
-        Omega[:, 1:-1, 0] = (f @ (stack.Psharp @ Ucol))[:, :, 0]
-        Omega[:, 1:-1, -1] = (f @ Ucol)[:, :, 0]
-        tm_block = GammaU @ m + a * stack.Psharp + b * np.eye(n)
-        if s != 0.0:
-            tm_block = tm_block + s * np.einsum("kij,ck->cij", stack.dPsharp, U)
-        Omega[:, 1:-1, 1:-1] = f @ tm_block
-        return Omega if u.ndim == 2 else Omega[0]
+        points, dirs, stack, (g, P, Psharp, Gamma) = self._batch(p, u, stack)
+        k, n = len(points), self.n
+        s = points[:, 0]
+        a, U, b = dirs[..., 0, None, None], dirs[..., 1:-1], dirs[..., -1, None, None]
+        Ucol = U[..., None]
+        f, m = (arr.reshape(k, 1, n, n) for arr in self.f_map(points, stack))
+        Omega = np.zeros(dirs.shape[:2] + (self.dim, self.dim))
+        Omega[..., 0, 1:-1] = -(U[..., None, :] @ (g @ m))[..., 0, :]
+        Omega[..., -1, 1:-1] = -(U[..., None, :] @ (P @ m))[..., 0, :]
+        Omega[..., 1:-1, 0] = (f @ (Psharp @ Ucol))[..., 0]
+        Omega[..., 1:-1, -1] = (f @ Ucol)[..., 0]
+        tm_block = (np.einsum("...kij,...i->...kj", Gamma, U) @ m
+                    + a * Psharp + b * np.eye(n))
+        off = s != 0.0
+        if off.any():
+            dPsharp = np.reshape(stack.dPsharp, (k, 1, n, n, n))[off]
+            tm_block[off] = tm_block[off] + s[off, None, None, None] * np.einsum(
+                "...kij,...k->...ij", dPsharp, U[off])
+        Omega[..., 1:-1, 1:-1] = f @ tm_block
+        return Omega.reshape(np.shape(u)[:-1] + (self.dim, self.dim))
 
     def omega_crude(self, p, u, stack: CurvatureStack | None = None) -> np.ndarray:
         """Connection matrix of the crude alternative; regular for all q > 0.
 
-        Accepts a (k, n+2) stack of directions like `omega`.
+        Accepts stacks of points and directions like `omega`.
         """
-        s, x, q = split_point(p)
-        if q <= 0:
+        p = np.asarray(p, dtype=float)
+        if np.any(p[..., -1] <= 0):
             raise MetricError("crude connection requires q > 0")
-        if stack is None:
-            stack = self.stack(x)
-        u = np.asarray(u, dtype=float)
-        dirs = u.reshape(-1, self.dim)
-        U, b = dirs[:, 1:-1], dirs[:, -1, None, None]
-        Ucol = U[:, :, None]
-        GammaU = np.einsum("kij,ci->ckj", stack.Gamma, U)
-        Omega = np.zeros((len(dirs), self.dim, self.dim))
-        Omega[:, 0, 1:-1] = -q * (stack.g @ Ucol)[:, :, 0]
-        Omega[:, -1, 1:-1] = -q * (stack.P @ Ucol)[:, :, 0]
-        Omega[:, 1:-1, 0] = (stack.Psharp @ Ucol)[:, :, 0] / q
-        Omega[:, 1:-1, -1] = U / q
-        Omega[:, 1:-1, 1:-1] = GammaU + (b / q) * np.eye(self.n)
-        return Omega if u.ndim == 2 else Omega[0]
+        points, dirs, _, (g, P, Psharp, Gamma) = self._batch(p, u, stack)
+        q = points[:, -1, None, None]
+        U, b = dirs[..., 1:-1], dirs[..., -1, None, None]
+        Ucol = U[..., None]
+        Omega = np.zeros(dirs.shape[:2] + (self.dim, self.dim))
+        Omega[..., 0, 1:-1] = -q * (g @ Ucol)[..., 0]
+        Omega[..., -1, 1:-1] = -q * (P @ Ucol)[..., 0]
+        Omega[..., 1:-1, 0] = (Psharp @ Ucol)[..., 0] / q
+        Omega[..., 1:-1, -1] = U / q
+        Omega[..., 1:-1, 1:-1] = (np.einsum("...kij,...i->...kj", Gamma, U)
+                                  + (b / q[..., None]) * np.eye(self.n))
+        return Omega.reshape(np.shape(u)[:-1] + (self.dim, self.dim))
 
     def covariant_derivative(self, p, u, w, dw=None, stack=None) -> np.ndarray:
         """D_u w for an ambient vector w with directional component derivative dw."""
@@ -287,18 +332,19 @@ class AmbientGeometry:
     # -- curvature and Ricci ------------------------------------------------------
 
     def curvature_all_pairs(self, p, crude: bool = False, step: float = _FD_STEP) -> np.ndarray:
+        """Finite-difference curvature R[a, b] at p, by `curvature_from_omega`.
+
+        The stencil's connection matrices come from one batched omega call
+        over one stack of its distinct chart points; `curvature_from_omega`
+        looks each stencil point's matrices up.
+        """
         fn = self.omega_crude if crude else self.omega
-        cache = {}
-
-        def omega_fn(pt, u):
-            key = pt[1:-1].tobytes()
-            stack = cache.get(key)
-            if stack is None:
-                stack = self.stack(pt[1:-1])
-                cache[key] = stack
-            return fn(pt, u, stack)
-
-        return curvature_from_omega(omega_fn, p, self.dim, step)
+        points = _stencil(np.asarray(p, dtype=float), self.dim, step)
+        xs, rows = np.unique(points[:, 1:-1], axis=0, return_inverse=True)
+        stack = _take_rows(compute_stack(metric_jet(self.spec, xs)), rows.ravel())
+        basis = np.broadcast_to(np.eye(self.dim), (len(points), self.dim, self.dim))
+        by_point = {pt.tobytes(): om for pt, om in zip(points, fn(points, basis, stack))}
+        return curvature_from_omega(lambda pt, _: by_point[pt.tobytes()], p, self.dim, step)
 
     def curvature(self, p, u, w, pairs: np.ndarray | None = None) -> np.ndarray:
         if pairs is None:
@@ -346,8 +392,7 @@ class AmbientGeometry:
 
     def default_s_bound(self, x, q: float = 1.0) -> float:
         """Safe |s| bound 0.5*q / max|eig(Psharp)| to stay clear of singular f."""
-        stack = self.stack(x)
-        top = float(np.max(np.abs(np.linalg.eigvals(stack.Psharp))))
+        top = float(np.max(np.abs(np.linalg.eigvals(connection_at(self.spec, x).Psharp))))
         if top < 1e-12:
             return np.inf
         return 0.5 * q / top

@@ -36,7 +36,11 @@ __all__ = [
 
 @dataclass
 class CurvatureStack:
-    """All point-wise curvature data derived from one metric jet."""
+    """All point-wise curvature data derived from one metric jet.
+
+    The slot layouts below are per point; the stack of a batched jet puts
+    a leading batch axis on every array.
+    """
 
     jet: MetricJet
     Gamma: np.ndarray       # [k,i,j] = Gamma^k_ij
@@ -44,7 +48,7 @@ class CurvatureStack:
     Riem: np.ndarray        # [l,i,j,k] = R^l_{ijk}
     riem_low: np.ndarray    # [i,j,k,l] = <R(e_i,e_j)e_l, e_k>
     Ric: np.ndarray
-    Scal: float
+    Scal: float             # a (k,) array for a batch of points
     P: np.ndarray
     Psharp: np.ndarray      # P^i_j = g^{ik} P_kj
     dP: np.ndarray          # [k,i,j] = d_k P_ij
@@ -69,88 +73,111 @@ class CurvatureStack:
 
 
 def christoffel(jet: MetricJet):
-    """Christoffel symbols and their first partials from the jet."""
+    """Christoffel symbols, their first partials and d(g^{-1}) from the jet."""
+    return _christoffel(jet)[:3]
+
+
+def _christoffel(jet: MetricJet):
+    """`christoffel`, plus the B = dg combination and its partials dB."""
     ginv, dg, d2g = jet.ginv, jet.dg, jet.d2g
-    dginv = -np.einsum("ab,kbc,cd->kad", ginv, dg, ginv)
+    dginv = -np.einsum("...ab,...kbc,...cd->...kad", ginv, dg, ginv)
     # B[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
-    B = np.einsum("ijl->ijl", dg) + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-    Gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, B)
-    dB = (np.einsum("mijl->mijl", d2g.transpose(0, 1, 2, 3))
-          + np.einsum("mjil->mijl", d2g)
-          - np.einsum("mlij->mijl", d2g))
-    dGamma = 0.5 * (np.einsum("mkl,ijl->mkij", dginv, B)
-                    + np.einsum("kl,mijl->mkij", ginv, dB))
-    return Gamma, dGamma, dginv
+    B = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
+    Gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, B)
+    dB = d2g + np.einsum("...mjil->...mijl", d2g) - np.einsum("...mlij->...mijl", d2g)
+    dGamma = 0.5 * (np.einsum("...mkl,...ijl->...mkij", dginv, B)
+                    + np.einsum("...kl,...mijl->...mkij", ginv, dB))
+    return Gamma, dGamma, dginv, B, dB
 
 
-def _second_christoffel(jet: MetricJet, dginv):
+def _second_christoffel(jet: MetricJet, dginv, B, dB):
     """d_p d_m Gamma^k_ij, needed for first derivatives of Ricci."""
     ginv, dg, d2g, d3g = jet.ginv, jet.dg, jet.d2g, jet.d3g
-    d2ginv = -(np.einsum("pab,mbc,cd->pmad", dginv, dg, ginv)
-               + np.einsum("ab,pmbc,cd->pmad", ginv, d2g, ginv)
-               + np.einsum("ab,mbc,pcd->pmad", ginv, dg, dginv))
-    B = (np.einsum("ijl->ijl", dg) + np.einsum("jil->ijl", dg)
-         - np.einsum("lij->ijl", dg))
-    dB = (d2g + np.einsum("mjil->mijl", d2g) - np.einsum("mlij->mijl", d2g))
-    d2B = (d3g + np.einsum("pmjil->pmijl", d3g) - np.einsum("pmlij->pmijl", d3g))
-    d2Gamma = 0.5 * (np.einsum("pmkl,ijl->pmkij", d2ginv, B)
-                     + np.einsum("mkl,pijl->pmkij", dginv, dB)
-                     + np.einsum("pkl,mijl->pmkij", dginv, dB)
-                     + np.einsum("kl,pmijl->pmkij", ginv, d2B))
-    return d2Gamma
+    d2ginv = -(np.einsum("...pab,...mbc,...cd->...pmad", dginv, dg, ginv)
+               + np.einsum("...ab,...pmbc,...cd->...pmad", ginv, d2g, ginv)
+               + np.einsum("...ab,...mbc,...pcd->...pmad", ginv, dg, dginv))
+    d2B = (d3g + np.einsum("...pmjil->...pmijl", d3g)
+           - np.einsum("...pmlij->...pmijl", d3g))
+    return 0.5 * (np.einsum("...pmkl,...ijl->...pmkij", d2ginv, B)
+                  + np.einsum("...mkl,...pijl->...pmkij", dginv, dB)
+                  + np.einsum("...pkl,...mijl->...pmkij", dginv, dB)
+                  + np.einsum("...kl,...pmijl->...pmkij", ginv, d2B))
+
+
+def _riemann(Gamma, dGamma):
+    """R^l_{ijk} from Gamma and its first partials."""
+    return (np.einsum("...iljk->...lijk", dGamma) - np.einsum("...jlik->...lijk", dGamma)
+            + np.einsum("...lim,...mjk->...lijk", Gamma, Gamma)
+            - np.einsum("...ljm,...mik->...lijk", Gamma, Gamma))
+
+
+def _connection_fields(jet: MetricJet) -> dict:
+    """Christoffel -> Riemann -> Ricci -> Schouten -> Psharp, from an order-2 jet.
+
+    The one copy of this chain: `connection_at` returns its fields and
+    `compute_stack` extends them to order three.  Every array keeps the
+    jet's leading batch axis, if any; Scal is a float for one point.
+    """
+    n = jet.n
+    if n < 3:
+        raise ValueError("Schouten tensor requires n >= 3")
+    Gamma, dGamma, dginv, B, dB = _christoffel(jet)
+    Riem = _riemann(Gamma, dGamma)
+    Ric = np.einsum("...iijk->...jk", Riem)
+    Scal = np.einsum("...jk,...jk->...", jet.ginv, Ric)
+    Scal = float(Scal) if Scal.ndim == 0 else Scal
+    P = (-1.0 / (n - 2)) * (Ric - np.asarray(Scal)[..., None, None] / (2 * n - 2) * jet.g)
+    return dict(Gamma=Gamma, dGamma=dGamma, dginv=dginv, B=B, dB=dB, Riem=Riem,
+                Ric=Ric, Scal=Scal, P=P, Psharp=jet.ginv @ P)
 
 
 def kulkarni_nomizu(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(A (x) B)_{ijkl} = A_ik B_jl + A_jl B_ik - A_il B_jk - A_jk B_il."""
-    return (np.einsum("ik,jl->ijkl", A, B) + np.einsum("jl,ik->ijkl", A, B)
-            - np.einsum("il,jk->ijkl", A, B) - np.einsum("jk,il->ijkl", A, B))
+    return (np.einsum("...ik,...jl->...ijkl", A, B) + np.einsum("...jl,...ik->...ijkl", A, B)
+            - np.einsum("...il,...jk->...ijkl", A, B) - np.einsum("...jk,...il->...ijkl", A, B))
 
 
 def compute_stack(jet: MetricJet) -> CurvatureStack:
+    """The curvature stack of an order-3 jet, batched like the jet."""
     n = jet.n
-    if n < 3:
-        raise ValueError("curvature stack requires n >= 3")
-    g, ginv = jet.g, jet.ginv
-    Gamma, dGamma, dginv = christoffel(jet)
-    d2Gamma = _second_christoffel(jet, dginv)
+    c = _connection_fields(jet)
+    g, ginv, dginv = jet.g, jet.ginv, c["dginv"]
+    Gamma, dGamma, Ric, Scal, P = c["Gamma"], c["dGamma"], c["Ric"], c["Scal"], c["P"]
+    d2Gamma = _second_christoffel(jet, dginv, c["B"], c["dB"])
 
-    Riem = (np.einsum("iljk->lijk", dGamma) - np.einsum("jlik->lijk", dGamma)
-            + np.einsum("lim,mjk->lijk", Gamma, Gamma)
-            - np.einsum("ljm,mik->lijk", Gamma, Gamma))
-    dRiem = (np.einsum("piljk->plijk", d2Gamma) - np.einsum("pjlik->plijk", d2Gamma)
-             + np.einsum("plim,mjk->plijk", dGamma, Gamma)
-             + np.einsum("lim,pmjk->plijk", Gamma, dGamma)
-             - np.einsum("pljm,mik->plijk", dGamma, Gamma)
-             - np.einsum("ljm,pmik->plijk", Gamma, dGamma))
-
-    Ric = np.einsum("iijk->jk", Riem)
-    dRic = np.einsum("piijk->pjk", dRiem)
-    Scal = float(np.einsum("jk,jk->", ginv, Ric))
-    dScal = np.einsum("pjk,jk->p", dginv, Ric) + np.einsum("jk,pjk->p", ginv, dRic)
+    dRiem = (np.einsum("...piljk->...plijk", d2Gamma)
+             - np.einsum("...pjlik->...plijk", d2Gamma)
+             + np.einsum("...plim,...mjk->...plijk", dGamma, Gamma)
+             + np.einsum("...lim,...pmjk->...plijk", Gamma, dGamma)
+             - np.einsum("...pljm,...mik->...plijk", dGamma, Gamma)
+             - np.einsum("...ljm,...pmik->...plijk", Gamma, dGamma))
+    dRic = np.einsum("...piijk->...pjk", dRiem)
+    dScal = (np.einsum("...pjk,...jk->...p", dginv, Ric)
+             + np.einsum("...jk,...pjk->...p", ginv, dRic))
 
     cP = -1.0 / (n - 2)
     cS = 1.0 / (2 * n - 2)
-    P = cP * (Ric - cS * Scal * g)
-    dP = cP * (dRic - cS * (np.einsum("p,ij->pij", dScal, g)
-                            + Scal * jet.dg))
-    Psharp = ginv @ P
-    dPsharp = np.einsum("pik,kj->pij", dginv, P) + np.einsum("ik,pkj->pij", ginv, dP)
+    dP = cP * (dRic - cS * (np.einsum("...p,...ij->...pij", dScal, g)
+                            + np.asarray(Scal)[..., None, None, None] * jet.dg))
+    dPsharp = (np.einsum("...pik,...kj->...pij", dginv, P)
+               + np.einsum("...ik,...pkj->...pij", ginv, dP))
 
-    covP = (dP - np.einsum("mki,mj->kij", Gamma, P)
-            - np.einsum("mkj,im->kij", Gamma, P))
-    CY = covP - covP.transpose(1, 0, 2)
-    CYsharp = np.einsum("ijk,kl->ijl", CY, ginv)
+    covP = (dP - np.einsum("...mki,...mj->...kij", Gamma, P)
+            - np.einsum("...mkj,...im->...kij", Gamma, P))
+    CY = covP - np.swapaxes(covP, -3, -2)
+    CYsharp = np.einsum("...ijk,...kl->...ijl", CY, ginv)
 
-    riem_low = np.einsum("km,mijl->ijkl", g, Riem)
+    riem_low = np.einsum("...km,...mijl->...ijkl", g, c["Riem"])
     W = riem_low + kulkarni_nomizu(P, g)
 
-    return CurvatureStack(jet=jet, Gamma=Gamma, dGamma=dGamma, Riem=Riem,
+    return CurvatureStack(jet=jet, Gamma=Gamma, dGamma=dGamma, Riem=c["Riem"],
                           riem_low=riem_low, Ric=Ric, Scal=Scal, P=P,
-                          Psharp=Psharp, dP=dP, dPsharp=dPsharp, covP=covP,
+                          Psharp=c["Psharp"], dP=dP, dPsharp=dPsharp, covP=covP,
                           W=W, CY=CY, CYsharp=CYsharp, dginv=dginv)
 
 
 def stack_at(spec: MetricSpec, x) -> CurvatureStack:
+    """The curvature stack at one point x."""
     return compute_stack(metric_jet(spec, x))
 
 
@@ -165,7 +192,7 @@ class ConnectionPoint:
     jet: MetricJet
     Gamma: np.ndarray
     Ric: np.ndarray
-    Scal: float
+    Scal: float             # a (k,) array for a batch of points
     P: np.ndarray
     Psharp: np.ndarray
 
@@ -183,20 +210,14 @@ class ConnectionPoint:
 
 
 def connection_at(spec: MetricSpec, x) -> ConnectionPoint:
-    """Christoffel and Schouten data from the order-2 jet only."""
+    """Christoffel and Schouten data from the order-2 jet only.
+
+    x is one point or a (k, n) stack of points, as for `metric_jet`.
+    """
     jet = metric_jet(spec, x, order=2)
-    n = jet.n
-    if n < 3:
-        raise ValueError("Schouten tensor requires n >= 3")
-    Gamma, dGamma, _ = christoffel(jet)
-    Riem = (np.einsum("iljk->lijk", dGamma) - np.einsum("jlik->lijk", dGamma)
-            + np.einsum("lim,mjk->lijk", Gamma, Gamma)
-            - np.einsum("ljm,mik->lijk", Gamma, Gamma))
-    Ric = np.einsum("iijk->jk", Riem)
-    Scal = float(np.einsum("jk,jk->", jet.ginv, Ric))
-    P = (-1.0 / (n - 2)) * (Ric - Scal / (2 * n - 2) * jet.g)
-    return ConnectionPoint(jet=jet, Gamma=Gamma, Ric=Ric, Scal=Scal,
-                           P=P, Psharp=jet.ginv @ P)
+    c = _connection_fields(jet)
+    return ConnectionPoint(jet=jet, Gamma=c["Gamma"], Ric=c["Ric"], Scal=c["Scal"],
+                           P=c["P"], Psharp=c["Psharp"])
 
 
 def weyl_endomorphism(stack: CurvatureStack, X, Y) -> np.ndarray:

@@ -24,6 +24,7 @@ from .metric import MetricError
 __all__ = [
     "HolonomyAlgebra",
     "matrix_log",
+    "closed_span",
     "holonomy_algebra",
     "compare_holonomy",
     "fixed_vectors",
@@ -87,6 +88,21 @@ def _orthonormal_span(mats, rank_tol: float):
     return basis, svals
 
 
+def closed_span(generators, rank_tol: float):
+    """Orthonormal basis of the Lie algebra the generators span, and the
+    singular values behind its rank cut: the span, closed under brackets
+    to a fixed point (at most 8 rounds)."""
+    basis, svals = _orthonormal_span(generators, rank_tol)
+    for _ in range(8):
+        brackets = [a @ b - b @ a for ai, a in enumerate(basis)
+                    for b in basis[ai + 1:]]
+        new_basis, new_svals = _orthonormal_span(basis + brackets, rank_tol)
+        if len(new_basis) == len(basis):
+            return new_basis, new_svals
+        basis, svals = new_basis, new_svals
+    return basis, svals
+
+
 def _pieces(path: tp.PathSpec) -> list:
     """Consecutive sub-paths of `path` that end at its conjugation points.
 
@@ -147,17 +163,7 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
                     for j in range(i + 1, d):
                         generators.append(Tinv @ pairs[i, j] @ T)
 
-    basis, svals = _orthonormal_span(generators, rank_tol)
-    # bracket closure to a fixed point
-    for _ in range(8):
-        brackets = [a @ b - b @ a for ai, a in enumerate(basis)
-                    for b in basis[ai + 1:]]
-        new_basis, new_svals = _orthonormal_span(basis + brackets, rank_tol)
-        if len(new_basis) == len(basis):
-            basis, svals = new_basis, new_svals
-            break
-        basis, svals = new_basis, new_svals
-
+    basis, svals = closed_span(generators, rank_tol)
     return HolonomyAlgebra(
         generators=generators, basis=basis, dim=len(basis),
         sv_profile=svals, rank_tol=rank_tol, base=base,

@@ -107,6 +107,8 @@ class MetricJet:
 
     Derivative indices come first: dg[k,i,j] = d_k g_ij,
     d2g[l,k,i,j] = d_l d_k g_ij, d3g[m,l,k,i,j] = d_m d_l d_k g_ij.
+    A jet of a (k, n) stack of points carries a leading batch axis of
+    length k on every array.
     """
 
     point: np.ndarray
@@ -119,7 +121,7 @@ class MetricJet:
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
 class _JetEvaluator:
@@ -129,17 +131,19 @@ class _JetEvaluator:
     indices, sorted derivative multi-indices), into one straight-line
     function by `compile_exprs`, which shares the subexpressions common to
     an entry and its partials.  g, dg, d2g and d3g are consecutive blocks
-    of one flat buffer; the scatter indices `dst`/`src`, computed once
-    here, copy each canonical value to every position it stands for
-    (all derivative orderings, both metric index orders), so mixed-partial
-    symmetry holds exactly and `jet` does one `flat[dst] = values[src]`.
+    of one flat buffer per point; the index array `gather`, computed once
+    here, gives each position the canonical value it stands for (all
+    derivative orderings, both metric index orders), so mixed-partial
+    symmetry holds exactly and `jet` fills the (k, ...) buffer with one
+    `values.take(gather, axis=1)`.
     """
 
     def __init__(self, spec: MetricSpec, max_order: int = 3):
         n = spec.n
         self.shapes = [(n,) * (order + 2) for order in range(4)]
         self.bounds = np.cumsum([0] + [n ** (order + 2) for order in range(4)])
-        exprs, dst, src = [], [], []
+        # value 0 is the zero of the orders above max_order
+        exprs, dst, src = [const(0.0)], [], []
         for i in range(n):
             for j in range(i, n):
                 partial = {(): spec.entries[i][j]}
@@ -155,37 +159,48 @@ class _JetEvaluator:
                             dst.append(self.bounds[order] + pos)
                             src.append(len(exprs))
                         exprs.append(partial[multi])
-        self.dst = np.array(dst, dtype=np.intp)
-        self.src = np.array(src, dtype=np.intp)
+        self.gather = np.zeros(self.bounds[-1], dtype=np.intp)
+        self.gather[dst] = src
         self.table = compile_exprs(exprs)
 
-    def jet(self, x) -> list:
-        """[g, dg, d2g, d3g] at x; orders above the table's are zero."""
-        flat = np.zeros(self.bounds[-1])
-        flat[self.dst] = np.array(self.table(x))[self.src]
-        return [flat[lo:hi].reshape(shape)
+    def jet(self, rows) -> list:
+        """[g, dg, d2g, d3g] at the k points `rows` (lists of floats), each
+        with a leading batch axis of length k; orders above the table's are
+        zero."""
+        flat = np.array([self.table(x) for x in rows]).take(self.gather, axis=1)
+        return [flat[:, lo:hi].reshape((len(rows),) + shape)
                 for lo, hi, shape in zip(self.bounds, self.bounds[1:], self.shapes)]
 
 
 def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
-    """Evaluate the metric jet at point x to the requested order (2 or 3)."""
+    """Evaluate the metric jet to the requested order (2 or 3).
+
+    x is one point, shape (n,), or a (k, n) stack of points; the jet of a
+    stack has a leading batch axis whose rows equal the single-point jets.
+    Every row is checked against the chart domain and for a singular metric.
+    """
     if order not in (2, 3):
         raise MetricError("jet order must be 2 or 3")
     x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n,):
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.n:
         raise MetricError(f"point must have {spec.n} coordinates")
-    if not spec.contains(x):
-        raise ChartDomainError(f"point {x.tolist()} outside chart domain")
+    rows = x.reshape(-1, spec.n).tolist()
+    for row in rows:
+        if not spec.contains(row):
+            raise ChartDomainError(f"point {row} outside chart domain")
     evaluator = spec._jet_tables.get(order)
     if evaluator is None:
         evaluator = spec._jet_tables[order] = _JetEvaluator(spec, order)
-    g, dg, d2g, d3g = evaluator.jet(x)
-    det = np.linalg.det(g)
-    scale = max(1.0, float(np.max(np.abs(g))) ** spec.n)
-    if abs(det) <= _DET_FLOOR * scale:
-        raise SingularMetricError(f"metric singular at {x.tolist()} (det={det:.3e})")
-    return MetricJet(point=x, g=g, dg=dg, d2g=d2g, d3g=d3g,
-                     ginv=np.linalg.solve(g, np.eye(spec.n)), spec=spec)
+    g, dg, d2g, d3g = evaluator.jet(rows)
+    for row, det, entries in zip(rows, np.linalg.det(g).tolist(),
+                                 g.reshape(len(rows), -1).tolist()):
+        scale = max(1.0, max(map(abs, entries)) ** spec.n)
+        if abs(det) <= _DET_FLOOR * scale:
+            raise SingularMetricError(f"metric singular at {row} (det={det:.3e})")
+    ginv = np.linalg.solve(g, np.eye(spec.n))
+    if x.ndim == 1:
+        g, dg, d2g, d3g, ginv = g[0], dg[0], d2g[0], d3g[0], ginv[0]
+    return MetricJet(point=x, g=g, dg=dg, d2g=d2g, d3g=d3g, ginv=ginv, spec=spec)
 
 
 def signature_at(spec: MetricSpec, x) -> tuple:

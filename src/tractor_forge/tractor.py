@@ -24,31 +24,15 @@ from .curvature import CurvatureStack
 
 __all__ = [
     "VARIANTS",
-    "pack",
-    "unpack",
     "tractor_metric",
     "connection_matrix",
     "covariant_derivative",
     "tractor_curvature",
     "curvature_all_pairs",
     "normality_check",
-    "is_h_antisymmetric",
 ]
 
 VARIANTS = ("induced", "paper")
-
-
-def pack(alpha: float, A, beta: float) -> np.ndarray:
-    n = len(A)
-    v = np.empty(n + 2)
-    v[0] = alpha
-    v[1:n + 1] = A
-    v[n + 1] = beta
-    return v
-
-
-def unpack(v: np.ndarray):
-    return float(v[0]), np.array(v[1:-1]), float(v[-1])
 
 
 def tractor_metric(g: np.ndarray, variant: str = "induced") -> np.ndarray:
@@ -67,18 +51,23 @@ def connection_matrix(stack: CurvatureStack, X, variant: str = "induced") -> np.
     induced:  alpha' = X(alpha) - g(X,A),   beta' = X(beta) - P(X,A)
     paper:    alpha' = X(alpha) + g(X,A),   beta' = X(beta) + P(X,A)
     both:     A'     = nabla_X A + alpha Psharp(X) + beta X
+
+    For a batched stack (or connection point) of k points, X is the (k, n)
+    stack of their directions and the result the (k, n+2, n+2) stack of
+    matrices, each row equal to the single-point matrix.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown tractor variant {variant!r}")
     n = stack.n
     X = np.asarray(X, dtype=float)
+    Xcol = X[..., None]
     sign = -1.0 if variant == "induced" else 1.0
-    Omega = np.zeros((n + 2, n + 2))
-    Omega[0, 1:n + 1] = sign * (stack.g @ X)
-    Omega[n + 1, 1:n + 1] = sign * (stack.P @ X)
-    Omega[1:n + 1, 0] = stack.Psharp @ X
-    Omega[1:n + 1, n + 1] = X
-    Omega[1:n + 1, 1:n + 1] = np.einsum("kij,i->kj", stack.Gamma, X)
+    Omega = np.zeros(X.shape[:-1] + (n + 2, n + 2))
+    Omega[..., 0, 1:n + 1] = sign * (stack.g @ Xcol)[..., 0]
+    Omega[..., n + 1, 1:n + 1] = sign * (stack.P @ Xcol)[..., 0]
+    Omega[..., 1:n + 1, 0] = (stack.Psharp @ Xcol)[..., 0]
+    Omega[..., 1:n + 1, n + 1] = X
+    Omega[..., 1:n + 1, 1:n + 1] = np.einsum("...kij,...i->...kj", stack.Gamma, X)
     return Omega
 
 
@@ -129,11 +118,6 @@ def covariant_derivative(stack: CurvatureStack, X, t: np.ndarray, dt: np.ndarray
     if dt is not None:
         base = base + np.asarray(dt, dtype=float)
     return base
-
-
-def is_h_antisymmetric(M: np.ndarray, H: np.ndarray, tol: float = 1e-8) -> bool:
-    scale = max(1.0, float(np.max(np.abs(M))))
-    return float(np.max(np.abs(M.T @ H + H @ M))) <= tol * scale
 
 
 def normality_check(stack: CurvatureStack, variant: str = "induced",

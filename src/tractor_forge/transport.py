@@ -8,16 +8,23 @@ symbolic derivatives.
 A connection oracle is any object with:
     point_dim   -- dimension of the curve's coordinate space,
     fiber_dim   -- size of the transported vectors,
-    omega(point, tangent) -> (fiber_dim x fiber_dim) matrix,
+    omega_nodes(points, tangents) -> (k, fiber_dim, fiber_dim) stack of
+                   connection matrices at k nodes, given as (k, point_dim)
+                   stacks of points and tangents,
+    omega(point, tangent) -> (fiber_dim x fiber_dim) matrix, the k = 1
+                   case of omega_nodes,
     fiber_metric(point) -> matrix H (for metric-preservation checks),
 and optionally curvature_pairs(point) -> [point_dim, point_dim, ...]
-curvature matrices for holonomy generator harvesting.
+curvature matrices for holonomy generator harvesting.  Each row of
+`omega_nodes` equals the `omega` call at that node exactly.
 
 Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with an adaptive
 embedded Dormand-Prince 5(4) step.  Omega depends only on t, so each
-distinct node time costs one `omega` call: five per step attempt.  Every
-transport goes through `parallel_transport`; transports chained over
-consecutive sub-paths equal the transport of the whole path exactly.
+distinct node time costs one connection matrix: a segment's first node
+goes through `omega`, and the five new nodes of each step attempt through
+one `omega_nodes` call.  Every transport goes through `parallel_transport`;
+transports chained over consecutive sub-paths equal the transport of the
+whole path exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ __all__ = [
     "trig_loop",
     "loop_family",
     "reverse_path",
-    "concat_paths",
     "scale_path",
     "lift_loop",
     "parallel_transport",
@@ -195,10 +201,6 @@ def reverse_path(path: PathSpec) -> PathSpec:
     return PathSpec(tuple(seg.reversed() for seg in reversed(path.segments)))
 
 
-def concat_paths(a: PathSpec, b: PathSpec) -> PathSpec:
-    return PathSpec(a.segments + b.segments)
-
-
 def scale_path(path: PathSpec, base, factor: float) -> PathSpec:
     """Shrink the path toward `base`: gamma -> base + factor*(gamma - base)."""
     base = np.asarray(base, dtype=float)
@@ -236,6 +238,14 @@ def lift_loop(path: PathSpec, s_expr: ex.Expr | None = None,
 # -- connection oracles ---------------------------------------------------------
 
 
+def _omega_at_node(self, point, tangent) -> np.ndarray:
+    """The connection matrix at one node: the k = 1 case of `omega_nodes`.
+
+    Every oracle binds it as its own `omega` attribute.
+    """
+    return self.omega_nodes(np.asarray(point)[None], np.asarray(tangent)[None])[0]
+
+
 class TractorOracle:
     """Tractor connection over chart points; variant 'induced' or 'paper'."""
 
@@ -246,8 +256,10 @@ class TractorOracle:
         self.fiber_dim = spec.n + 2
         self.name = f"tractor-{variant}"
 
-    def omega(self, point, tangent) -> np.ndarray:
-        return connection_matrix(connection_at(self.spec, point), tangent, self.variant)
+    def omega_nodes(self, points, tangents) -> np.ndarray:
+        return connection_matrix(connection_at(self.spec, points), tangents, self.variant)
+
+    omega = _omega_at_node
 
     def fiber_metric(self, point) -> np.ndarray:
         return tractor_metric(connection_at(self.spec, point).g, self.variant)
@@ -266,10 +278,15 @@ class AmbientOracle:
         self.name = "ambient"
         self.spec = spec
 
-    def omega(self, point, tangent) -> np.ndarray:
-        if point[0] == 0.0:
-            return self.geom.omega(point, tangent, connection_at(self.spec, point[1:-1]))
-        return self.geom.omega(point, tangent)
+    def omega_nodes(self, points, tangents) -> np.ndarray:
+        """On the slice s = 0 the order-2 connection data suffices; off it
+        the nodes share one batched order-3 stack."""
+        points = np.asarray(points, dtype=float)
+        if np.all(points[:, 0] == 0.0):
+            return self.geom.omega(points, tangents, connection_at(self.spec, points[:, 1:-1]))
+        return self.geom.omega(points, tangents)
+
+    omega = _omega_at_node
 
     def fiber_metric(self, point) -> np.ndarray:
         return self.geom.metric(point)
@@ -288,8 +305,12 @@ class CrudeOracle:
         self.name = "crude"
         self.spec = spec
 
-    def omega(self, point, tangent) -> np.ndarray:
-        return self.geom.omega_crude(point, tangent, connection_at(self.spec, point[1:-1]))
+    def omega_nodes(self, points, tangents) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        return self.geom.omega_crude(points, tangents,
+                                     connection_at(self.spec, points[:, 1:-1]))
+
+    omega = _omega_at_node
 
     def fiber_metric(self, point) -> np.ndarray:
         return self.geom.metric(point)
@@ -307,9 +328,11 @@ class LeviCivitaOracle:
         self.fiber_dim = spec.n
         self.name = "levi-civita"
 
-    def omega(self, point, tangent) -> np.ndarray:
-        conn = connection_at(self.spec, point)
-        return np.einsum("kij,i->kj", conn.Gamma, np.asarray(tangent, dtype=float))
+    def omega_nodes(self, points, tangents) -> np.ndarray:
+        return np.einsum("...kij,...i->...kj", connection_at(self.spec, points).Gamma,
+                         np.asarray(tangents, dtype=float))
+
+    omega = _omega_at_node
 
     def fiber_metric(self, point) -> np.ndarray:
         return connection_at(self.spec, point).g
@@ -338,24 +361,26 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 
 def _integrate_segment(oracle, seg: Segment, v: np.ndarray, tol: float) -> np.ndarray:
-    """One DP5(4) pass over a segment, one `oracle.omega` call per distinct node.
+    """One DP5(4) pass over a segment, one connection matrix per distinct node.
 
     Omega depends only on t, so the stage with c7 = c6 = 1 reuses stage 6,
     an accepted step's last node (t + 1.0*h, bit for bit the new t) is the
-    next step's first, and a rejected step keeps its first node.
+    next step's first, and a rejected step keeps its first node.  The
+    segment's first node goes through `oracle.omega`; the five new nodes of
+    each attempt, known before any stage is computed, through one
+    `oracle.omega_nodes` call.
     """
-    def omega_at(t):
-        return oracle.omega(seg.point(t), seg.tangent(t))
-
     t = 0.0
     h = 0.1
     min_h = 1e-10
     scale_ref = max(1.0, float(np.max(np.abs(v))))
-    first = omega_at(t)  # Omega at the current step's first node
+    first = oracle.omega(seg.point(t), seg.tangent(t))  # Omega at the step's first node
     while t < 1.0:
         h = min(h, 1.0 - t)
-        mats = [first] + [omega_at(t + c * h) for c in _DP_C[1:6]]
-        mats.append(mats[5])
+        nodes = [t + c * h for c in _DP_C[1:6]]
+        new = oracle.omega_nodes(np.array([seg.point(tn) for tn in nodes]),
+                                 np.array([seg.tangent(tn) for tn in nodes]))
+        mats = [first, *new, new[4]]
         ks = []
         for stage, mat in enumerate(mats):
             y = v.copy()
@@ -370,7 +395,7 @@ def _integrate_segment(oracle, seg: Segment, v: np.ndarray, tol: float) -> np.nd
                 raise TransportError(f"step underflow at t={t:.6f} (err {err:.2e})")
             t += h
             v = v5
-            first = mats[6]
+            first = new[4]
             scale_ref = max(scale_ref, float(np.max(np.abs(v))))
         factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
         h = max(min_h, h * min(5.0, max(0.2, factor)))

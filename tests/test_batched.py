@@ -1,0 +1,189 @@
+"""Batched evaluation: every row of a stacked call equals the single call.
+
+metric_jet, connection_at and compute_stack take (k, n) stacks of points,
+each oracle's omega_nodes takes (k, point_dim) stacks of nodes, and the
+finite-difference ambient curvature makes one batched omega call.  Each is
+checked for exact equality with its single-point form.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tractor_forge import transport as tp
+from tractor_forge.ambient import (AmbientGeometry, SingularMapError, ambient_point,
+                                   curvature_from_omega)
+from tractor_forge.curvature import compute_stack, connection_at
+from tractor_forge.metric import (PRESET_NAMES, ChartDomainError, SingularMetricError,
+                                  metric_jet, parse_config, preset)
+
+SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
+SPECS = {name: preset(name) for name in PRESET_NAMES}
+
+_STACK_FIELDS = ("Gamma", "dGamma", "Riem", "riem_low", "Ric", "Scal", "P", "Psharp",
+                 "dP", "dPsharp", "covP", "W", "CY", "CYsharp", "dginv", "g", "ginv")
+_CONNECTION_FIELDS = ("Gamma", "Ric", "Scal", "P", "Psharp", "g", "ginv")
+
+
+def _chart_points(spec, max_size=5):
+    """(k, n) stacks of points inside the spec's sampling box."""
+    coord = st.tuples(*(st.floats(lo, hi) for lo, hi in spec.domain_box()))
+    return st.lists(coord, min_size=1, max_size=max_size).map(np.array)
+
+
+def _s_values(size):
+    """Per-row s: zero (on the slice) or small and nonzero, mixed freely."""
+    s = st.one_of(st.just(0.0), st.floats(-0.2, 0.2).filter(lambda v: v != 0.0))
+    return st.lists(s, min_size=size, max_size=size)
+
+
+def _directions(size, dim):
+    return st.lists(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim),
+                    min_size=size, max_size=size).map(np.array)
+
+
+def _assert_rows_equal(batched, single, fields, i):
+    for name in fields:
+        got, want = np.asarray(getattr(batched, name))[i], np.asarray(getattr(single, name))
+        assert np.array_equal(got, want), (name, i)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@SETTINGS
+@given(data=st.data())
+def test_batched_jet_rows_equal_single_jets(name, data):
+    spec = SPECS[name]
+    xs = data.draw(_chart_points(spec))
+    for order in (2, 3):
+        jet = metric_jet(spec, xs, order)
+        assert jet.g.shape == (len(xs), spec.n, spec.n)
+        for i, x in enumerate(xs):
+            _assert_rows_equal(jet, metric_jet(spec, x, order),
+                               ("point", "g", "dg", "d2g", "d3g", "ginv"), i)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@SETTINGS
+@given(data=st.data())
+def test_batched_connection_and_stack_rows_equal_single(name, data):
+    spec = SPECS[name]
+    xs = data.draw(_chart_points(spec))
+    conn = connection_at(spec, xs)
+    stack = compute_stack(metric_jet(spec, xs))
+    for i, x in enumerate(xs):
+        _assert_rows_equal(conn, connection_at(spec, x), _CONNECTION_FIELDS, i)
+        _assert_rows_equal(stack, compute_stack(metric_jet(spec, x)), _STACK_FIELDS, i)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@SETTINGS
+@given(data=st.data())
+def test_omega_nodes_rows_equal_omega(name, data):
+    spec = SPECS[name]
+    xs = data.draw(_chart_points(spec))
+    k, n = xs.shape
+    s = np.array(data.draw(_s_values(k)))
+    q = np.array(data.draw(st.lists(st.floats(0.6, 1.6), min_size=k, max_size=k)))
+    lifted = np.column_stack([s, xs, q])
+    cases = [
+        (tp.TractorOracle(spec, "induced"), xs),
+        (tp.TractorOracle(spec, "paper"), xs),
+        (tp.LeviCivitaOracle(spec), xs),
+        (tp.AmbientOracle(spec), lifted),
+        (tp.CrudeOracle(spec), lifted),
+    ]
+    for oracle, points in cases:
+        tangents = data.draw(_directions(k, oracle.point_dim))
+        batch = oracle.omega_nodes(points, tangents)
+        assert batch.shape == (k, oracle.fiber_dim, oracle.fiber_dim)
+        for i in range(k):
+            assert np.array_equal(batch[i], oracle.omega(points[i], tangents[i])), \
+                (oracle.name, i)
+
+
+def test_ambient_omega_on_slice_and_off_slice_rows():
+    # all-slice, all-off-slice and mixed batches of the same nodes agree
+    spec = SPECS["sphere"]
+    oracle = tp.AmbientOracle(spec)
+    rng = np.random.default_rng(11)
+    xs = spec.sample_points(rng, 4) * 0.5
+    tangents = rng.standard_normal((4, spec.n + 2))
+    for s in ([0.0] * 4, [0.1, -0.05, 0.2, 0.15], [0.0, 0.1, 0.0, -0.1]):
+        points = np.column_stack([s, xs, np.full(4, 1.2)])
+        batch = oracle.omega_nodes(points, tangents)
+        for i in range(4):
+            assert np.array_equal(batch[i], oracle.omega(points[i], tangents[i]))
+
+
+def test_geometry_omega_direction_stacks_per_point():
+    geom = AmbientGeometry(SPECS["bumpy"])
+    rng = np.random.default_rng(4)
+    points = np.column_stack([[0.0, 0.1, -0.1], rng.uniform(-0.5, 0.5, (3, 3)),
+                              [1.0, 1.2, 0.8]])
+    dirs = rng.standard_normal((3, 4, geom.dim))
+    for fn in (geom.omega, geom.omega_crude):
+        batch = fn(points, dirs)
+        assert batch.shape == (3, 4, geom.dim, geom.dim)
+        for i in range(3):
+            for c in range(4):
+                assert np.array_equal(batch[i, c], fn(points[i], dirs[i, c]))
+
+
+def test_f_map_on_a_stack_of_points_without_a_stack():
+    geom = AmbientGeometry(SPECS["bumpy"])
+    rng = np.random.default_rng(5)
+    points = np.column_stack([[0.0, 0.1, -0.1], rng.uniform(-0.5, 0.5, (3, 3)),
+                              [1.0, 1.2, 0.8]])
+    f, m = geom.f_map(points)
+    assert f.shape == m.shape == (3, geom.n, geom.n)
+    for i in range(3):
+        f_i, m_i = geom.f_map(points[i])
+        assert np.array_equal(f[i], f_i) and np.array_equal(m[i], m_i)
+
+
+_SINGULAR_AT_ORIGIN = parse_config("dim = 3\ng[1][1] = x1\ng[2][2] = 1\ng[3][3] = 1\n")
+
+
+@pytest.mark.parametrize("spec, good, bad, error", [
+    (SPECS["sphere"], [0.1, 0.2, -0.3], [1.5, 0.0, 0.0], ChartDomainError),
+    (_SINGULAR_AT_ORIGIN, [0.5, 0.2, -0.3], [0.0, 0.1, 0.1], SingularMetricError),
+])
+def test_batch_with_one_bad_row_raises_like_the_row(spec, good, bad, error):
+    good, bad = np.array(good), np.array(bad)
+    calls = [lambda x: metric_jet(spec, x), lambda x: metric_jet(spec, x, order=2),
+             lambda x: connection_at(spec, x),
+             lambda x: tp.TractorOracle(spec).omega_nodes(np.atleast_2d(x),
+                                                          np.ones((len(np.atleast_2d(x)), 3)))]
+    for call in calls:
+        call(good)
+        with pytest.raises(error):
+            call(bad)
+        with pytest.raises(error):
+            call(np.array([good, bad, good]))
+
+
+def test_batch_with_one_singular_bundle_map_raises_like_the_row():
+    geom = AmbientGeometry(SPECS["sphere"])  # Psharp = -Id/2: m singular at s = 2q
+    x = np.array([0.1, 0.2, -0.1])
+    good, bad = ambient_point(0.3, x, 1.0), ambient_point(2.0, x, 1.0)
+    u = np.ones(geom.dim)
+    geom.omega(good, u)
+    with pytest.raises(SingularMapError):
+        geom.omega(bad, u)
+    with pytest.raises(SingularMapError):
+        geom.omega(np.array([good, bad]), np.array([u, u]))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("s", [0.0, 0.1])
+@pytest.mark.parametrize("crude", [False, True])
+def test_batched_fd_curvature_equals_per_point_path(name, s, crude):
+    spec = SPECS[name]
+    geom = AmbientGeometry(spec)
+    x = spec.sample_points(np.random.default_rng(8), 1)[0] * 0.5
+    p = ambient_point(s, x, 1.1)
+    fn = geom.omega_crude if crude else geom.omega
+    # one omega call per stencil point, each with its own single-point stack
+    per_point = curvature_from_omega(lambda pt, dirs: fn(pt, dirs), p, geom.dim)
+    assert np.array_equal(geom.curvature_all_pairs(p, crude=crude), per_point)

@@ -6,18 +6,10 @@ import pytest
 from tractor_forge.curvature import stack_at, weyl_endomorphism
 from tractor_forge.metric import preset
 from tractor_forge.tractor import (VARIANTS, connection_matrix,
-                                   curvature_all_pairs, is_h_antisymmetric,
-                                   normality_check, pack, tractor_curvature,
-                                   tractor_metric, unpack)
+                                   curvature_all_pairs, normality_check,
+                                   tractor_curvature, tractor_metric)
 
 RNG = np.random.default_rng(23)
-
-
-def test_pack_unpack_roundtrip():
-    v = pack(2.0, [1.0, -1.0, 3.0], -0.5)
-    alpha, A, beta = unpack(v)
-    assert alpha == 2.0 and beta == -0.5
-    assert A == pytest.approx([1.0, -1.0, 3.0])
 
 
 def test_tractor_metric_signature():
@@ -110,11 +102,12 @@ def test_induced_variant_normality_b_fails_generically():
     assert not rep["ricci_contraction_vanishes"]["pass"]
 
 
-def test_is_h_antisymmetric_helper():
+def test_connection_matrix_h_antisymmetric_at_sphere_center():
     H = tractor_metric(np.eye(3), "induced")
     st = stack_at(preset("sphere"), np.array([0.0, 0.0, 0.0]))
     # at the chart center g = 4*I; rebuild H accordingly
     H = tractor_metric(st.g, "induced")
     Om = connection_matrix(st, np.array([1.0, 0.0, 0.0]), "induced")
     # metricity holds only up to dH; at the center dg = 0 so Om is exact
-    assert is_h_antisymmetric(Om, H, tol=1e-10)
+    scale = max(1.0, float(np.max(np.abs(Om))))
+    assert float(np.max(np.abs(Om.T @ H + H @ Om))) <= 1e-10 * scale

@@ -97,7 +97,7 @@ def test_transport_reversal_and_concatenation():
     b = tp.path_from_waypoints([BASE + [0.2, 0.0, 0.1], BASE + [0.1, 0.2, 0.0]])
     Ga = tp.transport_matrix(oracle, a, 1e-10)
     Gb = tp.transport_matrix(oracle, b, 1e-10)
-    Gab = tp.transport_matrix(oracle, tp.concat_paths(a, b), 1e-10)
+    Gab = tp.transport_matrix(oracle, tp.PathSpec(a.segments + b.segments), 1e-10)
     assert Gab == pytest.approx(Gb @ Ga, abs=1e-8)
     Ginv = tp.transport_matrix(oracle, tp.reverse_path(a), 1e-10)
     assert Ginv @ Ga == pytest.approx(np.eye(5), abs=1e-8)
@@ -227,17 +227,24 @@ def _reference_transport(oracle, path, v0, tol):
 
 
 class _CountingOracle:
-    """Records the (point, tangent) node of every omega call."""
+    """Records the (point, tangent) node of every omega call and of every
+    row of every omega_nodes call, and the size of each omega_nodes call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.point_dim = inner.point_dim
         self.fiber_dim = inner.fiber_dim
         self.nodes = []
+        self.batches = []
 
     def omega(self, point, tangent):
         self.nodes.append((point.tobytes(), tangent.tobytes()))
         return self.inner.omega(point, tangent)
+
+    def omega_nodes(self, points, tangents):
+        self.nodes.extend((p.tobytes(), u.tobytes()) for p, u in zip(points, tangents))
+        self.batches.append(len(points))
+        return self.inner.omega_nodes(points, tangents)
 
 
 def _node_reuse_cases():
@@ -269,3 +276,5 @@ def test_transport_equals_reference_integrator_exactly(case):
     assert rest == 0
     assert len(counted.nodes) == 5 * attempts + len(path.segments)
     assert set(counted.nodes) == set(reference.nodes)
+    # one batched call per attempt, for its five new nodes
+    assert counted.batches == [5] * attempts
