@@ -13,8 +13,7 @@ from .metric import (ChartDomainError, MetricError, MetricSpec,
 from .curvature import (ConnectionPoint, CurvatureStack, compute_stack,
                         connection_at, kulkarni_nomizu, stack_at,
                         weyl_endomorphism)
-from .tractor import (VARIANTS, connection_matrix, normality_check,
-                      tractor_curvature, tractor_metric)
+from .tractor import connection_matrix, normality_check, tractor_metric
 from .ambient import AmbientGeometry, SingularMapError, ambient_point, split_point
 from .transport import (AmbientOracle, CrudeOracle, LeviCivitaOracle,
                         PathSpec, Segment, TractorOracle, TransportError,
@@ -33,8 +32,7 @@ __all__ = [
     "preset", "parse_config", "load_config", "metric_jet", "signature_at",
     "CurvatureStack", "ConnectionPoint", "compute_stack", "stack_at",
     "connection_at", "kulkarni_nomizu", "weyl_endomorphism",
-    "VARIANTS", "tractor_metric", "connection_matrix", "tractor_curvature",
-    "normality_check",
+    "tractor_metric", "connection_matrix", "normality_check",
     "AmbientGeometry", "SingularMapError", "ambient_point", "split_point",
     "PathSpec", "Segment", "TransportError", "loop_family", "rectangle_loop",
     "trig_loop", "path_from_waypoints", "lift_loop", "reverse_path",

@@ -25,8 +25,7 @@ from .tractor import connection_matrix, normality_check, tractor_metric
 
 log = logging.getLogger("tractor_forge")
 
-_HOLONOMY_VARIANTS = ("tractor-induced", "tractor-paper", "ambient",
-                      "crude", "levi-civita")
+_HOLONOMY_CONNECTIONS = ("tractor-induced", "ambient", "crude", "levi-civita")
 
 
 def _parse_point(text: str) -> list:
@@ -88,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ambient q coordinate of the evaluation point")
     p_hol = sub.add_parser("holonomy", parents=[common],
                            help="holonomy algebra estimation for one connection")
-    p_hol.add_argument("--variant", choices=_HOLONOMY_VARIANTS,
+    p_hol.add_argument("--variant", choices=_HOLONOMY_CONNECTIONS,
                        default="tractor-induced")
     sub.add_parser("verify", parents=[common],
                    help="run the full identity battery on one metric")
@@ -124,28 +123,9 @@ def _base_point(cfg: RunConfig, spec) -> np.ndarray:
     return spec.sample_points(rng, 1)[0] * 0.5
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
-    if cfg.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif cfg.format == "text":
-        lines = []
-        def walk(prefix, obj):
-            if isinstance(obj, dict):
-                for k in sorted(obj):
-                    walk(f"{prefix}{k}.", obj[k])
-            elif isinstance(obj, list):
-                lines.append(f"{prefix[:-1]}: {obj}")
-            else:
-                lines.append(f"{prefix[:-1]}: {obj}")
-        walk("", payload)
-        text = "\n".join(lines) + "\n"
-    else:
-        raise MetricError(f"format {cfg.format!r} not supported here; use "
-                          "json or text")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(report, cfg: RunConfig) -> None:
+    text = report_emit(report, cfg.format, cfg.out)
+    if not cfg.out:
         sys.stdout.write(text)
 
 
@@ -190,27 +170,17 @@ def cmd_tractor(cfg: RunConfig) -> int:
     st = stack_at(spec, base)
     rng = np.random.default_rng(cfg.seed)
     X = rng.standard_normal(spec.n)
-    payload = {"base_point": [float(v) for v in base], "variants": {}}
-    worst = 0.0
-    for variant in ("induced", "paper"):
-        H = tractor_metric(st.g, variant)
-        Om = connection_matrix(st, X, variant)
-        rep = normality_check(st, variant)
-        res_norm = max(rep["preserves_null_direction"]["residual"],
-                       rep["ricci_contraction_vanishes"]["residual"])
-        payload["variants"][variant] = {
-            "fiber_metric_corner": float(H[0, -1]),
-            "sample_connection_norm": _maxabs(Om),
-            "normality": {
-                "preserves_null_direction":
-                    rep["preserves_null_direction"]["residual"],
-                "ricci_contraction_vanishes":
-                    rep["ricci_contraction_vanishes"]["residual"],
-            },
-        }
-        if variant == "paper":
-            worst = res_norm
-    payload["normality_pass"] = bool(worst <= 1e-8)
+    rep = normality_check(st)
+    payload = {
+        "base_point": [float(v) for v in base],
+        "fiber_metric_corner": float(tractor_metric(st.g)[0, -1]),
+        "sample_connection_norm": _maxabs(connection_matrix(st, X)),
+        "normality": {
+            "preserves_null_direction": rep["preserves_null_direction"]["residual"],
+            "ricci_contraction_vanishes": rep["ricci_contraction_vanishes"]["residual"],
+        },
+        "normality_pass": bool(rep["pass"]),
+    }
     _emit(payload, cfg)
     return 0 if payload["normality_pass"] else 1
 
@@ -265,9 +235,7 @@ def _holonomy_setup(cfg: RunConfig, variant: str):
     extra = max(0, cfg.loops - n * (n - 1) // 2)
     loops = tp.loop_family(base, extra, cfg.radius, rng)
     if variant == "tractor-induced":
-        oracle = tp.TractorOracle(spec, "induced")
-    elif variant == "tractor-paper":
-        oracle = tp.TractorOracle(spec, "paper")
+        oracle = tp.TractorOracle(spec)
     elif variant == "ambient":
         oracle = tp.AmbientOracle(spec)
     elif variant == "crude":
@@ -295,24 +263,6 @@ def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
             "metric_drift": _maxabs(G.T @ H @ G - H),
             "distance_from_identity": _maxabs(G - np.eye(oracle.fiber_dim)),
         })
-    if cfg.format == "csv":
-        import csv as _csv
-        import io as _io
-        buf = _io.StringIO()
-        writer = _csv.writer(buf)
-        writer.writerow(["loop", "kind", "metric_drift",
-                         "distance_from_identity"])
-        for row in loop_rows:
-            writer.writerow([row["loop"], row["kind"],
-                             f"{row['metric_drift']:.6e}",
-                             f"{row['distance_from_identity']:.6e}"])
-        text = buf.getvalue()
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
     payload = {
         "variant": variant,
         "base_point": [float(v) for v in np.asarray(base)],
@@ -325,15 +275,16 @@ def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
         "bracket_closure_residual": hol.bracket_closure_residual(alg),
         "loops": loop_rows,
     }
-    _emit(payload, cfg)
+    table = [("loop", "kind", "metric_drift", "distance_from_identity")] + [
+        [row["loop"], row["kind"], f"{row['metric_drift']:.6e}",
+         f"{row['distance_from_identity']:.6e}"] for row in loop_rows]
+    _emit(table if cfg.format == "csv" else payload, cfg)
     return 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     report = run_verify(cfg)
-    text = report_emit(report, cfg.format, cfg.out)
-    if not cfg.out:
-        sys.stdout.write(text)
+    _emit(report, cfg)
     return 0 if report.passed else 1
 
 

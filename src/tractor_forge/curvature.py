@@ -9,8 +9,8 @@ Conventions (pinned by the unit-sphere tests):
                              - Gamma^l_{jm} Gamma^m_{ik}
   riem_low[i,j,k,l] = <R(e_i,e_j) e_l, e_k>   (unit sphere: riem_low[0,1,0,1] > 0)
   Ric_{jk}     = R^i_{ijk}  (unit n-sphere: Ric = (n-1) g, Scal = n(n-1))
-  P            = -1/(n-2) (Ric - Scal/(2n-2) g)      (note the leading minus)
-  W            = riem_low + P (x) g   (Kulkarni-Nomizu; zero for round metrics)
+  P            = 1/(n-2) (Ric - Scal/(2n-2) g)   (unit n-sphere: P = g/2)
+  W            = riem_low - P (x) g   (Kulkarni-Nomizu; zero for round metrics)
   CY_{ijk}     = (nabla_i P)_{jk} - (nabla_j P)_{ik}
 """
 
@@ -126,7 +126,7 @@ def _connection_fields(jet: MetricJet) -> dict:
     Ric = np.einsum("...iijk->...jk", Riem)
     Scal = np.einsum("...jk,...jk->...", jet.ginv, Ric)
     Scal = float(Scal) if Scal.ndim == 0 else Scal
-    P = (-1.0 / (n - 2)) * (Ric - np.asarray(Scal)[..., None, None] / (2 * n - 2) * jet.g)
+    P = (1.0 / (n - 2)) * (Ric - np.asarray(Scal)[..., None, None] / (2 * n - 2) * jet.g)
     return dict(Gamma=Gamma, dGamma=dGamma, dginv=dginv, B=B, dB=dB, Riem=Riem,
                 Ric=Ric, Scal=Scal, P=P, Psharp=jet.ginv @ P)
 
@@ -155,7 +155,7 @@ def compute_stack(jet: MetricJet) -> CurvatureStack:
     dScal = (np.einsum("...pjk,...jk->...p", dginv, Ric)
              + np.einsum("...jk,...pjk->...p", ginv, dRic))
 
-    cP = -1.0 / (n - 2)
+    cP = 1.0 / (n - 2)
     cS = 1.0 / (2 * n - 2)
     dP = cP * (dRic - cS * (np.einsum("...p,...ij->...pij", dScal, g)
                             + np.asarray(Scal)[..., None, None, None] * jet.dg))
@@ -168,7 +168,7 @@ def compute_stack(jet: MetricJet) -> CurvatureStack:
     CYsharp = np.einsum("...ijk,...kl->...ijl", CY, ginv)
 
     riem_low = np.einsum("...km,...mijl->...ijkl", g, c["Riem"])
-    W = riem_low + kulkarni_nomizu(P, g)
+    W = riem_low - kulkarni_nomizu(P, g)
 
     return CurvatureStack(jet=jet, Gamma=Gamma, dGamma=dGamma, Riem=c["Riem"],
                           riem_low=riem_low, Ric=Ric, Scal=Scal, P=P,

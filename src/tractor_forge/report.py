@@ -184,15 +184,14 @@ class _Suite:
         res_norm = 0.0
         for x in self.points:
             st = stack_at(self.spec, x)
-            for variant in ("induced", "paper"):
-                H = tractor_metric(st.g, variant)
-                for _ in range(2):
-                    X = self.rng.standard_normal(self.spec.n)
-                    Om = connection_matrix(st, X, variant)
-                    scale = max(1.0, float(np.max(np.abs(Om))))
-                    res_metric = max(res_metric, float(
-                        np.max(np.abs(Om.T @ H + H @ Om - _dH(self.spec, x, X, variant)))) / scale)
-            rep = normality_check(st, "paper")
+            H = tractor_metric(st.g)
+            for _ in range(2):
+                X = self.rng.standard_normal(self.spec.n)
+                Om = connection_matrix(st, X)
+                scale = max(1.0, float(np.max(np.abs(Om))))
+                res_metric = max(res_metric, float(
+                    np.max(np.abs(Om.T @ H + H @ Om - _dH(self.spec, x, X)))) / scale)
+            rep = normality_check(st)
             res_norm = max(res_norm,
                            rep["preserves_null_direction"]["residual"],
                            rep["ricci_contraction_vanishes"]["residual"])
@@ -342,7 +341,7 @@ class _Suite:
         loops = self._chart_loops()
         amb_loops = [tp.lift_loop(lp) for lp in loops]
         ttol = 1e-9
-        alg_t = hol.holonomy_algebra(tp.TractorOracle(self.spec, "induced"),
+        alg_t = hol.holonomy_algebra(tp.TractorOracle(self.spec),
                                      self.base, loops, ttol, self.cfg.tol_rank)
         alg_a = hol.holonomy_algebra(tp.AmbientOracle(self.spec),
                                      self.abase, amb_loops, ttol, self.cfg.tol_rank)
@@ -412,7 +411,7 @@ class _Suite:
 
         # plumbing invariants: reversal and fiber-metric preservation, on the
         # last loop's transport from the tractor holonomy estimate
-        oracle = tp.TractorOracle(self.spec, "induced")
+        oracle = tp.TractorOracle(self.spec)
         G = alg_t.loop_transports[-1]
         Gi = tp.transport_matrix(oracle, tp.reverse_path(loops[-1]), ttol)
         H = oracle.fiber_metric(self.base)
@@ -423,14 +422,14 @@ class _Suite:
                  float(np.max(np.abs(G.T @ H @ G - H))), self.cfg.tol_transport)
 
 
-def _dH(spec, x, X, variant, step=1e-4):
+def _dH(spec, x, X, step=1e-4):
     """Directional derivative of the tractor fiber metric along X."""
     out = np.zeros((spec.n + 2, spec.n + 2))
     x = np.asarray(x, dtype=float)
     X = np.asarray(X, dtype=float)
     for k, wgt in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
         g = metric_jet(spec, x + k * step * X, order=2).g
-        out += wgt * tractor_metric(g, variant) / (12 * step)
+        out += wgt * tractor_metric(g) / (12 * step)
     return out
 
 
@@ -443,27 +442,49 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     return VerifyReport(config=cfg.to_dict(), checks=suite.checks)
 
 
-def report_emit(report: VerifyReport, fmt: str = "json", out=None) -> str:
-    """Serialize the report; writes to `out` when given, returns the text."""
-    data = report.to_dict()
+_CHECK_COLUMNS = ("name", "anchor", "residual", "tol", "pass", "seconds")
+
+
+def _check_table(data: dict) -> list:
+    lines = [f"{'check':38s} {'residual':>12s} {'tol':>9s}  status"]
+    for c in data["checks"]:
+        status = "pass" if c["pass"] else "FAIL"
+        lines.append(f"{c['name']:38s} {c['residual']:12.3e} {c['tol']:9.0e}  {status}")
+    lines.append(f"summary: {'pass' if data['summary']['pass'] else 'FAIL'} "
+                 f"({data['summary']['total']} checks)")
+    return lines
+
+
+def _flat_lines(obj, prefix: str = "") -> list:
+    """`key.path: value` lines of a nested dict, keys sorted."""
+    if not isinstance(obj, dict):
+        return [f"{prefix[:-1]}: {obj}"]
+    return [line for k in sorted(obj) for line in _flat_lines(obj[k], f"{prefix}{k}.")]
+
+
+def report_emit(report, fmt: str = "json", out=None) -> str:
+    """Serialize a report; writes to `out` when given, returns the text.
+
+    `report` is a VerifyReport, a command's payload dict, or a table (a
+    list of rows, header first).  json dumps a report or payload; text
+    prints a VerifyReport's check table or a payload's flattened
+    `key.path: value` lines; csv writes a table, or a VerifyReport's
+    checks as one.  A payload has no csv form.
+    """
+    verify = isinstance(report, VerifyReport)
+    data = report.to_dict() if verify else report
     if fmt == "json":
         text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "anchor", "residual", "tol", "pass", "seconds"])
-        for c in data["checks"]:
-            writer.writerow([c["name"], c["anchor"], c["residual"],
-                             c["tol"], c["pass"], c["seconds"]])
-        text = buf.getvalue()
     elif fmt == "text":
-        lines = [f"{'check':38s} {'residual':>12s} {'tol':>9s}  status"]
-        for c in data["checks"]:
-            status = "pass" if c["pass"] else "FAIL"
-            lines.append(f"{c['name']:38s} {c['residual']:12.3e} {c['tol']:9.0e}  {status}")
-        lines.append(f"summary: {'pass' if data['summary']['pass'] else 'FAIL'} "
-                     f"({data['summary']['total']} checks)")
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_check_table(data) if verify else _flat_lines(data)) + "\n"
+    elif fmt == "csv":
+        if isinstance(data, dict):
+            if not verify:
+                raise MetricError(f"format {fmt!r} not supported here; use json or text")
+            data = [_CHECK_COLUMNS] + [[c[k] for k in _CHECK_COLUMNS] for c in data["checks"]]
+        buf = io.StringIO()
+        csv.writer(buf).writerows(data)
+        text = buf.getvalue()
     else:
         raise MetricError(f"unknown report format {fmt!r}")
     if out:

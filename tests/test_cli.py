@@ -36,14 +36,17 @@ def test_tractor_normality_exit_codes(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["normality_pass"] is True
-    assert set(data["variants"]) == {"induced", "paper"}
+    assert data["fiber_metric_corner"] == 1.0
+    code, out, _ = run(capsys, ["tractor", "--preset", "sphere"] + POINT)
+    assert code == 0
+    assert json.loads(out)["normality_pass"] is True
 
 
 def test_ambient_singular_point_exit_two(capsys):
     code, _, err = run(capsys, ["ambient", "--preset", "sphere",
-                                "--s", "2.0", "--q", "1.0"] + POINT)
+                                "--s=-2.0", "--q", "1.0"] + POINT)
     assert code == 2
-    assert "-0.5" in err
+    assert "eigenvalue(s) 0.5" in err
     assert "singular" in err
 
 

@@ -20,8 +20,8 @@ def test_unit_sphere_constants():
         st = stack_at(spec, x)
         assert st.Scal == pytest.approx(6.0, rel=1e-11)
         assert st.Ric == pytest.approx(2.0 * st.g, rel=1e-10)
-        assert st.P == pytest.approx(-0.5 * st.g, rel=1e-10)
-        assert st.Psharp == pytest.approx(-0.5 * np.eye(3), abs=1e-11)
+        assert st.P == pytest.approx(0.5 * st.g, rel=1e-10)
+        assert st.Psharp == pytest.approx(0.5 * np.eye(3), abs=1e-11)
 
 
 def test_hyperbolic_constants():
@@ -29,7 +29,7 @@ def test_hyperbolic_constants():
     x = np.array([0.05, -0.1, 0.08])
     st = stack_at(spec, x)
     assert st.Scal == pytest.approx(-6.0, rel=1e-10)
-    assert st.P == pytest.approx(0.5 * st.g, rel=1e-10)
+    assert st.P == pytest.approx(-0.5 * st.g, rel=1e-10)
 
 
 def test_flat_everything_zero():

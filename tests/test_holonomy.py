@@ -21,7 +21,7 @@ def sphere_algebras():
     loops = _loops(BASE)
     amb = [tp.lift_loop(lp) for lp in loops]
     abase = np.concatenate(([0.0], BASE, [1.0]))
-    alg_t = hol.holonomy_algebra(tp.TractorOracle(spec, "induced"),
+    alg_t = hol.holonomy_algebra(tp.TractorOracle(spec),
                                  BASE, loops, 1e-9)
     alg_a = hol.holonomy_algebra(tp.AmbientOracle(spec), abase, amb, 1e-9)
     return alg_t, alg_a
@@ -45,21 +45,20 @@ def test_matrix_log_roundtrip():
 
 def test_flat_holonomy_dimension_zero():
     spec = preset("flat")
-    alg = hol.holonomy_algebra(tp.TractorOracle(spec, "induced"),
+    alg = hol.holonomy_algebra(tp.TractorOracle(spec),
                                BASE, _loops(BASE), 1e-9)
     assert alg.dim == 0
     assert hol.fixed_vectors(alg)  # whole fiber is fixed
 
 
-def test_conformally_flat_paper_variant_dimension_zero():
-    # the action-table variant is flat on conformally flat metrics
+def test_conformally_flat_dimension_zero():
+    # the normal tractor connection is flat on conformally flat metrics
     for name in ("sphere", "hyperbolic"):
         spec = preset(name)
         base = BASE * (0.5 if name == "hyperbolic" else 1.0)
         radius = 0.1 if name == "hyperbolic" else 0.25
         loops = _loops(base, count=1, radius=radius)
-        alg = hol.holonomy_algebra(tp.TractorOracle(spec, "paper"),
-                                   base, loops, 1e-9)
+        alg = hol.holonomy_algebra(tp.TractorOracle(spec), base, loops, 1e-9)
         assert alg.dim == 0, name
 
 
@@ -67,7 +66,7 @@ def test_sphere_tractor_vs_ambient_equal(sphere_algebras):
     alg_t, alg_a = sphere_algebras
     rep = hol.compare_holonomy(alg_t, alg_a)
     assert rep["verdict"] == "equal"
-    assert rep["dim_a"] == rep["dim_b"] == 6
+    assert rep["dim_a"] == rep["dim_b"] == 0
     assert max(rep["residual_a_in_b"], rep["residual_b_in_a"]) < 1e-5
 
 
@@ -78,9 +77,12 @@ def test_algebra_structure_residuals(sphere_algebras):
         assert hol.bracket_closure_residual(alg) < 1e-6
 
 
-def test_sphere_fixed_einstein_tractor(sphere_algebras):
-    alg_t, _ = sphere_algebras
-    v = np.array([1.0, 0.0, 0.0, 0.0, 0.5])
+def test_sphere_fixed_einstein_tractor():
+    # S2 x S2 is Einstein with P = g/6, so (1, 0, -1/6) is parallel
+    base = np.array([0.15, 0.10, -0.12, 0.20])
+    alg_t = hol.holonomy_algebra(tp.TractorOracle(preset("s2xs2")), base,
+                                 _loops(base, radius=0.2), 1e-9)
+    v = np.array([1.0, 0.0, 0.0, 0.0, 0.0, -1.0 / 6.0])
     for B in alg_t.basis:
         assert np.max(np.abs(B @ v)) < 1e-6
     fixed = hol.fixed_vectors(alg_t)
@@ -92,7 +94,7 @@ def test_sphere_fixed_einstein_tractor(sphere_algebras):
 
 def test_loops_must_be_based_and_closed():
     spec = preset("flat")
-    oracle = tp.TractorOracle(spec, "induced")
+    oracle = tp.TractorOracle(spec)
     open_path = tp.path_from_waypoints([BASE, BASE + [0.1, 0, 0]])
     with pytest.raises(Exception):
         hol.holonomy_algebra(oracle, BASE, [open_path], 1e-9)
@@ -103,7 +105,7 @@ def test_loops_must_be_based_and_closed():
 
 def test_holonomy_stable_under_radius_halving():
     spec = preset("bumpy", eps=0.1)
-    oracle = tp.TractorOracle(spec, "induced")
+    oracle = tp.TractorOracle(spec)
     alg1 = hol.holonomy_algebra(oracle, BASE, _loops(BASE, 2, 0.25), 1e-9)
     alg2 = hol.holonomy_algebra(oracle, BASE, _loops(BASE, 4, 0.125), 1e-9)
     assert alg1.dim == alg2.dim
@@ -131,7 +133,7 @@ def test_matrix_log_raises_when_series_diverges():
 
 
 def test_chained_rectangle_prefixes_equal_prefix_transports_exactly():
-    oracle = tp.TractorOracle(preset("bumpy", eps=0.1), "induced")
+    oracle = tp.TractorOracle(preset("bumpy", eps=0.1))
     loop = tp.rectangle_loop(BASE, 0, 2, 0.25)
     pieces = hol._pieces(loop)
     assert [len(p.segments) for p in pieces] == [2, 1, 1]
@@ -145,7 +147,7 @@ def test_chained_rectangle_prefixes_equal_prefix_transports_exactly():
 
 
 def test_one_segment_loop_splits_at_its_midpoint():
-    oracle = tp.TractorOracle(preset("bumpy", eps=0.1), "induced")
+    oracle = tp.TractorOracle(preset("bumpy", eps=0.1))
     loop = tp.trig_loop(BASE, 0.25, np.random.default_rng(8))
     first, second = hol._pieces(loop)
     seg = loop.segments[0]
@@ -157,7 +159,7 @@ def test_one_segment_loop_splits_at_its_midpoint():
 
 
 def test_halving_keeps_the_unshrunk_loop_transport():
-    oracle = tp.TractorOracle(preset("sphere"), "induced")
+    oracle = tp.LeviCivitaOracle(preset("sphere"))
     loop = tp.rectangle_loop(BASE, 0, 1, 0.5)
     G = tp.transport_matrix(oracle, loop, 1e-9)
     with pytest.raises(hol.LogConvergenceError):

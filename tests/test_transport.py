@@ -74,7 +74,7 @@ def test_lift_loop_profiles():
 
 def test_flat_tractor_transport_identity():
     spec = preset("flat")
-    oracle = tp.TractorOracle(spec, "induced")
+    oracle = tp.TractorOracle(spec)
     loop = tp.rectangle_loop(BASE, 0, 1, 0.3)
     G = tp.transport_matrix(oracle, loop, 1e-10)
     # off-diagonal couplings cancel around any loop of a flat metric
@@ -83,7 +83,7 @@ def test_flat_tractor_transport_identity():
 
 def test_sphere_parallel_tractor_transported_to_itself():
     spec = preset("sphere")
-    oracle = tp.TractorOracle(spec, "induced")
+    oracle = tp.TractorOracle(spec)
     v0 = np.array([1.0, 0.0, 0.0, 0.0, 0.5])
     for lp in tp.loop_family(BASE, 2, 0.3, np.random.default_rng(2)):
         v1 = tp.parallel_transport(oracle, lp, v0, 1e-10)
@@ -92,7 +92,7 @@ def test_sphere_parallel_tractor_transported_to_itself():
 
 def test_transport_reversal_and_concatenation():
     spec = preset("bumpy", eps=0.1)
-    oracle = tp.TractorOracle(spec, "induced")
+    oracle = tp.TractorOracle(spec)
     a = tp.path_from_waypoints([BASE, BASE + [0.2, 0.0, 0.1]])
     b = tp.path_from_waypoints([BASE + [0.2, 0.0, 0.1], BASE + [0.1, 0.2, 0.0]])
     Ga = tp.transport_matrix(oracle, a, 1e-10)
@@ -109,8 +109,7 @@ def test_transport_preserves_fiber_metric_all_oracles():
     lifted = tp.lift_loop(loop)
     abase = np.concatenate(([0.0], BASE, [1.0]))
     cases = [
-        (tp.TractorOracle(spec, "induced"), loop, BASE),
-        (tp.TractorOracle(spec, "paper"), loop, BASE),
+        (tp.TractorOracle(spec), loop, BASE),
         (tp.AmbientOracle(spec), lifted, abase),
         (tp.LeviCivitaOracle(spec), loop, BASE),
     ]
@@ -135,14 +134,14 @@ def test_ambient_oracle_off_slice_matches_on_slice_holonomy_base():
 def test_crude_oracle_matches_tractor_on_unit_slice():
     spec = preset("bumpy", eps=0.1)
     loop = tp.rectangle_loop(BASE, 1, 2, 0.25)
-    Gt = tp.transport_matrix(tp.TractorOracle(spec, "induced"), loop, 1e-10)
+    Gt = tp.transport_matrix(tp.TractorOracle(spec), loop, 1e-10)
     Gc = tp.transport_matrix(tp.CrudeOracle(spec), tp.lift_loop(loop), 1e-10)
     assert Gc[1:-1, 1:-1] == pytest.approx(Gt[1:-1, 1:-1], abs=1e-8)
 
 
 def test_transport_deterministic():
     spec = preset("bumpy", eps=0.1)
-    oracle = tp.TractorOracle(spec, "induced")
+    oracle = tp.TractorOracle(spec)
     loop = tp.trig_loop(BASE, 0.2, np.random.default_rng(9))
     v0 = np.arange(5, dtype=float)
     a = tp.parallel_transport(oracle, loop, v0, 1e-9)
@@ -182,7 +181,7 @@ def test_segment_domain_errors_raise(text, bad):
 
 
 def test_parallel_transport_rejects_misshapen_v0():
-    oracle = tp.TractorOracle(preset("flat"), "induced")
+    oracle = tp.TractorOracle(preset("flat"))
     loop = tp.rectangle_loop(BASE, 0, 1, 0.3)
     for v0 in (1.0, np.zeros(4), np.eye(4), np.zeros((4, 5)), np.zeros((5, 5, 1))):
         with pytest.raises(MetricError):
@@ -254,8 +253,8 @@ def _node_reuse_cases():
     q_expr = ex.add(ex.const(1.0), ex.mul(ex.const(0.2), t * (ex.const(1.0) - t)))
     rect = tp.rectangle_loop(BASE, 0, 2, 0.25)
     return {
-        "rectangle": (tp.TractorOracle(spec, "induced"), rect, 1e-10),
-        "trig": (tp.TractorOracle(spec, "induced"),
+        "rectangle": (tp.TractorOracle(spec), rect, 1e-10),
+        "trig": (tp.TractorOracle(spec),
                  tp.trig_loop(BASE, 0.25, np.random.default_rng(6)), 1e-10),
         "off-slice": (tp.AmbientOracle(spec),
                       tp.lift_loop(tp.rectangle_loop(BASE, 0, 1, 0.15), s_expr, q_expr), 1e-8),
