@@ -4,7 +4,9 @@ Generators come from two mechanisms: truncated matrix logs of small-loop
 transport operators, and curvature endomorphisms conjugated by transports
 to partial points of each loop.  Each loop is transported once, as a chain
 over pieces that end at those partial points, so the running products are
-the prefix transports and the last is the loop transport.  Both mechanisms
+the prefix transports and the last is the loop transport; the loops of one
+estimate advance together, one lockstep `parallel_transport` call per piece
+index, with results equal to one loop at a time.  Both mechanisms
 feed one bracket closure; the dimension is the rank of the flattened
 generator set under a singular-value cut (relative threshold plus a small
 absolute floor, so a flat connection whose transports are
@@ -106,17 +108,14 @@ def closed_span(generators, rank_tol: float):
 def _pieces(path: tp.PathSpec) -> list:
     """Consecutive sub-paths of `path` that end at its conjugation points.
 
-    A one-segment path splits at its parameter midpoint; a longer one after
-    segments k//2 and k-1.  Transports chained over the pieces give the
-    prefix transports, and the last of them is the transport of `path`.
+    A one-segment path splits at its parameter midpoint, into two halves
+    that share the segment's compiled code; a longer one after segments
+    k//2 and k-1.  Transports chained over the pieces give the prefix
+    transports, and the last of them is the transport of `path`.
     """
     segs = path.segments
     if len(segs) == 1:
-        t = ex.var(0)
-        halves = (ex.mul(ex.const(0.5), t), ex.add(ex.const(0.5), ex.mul(ex.const(0.5), t)))
-        return [tp.PathSpec((tp.Segment(tuple(ex.substitute(c, 0, sub)
-                                              for c in segs[0].coords)),))
-                for sub in halves]
+        return [tp.PathSpec((segs[0].sub(0.0, 0.5),)), tp.PathSpec((segs[0].sub(0.5, 1.0),))]
     cuts = sorted({len(segs) // 2, len(segs) - 1})
     return [tp.PathSpec(segs[a:b]) for a, b in zip([0] + cuts, cuts + [len(segs)])]
 
@@ -126,23 +125,33 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
                      use_curvature: bool = True) -> HolonomyAlgebra:
     """Estimate the holonomy algebra of `oracle` from loops based at `base`.
 
-    Transports that land too far from the identity are retried on the loop
-    shrunk toward the base point (factor 1/2, up to `max_halvings` times).
+    All loops are transported in lockstep, one `parallel_transport` call per
+    piece index: the k-th pieces of every loop, from their (k-1)-th prefix
+    transports.  Transports that land too far from the identity are retried
+    on the loop shrunk toward the base point (factor 1/2, up to
+    `max_halvings` times).
     """
     base = np.asarray(base, dtype=float)
-    use_curvature = use_curvature and hasattr(oracle, "curvature_pairs")
-    base_pairs = oracle.curvature_pairs(base) if use_curvature else None
-    generators = []
-    loop_transports = []
     for loop in loops:
         if np.max(np.abs(loop.base - base)) > 1e-9:
             raise MetricError("loop is not based at the requested base point")
         if not loop.is_loop():
             raise MetricError("open path passed to holonomy estimation")
-        conj = [(base, np.eye(oracle.fiber_dim))]
-        for piece in _pieces(loop):
-            conj.append((piece.end, tp.parallel_transport(oracle, piece, conj[-1][1], tol)))
-        G = conj.pop()[1]
+    use_curvature = use_curvature and hasattr(oracle, "curvature_pairs")
+    base_pairs = oracle.curvature_pairs(base) if use_curvature else None
+    pieces = [_pieces(loop) for loop in loops]
+    prefixes = [[np.eye(oracle.fiber_dim)] for _ in loops]  # at base, then each piece end
+    for k in range(max((len(p) for p in pieces), default=0)):
+        lanes = [i for i, p in enumerate(pieces) if k < len(p)]
+        ends = tp.parallel_transport(oracle, [pieces[i][k] for i in lanes],
+                                     np.stack([prefixes[i][-1] for i in lanes]), tol)
+        for i, T in zip(lanes, ends):
+            prefixes[i].append(T)
+    generators = []
+    loop_transports = []
+    for loop, loop_pieces, Ts in zip(loops, pieces, prefixes):
+        G = Ts.pop()
+        conj = list(zip([base] + [piece.end for piece in loop_pieces], Ts))
         loop_transports.append(G)
         current = loop
         for attempt in range(max_halvings + 1):

@@ -177,25 +177,36 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
 
     x is one point, shape (n,), or a (k, n) stack of points; the jet of a
     stack has a leading batch axis whose rows equal the single-point jets.
-    Every row is checked against the chart domain and for a singular metric.
+    Every row is checked against the chart domain, then for a singular
+    metric; the error names the first row outside the chart, else the first
+    singular row, as that row's own call would.
     """
     if order not in (2, 3):
         raise MetricError("jet order must be 2 or 3")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != spec.n:
         raise MetricError(f"point must have {spec.n} coordinates")
-    rows = x.reshape(-1, spec.n).tolist()
-    for row in rows:
-        if not spec.contains(row):
-            raise ChartDomainError(f"point {row} outside chart domain")
+    rows = x.reshape(-1, spec.n)
+    points = rows.tolist()
+    # One point is checked on Python floats, a stack on arrays: numpy's fixed
+    # cost per call outweighs a one-point check, the loop's cost per row a stack's.
+    one = len(points) == 1
+    if spec.chart_domain is not None:
+        if one:
+            inside = [spec.contains(points[0])]
+        else:
+            lo, hi = np.array(spec.chart_domain).T
+            inside = ((lo <= rows) & (rows <= hi)).all(axis=1).tolist()  # NaN is outside
+        if not all(inside):
+            raise ChartDomainError(f"point {points[inside.index(False)]} outside chart domain")
     evaluator = spec._jet_tables.get(order)
     if evaluator is None:
         evaluator = spec._jet_tables[order] = _JetEvaluator(spec, order)
-    g, dg, d2g, d3g = evaluator.jet(rows)
-    for row, det, entries in zip(rows, np.linalg.det(g).tolist(),
-                                 g.reshape(len(rows), -1).tolist()):
-        scale = max(1.0, max(map(abs, entries)) ** spec.n)
-        if abs(det) <= _DET_FLOOR * scale:
+    g, dg, d2g, d3g = evaluator.jet(points)
+    entry_max = ([max(map(abs, g.ravel().tolist()))] if one else
+                 np.abs(g).max(axis=(1, 2)).tolist())
+    for row, det, big in zip(points, np.linalg.det(g).tolist(), entry_max):
+        if abs(det) <= _DET_FLOOR * max(1.0, big ** spec.n):
             raise SingularMetricError(f"metric singular at {row} (det={det:.3e})")
     ginv = np.linalg.solve(g, np.eye(spec.n))
     if x.ndim == 1:

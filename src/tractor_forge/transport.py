@@ -1,9 +1,9 @@
 """Parallel transport along expression-defined paths.
 
 A PathSpec is a chain of segments, each a tuple of Expr curves in the
-single parameter t (Var(0)) mapping [0,1] into the chart (dimension n)
-or into the ambient coordinates (dimension n+2).  Tangents are exact
-symbolic derivatives.
+single parameter t (Var(0)) mapping [0,1], or a sub-range of it, into the
+chart (dimension n) or into the ambient coordinates (dimension n+2).
+Tangents are exact symbolic derivatives.
 
 A connection oracle is any object with:
     point_dim   -- dimension of the curve's coordinate space,
@@ -22,13 +22,17 @@ Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with an adaptive
 embedded Dormand-Prince 5(4) step.  Omega depends only on t, so each
 distinct node time costs one connection matrix: a segment's first node
 goes through `omega`, and the five new nodes of each step attempt through
-one `omega_nodes` call.  Every transport goes through `parallel_transport`;
-transports chained over consecutive sub-paths equal the transport of the
-whole path exactly.
+`omega_nodes`.  Every transport goes through `parallel_transport`, which
+also takes a list of paths and integrates them in lockstep: each path
+keeps its own step control, and each round makes one `omega_nodes` call
+over the new nodes of every path still running.  Transports chained over
+consecutive sub-paths equal the transport of the whole path exactly, and
+a path transported in a list equals its transport alone exactly.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,10 +76,16 @@ class Segment:
 
     Coordinates and tangents are compiled once, on construction, by
     `expr.compile_exprs`; `point` and `tangent` call the compiled code.
+    `span` = (t0, t1) restricts the segment to that range of the
+    expressions' parameter: `point(u)` is the coordinates at
+    t0 + (t1 - t0) u and `tangent(u)` their derivative there, scaled by
+    t1 - t0.  `sub` cuts such a piece out of a segment and shares its
+    compiled code.
     """
 
     coords: tuple  # tuple of Expr in Var(0)
     tangents: tuple = field(default=None)
+    span: tuple = (0.0, 1.0)
     _point: object = field(default=None, init=False, repr=False, compare=False)
     _tangent: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -90,15 +100,27 @@ class Segment:
     def dim(self) -> int:
         return len(self.coords)
 
-    def point(self, t: float) -> np.ndarray:
-        return np.array(self._point((t,)))
+    def point(self, u: float) -> np.ndarray:
+        t0, t1 = self.span
+        return np.array(self._point((t0 + (t1 - t0) * u,)))
 
-    def tangent(self, t: float) -> np.ndarray:
-        return np.array(self._tangent((t,)))
+    def tangent(self, u: float) -> np.ndarray:
+        t0, t1 = self.span
+        return np.array(self._tangent((t0 + (t1 - t0) * u,))) * (t1 - t0)
+
+    def sub(self, u0: float, u1: float) -> "Segment":
+        """The piece of this segment over its parameter range [u0, u1];
+        nothing is compiled."""
+        t0, t1 = self.span
+        piece = copy.copy(self)
+        object.__setattr__(piece, "span", (t0 + (t1 - t0) * u0, t0 + (t1 - t0) * u1))
+        return piece
 
     def reversed(self) -> "Segment":
         flip = ex.sub(ex.const(1.0), _T)
-        return Segment(tuple(ex.substitute(c, 0, flip) for c in self.coords))
+        t0, t1 = self.span
+        return Segment(tuple(ex.substitute(c, 0, flip) for c in self.coords),
+                       span=(1.0 - t1, 1.0 - t0))
 
 
 @dataclass(frozen=True)
@@ -209,7 +231,7 @@ def scale_path(path: PathSpec, base, factor: float) -> PathSpec:
         coords = tuple(
             ex.add(ex.const(b), ex.mul(ex.const(factor), ex.sub(c, ex.const(b))))
             for c, b in zip(seg.coords, base))
-        segs.append(Segment(coords))
+        segs.append(Segment(coords, span=seg.span))
     return PathSpec(tuple(segs))
 
 
@@ -218,7 +240,7 @@ def lift_loop(path: PathSpec, s_expr: ex.Expr | None = None,
     """Embed a chart path into ambient coordinates with s(t), q(t) profiles.
 
     The profiles are global in the path parameter; each segment of the base
-    path occupies an equal sub-interval.
+    path occupies an equal sub-interval, over the segment's own parameter u.
     """
     k = len(path.segments)
     if s_expr is None:
@@ -227,11 +249,13 @@ def lift_loop(path: PathSpec, s_expr: ex.Expr | None = None,
         q_expr = ex.const(1.0)
     segs = []
     for idx, seg in enumerate(path.segments):
-        # global parameter u = (idx + t)/k for local t in [0,1]
-        glob = ex.div(ex.add(ex.const(float(idx)), _T), ex.const(float(k)))
+        # global parameter (idx + u)/k, with u = (t - t0)/(t1 - t0) in [0, 1]
+        t0, t1 = seg.span
+        u = ex.div(ex.sub(_T, ex.const(t0)), ex.const(t1 - t0))
+        glob = ex.div(ex.add(ex.const(float(idx)), u), ex.const(float(k)))
         s_loc = ex.substitute(s_expr, 0, glob)
         q_loc = ex.substitute(q_expr, 0, glob)
-        segs.append(Segment((s_loc,) + seg.coords + (q_loc,)))
+        segs.append(Segment((s_loc,) + seg.coords + (q_loc,), span=seg.span))
     return PathSpec(tuple(segs))
 
 
@@ -365,63 +389,111 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _integrate_segment(oracle, seg: Segment, v: np.ndarray, tol: float) -> np.ndarray:
-    """One DP5(4) pass over a segment, one connection matrix per distinct node.
+def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
+    """DP5(4) over the segments of every lane in lockstep, one connection
+    matrix per distinct node.
 
-    Omega depends only on t, so the stage with c7 = c6 = 1 reuses stage 6,
-    an accepted step's last node (t + 1.0*h, bit for bit the new t) is the
-    next step's first, and a rejected step keeps its first node.  The
-    segment's first node goes through `oracle.omega`; the five new nodes of
-    each attempt, known before any stage is computed, through one
-    `oracle.omega_nodes` call.
+    Lane l carries the (fiber, k) array V[l] over the segments lanes[l], each
+    with its own t, h, error scale and accept/reject decision.  Omega
+    depends only on t, so the stage with c7 = c6 = 1 reuses stage 6, an
+    accepted step's last node (t + 1.0*h, bit for bit the new t) is the
+    next step's first, and a rejected step keeps its first node.  A
+    segment's first node goes through `oracle.omega`; each round, the five
+    new nodes of every lane still running, known before any stage is
+    computed, go through one `oracle.omega_nodes` call, and the stages run
+    on (lanes, fiber, k) stacks.  Stacking only batches the arithmetic, so
+    each lane ends bit for bit where it would alone.
     """
-    t = 0.0
-    h = 0.1
     min_h = 1e-10
-    scale_ref = max(1.0, float(np.max(np.abs(v))))
-    first = oracle.omega(seg.point(t), seg.tangent(t))  # Omega at the step's first node
-    while t < 1.0:
-        h = min(h, 1.0 - t)
-        nodes = [t + c * h for c in _DP_C[1:6]]
-        new = oracle.omega_nodes(np.array([seg.point(tn) for tn in nodes]),
-                                 np.array([seg.tangent(tn) for tn in nodes]))
-        mats = [first, *new, new[4]]
+    fiber = oracle.fiber_dim
+    V = V.copy()
+    seg_index = [0] * len(lanes)
+    t, h, scale_ref, first = ([None] * len(lanes) for _ in range(4))
+
+    def begin(lane):  # start the lane's current segment
+        seg = lanes[lane][seg_index[lane]]
+        t[lane], h[lane] = 0.0, 0.1
+        scale_ref[lane] = max(1.0, float(np.max(np.abs(V[lane]))))
+        # Omega at the step's first node
+        first[lane] = oracle.omega(seg.point(0.0), seg.tangent(0.0))
+
+    for lane in range(len(lanes)):
+        begin(lane)
+    active = list(range(len(lanes)))
+    while active:
+        points, tangents = [], []
+        for lane in active:
+            h[lane] = min(h[lane], 1.0 - t[lane])
+            seg = lanes[lane][seg_index[lane]]
+            for c in _DP_C[1:6]:
+                tn = t[lane] + c * h[lane]
+                points.append(seg.point(tn))
+                tangents.append(seg.tangent(tn))
+        new = oracle.omega_nodes(np.array(points), np.array(tangents))
+        new = new.reshape(len(active), 5, fiber, fiber)
+        mats = [np.stack([first[lane] for lane in active]),
+                *(new[:, j] for j in range(5)), new[:, 4]]
+        hs = np.array([h[lane] for lane in active])[:, None, None]
+        v = V[active]
         ks = []
         for stage, mat in enumerate(mats):
-            y = v.copy()
+            y = v
             for a, k in zip(_DP_A[stage], ks):
-                y = y + h * a * k
+                y = y + hs * a * k
             ks.append(-(mat @ y))
-        v5 = v + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        v4 = v + h * sum(b * k for b, k in zip(_DP_B4, ks))
-        err = float(np.max(np.abs(v5 - v4))) / scale_ref
-        if err <= tol or h <= min_h:
-            if h <= min_h and err > tol:
-                raise TransportError(f"step underflow at t={t:.6f} (err {err:.2e})")
-            t += h
-            v = v5
-            first = new[4]
-            scale_ref = max(scale_ref, float(np.max(np.abs(v))))
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
-        h = max(min_h, h * min(5.0, max(0.2, factor)))
-    return v
+        v5 = v + hs * sum(b * k for b, k in zip(_DP_B5, ks))
+        v4 = v + hs * sum(b * k for b, k in zip(_DP_B4, ks))
+        errs = np.max(np.abs(v5 - v4), axis=(1, 2)).tolist()
+        peaks = np.max(np.abs(v5), axis=(1, 2)).tolist()
+        running = []
+        for row, lane in enumerate(active):
+            err = errs[row] / scale_ref[lane]
+            if err <= tol or h[lane] <= min_h:
+                if h[lane] <= min_h and err > tol:
+                    raise TransportError(f"step underflow at t={t[lane]:.6f} (err {err:.2e})")
+                t[lane] += h[lane]
+                V[lane] = v5[row]
+                first[lane] = new[row, 4]
+                scale_ref[lane] = max(scale_ref[lane], peaks[row])
+            factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
+            h[lane] = max(min_h, h[lane] * min(5.0, max(0.2, factor)))
+            if t[lane] >= 1.0:
+                seg_index[lane] += 1
+                if seg_index[lane] == len(lanes[lane]):
+                    continue
+                begin(lane)
+            running.append(lane)
+        active = running
+    return V
 
 
-def parallel_transport(oracle, path: PathSpec, v0, tol: float = 1e-10) -> np.ndarray:
+def parallel_transport(oracle, path, v0, tol: float = 1e-10) -> np.ndarray:
     """Transport the fiber vector v0 along the path; local error per step <= tol.
 
     v0 is one fiber vector, or a matrix whose columns are fiber vectors.
+    `path` may also be a list of L paths, transported in lockstep; v0 is
+    then an (L, ...) stack of such arrays, one per path, and the result is
+    the (L, ...) stack of transports, each bit for bit the transport of its
+    path alone.
     """
-    if path.dim != oracle.point_dim:
-        raise MetricError(
-            f"path dimension {path.dim} != oracle point dimension {oracle.point_dim}")
-    v = np.asarray(v0, dtype=float).copy()
-    if v.ndim not in (1, 2) or v.shape[0] != oracle.fiber_dim:
-        raise MetricError(f"fiber vectors must have shape ({oracle.fiber_dim},) or "
-                          f"({oracle.fiber_dim}, k), not {v.shape}")
-    for seg in path.segments:
-        v = _integrate_segment(oracle, seg, v, tol)
-    return v
+    single = isinstance(path, PathSpec)
+    paths = [path] if single else list(path)
+    for p in paths:
+        if p.dim != oracle.point_dim:
+            raise MetricError(
+                f"path dimension {p.dim} != oracle point dimension {oracle.point_dim}")
+    fiber = oracle.fiber_dim
+    v = np.asarray(v0, dtype=float)
+    if single:
+        v = v[np.newaxis]
+    if v.ndim not in (2, 3) or v.shape[:2] != (len(paths), fiber):
+        lead = "" if single else f"{len(paths)}, "
+        raise MetricError(f"fiber vectors must have shape ({lead}{fiber},) or "
+                          f"({lead}{fiber}, k), not {np.shape(v0)}")
+    cols = 1 if v.ndim == 2 else v.shape[2]
+    V = _integrate(oracle, [p.segments for p in paths], v.reshape(len(paths), fiber, cols), tol)
+    V = V.reshape(v.shape)
+    return V[0] if single else V
 
 
 def transport_matrix(oracle, path: PathSpec, tol: float = 1e-10) -> np.ndarray:

@@ -6,6 +6,8 @@ finite-difference ambient curvature makes one batched omega call.  Each is
 checked for exact equality with its single-point form.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,10 +158,24 @@ def test_batch_with_one_bad_row_raises_like_the_row(spec, good, bad, error):
                                                           np.ones((len(np.atleast_2d(x)), 3)))]
     for call in calls:
         call(good)
-        with pytest.raises(error):
+        with pytest.raises(error) as alone:
             call(bad)
-        with pytest.raises(error):
-            call(np.array([good, bad, good]))
+        # the first bad row's own message, whatever follows it
+        with pytest.raises(error) as batched:
+            call(np.array([good, bad, good, 2 * bad]))
+        assert str(batched.value) == str(alone.value)
+
+
+def test_batch_checks_the_chart_before_the_determinant():
+    spec = dataclasses.replace(_SINGULAR_AT_ORIGIN, chart_domain=((-1.0, 1.0),) * 3)
+    singular, outside = np.array([0.0, 0.1, 0.1]), np.array([0.5, 1.5, 0.0])
+    with pytest.raises(ChartDomainError) as alone:
+        metric_jet(spec, outside)
+    with pytest.raises(ChartDomainError) as batched:
+        metric_jet(spec, np.array([singular, outside]))
+    assert str(batched.value) == str(alone.value)
+    with pytest.raises(SingularMetricError):
+        metric_jet(spec, singular)
 
 
 def test_batch_with_one_singular_bundle_map_raises_like_the_row():

@@ -168,3 +168,27 @@ def test_halving_keeps_the_unshrunk_loop_transport():
     assert np.array_equal(alg.loop_transports[0], G)
     shrunk = alg.generators[0]  # the log of a shrunk loop's transport
     assert np.max(np.abs(shrunk)) < 0.5
+
+
+def test_lockstep_loop_transports_equal_per_loop_transports_exactly():
+    oracle = tp.TractorOracle(preset("bumpy", eps=0.1))
+    loops = _loops(BASE, count=3)
+    alg = hol.holonomy_algebra(oracle, BASE, loops, 1e-10)
+    for loop, G in zip(loops, alg.loop_transports):
+        if len(loop.segments) > 1:
+            assert np.array_equal(G, tp.transport_matrix(oracle, loop, 1e-10))
+        else:  # chained over its two halves
+            first, second = hol._pieces(loop)
+            T = tp.transport_matrix(oracle, first, 1e-10)
+            assert np.array_equal(G, tp.parallel_transport(oracle, second, T, 1e-10))
+
+
+def test_pieces_compile_nothing(monkeypatch):
+    loops = _loops(BASE)
+
+    def refuse(exprs):
+        raise AssertionError("_pieces compiled an expression table")
+
+    monkeypatch.setattr(ex, "compile_exprs", refuse)
+    for loop in loops:
+        assert tp.PathSpec(tuple(s for p in hol._pieces(loop) for s in p.segments)).is_loop()

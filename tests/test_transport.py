@@ -187,6 +187,16 @@ def test_parallel_transport_rejects_misshapen_v0():
         with pytest.raises(MetricError):
             tp.parallel_transport(oracle, loop, v0)
     assert tp.parallel_transport(oracle, loop, np.eye(5)[:, :2]).shape == (5, 2)
+    # a list of L paths takes an (L, fiber) or (L, fiber, k) stack only
+    loops = [loop, tp.rectangle_loop(BASE, 1, 2, 0.3)]
+    for v0 in (np.zeros(5), np.eye(5), np.zeros((3, 5)), np.zeros((2, 4)),
+               np.zeros((2, 5, 5, 1))):
+        with pytest.raises(MetricError):
+            tp.parallel_transport(oracle, loops, v0)
+    assert tp.parallel_transport(oracle, loops, np.ones((2, 5))).shape == (2, 5)
+    assert tp.parallel_transport(oracle, loops, np.ones((2, 5, 1))).shape == (2, 5, 1)
+    # the stack is read the same way whatever the number of paths
+    assert tp.parallel_transport(oracle, loops * 2 + [loop], np.ones((5, 5))).shape == (5, 5)
 
 
 def _reference_segment(oracle, seg, v, tol):
@@ -277,3 +287,90 @@ def test_transport_equals_reference_integrator_exactly(case):
     assert set(counted.nodes) == set(reference.nodes)
     # one batched call per attempt, for its five new nodes
     assert counted.batches == [5] * attempts
+
+
+def _lockstep_cases():
+    """(oracle, paths, tol): lanes of unequal segment counts per oracle."""
+    spec = preset("bumpy", eps=0.1)
+    t = ex.var(0)
+    s_expr = ex.mul(ex.const(0.1), ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), t)), 2))
+    chart = [tp.rectangle_loop(BASE, 0, 2, 0.25),
+             tp.trig_loop(BASE, 0.25, np.random.default_rng(6)),
+             tp.path_from_waypoints([BASE, BASE + [0.2, 0.0, 0.1], BASE + [0.1, 0.2, 0.0]]),
+             tp.PathSpec((tp.trig_loop(BASE, 0.2, np.random.default_rng(7)).segments[0]
+                          .sub(0.5, 1.0),))]
+    lifted = [tp.lift_loop(p) for p in chart]
+    return {
+        "tractor": (tp.TractorOracle(spec), chart, 1e-10),
+        "on-slice": (tp.AmbientOracle(spec), lifted, 1e-10),
+        "off-slice": (tp.AmbientOracle(spec), [tp.lift_loop(p, s_expr) for p in chart], 1e-8),
+        "crude": (tp.CrudeOracle(spec), lifted, 1e-10),
+        "mixed-slice": (tp.AmbientOracle(spec), [lifted[0], tp.lift_loop(chart[1], s_expr),
+                                                 lifted[2]], 1e-9),
+    }
+
+
+@pytest.mark.parametrize("case", ["tractor", "on-slice", "off-slice", "crude", "mixed-slice"])
+def test_list_transport_equals_per_path_calls_exactly(case):
+    oracle, paths, tol = _lockstep_cases()[case]
+    fiber = oracle.fiber_dim
+    eye = np.eye(fiber)
+    got = tp.parallel_transport(oracle, paths, np.broadcast_to(eye, (len(paths), fiber, fiber)),
+                                tol)
+    assert got.shape == (len(paths), fiber, fiber)
+    for path, G in zip(paths, got):
+        assert np.array_equal(G, tp.transport_matrix(oracle, path, tol))
+    # one vector per path, as an (L, fiber) stack
+    vs = np.random.default_rng(3).standard_normal((len(paths), fiber))
+    got = tp.parallel_transport(oracle, paths, vs, tol)
+    for path, v, w in zip(paths, vs, got):
+        assert np.array_equal(w, tp.parallel_transport(oracle, path, v, tol))
+
+
+@pytest.mark.parametrize("case", ["tractor", "off-slice"])
+def test_lockstep_round_batches_every_running_lane(case):
+    oracle, paths, tol = _lockstep_cases()[case]
+    eye = np.eye(oracle.fiber_dim)
+    alone = []
+    for path in paths:
+        counted = _CountingOracle(oracle)
+        tp.parallel_transport(counted, path, eye, tol)
+        alone.append(counted)
+    together = _CountingOracle(oracle)
+    tp.parallel_transport(together, paths, np.broadcast_to(eye, (len(paths),) + eye.shape), tol)
+    # a lane runs for as many rounds as its path alone makes step attempts,
+    # and each round makes one omega_nodes call for five nodes per running lane
+    attempts = [len(c.batches) for c in alone]
+    assert together.batches == [5 * sum(a > r for a in attempts)
+                                for r in range(max(attempts))]
+    assert len(together.nodes) == 5 * sum(attempts) + sum(len(p.segments) for p in paths)
+    assert set(together.nodes) == set().union(*(set(c.nodes) for c in alone))
+
+
+def test_sub_segment_shares_compiled_code():
+    seg = tp.trig_loop(BASE, 0.2, np.random.default_rng(4)).segments[0]
+    assert seg.span == (0.0, 1.0)
+    piece = seg.sub(0.25, 0.75)
+    assert piece._point is seg._point and piece._tangent is seg._tangent
+    assert piece.span == (0.25, 0.75)
+    assert piece != seg and piece == seg.sub(0.25, 0.75)
+    assert piece.sub(0.5, 1.0) == seg.sub(0.5, 0.75)
+    for u in (0.0, 0.3, 1.0):
+        assert np.array_equal(piece.point(u), seg.point(0.25 + 0.5 * u))
+        assert np.array_equal(piece.tangent(u), 0.5 * seg.tangent(0.25 + 0.5 * u))
+        assert piece.reversed().point(u) == pytest.approx(piece.point(1.0 - u), abs=1e-15)
+        assert (tp.scale_path(tp.PathSpec((piece,)), BASE, 0.5).segments[0].point(u)
+                == pytest.approx(BASE + 0.5 * (piece.point(u) - BASE), abs=1e-15))
+
+
+def test_lift_loop_profiles_follow_each_piece_parameter():
+    seg = tp.trig_loop(BASE, 0.2, np.random.default_rng(4)).segments[0]
+    t = ex.var(0)
+    s_expr = ex.mul(ex.const(0.3), t)
+    lifted = tp.lift_loop(tp.PathSpec((seg.sub(0.5, 1.0), seg.sub(0.0, 0.5))), s_expr=s_expr)
+    for u in (0.0, 0.4, 1.0):
+        first, second = (s.point(u) for s in lifted.segments)
+        assert first[0] == pytest.approx(0.15 * u)
+        assert second[0] == pytest.approx(0.15 * (1.0 + u))
+        assert np.array_equal(first[1:-1], seg.point(0.5 + 0.5 * u))
+        assert np.array_equal(second[1:-1], seg.point(0.5 * u))
