@@ -22,6 +22,12 @@ The crude connection of the alternative construction keeps q explicit:
     nabla_X Q = X/q,  nabla_X S = P(X)/q,  nabla_Q X = X/q,  nabla_S X = 0.
 It is regular for all q > 0 and coincides with the lifted connection on
 the slice q = 1, s = 0.
+
+The curvature R[a, b] of either connection differentiates its connection
+matrices by a finite-difference stencil (`curvature_from_omega`) and
+assembles them by the formula the tractor curvature also uses,
+`curvature.connection_curvature`.  The Ricci tensor is its trace,
+Ric(u, v) = tr(w -> R(w, u) v).
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curvature import CurvatureStack, compute_stack, connection_at, stack_at
+from .curvature import (CurvatureStack, compute_stack, connection_at, connection_curvature,
+                        stack_at)
 from .metric import MetricError, MetricJet, MetricSpec, metric_jet
 
 __all__ = [
@@ -38,11 +45,12 @@ __all__ = [
     "AmbientGeometry",
     "ambient_point",
     "split_point",
-    "orthonormal_frame",
     "curvature_from_omega",
 ]
 
 _FD_STEP = 2e-3
+_DET_TOL = 1e-10  # |det m| at or below this counts as a singular bundle map
+_SCALES = (0.5, 2.0)  # the dilations t of phi_t that `homogeneity_checks` tests
 
 
 class SingularMapError(MetricError):
@@ -77,31 +85,6 @@ def split_point(p):
     return float(p[0]), p[1:-1], float(p[-1])
 
 
-def orthonormal_frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g-orthonormal frame columns E and signs eps with E^T g E = diag(eps).
-
-    Gram-Schmidt over eigenvector seeds, timelike directions first, each
-    vector normalized to |g(E,E)| = 1.
-    """
-    n = g.shape[0]
-    evals, evecs = np.linalg.eigh(g)
-    order = np.argsort(evals)  # negative (timelike) directions first
-    seeds = evecs[:, order]
-    frame = []
-    signs = []
-    for k in range(n):
-        v = seeds[:, k].copy()
-        for u, eps in zip(frame, signs):
-            v = v - eps * float(u @ g @ v) * u
-        norm2 = float(v @ g @ v)
-        if abs(norm2) < 1e-12:
-            raise MetricError("degenerate metric: cannot build an orthonormal frame")
-        v = v / np.sqrt(abs(norm2))
-        frame.append(v)
-        signs.append(1.0 if norm2 > 0 else -1.0)
-    return np.column_stack(frame), np.array(signs)
-
-
 def _stencil(point: np.ndarray, dim: int, h: float) -> np.ndarray:
     """point, then point + k h e_a for a in range(dim) and k in (-2, -1, 1, 2)."""
     points = np.repeat(point[None], 1 + 4 * dim, axis=0)
@@ -115,10 +98,10 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
     """R[a,b] = d_a Omega_b - d_b Omega_a + [Omega_a, Omega_b] for all pairs.
 
     Coordinate partials of the connection matrices use 4th-order central
-    differences with step `h`.  `omega_fn(point, directions)` must accept
-    any point near `point` and a (dim, dim) stack of directions, and return
-    their (dim, fiber, fiber) stack of connection matrices: one call per
-    stencil point.
+    differences with step `h`, and `connection_curvature` assembles R from
+    them.  `omega_fn(point, directions)` must accept any point near `point`
+    and a (dim, dim) stack of directions, and return their (dim, fiber,
+    fiber) stack of connection matrices: one call per stencil point.
     """
     basis = np.eye(dim)
     omegas = np.stack([omega_fn(pt, basis)
@@ -127,9 +110,7 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
     shifts = omegas[1:].reshape(dim, 4, dim, fiber, fiber)  # [a, k, c] at k*h*e_a
     # [a, c] = d_a Omega_c
     dOmega = (-shifts[:, 3] + 8 * shifts[:, 2] - 8 * shifts[:, 1] + shifts[:, 0]) / (12 * h)
-    products = omegas[0][:, None] @ omegas[0][None, :]  # [a, b] = Omega_a Omega_b
-    return (dOmega - dOmega.transpose(1, 0, 2, 3)
-            + products - products.transpose(1, 0, 2, 3))
+    return connection_curvature(omegas[0], dOmega)
 
 
 def _take_rows(data, rows):
@@ -150,7 +131,6 @@ class AmbientGeometry:
     """Point-wise evaluators for the ambient construction over one metric."""
 
     spec: MetricSpec
-    det_tol: float = 1e-10
 
     @property
     def n(self) -> int:
@@ -179,7 +159,7 @@ class AmbientGeometry:
         n = self.n
         Psharp = np.reshape(stack.Psharp, (len(points), n, n))
         m = points[:, 0, None, None] * Psharp + points[:, -1, None, None] * np.eye(n)
-        singular = np.abs(np.linalg.det(m)) <= self.det_tol
+        singular = np.abs(np.linalg.det(m)) <= _DET_TOL
         if singular.any():
             row = int(np.argmax(singular))
             s, q = points[row, 0], points[row, -1]
@@ -331,7 +311,7 @@ class AmbientGeometry:
 
     # -- curvature and Ricci ------------------------------------------------------
 
-    def curvature_all_pairs(self, p, crude: bool = False, step: float = _FD_STEP) -> np.ndarray:
+    def curvature_all_pairs(self, p, crude: bool = False) -> np.ndarray:
         """Finite-difference curvature R[a, b] at p, by `curvature_from_omega`.
 
         The stencil's connection matrices come from one batched omega call
@@ -339,54 +319,18 @@ class AmbientGeometry:
         looks each stencil point's matrices up.
         """
         fn = self.omega_crude if crude else self.omega
-        points = _stencil(np.asarray(p, dtype=float), self.dim, step)
+        points = _stencil(np.asarray(p, dtype=float), self.dim, _FD_STEP)
         xs, rows = np.unique(points[:, 1:-1], axis=0, return_inverse=True)
         stack = _take_rows(compute_stack(metric_jet(self.spec, xs)), rows.ravel())
         basis = np.broadcast_to(np.eye(self.dim), (len(points), self.dim, self.dim))
         by_point = {pt.tobytes(): om for pt, om in zip(points, fn(points, basis, stack))}
-        return curvature_from_omega(lambda pt, _: by_point[pt.tobytes()], p, self.dim, step)
-
-    def curvature(self, p, u, w, pairs: np.ndarray | None = None) -> np.ndarray:
-        if pairs is None:
-            pairs = self.curvature_all_pairs(p)
-        u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return np.einsum("a,b,abcd->cd", u, w, pairs)
+        return curvature_from_omega(lambda pt, _: by_point[pt.tobytes()], p, self.dim)
 
     def ricci(self, p, pairs: np.ndarray | None = None) -> np.ndarray:
-        """Ricci matrix Ric(u, v) over the coordinate basis, via a lifted frame.
-
-        Contraction over the h-dual frame (S, E~_1..E~_n, Q):
-        Ric(u,v) = h(R(S,u)v, Q) + h(R(Q,u)v, S) + sum_i eps_i h(R(E~_i,u)v, E~_i).
-        """
-        s, x, q = split_point(p)
-        stack = self.stack(x)
+        """Ricci matrix over the coordinate basis: Ric(u, v) = tr(w -> R(w, u) v)."""
         if pairs is None:
             pairs = self.curvature_all_pairs(p)
-        h = self.metric(p, stack)
-        E, eps = orthonormal_frame(stack.g)
-        frame = [self.fundamental_field(ambient_point(1.0, x, 0.0))]  # S
-        duals = [self.fundamental_field(ambient_point(0.0, x, 1.0))]  # Q, h(S,Q)=1
-        weights = [1.0]
-        for i in range(self.n):
-            lifted = self.lift(p, E[:, i], stack)
-            frame.append(lifted)
-            duals.append(lifted)
-            weights.append(eps[i])
-        frame.append(duals[0])
-        duals.append(frame[0])
-        weights.append(1.0)
-        ric = np.zeros((self.dim, self.dim))
-        basis = np.eye(self.dim)
-        for a in range(self.dim):
-            Rua = np.einsum("b,abcd->acd", basis[a], pairs)  # R(e_c-family, e_a)
-            for bcol in range(self.dim):
-                total = 0.0
-                for Ea, Da, wgt in zip(frame, duals, weights):
-                    REa = np.einsum("a,acd,d->c", Ea, Rua, basis[bcol])
-                    total += wgt * float(REa @ h @ Da)
-                ric[a, bcol] = total
-        return ric
+        return np.einsum("cacb->ab", pairs)
 
     # -- structural checks ---------------------------------------------------------
 
@@ -397,7 +341,7 @@ class AmbientGeometry:
             return np.inf
         return 0.5 * q / top
 
-    def homogeneity_checks(self, p, scales=(0.5, 2.0), rng=None) -> dict:
+    def homogeneity_checks(self, p, rng=None) -> dict:
         """Degree bookkeeping under phi_t(s, x, q) = (ts, x, tq)."""
         s, x, q = split_point(p)
         stack = self.stack(x)
@@ -406,7 +350,7 @@ class AmbientGeometry:
         results = {}
         h0 = self.metric(p, stack)
         vecs = rng.standard_normal((4, self.dim))
-        for t in scales:
+        for t in _SCALES:
             pt = self.scale_point(p, t)
             ht = self.metric(pt, stack)
             # metric degree 2: h_t(dphi u, dphi v) = t^2 h(u, v)
@@ -433,20 +377,15 @@ class AmbientGeometry:
         for u in vecs:
             res_f = max(res_f, float(np.max(np.abs(self.torsion(p, F, u, stack)))))
         results["torsion_F_contraction"] = res_f
-        # dphi = 0 by 4th-order finite differences of the components of phi
-        step = _FD_STEP
+        # phi = h(F, .) equals q ds + s dq = d(sq) at p and its dilations, so dphi = 0
         res_dphi = 0.0
-        dphi = np.zeros((self.dim, self.dim))
-        for a in range(self.dim):
-            for k, wgt in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-                pk = np.asarray(p, dtype=float).copy()
-                pk[a] += k * step
-                dphi[a] += wgt * self.phi(pk) / (12 * step)
-        res_dphi = float(np.max(np.abs(dphi - dphi.T)))
+        for pt in [p] + [self.scale_point(p, t) for t in _SCALES]:
+            d_sq = self.fundamental_field(pt)[::-1]  # (q, 0, ..., 0, s)
+            res_dphi = max(res_dphi, float(np.max(np.abs(self.phi(pt, stack) - d_sq))))
         results["dphi"] = res_dphi
         # lifted fields have homogeneity -1: lift at phi_t(p) = (1/t) * lift at p
         res_lift = 0.0
-        for t in scales:
+        for t in _SCALES:
             pt = self.scale_point(p, t)
             for X in np.eye(self.n):
                 lhs = self.lift(pt, X, stack)

@@ -30,6 +30,7 @@ __all__ = [
     "connection_at",
     "kulkarni_nomizu",
     "christoffel",
+    "connection_curvature",
     "weyl_endomorphism",
 ]
 
@@ -218,6 +219,16 @@ def connection_at(spec: MetricSpec, x) -> ConnectionPoint:
     c = _connection_fields(jet)
     return ConnectionPoint(jet=jet, Gamma=c["Gamma"], Ric=c["Ric"], Scal=c["Scal"],
                            P=c["P"], Psharp=c["Psharp"])
+
+
+def connection_curvature(omegas: np.ndarray, dOmega: np.ndarray) -> np.ndarray:
+    """R[a, b] = d_a Omega_b - d_b Omega_a + [Omega_a, Omega_b] for all pairs.
+
+    omegas[a] is the connection matrix of coordinate direction a and
+    dOmega[a, b] = d_a Omega_b; the result is antisymmetric in (a, b).
+    """
+    products = omegas[:, None] @ omegas[None, :]  # [a, b] = Omega_a Omega_b
+    return dOmega - np.swapaxes(dOmega, 0, 1) + products - np.swapaxes(products, 0, 1)
 
 
 def weyl_endomorphism(stack: CurvatureStack, X, Y) -> np.ndarray:

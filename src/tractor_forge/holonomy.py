@@ -34,17 +34,21 @@ __all__ = [
 ]
 
 _ABS_FLOOR = 1e-8
+_LOG_TOL = 1e-15      # the log series stops at a term below this
+_LOG_MAX_TERMS = 80
+_MAX_HALVINGS = 5     # shrinkings of a loop whose transport has no log series
 
 
 class LogConvergenceError(RuntimeError):
     """Loop transport too far from identity for the log series."""
 
 
-def matrix_log(G: np.ndarray, tol: float = 1e-15, max_terms: int = 80) -> np.ndarray:
+def matrix_log(G: np.ndarray) -> np.ndarray:
     """log(G) by the series in X = G - I.
 
     Raises LogConvergenceError when max|X| >= 0.5, or when the series has
-    not converged after `max_terms` terms (max|X| does not bound the norm).
+    not converged after `_LOG_MAX_TERMS` terms (max|X| does not bound the
+    norm).
     """
     X = G - np.eye(G.shape[0])
     norm = float(np.max(np.abs(X)))
@@ -52,13 +56,13 @@ def matrix_log(G: np.ndarray, tol: float = 1e-15, max_terms: int = 80) -> np.nda
         raise LogConvergenceError(f"||G - I|| = {norm:.3f} >= 0.5")
     term = X.copy()
     out = X.copy()
-    for k in range(2, max_terms):
+    for k in range(2, _LOG_MAX_TERMS):
         term = term @ X
         contrib = ((-1) ** (k + 1)) * term / k
         out += contrib
-        if float(np.max(np.abs(contrib))) < tol:
+        if float(np.max(np.abs(contrib))) < _LOG_TOL:
             return out
-    raise LogConvergenceError(f"log series not converged after {max_terms} terms "
+    raise LogConvergenceError(f"log series not converged after {_LOG_MAX_TERMS} terms "
                               f"(max|G - I| = {norm:.3f})")
 
 
@@ -121,15 +125,14 @@ def _pieces(path: tp.PathSpec) -> list:
 
 
 def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
-                     rank_tol: float = 1e-6, max_halvings: int = 5,
-                     use_curvature: bool = True) -> HolonomyAlgebra:
+                     rank_tol: float = 1e-6) -> HolonomyAlgebra:
     """Estimate the holonomy algebra of `oracle` from loops based at `base`.
 
     All loops are transported in lockstep, one `parallel_transport` call per
     piece index: the k-th pieces of every loop, from their (k-1)-th prefix
     transports.  Transports that land too far from the identity are retried
     on the loop shrunk toward the base point (factor 1/2, up to
-    `max_halvings` times).
+    `_MAX_HALVINGS` times).
     """
     base = np.asarray(base, dtype=float)
     for loop in loops:
@@ -137,8 +140,7 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
             raise MetricError("loop is not based at the requested base point")
         if not loop.is_loop():
             raise MetricError("open path passed to holonomy estimation")
-    use_curvature = use_curvature and hasattr(oracle, "curvature_pairs")
-    base_pairs = oracle.curvature_pairs(base) if use_curvature else None
+    base_pairs = oracle.curvature_pairs(base)
     pieces = [_pieces(loop) for loop in loops]
     prefixes = [[np.eye(oracle.fiber_dim)] for _ in loops]  # at base, then each piece end
     for k in range(max((len(p) for p in pieces), default=0)):
@@ -154,23 +156,22 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
         conj = list(zip([base] + [piece.end for piece in loop_pieces], Ts))
         loop_transports.append(G)
         current = loop
-        for attempt in range(max_halvings + 1):
+        for attempt in range(_MAX_HALVINGS + 1):
             try:
                 generators.append(matrix_log(G))
                 break
             except LogConvergenceError:
-                if attempt == max_halvings:
+                if attempt == _MAX_HALVINGS:
                     raise
                 current = tp.scale_path(current, base, 0.5)
                 G = tp.transport_matrix(oracle, current, tol)
-        if use_curvature:
-            for k, (point, T) in enumerate(conj):
-                Tinv = np.linalg.inv(T)
-                pairs = base_pairs if k == 0 else oracle.curvature_pairs(point)
-                d = pairs.shape[0]
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        generators.append(Tinv @ pairs[i, j] @ T)
+        for k, (point, T) in enumerate(conj):
+            Tinv = np.linalg.inv(T)
+            pairs = base_pairs if k == 0 else oracle.curvature_pairs(point)
+            d = pairs.shape[0]
+            for i in range(d):
+                for j in range(i + 1, d):
+                    generators.append(Tinv @ pairs[i, j] @ T)
 
     basis, svals = closed_span(generators, rank_tol)
     return HolonomyAlgebra(

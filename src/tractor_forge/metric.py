@@ -177,9 +177,10 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
 
     x is one point, shape (n,), or a (k, n) stack of points; the jet of a
     stack has a leading batch axis whose rows equal the single-point jets.
-    Every row is checked against the chart domain, then for a singular
-    metric; the error names the first row outside the chart, else the first
-    singular row, as that row's own call would.
+    Every row is checked against the chart domain, where a non-finite
+    coordinate counts as outside even without a declared domain, then for a
+    singular metric; the error names the first row outside the chart, else
+    the first singular row, as that row's own call would.
     """
     if order not in (2, 3):
         raise MetricError("jet order must be 2 or 3")
@@ -191,14 +192,16 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
     # One point is checked on Python floats, a stack on arrays: numpy's fixed
     # cost per call outweighs a one-point check, the loop's cost per row a stack's.
     one = len(points) == 1
-    if spec.chart_domain is not None:
-        if one:
-            inside = [spec.contains(points[0])]
-        else:
+    if one:
+        inside = [all(map(math.isfinite, points[0])) and spec.contains(points[0])]
+    else:
+        inside = np.isfinite(rows).all(axis=1)
+        if spec.chart_domain is not None:
             lo, hi = np.array(spec.chart_domain).T
-            inside = ((lo <= rows) & (rows <= hi)).all(axis=1).tolist()  # NaN is outside
-        if not all(inside):
-            raise ChartDomainError(f"point {points[inside.index(False)]} outside chart domain")
+            inside &= ((lo <= rows) & (rows <= hi)).all(axis=1)
+        inside = inside.tolist()
+    if not all(inside):
+        raise ChartDomainError(f"point {points[inside.index(False)]} outside chart domain")
     evaluator = spec._jet_tables.get(order)
     if evaluator is None:
         evaluator = spec._jet_tables[order] = _JetEvaluator(spec, order)

@@ -15,13 +15,18 @@ identification S <-> (1,0,0), Q <-> (0,0,1).
 
 Along a curve, covariant differentiation acts as D_t v = vdot + Omega v,
 so parallel transport solves vdot = -Omega(t) v.
+
+The curvature R(e_i, e_j) = d_i Omega_j - d_j Omega_i + [Omega_i, Omega_j]
+takes exact partials of the connection matrices from the order-3 stack;
+the formula itself is `curvature.connection_curvature`, shared with the
+ambient curvature.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curvature import CurvatureStack
+from .curvature import CurvatureStack, connection_curvature
 
 __all__ = [
     "tractor_metric",
@@ -60,32 +65,25 @@ def connection_matrix(stack: CurvatureStack, X) -> np.ndarray:
 
 
 def _connection_matrix_partials(stack: CurvatureStack) -> np.ndarray:
-    """dOmega[p, :, :, j] = d_p of the Omega matrix for direction e_j."""
+    """dOmega[p, j] = d_p of the Omega matrix for direction e_j."""
     n = stack.n
-    dOmega = np.zeros((n, n + 2, n + 2, n))
-    dOmega[:, 0, 1:n + 1, :] = -np.einsum("pjk->pkj", stack.jet.dg)
-    dOmega[:, n + 1, 1:n + 1, :] = -np.einsum("pjk->pkj", stack.dP)
-    dOmega[:, 1:n + 1, 0, :] = np.einsum("pmj->pmj", stack.dPsharp)
-    dOmega[:, 1:n + 1, 1:n + 1, :] = np.einsum("pkjm->pkmj", stack.dGamma)
+    dOmega = np.zeros((n, n, n + 2, n + 2))
+    dOmega[:, :, 0, 1:n + 1] = -stack.jet.dg
+    dOmega[:, :, n + 1, 1:n + 1] = -stack.dP
+    dOmega[:, :, 1:n + 1, 0] = np.swapaxes(stack.dPsharp, 1, 2)
+    dOmega[:, :, 1:n + 1, 1:n + 1] = np.einsum("pkjm->pjkm", stack.dGamma)
     return dOmega
 
 
 def curvature_all_pairs(stack: CurvatureStack) -> np.ndarray:
     """R[i,j] = R(e_i, e_j) for all coordinate pairs; antisymmetric in (i,j).
 
-    The commutator of covariant derivatives in coordinate directions,
-    R(e_i,e_j) = d_i Omega_j - d_j Omega_i + [Omega_i, Omega_j].  Its
-    A-block is the Weyl endomorphism and its beta-row -CY(e_i,e_j,.).
+    The commutator of covariant derivatives in coordinate directions, by
+    `connection_curvature` with exact partials of the connection matrices.
+    Its A-block is the Weyl endomorphism and its beta-row -CY(e_i,e_j,.).
     """
-    n = stack.n
-    omegas = np.stack([connection_matrix(stack, np.eye(n)[j]) for j in range(n)])
-    dOmega = _connection_matrix_partials(stack)  # [p,a,b,j]
-    R = np.zeros((n, n, n + 2, n + 2))
-    for i in range(n):
-        for j in range(n):
-            R[i, j] = (dOmega[i, :, :, j] - dOmega[j, :, :, i]
-                       + omegas[i] @ omegas[j] - omegas[j] @ omegas[i])
-    return R
+    omegas = connection_matrix(stack, np.eye(stack.n))
+    return connection_curvature(omegas, _connection_matrix_partials(stack))
 
 
 def normality_check(stack: CurvatureStack, tol: float = 1e-8) -> dict:

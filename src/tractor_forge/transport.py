@@ -14,9 +14,9 @@ A connection oracle is any object with:
     omega(point, tangent) -> (fiber_dim x fiber_dim) matrix, the k = 1
                    case of omega_nodes,
     fiber_metric(point) -> matrix H (for metric-preservation checks),
-and optionally curvature_pairs(point) -> [point_dim, point_dim, ...]
-curvature matrices for holonomy generator harvesting.  Each row of
-`omega_nodes` equals the `omega` call at that node exactly.
+    curvature_pairs(point) -> [point_dim, point_dim, ...] curvature
+                   matrices for holonomy generator harvesting.
+Each row of `omega_nodes` equals the `omega` call at that node exactly.
 
 Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with an adaptive
 embedded Dormand-Prince 5(4) step.  Omega depends only on t, so each
@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _T = ex.var(0)
+_HARMONICS = 2  # harmonics per coordinate of a `trig_loop`, each a sine and a cosine
 
 
 class TransportError(RuntimeError):
@@ -181,15 +182,14 @@ def rectangle_loop(base, i: int, j: int, radius: float) -> PathSpec:
     return path_from_waypoints(corners)
 
 
-def trig_loop(base, radius: float, rng: np.random.Generator,
-              harmonics: int = 2) -> PathSpec:
+def trig_loop(base, radius: float, rng: np.random.Generator) -> PathSpec:
     """Smooth random loop: trigonometric coordinates with amplitude <= radius."""
     if radius <= 0:
         raise MetricError("loop radius must be positive")
     base = np.asarray(base, dtype=float)
     two_pi = 2.0 * np.pi
     coords = []
-    amps = rng.uniform(-1.0, 1.0, size=(len(base), harmonics, 2))
+    amps = rng.uniform(-1.0, 1.0, size=(len(base), _HARMONICS, 2))
     for b, rows in zip(base, amps):
         # (cos - 1) ranges over [-2, 0], so it counts twice toward the bound
         reach = float(np.sum(np.abs(rows[:, 0])) + 2.0 * np.sum(np.abs(rows[:, 1])))

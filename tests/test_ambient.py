@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tractor_forge.ambient import (AmbientGeometry, SingularMapError,
-                                   ambient_point, curvature_from_omega,
-                                   orthonormal_frame, split_point)
+                                   ambient_point, curvature_from_omega, split_point)
 from tractor_forge.curvature import stack_at
 from tractor_forge.metric import preset
 
@@ -30,15 +29,6 @@ def test_point_packing():
     s, x, q = split_point(p)
     assert s == 0.3 and q == 1.2
     assert x == pytest.approx(BASE3)
-
-
-def test_orthonormal_frame_lorentzian():
-    g = stack_at(preset("ppwave"), np.array([0.2, 0.1, 0.4, -0.3])).g
-    E, eps = orthonormal_frame(g)
-    gram = E.T @ g @ E
-    assert gram == pytest.approx(np.diag(eps), abs=1e-12)
-    assert list(eps).count(-1.0) == 1
-    assert eps[0] == -1.0  # timelike first
 
 
 def test_f_map_on_slice_is_identity(sphere_geom):
@@ -173,6 +163,54 @@ def test_curvature_ricci_vanishes_on_ricci_flat_slice():
     F = geom.fundamental_field(p)
     res = np.einsum("abcd,d->abc", pairs[1:-1, 1:-1], F)
     assert np.max(np.abs(res)) < 1e-7
+
+
+def _orthonormal_frame(g):
+    """g-orthonormal frame columns E and signs eps with E^T g E = diag(eps):
+    Gram-Schmidt over eigenvector seeds, timelike directions first."""
+    evals, evecs = np.linalg.eigh(g)
+    frame, signs = [], []
+    for v in evecs[:, np.argsort(evals)].T:
+        for u, eps in zip(frame, signs):
+            v = v - eps * float(u @ g @ v) * u
+        norm2 = float(v @ g @ v)
+        frame.append(v / np.sqrt(abs(norm2)))
+        signs.append(1.0 if norm2 > 0 else -1.0)
+    return np.column_stack(frame), np.array(signs)
+
+
+def _frame_ricci(geom, p, pairs):
+    """Ric(u, v) contracted over the h-dual frame (S, E~_1..E~_n, Q):
+    h(R(S,u)v, Q) + h(R(Q,u)v, S) + sum_i eps_i h(R(E~_i,u)v, E~_i)."""
+    _, x, _ = split_point(p)
+    st = stack_at(geom.spec, x)
+    h = geom.metric(p, st)
+    E, eps = _orthonormal_frame(st.g)
+    assert E.T @ st.g @ E == pytest.approx(np.diag(eps), abs=1e-12)
+    S, Q = np.eye(geom.dim)[0], np.eye(geom.dim)[-1]
+    lifted = [geom.lift(p, E[:, i], st) for i in range(geom.n)]
+    frame = [S] + lifted + [Q]
+    duals = [Q] + lifted + [S]
+    weights = [1.0] + list(eps) + [1.0]
+    ric = np.zeros((geom.dim, geom.dim))
+    for a in range(geom.dim):
+        for b in range(geom.dim):
+            for Ea, Da, wgt in zip(frame, duals, weights):
+                REa = np.einsum("c,cde,e->d", Ea, pairs[:, a], np.eye(geom.dim)[b])
+                ric[a, b] += wgt * float(REa @ h @ Da)
+    return ric
+
+
+@pytest.mark.parametrize("name", ["bumpy", "ppwave"])
+@pytest.mark.parametrize("s", [0.0, 0.15])
+def test_ricci_trace_equals_frame_contraction(name, s):
+    geom = AmbientGeometry(preset(name))
+    x = geom.spec.sample_points(np.random.default_rng(3), 1)[0] * 0.5
+    p = ambient_point(s, x, 1.0)
+    pairs = geom.curvature_all_pairs(p)
+    ric = geom.ricci(p, pairs)
+    assert np.max(np.abs(ric - _frame_ricci(geom, p, pairs))) <= 1e-12
+    assert np.array_equal(geom.ricci(p), ric)
 
 
 def test_default_s_bound(sphere_geom):

@@ -149,6 +149,7 @@ _SINGULAR_AT_ORIGIN = parse_config("dim = 3\ng[1][1] = x1\ng[2][2] = 1\ng[3][3] 
 @pytest.mark.parametrize("spec, good, bad, error", [
     (SPECS["sphere"], [0.1, 0.2, -0.3], [1.5, 0.0, 0.0], ChartDomainError),
     (_SINGULAR_AT_ORIGIN, [0.5, 0.2, -0.3], [0.0, 0.1, 0.1], SingularMetricError),
+    (SPECS["bumpy"], [0.1, 0.2, -0.3], [np.nan, 0.1, 0.2], ChartDomainError),  # no domain
 ])
 def test_batch_with_one_bad_row_raises_like_the_row(spec, good, bad, error):
     good, bad = np.array(good), np.array(bad)

@@ -12,6 +12,7 @@ from tractor_forge import metric as metric_mod
 from tractor_forge.metric import (PRESET_NAMES, ChartDomainError, MetricError,
                                   MetricSpec, SingularMetricError, metric_jet,
                                   parse_config, preset, signature_at)
+from tractor_forge.transport import TractorOracle
 
 # exp, log and sqrt entries with an off-diagonal coupling; positive
 # definite on the default sampling box [-0.8, 0.8]^3
@@ -88,6 +89,18 @@ def test_chart_domain_enforced():
     spec = preset("sphere")
     with pytest.raises(ChartDomainError):
         metric_jet(spec, np.array([5.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("name", ["bumpy", "flat", "ppwave"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_outside_the_chart(name, value):
+    spec = preset(name)  # no declared chart domain
+    x = np.full(spec.n, 0.1)
+    x[0] = value
+    with pytest.raises(ChartDomainError):
+        metric_jet(spec, x)
+    with pytest.raises(ChartDomainError):
+        TractorOracle(spec).omega(x, np.ones(spec.n))
 
 
 def test_sample_points_deterministic_and_in_domain():

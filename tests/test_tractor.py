@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tractor_forge import transport as tp
-from tractor_forge.curvature import stack_at, weyl_endomorphism
-from tractor_forge.metric import preset
+from tractor_forge.ambient import curvature_from_omega
+from tractor_forge.curvature import connection_at, stack_at, weyl_endomorphism
+from tractor_forge.metric import PRESET_NAMES, preset
 from tractor_forge.tractor import (connection_matrix, curvature_all_pairs,
                                    normality_check, tractor_metric)
 
@@ -59,6 +60,16 @@ def test_curvature_antisymmetric_and_variantwise():
     st = stack_at(spec, np.array([0.1, 0.2, 0.3, -0.1]))
     R = curvature_all_pairs(st)
     assert R == pytest.approx(-R.transpose(1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_exact_curvature_equals_fd_curvature_of_the_connection_matrices(name):
+    # the exact partials and the FD stencil feed the same curvature formula
+    spec = preset(name)
+    x = spec.sample_points(np.random.default_rng(11), 1)[0] * 0.5
+    fd = curvature_from_omega(
+        lambda pt, dirs: connection_matrix(connection_at(spec, pt), dirs), x, spec.n)
+    assert np.max(np.abs(curvature_all_pairs(stack_at(spec, x)) - fd)) <= 1e-8
 
 
 def test_induced_curvature_blocks_ricci_flat_case():
