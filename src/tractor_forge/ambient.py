@@ -36,9 +36,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curvature import (CurvatureStack, compute_stack, connection_at, connection_curvature,
-                        stack_at)
-from .metric import MetricError, MetricJet, MetricSpec, metric_jet
+from .curvature import (CurvatureStack, _christoffel_matrices, compute_stack, connection_at,
+                        connection_curvature, stack_at)
+from .metric import ChartDomainError, MetricError, MetricJet, MetricSpec, metric_jet
 
 __all__ = [
     "SingularMapError",
@@ -151,11 +151,19 @@ class AmbientGeometry:
         p may be a (k, n+2) stack of points with a stack batched like it;
         f and m are then (k, n, n) stacks.  Only Psharp is read, so a
         `ConnectionPoint` serves as well as a full stack (and is the default).
+        A non-finite s or q lies outside the domain (`ChartDomainError`); that
+        check precedes the singularity check, and a stack raises the error of
+        its first bad row, as that row's own call would.
         """
         p = np.asarray(p, dtype=float)
         if stack is None:
             stack = connection_at(self.spec, p[..., 1:-1])
         points = p.reshape(-1, self.dim)
+        finite = np.isfinite(points[:, [0, -1]]).all(axis=1)
+        if not finite.all():
+            bad = points[np.argmin(finite)]
+            raise ChartDomainError(f"ambient point {bad.tolist()} outside the domain: "
+                                   "s and q must be finite")
         n = self.n
         Psharp = np.reshape(stack.Psharp, (len(points), n, n))
         m = points[:, 0, None, None] * Psharp + points[:, -1, None, None] * np.eye(n)
@@ -211,8 +219,9 @@ class AmbientGeometry:
     # -- connections -----------------------------------------------------------
 
     def _batch(self, p, u, stack):
-        """Points as (k, n+2), directions as (k, c, n+2), the stack, and its
-        g, P, Psharp and Gamma as (k, 1, ...) arrays that broadcast over c.
+        """Points as (k, n+2), directions as (k, c, n+2), the stack, its g, P
+        and Psharp as (k, 1, n, n) arrays that broadcast over c, and its Gamma
+        as a (k, n, n, n) array.
 
         A single point takes its stack from `stack_at` when none is given;
         a (k, n+2) stack of points from one batched `compute_stack`.
@@ -226,7 +235,7 @@ class AmbientGeometry:
         dirs = np.asarray(u, dtype=float).reshape(len(points), -1, self.dim)
         k, n = len(points), self.n
         fields = [np.reshape(arr, (k, 1, n, n)) for arr in (stack.g, stack.P, stack.Psharp)]
-        fields.append(np.reshape(stack.Gamma, (k, 1, n, n, n)))
+        fields.append(np.reshape(stack.Gamma, (k, n, n, n)))
         return points, dirs, stack, fields
 
     def omega(self, p, u, stack: CurvatureStack | None = None) -> np.ndarray:
@@ -249,13 +258,13 @@ class AmbientGeometry:
         Omega[..., -1, 1:-1] = -(U[..., None, :] @ (P @ m))[..., 0, :]
         Omega[..., 1:-1, 0] = (f @ (Psharp @ Ucol))[..., 0]
         Omega[..., 1:-1, -1] = (f @ Ucol)[..., 0]
-        tm_block = (np.einsum("...kij,...i->...kj", Gamma, U) @ m
-                    + a * Psharp + b * np.eye(n))
+        tm_block = _christoffel_matrices(Gamma, U) @ m + a * Psharp + b * np.eye(n)
         off = s != 0.0
         if off.any():
-            dPsharp = np.reshape(stack.dPsharp, (k, 1, n, n, n))[off]
-            tm_block[off] = tm_block[off] + s[off, None, None, None] * np.einsum(
-                "...kij,...k->...ij", dPsharp, U[off])
+            # dPsharp(U)[i,j] = U^k d_k Psharp^i_j: one (1, n) @ (n, n*n) product per direction
+            dPsharp, U_off = np.reshape(stack.dPsharp, (k, 1, n, n * n))[off], U[off]
+            tm_block[off] = tm_block[off] + s[off, None, None, None] * (
+                U_off[..., None, :] @ dPsharp).reshape(U_off.shape + (n,))
         Omega[..., 1:-1, 1:-1] = f @ tm_block
         return Omega.reshape(np.shape(u)[:-1] + (self.dim, self.dim))
 
@@ -265,7 +274,7 @@ class AmbientGeometry:
         Accepts stacks of points and directions like `omega`.
         """
         p = np.asarray(p, dtype=float)
-        if np.any(p[..., -1] <= 0):
+        if not np.all(p[..., -1] > 0):  # NaN fails the test too
             raise MetricError("crude connection requires q > 0")
         points, dirs, _, (g, P, Psharp, Gamma) = self._batch(p, u, stack)
         q = points[:, -1, None, None]
@@ -276,7 +285,7 @@ class AmbientGeometry:
         Omega[..., -1, 1:-1] = -q * (P @ Ucol)[..., 0]
         Omega[..., 1:-1, 0] = (Psharp @ Ucol)[..., 0] / q
         Omega[..., 1:-1, -1] = U / q
-        Omega[..., 1:-1, 1:-1] = (np.einsum("...kij,...i->...kj", Gamma, U)
+        Omega[..., 1:-1, 1:-1] = (_christoffel_matrices(Gamma, U)
                                   + (b / q[..., None]) * np.eye(self.n))
         return Omega.reshape(np.shape(u)[:-1] + (self.dim, self.dim))
 

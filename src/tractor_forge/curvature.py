@@ -12,6 +12,17 @@ Conventions (pinned by the unit-sphere tests):
   P            = 1/(n-2) (Ric - Scal/(2n-2) g)   (unit n-sphere: P = g/2)
   W            = riem_low - P (x) g   (Kulkarni-Nomizu; zero for round metrics)
   CY_{ijk}     = (nabla_i P)_{jk} - (nabla_j P)_{ik}
+
+Contractions: the chain runs over a leading batch axis (one point is a
+batch of one) and every multi-index contraction is one batched matmul per
+point: the free index axes fold into matrix rows or columns, the summed
+index is the inner dimension, and index orders change by `transpose`.  So
+Gamma^k_ij = 1/2 g^{kl} B_ijl is B as an (n*n, n) matrix times g^{-1}
+transposed, then k moved to the front; Gamma.Gamma in Riemann is one
+(n*n, n) @ (n, n*n) product.  Only the Ricci traces stay `np.einsum`
+calls on this path (`weyl_endomorphism`, a one-point check, keeps its
+einsum).  The fields agree with the einsum formulas, which the tests keep
+as a reference, to rounding.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ __all__ = [
     "stack_at",
     "connection_at",
     "kulkarni_nomizu",
-    "christoffel",
     "connection_curvature",
     "weyl_endomorphism",
 ]
@@ -73,108 +83,167 @@ class CurvatureStack:
         return self.jet.ginv
 
 
-def christoffel(jet: MetricJet):
-    """Christoffel symbols, their first partials and d(g^{-1}) from the jet."""
-    return _christoffel(jet)[:3]
+def _batched(jet: MetricJet) -> tuple:
+    """The jet's g, ginv, dg, d2g and d3g, each with a leading batch axis."""
+    arrays = (jet.g, jet.ginv, jet.dg, jet.d2g, jet.d3g)
+    return arrays if jet.g.ndim == 3 else tuple(a[None] for a in arrays)
 
 
-def _christoffel(jet: MetricJet):
-    """`christoffel`, plus the B = dg combination and its partials dB."""
-    ginv, dg, d2g = jet.ginv, jet.dg, jet.d2g
-    dginv = -np.einsum("...ab,...kbc,...cd->...kad", ginv, dg, ginv)
+def _batched_like(jet: MetricJet, fields: dict) -> dict:
+    """`fields`, computed over a leading batch axis, batched like the jet:
+    row 0 of every array for one point, with Scal a float."""
+    if jet.g.ndim == 3:
+        return fields
+    fields = {name: value[0] for name, value in fields.items()}
+    fields["Scal"] = float(fields["Scal"])
+    return fields
+
+
+def _christoffel(ginv, dg, d2g) -> dict:
+    """Gamma, dGamma and dginv over a leading batch axis, plus the
+    intermediates the order-3 stack reuses: B = dg combination, its
+    partials dB, ginv_dg[m,a,c] = g^{ab} d_m g_bc, and ginvT, the transpose
+    of g^{-1} as a C-ordered array (matmul runs faster on it than on a
+    transposed view)."""
+    nb, n = ginv.shape[:2]
+    ginvT = ginv.transpose(0, 2, 1).copy()
+    # ginv_dg with rows (m,c) against a; dginv[m,a,d] = -ginv_dg[m,a,c] g^{cd}, rows (m,a)
+    ginv_dg = ((dg.transpose(0, 1, 3, 2).reshape(nb, n * n, n) @ ginvT)
+               .reshape(nb, n, n, n).transpose(0, 1, 3, 2))
+    dginv = -(ginv_dg.reshape(nb, n * n, n) @ ginv).reshape(nb, n, n, n)
     # B[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
-    B = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
-    Gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, B)
-    dB = d2g + np.einsum("...mjil->...mijl", d2g) - np.einsum("...mlij->...mijl", d2g)
-    dGamma = 0.5 * (np.einsum("...mkl,...ijl->...mkij", dginv, B)
-                    + np.einsum("...kl,...mijl->...mkij", ginv, dB))
-    return Gamma, dGamma, dginv, B, dB
+    B = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    B_rows = B.reshape(nb, n * n, n)  # rows (i,j) against l
+    # Gamma[k,i,j] = 1/2 g^{kl} B[i,j,l]: rows (i,j) against k, then k to the front
+    Gamma = 0.5 * (B_rows @ ginvT).reshape(nb, n, n, n).transpose(0, 3, 1, 2)
+    dB = d2g + d2g.transpose(0, 1, 3, 2, 4) - d2g.transpose(0, 1, 3, 4, 2)
+    # dGamma[m,k,i,j] = 1/2 (d_m g^{kl} B[i,j,l] + g^{kl} dB[m,i,j,l]): rows (i,j)
+    # against columns (m,k), and rows (m,i,j) against k
+    from_dginv = B_rows @ dginv.transpose(0, 3, 1, 2).reshape(nb, n, n * n)
+    from_dB = dB.reshape(nb, n ** 3, n) @ ginvT
+    dGamma = 0.5 * (from_dginv.reshape(nb, n, n, n, n).transpose(0, 3, 4, 1, 2)
+                    + from_dB.reshape(nb, n, n, n, n).transpose(0, 1, 4, 2, 3))
+    return dict(Gamma=Gamma, dGamma=dGamma, dginv=dginv, B=B, dB=dB, ginv_dg=ginv_dg,
+                ginvT=ginvT)
 
 
-def _second_christoffel(jet: MetricJet, dginv, B, dB):
-    """d_p d_m Gamma^k_ij, needed for first derivatives of Ricci."""
-    ginv, dg, d2g, d3g = jet.ginv, jet.dg, jet.d2g, jet.d3g
-    d2ginv = -(np.einsum("...pab,...mbc,...cd->...pmad", dginv, dg, ginv)
-               + np.einsum("...ab,...pmbc,...cd->...pmad", ginv, d2g, ginv)
-               + np.einsum("...ab,...mbc,...pcd->...pmad", ginv, dg, dginv))
-    d2B = (d3g + np.einsum("...pmjil->...pmijl", d3g)
-           - np.einsum("...pmlij->...pmijl", d3g))
-    return 0.5 * (np.einsum("...pmkl,...ijl->...pmkij", d2ginv, B)
-                  + np.einsum("...mkl,...pijl->...pmkij", dginv, dB)
-                  + np.einsum("...pkl,...mijl->...pmkij", dginv, dB)
-                  + np.einsum("...kl,...pmijl->...pmkij", ginv, d2B))
+def _second_christoffel(ginv, dg, d2g, d3g, c: dict):
+    """d_p d_m Gamma^k_ij over a leading batch axis, needed for first
+    derivatives of Ricci; `c` is the `_christoffel` of the same jet."""
+    nb, n = ginv.shape[:2]
+    dginv, ginv_dg, ginvT = c["dginv"], c["ginv_dg"], c["ginvT"]
+    # d2ginv[p,m] = -(dginv[p] dg[m] ginv + ginv d2g[p,m] ginv + ginv dg[m] dginv[p])
+    dg_ginv = (dg.reshape(nb, n * n, n) @ ginv).reshape(nb, n, n, n)  # [m,b,d]
+    first = (dginv.reshape(nb, n * n, n)
+             @ dg_ginv.transpose(0, 2, 1, 3).reshape(nb, n, n * n))  # [(p,a),(m,d)]
+    last = (ginv_dg.reshape(nb, n * n, n)
+            @ dginv.transpose(0, 2, 1, 3).reshape(nb, n, n * n))  # [(m,a),(p,d)]
+    d2g_ginv = (d2g.reshape(nb, n ** 3, n) @ ginv).reshape(nb, n, n, n, n)  # [p,m,b,d]
+    middle = d2g_ginv.transpose(0, 1, 2, 4, 3).reshape(nb, n ** 3, n) @ ginvT  # [(p,m,d),a]
+    d2ginv = -(first.reshape(nb, n, n, n, n).transpose(0, 1, 3, 2, 4)
+               + middle.reshape(nb, n, n, n, n).transpose(0, 1, 2, 4, 3)
+               + last.reshape(nb, n, n, n, n).transpose(0, 3, 1, 2, 4))
+    d2B = d3g + d3g.transpose(0, 1, 2, 4, 3, 5) - d3g.transpose(0, 1, 2, 4, 5, 3)
+    # d2Gamma[p,m,k,i,j] = 1/2 (d_p d_m g^{kl} B[i,j,l] + d_m g^{kl} dB[p,i,j,l]
+    #                           + d_p g^{kl} dB[m,i,j,l] + g^{kl} d2B[p,m,i,j,l])
+    from_d2ginv = (c["B"].reshape(nb, n * n, n)
+                   @ d2ginv.transpose(0, 4, 1, 2, 3).reshape(nb, n, n ** 3))
+    # dB_dginv[a,i,j,c,k] = d_c g^{kl} dB[a,i,j,l] serves both middle terms
+    dB_dginv = (c["dB"].reshape(nb, n ** 3, n)
+                @ dginv.transpose(0, 3, 1, 2).reshape(nb, n, n * n)).reshape((nb,) + (n,) * 5)
+    from_d2B = d2B.reshape(nb, n ** 4, n) @ ginvT
+    return 0.5 * (from_d2ginv.reshape((nb,) + (n,) * 5).transpose(0, 3, 4, 5, 1, 2)
+                  + dB_dginv.transpose(0, 1, 4, 5, 2, 3)
+                  + dB_dginv.transpose(0, 4, 1, 5, 2, 3)
+                  + from_d2B.reshape((nb,) + (n,) * 5).transpose(0, 1, 2, 5, 3, 4))
 
 
 def _riemann(Gamma, dGamma):
-    """R^l_{ijk} from Gamma and its first partials."""
-    return (np.einsum("...iljk->...lijk", dGamma) - np.einsum("...jlik->...lijk", dGamma)
-            + np.einsum("...lim,...mjk->...lijk", Gamma, Gamma)
-            - np.einsum("...ljm,...mik->...lijk", Gamma, Gamma))
+    """R^l_{ijk} over a leading batch axis from Gamma and its first partials.
+
+    A[l,i,j,k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk, with the product one
+    (n*n, n) @ (n, n*n) GEMM per point, and R is A minus A with i, j swapped.
+    """
+    nb, n = Gamma.shape[:2]
+    A = (dGamma.transpose(0, 2, 1, 3, 4)
+         + (Gamma.reshape(nb, n * n, n) @ Gamma.reshape(nb, n, n * n)).reshape(nb, n, n, n, n))
+    return A - A.transpose(0, 1, 3, 2, 4)
 
 
-def _connection_fields(jet: MetricJet) -> dict:
-    """Christoffel -> Riemann -> Ricci -> Schouten -> Psharp, from an order-2 jet.
+def _connection_fields(g, ginv, dg, d2g) -> dict:
+    """Christoffel -> Riemann -> Ricci -> Schouten -> Psharp over a leading
+    batch axis, from the order-2 part of a jet.
 
     The one copy of this chain: `connection_at` returns its fields and
-    `compute_stack` extends them to order three.  Every array keeps the
-    jet's leading batch axis, if any; Scal is a float for one point.
+    `compute_stack` extends them to order three.  Scal is a (k,) array.
     """
-    n = jet.n
+    nb, n = g.shape[:2]
     if n < 3:
         raise ValueError("Schouten tensor requires n >= 3")
-    Gamma, dGamma, dginv, B, dB = _christoffel(jet)
-    Riem = _riemann(Gamma, dGamma)
+    c = _christoffel(ginv, dg, d2g)
+    Riem = _riemann(c["Gamma"], c["dGamma"])
     Ric = np.einsum("...iijk->...jk", Riem)
-    Scal = np.einsum("...jk,...jk->...", jet.ginv, Ric)
-    Scal = float(Scal) if Scal.ndim == 0 else Scal
-    P = (1.0 / (n - 2)) * (Ric - np.asarray(Scal)[..., None, None] / (2 * n - 2) * jet.g)
-    return dict(Gamma=Gamma, dGamma=dGamma, dginv=dginv, B=B, dB=dB, Riem=Riem,
-                Ric=Ric, Scal=Scal, P=P, Psharp=jet.ginv @ P)
+    Scal = (ginv.reshape(nb, 1, n * n) @ Ric.reshape(nb, n * n, 1))[:, 0, 0]
+    P = (1.0 / (n - 2)) * (Ric - Scal[:, None, None] / (2 * n - 2) * g)
+    return dict(c, Riem=Riem, Ric=Ric, Scal=Scal, P=P, Psharp=ginv @ P)
 
 
 def kulkarni_nomizu(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(A (x) B)_{ijkl} = A_ik B_jl + A_jl B_ik - A_il B_jk - A_jk B_il."""
-    return (np.einsum("...ik,...jl->...ijkl", A, B) + np.einsum("...jl,...ik->...ijkl", A, B)
-            - np.einsum("...il,...jk->...ijkl", A, B) - np.einsum("...jk,...il->...ijkl", A, B))
+    """(A (x) B)_{ijkl} = A_ik B_jl + A_jl B_ik - A_il B_jk - A_jk B_il.
+
+    Each term is a transpose of the outer product T_ijkl = A_ik B_jl.
+    """
+    T = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return (T + T.swapaxes(-4, -3).swapaxes(-2, -1)
+            - T.swapaxes(-2, -1) - T.swapaxes(-4, -3))
 
 
 def compute_stack(jet: MetricJet) -> CurvatureStack:
     """The curvature stack of an order-3 jet, batched like the jet."""
-    n = jet.n
-    c = _connection_fields(jet)
-    g, ginv, dginv = jet.g, jet.ginv, c["dginv"]
-    Gamma, dGamma, Ric, Scal, P = c["Gamma"], c["dGamma"], c["Ric"], c["Scal"], c["P"]
-    d2Gamma = _second_christoffel(jet, dginv, c["B"], c["dB"])
+    g, ginv, dg, d2g, d3g = _batched(jet)
+    nb, n = g.shape[:2]
+    c = _connection_fields(g, ginv, dg, d2g)
+    dginv, Gamma, dGamma, Ric, Scal, P = (c[name] for name in ("dginv", "Gamma", "dGamma",
+                                                               "Ric", "Scal", "P"))
+    d2Gamma = _second_christoffel(ginv, dg, d2g, d3g, c)
 
-    dRiem = (np.einsum("...piljk->...plijk", d2Gamma)
-             - np.einsum("...pjlik->...plijk", d2Gamma)
-             + np.einsum("...plim,...mjk->...plijk", dGamma, Gamma)
-             + np.einsum("...lim,...pmjk->...plijk", Gamma, dGamma)
-             - np.einsum("...pljm,...mik->...plijk", dGamma, Gamma)
-             - np.einsum("...ljm,...pmik->...plijk", Gamma, dGamma))
+    # dRiem[p,l,i,j,k] = A - A with i, j swapped, where
+    # A = d_p d_i Gamma^l_jk + d_p Gamma^l_im Gamma^m_jk + Gamma^l_im d_p Gamma^m_jk
+    A = (d2Gamma.transpose(0, 1, 3, 2, 4, 5)
+         + (dGamma.reshape(nb, n ** 3, n) @ Gamma.reshape(nb, n, n * n)).reshape((nb,) + (n,) * 5)
+         + (Gamma.reshape(nb, n * n, n) @ dGamma.transpose(0, 2, 1, 3, 4).reshape(nb, n, n ** 3))
+         .reshape((nb,) + (n,) * 5).transpose(0, 3, 1, 2, 4, 5))
+    dRiem = A - A.transpose(0, 1, 2, 4, 3, 5)
     dRic = np.einsum("...piijk->...pjk", dRiem)
-    dScal = (np.einsum("...pjk,...jk->...p", dginv, Ric)
-             + np.einsum("...jk,...pjk->...p", ginv, dRic))
+    dScal = (dginv.reshape(nb, n, n * n) @ Ric.reshape(nb, n * n, 1)
+             + dRic.reshape(nb, n, n * n) @ ginv.reshape(nb, n * n, 1))[..., 0]
 
     cP = 1.0 / (n - 2)
     cS = 1.0 / (2 * n - 2)
-    dP = cP * (dRic - cS * (np.einsum("...p,...ij->...pij", dScal, g)
-                            + np.asarray(Scal)[..., None, None, None] * jet.dg))
-    dPsharp = (np.einsum("...pik,...kj->...pij", dginv, P)
-               + np.einsum("...ik,...pkj->...pij", ginv, dP))
+    dP = cP * (dRic - cS * (dScal[:, :, None, None] * g[:, None]
+                            + Scal[:, None, None, None] * dg))
+    # dPsharp[p,i,j] = d_p g^{ik} P_kj + g^{ik} d_p P_kj, the second with rows (p,j)
+    dPsharp = ((dginv.reshape(nb, n * n, n) @ P).reshape(nb, n, n, n)
+               + (dP.transpose(0, 1, 3, 2).reshape(nb, n * n, n) @ c["ginvT"])
+               .reshape(nb, n, n, n).transpose(0, 1, 3, 2))
 
-    covP = (dP - np.einsum("...mki,...mj->...kij", Gamma, P)
-            - np.einsum("...mkj,...im->...kij", Gamma, P))
-    CY = covP - np.swapaxes(covP, -3, -2)
-    CYsharp = np.einsum("...ijk,...kl->...ijl", CY, ginv)
+    # covP[k,i,j] = d_k P_ij - Gamma^m_ki P_mj - Gamma^m_kj P_im, rows (k,i) and (k,j)
+    Gamma_rows = Gamma.transpose(0, 2, 3, 1).reshape(nb, n * n, n)
+    covP = (dP - (Gamma_rows @ P).reshape(nb, n, n, n)
+            - (Gamma_rows @ P.transpose(0, 2, 1)).reshape(nb, n, n, n).transpose(0, 1, 3, 2))
+    CY = covP - covP.transpose(0, 2, 1, 3)
+    CYsharp = (CY.reshape(nb, n * n, n) @ ginv).reshape(nb, n, n, n)
 
-    riem_low = np.einsum("...km,...mijl->...ijkl", g, c["Riem"])
+    # riem_low[i,j,k,l] = g_km R^m_ijl: one (n, n) @ (n, n**3) product per point
+    riem_low = ((g @ c["Riem"].reshape(nb, n, n ** 3)).reshape(nb, n, n, n, n)
+                .transpose(0, 2, 3, 1, 4))
     W = riem_low - kulkarni_nomizu(P, g)
 
-    return CurvatureStack(jet=jet, Gamma=Gamma, dGamma=dGamma, Riem=c["Riem"],
-                          riem_low=riem_low, Ric=Ric, Scal=Scal, P=P,
-                          Psharp=c["Psharp"], dP=dP, dPsharp=dPsharp, covP=covP,
-                          W=W, CY=CY, CYsharp=CYsharp, dginv=dginv)
+    fields = _batched_like(jet, dict(
+        Gamma=Gamma, dGamma=dGamma, Riem=c["Riem"], riem_low=riem_low, Ric=Ric, Scal=Scal,
+        P=P, Psharp=c["Psharp"], dP=dP, dPsharp=dPsharp, covP=covP, W=W, CY=CY,
+        CYsharp=CYsharp, dginv=dginv))
+    return CurvatureStack(jet=jet, **fields)
 
 
 def stack_at(spec: MetricSpec, x) -> CurvatureStack:
@@ -216,9 +285,24 @@ def connection_at(spec: MetricSpec, x) -> ConnectionPoint:
     x is one point or a (k, n) stack of points, as for `metric_jet`.
     """
     jet = metric_jet(spec, x, order=2)
-    c = _connection_fields(jet)
-    return ConnectionPoint(jet=jet, Gamma=c["Gamma"], Ric=c["Ric"], Scal=c["Scal"],
-                           P=c["P"], Psharp=c["Psharp"])
+    c = _connection_fields(*_batched(jet)[:4])
+    return ConnectionPoint(jet=jet, **_batched_like(jet, {
+        name: c[name] for name in ("Gamma", "Ric", "Scal", "P", "Psharp")}))
+
+
+def _christoffel_matrices(Gamma, X) -> np.ndarray:
+    """[..., c, k, j] = Gamma^k_ij X[..., c, i]: the Christoffel matrices of the
+    c direction rows of X.
+
+    Gamma is one point's (n, n, n) array or a (k, n, n, n) stack; X is
+    (..., c, n), batched like Gamma.  Gamma's free indices fold into the
+    rows of one fresh (n*n, n) matrix per point, whatever its memory
+    layout, and each direction is one (n*n, n) @ (n, 1) product: a
+    direction's matrix does not depend on how many directions share the call.
+    """
+    n = Gamma.shape[-1]
+    rows = Gamma.swapaxes(-2, -1).reshape(Gamma.shape[:-3] + (1, n * n, n))  # [(k, j), i]
+    return (rows @ X[..., :, None]).reshape(X.shape[:-1] + (n, n))
 
 
 def connection_curvature(omegas: np.ndarray, dOmega: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import CurvatureStack, connection_curvature
+from .curvature import CurvatureStack, _christoffel_matrices, connection_curvature
 
 __all__ = [
     "tractor_metric",
@@ -60,7 +60,8 @@ def connection_matrix(stack: CurvatureStack, X) -> np.ndarray:
     Omega[..., n + 1, 1:n + 1] = -(stack.P @ Xcol)[..., 0]
     Omega[..., 1:n + 1, 0] = (stack.Psharp @ Xcol)[..., 0]
     Omega[..., 1:n + 1, n + 1] = X
-    Omega[..., 1:n + 1, 1:n + 1] = np.einsum("...kij,...i->...kj", stack.Gamma, X)
+    Omega[..., 1:n + 1, 1:n + 1] = _christoffel_matrices(stack.Gamma, X[..., None, :]
+                                                         ).reshape(X.shape + (n,))
     return Omega
 
 
@@ -71,7 +72,7 @@ def _connection_matrix_partials(stack: CurvatureStack) -> np.ndarray:
     dOmega[:, :, 0, 1:n + 1] = -stack.jet.dg
     dOmega[:, :, n + 1, 1:n + 1] = -stack.dP
     dOmega[:, :, 1:n + 1, 0] = np.swapaxes(stack.dPsharp, 1, 2)
-    dOmega[:, :, 1:n + 1, 1:n + 1] = np.einsum("pkjm->pjkm", stack.dGamma)
+    dOmega[:, :, 1:n + 1, 1:n + 1] = stack.dGamma.swapaxes(1, 2)
     return dOmega
 
 

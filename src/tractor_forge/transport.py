@@ -39,7 +39,7 @@ import numpy as np
 
 from . import expr as ex
 from .ambient import AmbientGeometry
-from .curvature import connection_at, stack_at
+from .curvature import _christoffel_matrices, connection_at, stack_at
 from .metric import MetricError, MetricSpec
 from .tractor import connection_matrix, curvature_all_pairs, tractor_metric
 
@@ -81,7 +81,8 @@ class Segment:
     expressions' parameter: `point(u)` is the coordinates at
     t0 + (t1 - t0) u and `tangent(u)` their derivative there, scaled by
     t1 - t0.  `sub` cuts such a piece out of a segment and shares its
-    compiled code.
+    compiled code.  `nodes` evaluates many u at once as tuples of floats;
+    `point` and `tangent` are its values as arrays.
     """
 
     coords: tuple  # tuple of Expr in Var(0)
@@ -101,20 +102,29 @@ class Segment:
     def dim(self) -> int:
         return len(self.coords)
 
-    def point(self, u: float) -> np.ndarray:
+    def _param(self, u: float) -> float:
+        """The expressions' parameter at u: the one place the span maps it."""
         t0, t1 = self.span
-        return np.array(self._point((t0 + (t1 - t0) * u,)))
+        return t0 + (t1 - t0) * u
+
+    def nodes(self, us) -> tuple[list, list]:
+        """Coordinates and tangents at each u of `us`, as two lists of tuples."""
+        scale = self.span[1] - self.span[0]
+        args = [(self._param(u),) for u in us]
+        return ([self._point(arg) for arg in args],
+                [tuple([scale * d for d in self._tangent(arg)]) for arg in args])
+
+    def point(self, u: float) -> np.ndarray:
+        return np.array(self._point((self._param(u),)))
 
     def tangent(self, u: float) -> np.ndarray:
-        t0, t1 = self.span
-        return np.array(self._tangent((t0 + (t1 - t0) * u,))) * (t1 - t0)
+        return np.array(self.nodes([u])[1][0])
 
     def sub(self, u0: float, u1: float) -> "Segment":
         """The piece of this segment over its parameter range [u0, u1];
         nothing is compiled."""
-        t0, t1 = self.span
         piece = copy.copy(self)
-        object.__setattr__(piece, "span", (t0 + (t1 - t0) * u0, t0 + (t1 - t0) * u1))
+        object.__setattr__(piece, "span", (self._param(u0), self._param(u1)))
         return piece
 
     def reversed(self) -> "Segment":
@@ -309,11 +319,25 @@ class AmbientOracle:
 
     def omega_nodes(self, points, tangents) -> np.ndarray:
         """On the slice s = 0 the order-2 connection data suffices; off it
-        the nodes share one batched order-3 stack."""
+        the nodes share one batched order-3 stack.  A batch with nodes on
+        both sides is split by the s == 0 mask."""
         points = np.asarray(points, dtype=float)
-        if np.all(points[:, 0] == 0.0):
+        tangents = np.asarray(tangents, dtype=float)
+        on = points[:, 0] == 0.0
+        if on.all():
             return self.geom.omega(points, tangents, connection_at(self.spec, points[:, 1:-1]))
-        return self.geom.omega(points, tangents)
+        if not on.any():
+            return self.geom.omega(points, tangents)
+        out = np.empty((len(points), self.fiber_dim, self.fiber_dim))
+        try:
+            out[on] = self.omega_nodes(points[on], tangents[on])
+            out[~on] = self.omega_nodes(points[~on], tangents[~on])
+        except MetricError:
+            # raise what the unsplit batch raises: the split must not change
+            # which bad row an error names
+            self.geom.omega(points, tangents)
+            raise
+        return out
 
     omega = _omega_at_node
 
@@ -358,8 +382,9 @@ class LeviCivitaOracle:
         self.name = "levi-civita"
 
     def omega_nodes(self, points, tangents) -> np.ndarray:
-        return np.einsum("...kij,...i->...kj", connection_at(self.spec, points).Gamma,
-                         np.asarray(tangents, dtype=float))
+        tangents = np.asarray(tangents, dtype=float)
+        return _christoffel_matrices(connection_at(self.spec, points).Gamma,
+                                     tangents[:, None, :])[:, 0]
 
     omega = _omega_at_node
 
@@ -368,7 +393,7 @@ class LeviCivitaOracle:
 
     def curvature_pairs(self, point) -> np.ndarray:
         stack = stack_at(self.spec, point)
-        return np.einsum("lijk->ijlk", stack.Riem)
+        return stack.Riem.transpose(1, 2, 0, 3)  # [i,j,l,k] = R^l_{ijk}
 
 
 # -- integrator ------------------------------------------------------------------
@@ -400,9 +425,11 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
     next step's first, and a rejected step keeps its first node.  A
     segment's first node goes through `oracle.omega`; each round, the five
     new nodes of every lane still running, known before any stage is
-    computed, go through one `oracle.omega_nodes` call, and the stages run
-    on (lanes, fiber, k) stacks.  Stacking only batches the arithmetic, so
-    each lane ends bit for bit where it would alone.
+    computed, go through one `oracle.omega_nodes` call, with their points
+    and tangents built as one array each from the tuples of
+    `Segment.nodes`, and the stages run on (lanes, fiber, k) stacks.  Stacking only
+    batches the arithmetic, so each lane ends bit for bit where it would
+    alone.
     """
     min_h = 1e-10
     fiber = oracle.fiber_dim
@@ -419,16 +446,16 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
 
     for lane in range(len(lanes)):
         begin(lane)
+    new_cs = _DP_C[1:6].tolist()
     active = list(range(len(lanes)))
     while active:
-        points, tangents = [], []
+        points, tangents = [], []  # the tuples of every new node, one array each
         for lane in active:
             h[lane] = min(h[lane], 1.0 - t[lane])
-            seg = lanes[lane][seg_index[lane]]
-            for c in _DP_C[1:6]:
-                tn = t[lane] + c * h[lane]
-                points.append(seg.point(tn))
-                tangents.append(seg.tangent(tn))
+            lane_points, lane_tangents = lanes[lane][seg_index[lane]].nodes(
+                [t[lane] + c * h[lane] for c in new_cs])
+            points += lane_points
+            tangents += lane_tangents
         new = oracle.omega_nodes(np.array(points), np.array(tangents))
         new = new.reshape(len(active), 5, fiber, fiber)
         mats = [np.stack([first[lane] for lane in active]),

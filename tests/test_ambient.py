@@ -6,7 +6,8 @@ import pytest
 from tractor_forge.ambient import (AmbientGeometry, SingularMapError,
                                    ambient_point, curvature_from_omega, split_point)
 from tractor_forge.curvature import stack_at
-from tractor_forge.metric import preset
+from tractor_forge.metric import ChartDomainError, MetricError, preset
+from tractor_forge.transport import AmbientOracle
 
 RNG = np.random.default_rng(31)
 
@@ -48,6 +49,50 @@ def test_f_map_singular_names_eigenvalue(sphere_geom):
     # nearby points are fine
     f, _ = sphere_geom.f_map(ambient_point(-1.9, BASE3, 1.0))
     assert np.all(np.isfinite(f))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, -1], ids=["s", "q"])
+def test_non_finite_s_or_q_lies_outside_the_domain(bumpy_geom, value, slot):
+    good = ambient_point(0.1, BASE3, 1.0)
+    bad = good.copy()
+    bad[slot] = value
+    u = np.ones(bumpy_geom.dim)
+    with pytest.raises(ChartDomainError) as alone:
+        bumpy_geom.f_map(bad)
+    for call in (lambda p: bumpy_geom.omega(p, u),
+                 lambda p: AmbientOracle(bumpy_geom.spec).omega(p, u)):
+        with pytest.raises(ChartDomainError) as err:
+            call(bad)
+        assert str(err.value) == str(alone.value)
+    # a stack raises the first bad row's own error, whatever follows it; the
+    # last row is on the slice, which omega_nodes evaluates apart
+    stacked = np.array([good, bad, good, 2 * bad, ambient_point(0.0, BASE3, value)])
+    for call in (bumpy_geom.f_map,
+                 lambda p: bumpy_geom.omega(p, np.ones_like(p)),
+                 lambda p: AmbientOracle(bumpy_geom.spec).omega_nodes(p, np.ones_like(p))):
+        with pytest.raises(ChartDomainError) as batched:
+            call(stacked)
+        assert str(batched.value) == str(alone.value)
+
+
+def test_non_finite_s_or_q_is_checked_before_the_bundle_map(sphere_geom):
+    singular = ambient_point(-2.0, BASE3, 1.0)  # Psharp = Id/2: m singular at s = -2q
+    outside = ambient_point(0.1, BASE3, np.nan)
+    with pytest.raises(ChartDomainError) as alone:
+        sphere_geom.f_map(outside)
+    with pytest.raises(ChartDomainError) as batched:
+        sphere_geom.f_map(np.array([singular, outside]))
+    assert str(batched.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("q", [np.nan, -np.inf, 0.0])
+def test_crude_connection_rejects_q_not_positive(bumpy_geom, q):
+    u = np.ones(bumpy_geom.dim)
+    good = ambient_point(0.1, BASE3, 1.0)
+    for p in (ambient_point(0.1, BASE3, q), np.array([good, ambient_point(0.1, BASE3, q)])):
+        with pytest.raises(MetricError, match="q > 0"):
+            bumpy_geom.omega_crude(p, np.ones_like(p) if p.ndim == 2 else u)
 
 
 def test_lift_pairs_to_base_metric(bumpy_geom):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tractor_forge import ambient, curvature
 from tractor_forge import expr as ex
 from tractor_forge import transport as tp
 from tractor_forge.metric import MetricError, preset
@@ -325,6 +326,25 @@ def test_list_transport_equals_per_path_calls_exactly(case):
     got = tp.parallel_transport(oracle, paths, vs, tol)
     for path, v, w in zip(paths, vs, got):
         assert np.array_equal(w, tp.parallel_transport(oracle, path, v, tol))
+
+
+def test_mixed_slice_rounds_send_only_off_slice_nodes_to_the_order3_stack(monkeypatch):
+    oracle, paths, tol = _lockstep_cases()["mixed-slice"]
+    stacked = []  # chart rows of every compute_stack call
+
+    def counting(jet, original=curvature.compute_stack):
+        stacked.extend(map(tuple, np.atleast_2d(jet.point).tolist()))
+        return original(jet)
+
+    for module in (ambient, curvature):
+        monkeypatch.setattr(module, "compute_stack", counting)
+    counted = _CountingOracle(oracle)
+    eye = np.eye(oracle.fiber_dim)
+    tp.parallel_transport(counted, paths, np.broadcast_to(eye, (len(paths),) + eye.shape), tol)
+    nodes = [np.frombuffer(point) for point, _ in counted.nodes]
+    off = [tuple(p[1:-1].tolist()) for p in nodes if p[0] != 0.0]
+    assert off and len(off) < len(nodes)  # both kinds of node occur
+    assert sorted(stacked) == sorted(off)
 
 
 @pytest.mark.parametrize("case", ["tractor", "off-slice"])
