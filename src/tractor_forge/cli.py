@@ -19,7 +19,7 @@ from . import holonomy as hol
 from . import transport as tp
 from .ambient import AmbientGeometry, SingularMapError, ambient_point
 from .curvature import stack_at
-from .metric import MetricError, signature_at
+from .metric import MetricError, signature_of
 from .report import RunConfig, report_emit, run_verify
 from .tractor import connection_matrix, normality_check, tractor_metric
 
@@ -139,9 +139,10 @@ def cmd_tensors(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     points = spec.sample_points(rng, cfg.samples)
     st = stack_at(spec, base)
+    samples = [stack_at(spec, x) for x in points]
     payload = {
         "n": spec.n,
-        "signature": list(signature_at(spec, base)),
+        "signature": list(signature_of(st.g)),
         "base_point": [float(v) for v in base],
         "at_base": {
             "scalar_curvature": float(st.Scal),
@@ -152,9 +153,8 @@ def cmd_tensors(cfg: RunConfig) -> int:
         },
         "over_samples": {
             "count": int(cfg.samples),
-            "max_weyl_norm": max(_maxabs(stack_at(spec, x).W) for x in points),
-            "max_cotton_york_norm": max(_maxabs(stack_at(spec, x).CY)
-                                        for x in points),
+            "max_weyl_norm": max(_maxabs(sample.W) for sample in samples),
+            "max_cotton_york_norm": max(_maxabs(sample.CY) for sample in samples),
         },
     }
     payload["conformally_flat"] = bool(

@@ -9,10 +9,13 @@ only.
 
 Hot paths (metric jets, path segments) evaluate through `compile_exprs`,
 which turns a list of expressions into one straight-line Python function
-with a temporary per distinct subexpression.  The tree-walking `evaluate`
-(also `Expr.__call__`) computes the same values node by node and serves
-as the independent reference in tests.  Both raise EvaluationDomainError
-outside the domain of log, sqrt, division and negative powers.
+with a temporary per distinct subexpression.  The function returns each
+distinct non-constant value once; the table records the constants and
+the column of every expression, and callers place the values into arrays
+with one `take`.  The tree-walking `evaluate` (also `Expr.__call__`)
+computes the same values node by node and serves as the independent
+reference in tests.  Both raise EvaluationDomainError outside the domain
+of log, sqrt, division and negative powers.
 """
 
 from __future__ import annotations
@@ -556,7 +559,7 @@ def _table_code(src: str) -> types.CodeType:
 
 
 def compile_exprs(exprs):
-    """Compile a list of expressions into one function x -> tuple of floats.
+    """Compile a list of expressions into one table x -> tuple of floats.
 
     The generated function is straight-line code: each variable used is
     read once as a float, and each distinct subexpression becomes one
@@ -567,6 +570,14 @@ def compile_exprs(exprs):
     order, so the values equal `evaluate`'s exactly.  ValueError,
     ZeroDivisionError and OverflowError (log or sqrt of a negative,
     division by zero, 0^-k, overflow) are raised as EvaluationDomainError.
+
+    The function returns each distinct non-constant operand among the
+    expressions once, in order of first appearance.  The table records the
+    rest on itself: `constants`, the distinct constant values among the
+    expressions (by `repr`, so -0.0 and 0.0 stay apart), and `columns`,
+    the index of each expression's value in `table(x) + table.constants`.
+    A caller fills a (k, width) buffer with the rows `table(x) +
+    table.constants` and places every entry with one `take` of `columns`.
 
     Constants are parameters `cK` with the values as defaults, so tables
     that differ only in their constants (the segments of a loop family,
@@ -607,16 +618,22 @@ def compile_exprs(exprs):
         return got
 
     outputs = [name(e) for e in exprs]
+    values = dict.fromkeys(o for e, o in zip(exprs, outputs) if not isinstance(e, Const))
+    constants = dict.fromkeys(o for e, o in zip(exprs, outputs) if isinstance(e, Const))
+    column = {o: k for k, o in enumerate([*values, *constants])}
     src = "".join([
         f"def _table(x, {''.join(c + ', ' for c in consts.values())}):\n",
         *(f"    x{i} = float(x[{i}])\n" for i in sorted(loads)),
         "    try:\n",
         *lines,
-        f"        return ({''.join(o + ', ' for o in outputs)})\n",
+        f"        return ({''.join(o + ', ' for o in values)})\n",
         "    except _DOMAIN_ERRORS as exc:\n",
         "        raise EvaluationDomainError(str(exc)) from exc\n",
     ])
-    defaults = tuple(float(text) for text in consts)
-    table = types.FunctionType(_table_code(src), _TABLE_GLOBALS, "_table", defaults)
+    defaults = {param: float(text) for text, param in consts.items()}
+    table = types.FunctionType(_table_code(src), _TABLE_GLOBALS, "_table",
+                               tuple(defaults.values()))
     table.source = src
+    table.constants = tuple(defaults[c] for c in constants)
+    table.columns = tuple(column[o] for o in outputs)
     return table

@@ -262,18 +262,15 @@ def lift_transport_check(spec, loop: tp.PathSpec, q_expr, v0,
     """
     oracle = tp.AmbientOracle(spec)
     v0 = np.asarray(v0, dtype=float)
-    base_path = tp.lift_loop(loop)
-    ref = tp.parallel_transport(oracle, base_path, v0, tol)
-
-    lifted = tp.lift_loop(loop, q_expr=q_expr)
-    got_q = tp.parallel_transport(oracle, lifted, v0, tol)
-    res_reparam = float(np.max(np.abs(got_q - ref)))
-
     t = ex.var(0)
     pi_t = ex.mul(ex.const(np.pi), t)
     s_expr = ex.mul(ex.const(s_amplitude), ex.pow_(ex.call("sin", pi_t), 2))
     tilted = tp.lift_loop(loop, s_expr=s_expr, q_expr=q_expr)
-    got_sq = tp.parallel_transport(oracle, tilted, v0, tol)
+    # the slice embedding, the reparameterized lift and the tilted lift, in lockstep
+    ref, got_q, got_sq = tp.parallel_transport(
+        oracle, [tp.lift_loop(loop), tp.lift_loop(loop, q_expr=q_expr), tilted],
+        np.broadcast_to(v0, (3,) + v0.shape), tol)
+    res_reparam = float(np.max(np.abs(got_q - ref)))
     res_fiber = float(np.max(np.abs(got_sq - ref)))
 
     geom = oracle.geom

@@ -130,19 +130,22 @@ class _JetEvaluator:
     Only canonical index combinations are compiled (i <= j in the metric
     indices, sorted derivative multi-indices), into one straight-line
     function by `compile_exprs`, which shares the subexpressions common to
-    an entry and its partials.  g, dg, d2g and d3g are consecutive blocks
-    of one flat buffer per point; the index array `gather`, computed once
-    here, gives each position the canonical value it stands for (all
-    derivative orderings, both metric index orders), so mixed-partial
-    symmetry holds exactly and `jet` fills the (k, ...) buffer with one
-    `values.take(gather, axis=1)`.
+    an entry and its partials and returns each distinct non-constant value
+    once per point.  g, dg, d2g and d3g are consecutive blocks of one flat
+    buffer per point; the index array `gather`, computed once here from
+    the table's `columns`, gives each position the column of the value it
+    stands for (all derivative orderings, both metric index orders, the
+    orders above `max_order` reading a zero), so mixed-partial symmetry
+    holds exactly.  `jet` fills a (k, width) buffer with one `np.fromiter`
+    over the rows `table(x) + table.constants` and places every entry with
+    one `take` of `gather`.
     """
 
     def __init__(self, spec: MetricSpec, max_order: int = 3):
         n = spec.n
         self.shapes = [(n,) * (order + 2) for order in range(4)]
         self.bounds = np.cumsum([0] + [n ** (order + 2) for order in range(4)])
-        # value 0 is the zero of the orders above max_order
+        # expression 0 is the zero of the orders above max_order
         exprs, dst, src = [const(0.0)], [], []
         for i in range(n):
             for j in range(i, n):
@@ -159,16 +162,21 @@ class _JetEvaluator:
                             dst.append(self.bounds[order] + pos)
                             src.append(len(exprs))
                         exprs.append(partial[multi])
-        self.gather = np.zeros(self.bounds[-1], dtype=np.intp)
-        self.gather[dst] = src
         self.table = compile_exprs(exprs)
+        self.width = max(self.table.columns) + 1  # every value and constant is some column
+        gather = np.zeros(self.bounds[-1], dtype=np.intp)
+        gather[dst] = src
+        self.gather = np.array(self.table.columns, dtype=np.intp)[gather]
 
     def jet(self, rows) -> list:
         """[g, dg, d2g, d3g] at the k points `rows` (lists of floats), each
         with a leading batch axis of length k; orders above the table's are
         zero."""
-        flat = np.array([self.table(x) for x in rows]).take(self.gather, axis=1)
-        return [flat[:, lo:hi].reshape((len(rows),) + shape)
+        table, constants, k = self.table, self.table.constants, len(rows)
+        flat = np.fromiter(itertools.chain.from_iterable([table(x) + constants for x in rows]),
+                           float, count=k * self.width)
+        flat = flat.reshape(k, self.width).take(self.gather, axis=1)
+        return [flat[:, lo:hi].reshape((k,) + shape)
                 for lo, hi, shape in zip(self.bounds, self.bounds[1:], self.shapes)]
 
 
@@ -217,11 +225,15 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
     return MetricJet(point=x, g=g, dg=dg, d2g=d2g, d3g=d3g, ginv=ginv, spec=spec)
 
 
+def signature_of(g) -> tuple:
+    """(positive, negative) eigenvalue counts of the metric matrix g."""
+    eigs = np.linalg.eigvalsh(g)
+    return int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
+
+
 def signature_at(spec: MetricSpec, x) -> tuple:
     """(positive, negative) eigenvalue counts of g at x."""
-    jet = metric_jet(spec, x)
-    eigs = np.linalg.eigvalsh(jet.g)
-    return int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
+    return signature_of(metric_jet(spec, x).g)
 
 
 # -- presets ------------------------------------------------------------------

@@ -18,8 +18,8 @@ import numpy as np
 from . import holonomy as hol
 from . import transport as tp
 from .ambient import AmbientGeometry, ambient_point
-from .curvature import stack_at, weyl_endomorphism
-from .metric import MetricError, MetricSpec, load_config, preset, signature_at
+from .curvature import compute_stack, stack_at, weyl_endomorphism
+from .metric import MetricError, MetricSpec, load_config, metric_jet, preset, signature_of
 from .tractor import connection_matrix, normality_check, tractor_metric
 from . import expr as ex
 
@@ -150,9 +150,11 @@ class _Suite:
         sig_bad = 0
         res_sym = res_bianchi = res_wtrace = res_cy = 0.0
         for x in self.points:
-            if signature_at(self.spec, x) != tuple(self.spec.signature):
+            # one jet gives the signature and the stack
+            jet = metric_jet(self.spec, x)
+            if signature_of(jet.g) != tuple(self.spec.signature):
                 sig_bad += 1
-            st = stack_at(self.spec, x)
+            st = compute_stack(jet)
             scale = max(1.0, float(np.max(np.abs(st.riem_low))))
             rl = st.riem_low
             res_sym = max(res_sym,
@@ -235,14 +237,16 @@ class _Suite:
 
         # parallel-transport metric compatibility
         res_compat = 0.0
-        oracle = tp.AmbientOracle(self.spec)
-        for lp in self._chart_loops()[:4]:
-            path = tp.lift_loop(lp, s_expr=self._s_profile(), q_expr=self._q_profile())
+        paths = [tp.lift_loop(lp, s_expr=self._s_profile(), q_expr=self._q_profile())
+                 for lp in self._chart_loops()[:4]]
+        pairs = [(self.rng.standard_normal(n + 2), self.rng.standard_normal(n + 2))
+                 for _ in paths]
+        moved = tp.parallel_transport(tp.AmbientOracle(self.spec), paths,
+                                      np.stack([np.column_stack(pair) for pair in pairs]), 1e-10)
+        for path, (v, w), vw1 in zip(paths, pairs, moved):
+            v1, w1 = vw1.T
             h0 = geom.metric(path.base)
             h1 = geom.metric(path.end)
-            v = self.rng.standard_normal(n + 2)
-            w = self.rng.standard_normal(n + 2)
-            v1, w1 = tp.parallel_transport(oracle, path, np.column_stack([v, w]), 1e-10).T
             res_compat = max(res_compat, abs(float(v1 @ h1 @ w1) - float(v @ h0 @ w)))
         self.add("ambient-metric-compatibility",
                  "parallel transport preserves the ambient metric", res_compat, tol_t)

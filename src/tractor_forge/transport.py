@@ -33,6 +33,8 @@ a path transported in a list equals its transport alone exactly.
 from __future__ import annotations
 
 import copy
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,28 +77,39 @@ class TransportError(RuntimeError):
 class Segment:
     """One smooth piece: coordinate Exprs in t with exact tangents.
 
-    Coordinates and tangents are compiled once, on construction, by
-    `expr.compile_exprs`; `point` and `tangent` call the compiled code.
+    Coordinates and tangents are compiled together, once, on construction,
+    into one `expr.compile_exprs` table; `_columns[0]` and `_columns[1]`
+    are the columns of the coordinates and of the tangents in a row of it.
     `span` = (t0, t1) restricts the segment to that range of the
     expressions' parameter: `point(u)` is the coordinates at
     t0 + (t1 - t0) u and `tangent(u)` their derivative there, scaled by
     t1 - t0.  `sub` cuts such a piece out of a segment and shares its
-    compiled code.  `nodes` evaluates many u at once as tuples of floats;
-    `point` and `tangent` are its values as arrays.
+    compiled table.  `nodes` evaluates many u at once into (k, dim) arrays
+    of points and tangents, with the scale applied as one array product;
+    `point` and `tangent` read one row, which for one u is cheaper than
+    `nodes`' buffer, and give the same values.
     """
 
     coords: tuple  # tuple of Expr in Var(0)
     tangents: tuple = field(default=None)
     span: tuple = (0.0, 1.0)
-    _point: object = field(default=None, init=False, repr=False, compare=False)
-    _tangent: object = field(default=None, init=False, repr=False, compare=False)
+    _table: object = field(default=None, init=False, repr=False, compare=False)
+    _columns: object = field(default=None, init=False, repr=False, compare=False)
+    _pick: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tangents is None:
             object.__setattr__(
                 self, "tangents", tuple(c.diff(0) for c in self.coords))
-        object.__setattr__(self, "_point", ex.compile_exprs(self.coords))
-        object.__setattr__(self, "_tangent", ex.compile_exprs(self.tangents))
+        table = ex.compile_exprs(self.coords + self.tangents)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_columns",
+                           np.array(table.columns, dtype=np.intp).reshape(2, self.dim))
+        # itemgetter of one column returns the value itself, not a tuple
+        object.__setattr__(self, "_pick", tuple(
+            operator.itemgetter(*cols) if len(cols) > 1
+            else (lambda row, cols=cols: tuple(row[c] for c in cols))
+            for cols in self._columns.tolist()))
 
     @property
     def dim(self) -> int:
@@ -107,18 +120,21 @@ class Segment:
         t0, t1 = self.span
         return t0 + (t1 - t0) * u
 
-    def nodes(self, us) -> tuple[list, list]:
-        """Coordinates and tangents at each u of `us`, as two lists of tuples."""
-        scale = self.span[1] - self.span[0]
-        args = [(self._param(u),) for u in us]
-        return ([self._point(arg) for arg in args],
-                [tuple([scale * d for d in self._tangent(arg)]) for arg in args])
+    def _row(self, u: float) -> tuple:
+        """The table's values at u, then its constants."""
+        return self._table((self._param(u),)) + self._table.constants
+
+    def nodes(self, us) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates and tangents at each u of `us`, as two (k, dim) arrays."""
+        flat = np.fromiter(itertools.chain.from_iterable([self._row(u) for u in us]), float)
+        rows = flat.reshape(len(us), -1).take(self._columns, axis=1)
+        return rows[:, 0], (self.span[1] - self.span[0]) * rows[:, 1]
 
     def point(self, u: float) -> np.ndarray:
-        return np.array(self._point((self._param(u),)))
+        return np.array(self._pick[0](self._row(u)))
 
     def tangent(self, u: float) -> np.ndarray:
-        return np.array(self.nodes([u])[1][0])
+        return (self.span[1] - self.span[0]) * np.array(self._pick[1](self._row(u)))
 
     def sub(self, u0: float, u1: float) -> "Segment":
         """The piece of this segment over its parameter range [u0, u1];
@@ -426,8 +442,8 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
     segment's first node goes through `oracle.omega`; each round, the five
     new nodes of every lane still running, known before any stage is
     computed, go through one `oracle.omega_nodes` call, with their points
-    and tangents built as one array each from the tuples of
-    `Segment.nodes`, and the stages run on (lanes, fiber, k) stacks.  Stacking only
+    and tangents concatenated from the (5, dim) arrays of `Segment.nodes`,
+    and the stages run on (lanes, fiber, k) stacks.  Stacking only
     batches the arithmetic, so each lane ends bit for bit where it would
     alone.
     """
@@ -449,14 +465,14 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
     new_cs = _DP_C[1:6].tolist()
     active = list(range(len(lanes)))
     while active:
-        points, tangents = [], []  # the tuples of every new node, one array each
+        points, tangents = [], []  # (5, dim) arrays of every lane's new nodes
         for lane in active:
             h[lane] = min(h[lane], 1.0 - t[lane])
             lane_points, lane_tangents = lanes[lane][seg_index[lane]].nodes(
                 [t[lane] + c * h[lane] for c in new_cs])
-            points += lane_points
-            tangents += lane_tangents
-        new = oracle.omega_nodes(np.array(points), np.array(tangents))
+            points.append(lane_points)
+            tangents.append(lane_tangents)
+        new = oracle.omega_nodes(np.concatenate(points), np.concatenate(tangents))
         new = new.reshape(len(active), 5, fiber, fiber)
         mats = [np.stack([first[lane] for lane in active]),
                 *(new[:, j] for j in range(5)), new[:, 4]]

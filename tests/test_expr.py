@@ -63,11 +63,17 @@ def test_operator_overloading():
     assert ex.evaluate(e, (v,)) == pytest.approx((v + 1) * (v - 2) / (v * v + 1))
 
 
+def _outputs(table, x):
+    """The value of each compiled expression at x, placed by `table.columns`."""
+    row = table(x) + table.constants
+    return tuple(row[c] for c in table.columns)
+
+
 def test_compile_exprs_matches_evaluate():
     exprs = [ex.parse_expr(t, 2) for t in ("x1*x2", "cos(x1) + x2^3")]
     table = ex.compile_exprs(exprs)
     x = (0.4, -1.2)
-    got = table(x)
+    got = _outputs(table, x)
     assert got[0] == pytest.approx(ex.evaluate(exprs[0], x))
     assert got[1] == pytest.approx(ex.evaluate(exprs[1], x))
 
@@ -86,14 +92,26 @@ def test_compile_exprs_shares_subexpressions_and_matches_evaluate_exactly():
     assert table.source.count("sin(") == 1
     assert table.source.count("x0 * x1") == 1
     for x in ((0.4, -1.2), (-0.7, 0.3)):
-        assert table(x) == tuple(ex.evaluate(e, x) for e in exprs)
+        assert _outputs(table, x) == tuple(ex.evaluate(e, x) for e in exprs)
 
 
 def test_compile_exprs_shares_code_between_tables_differing_in_constants():
     a = ex.compile_exprs([ex.parse_expr("2.5 * sin(x1) - 1", 1)])
     b = ex.compile_exprs([ex.parse_expr("0.5 * sin(x1) - 3", 1)])
     assert a.__code__ is b.__code__
-    assert a((0.3,)) == (2.5 * math.sin(0.3) - 1.0,)
-    assert b((0.3,)) == (0.5 * math.sin(0.3) - 3.0,)
-    signed = ex.compile_exprs([ex.const(-0.0), ex.const(0.0)])(())
+    assert _outputs(a, (0.3,)) == (2.5 * math.sin(0.3) - 1.0,)
+    assert _outputs(b, (0.3,)) == (0.5 * math.sin(0.3) - 3.0,)
+    signed = _outputs(ex.compile_exprs([ex.const(-0.0), ex.const(0.0)]), ())
     assert [math.copysign(1.0, v) for v in signed] == [-1.0, 1.0]
+
+
+def test_compile_exprs_returns_each_distinct_value_once():
+    sin = ex.parse_expr("sin(x1)", 1)
+    exprs = [sin, ex.const(2.0), ex.parse_expr("sin(x1)", 1), ex.var(0), ex.const(-0.0),
+             ex.const(2.0), ex.const(0.0)]
+    table = ex.compile_exprs(exprs)
+    assert table((0.3,)) == (math.sin(0.3), 0.3)
+    assert [(v, math.copysign(1.0, v)) for v in table.constants] == [(2.0, 1.0), (-0.0, -1.0),
+                                                                     (0.0, 1.0)]
+    assert table.columns == (0, 2, 0, 1, 3, 2, 4)
+    assert _outputs(table, (0.3,)) == tuple(ex.evaluate(e, (0.3,)) for e in exprs)

@@ -191,6 +191,20 @@ def test_sphere_order_three_table_has_one_assignment_per_subexpression():
     assert sum(isinstance(node, ast.Assign) for node in ast.walk(tree)) <= 266
 
 
+@pytest.mark.parametrize("name, order, distinct, returned",
+                         [("ppwave", 2, 3, 151), ("ppwave", 3, 3, 351), ("s2xs2", 3, 20, 351),
+                          ("sphere", 3, 20, 121), ("bumpy", 3, 24, 121), ("flat", 2, 0, 61),
+                          ("flat", 3, 0, 121)])
+def test_jet_table_returns_each_distinct_value_once(name, order, distinct, returned):
+    spec = preset(name)
+    x = spec.sample_points(np.random.default_rng(3), 1)[0]
+    metric_jet(spec, x, order)
+    table = spec._jet_tables[order].table
+    # the zero of the higher orders, then every canonical partial, each placed by a column
+    assert len(table(x.tolist())) == distinct and len(table.columns) == returned
+    assert max(table.columns) + 1 == distinct + len(table.constants)
+
+
 def test_jet_tables_live_on_the_spec(monkeypatch):
     compiled = []
     real = metric_mod.compile_exprs

@@ -173,6 +173,36 @@ def test_compiled_segments_equal_evaluate_exactly():
                 assert np.array_equal(seg.tangent(tv), _oracle_values(seg.tangents, tv)), name
 
 
+def _same(a, b) -> bool:
+    """Equal values with equal signs, so -0.0 differs from 0.0."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_segment_nodes_equal_evaluate_exactly():
+    trig = tp.trig_loop(BASE, 0.2, np.random.default_rng(4)).segments[0]
+    t = ex.var(0)
+    s_expr = ex.mul(ex.const(0.3), ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), t)), 2))
+    q_expr = ex.const(1.0) + t * t
+    segments = {
+        "rectangle": tp.rectangle_loop(BASE, 0, 2, 0.3).segments[2],
+        "trig_loop": trig,
+        "off-slice lift": tp.lift_loop(tp.PathSpec((trig,)), s_expr, q_expr).segments[0],
+        "sub": trig.sub(0.25, 0.75),
+        "off-slice lift of a sub": tp.lift_loop(tp.PathSpec((trig.sub(0.5, 1.0),)),
+                                                s_expr, q_expr).segments[0],
+    }
+    us = [*np.linspace(0.0, 1.0, 7), 0.123, 0.777]
+    for name, seg in segments.items():
+        t0, t1 = seg.span
+        params = [t0 + (t1 - t0) * u for u in us]
+        points, tangents = seg.nodes(us)
+        assert points.shape == tangents.shape == (len(us), seg.dim), name
+        assert _same(points, [_oracle_values(seg.coords, p) for p in params]), name
+        assert _same(tangents, [(t1 - t0) * _oracle_values(seg.tangents, p) for p in params]), name
+        for u, point, tangent in zip(us, points, tangents):
+            assert _same(seg.point(u), point) and _same(seg.tangent(u), tangent), name
+
+
 @pytest.mark.parametrize("text, bad", [("log(x1)", -0.5), ("sqrt(x1)", -1.0),
                                        ("1 / x1", 0.0), ("x1^-2", 0.0)])
 def test_segment_domain_errors_raise(text, bad):
@@ -371,7 +401,7 @@ def test_sub_segment_shares_compiled_code():
     seg = tp.trig_loop(BASE, 0.2, np.random.default_rng(4)).segments[0]
     assert seg.span == (0.0, 1.0)
     piece = seg.sub(0.25, 0.75)
-    assert piece._point is seg._point and piece._tangent is seg._tangent
+    assert piece._table is seg._table and piece._columns is seg._columns
     assert piece.span == (0.25, 0.75)
     assert piece != seg and piece == seg.sub(0.25, 0.75)
     assert piece.sub(0.5, 1.0) == seg.sub(0.5, 0.75)
