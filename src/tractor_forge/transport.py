@@ -303,13 +303,14 @@ class TractorOracle:
     other raises ValueError.
     """
 
+    name = "tractor-induced"
+
     def __init__(self, spec: MetricSpec, variant: str = "induced"):
         if variant != "induced":
             raise ValueError(f"unknown tractor variant {variant!r}")
         self.spec = spec
         self.point_dim = spec.n
         self.fiber_dim = spec.n + 2
-        self.name = "tractor-induced"
 
     def omega_nodes(self, points, tangents) -> np.ndarray:
         return connection_matrix(connection_at(self.spec, points), tangents)
@@ -326,11 +327,12 @@ class TractorOracle:
 class AmbientOracle:
     """Lifted ambient connection over (s, x, q) points."""
 
+    name = "ambient"
+
     def __init__(self, spec: MetricSpec):
         self.geom = AmbientGeometry(spec)
         self.point_dim = spec.n + 2
         self.fiber_dim = spec.n + 2
-        self.name = "ambient"
         self.spec = spec
 
     def omega_nodes(self, points, tangents) -> np.ndarray:
@@ -367,11 +369,12 @@ class AmbientOracle:
 class CrudeOracle:
     """Crude alternative connection over (s, x, q) points."""
 
+    name = "crude"
+
     def __init__(self, spec: MetricSpec):
         self.geom = AmbientGeometry(spec)
         self.point_dim = spec.n + 2
         self.fiber_dim = spec.n + 2
-        self.name = "crude"
         self.spec = spec
 
     def omega_nodes(self, points, tangents) -> np.ndarray:
@@ -391,11 +394,12 @@ class CrudeOracle:
 class LeviCivitaOracle:
     """Plain Levi-Civita connection on TM; fiber dimension n."""
 
+    name = "levi-civita"
+
     def __init__(self, spec: MetricSpec):
         self.spec = spec
         self.point_dim = spec.n
         self.fiber_dim = spec.n
-        self.name = "levi-civita"
 
     def omega_nodes(self, points, tangents) -> np.ndarray:
         tangents = np.asarray(tangents, dtype=float)

@@ -122,18 +122,18 @@ def test_criterion_03_ambient_transport_preserves_metric():
         spec = _spec(name)
         geom = AmbientGeometry(spec)
         base = _BASES[name]
-        oracle = tp.AmbientOracle(spec)
         cap = geom.default_s_bound(base)
         amp = min(0.3, 0.6 * cap) if np.isfinite(cap) else 0.3
         rng = np.random.default_rng(7)
-        loops = [tp.trig_loop(base, _RADII.get(name, 0.25), rng)
+        paths = [tp.lift_loop(tp.trig_loop(base, _RADII.get(name, 0.25), rng),
+                              s_expr=_s_profile(amp), q_expr=_q_profile())
                  for _ in range(12)]
-        for lp in loops:
-            path = tp.lift_loop(lp, s_expr=_s_profile(amp), q_expr=_q_profile())
+        pairs = np.stack([rng.standard_normal((spec.n + 2, 2)) for _ in paths])
+        # the 12 curves in lockstep: each bit for bit its own transport
+        moved = tp.parallel_transport(tp.AmbientOracle(spec), paths, pairs, 1e-10)
+        for path, pair, out in zip(paths, pairs, moved):
             h0 = geom.metric(path.base)
             h1 = geom.metric(path.end)
-            pair = rng.standard_normal((spec.n + 2, 2))
-            out = tp.parallel_transport(oracle, path, pair, 1e-10)
             drift = abs(float(out[:, 0] @ h1 @ out[:, 1])
                         - float(pair[:, 0] @ h0 @ pair[:, 1]))
             worst = max(worst, drift)

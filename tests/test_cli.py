@@ -90,12 +90,38 @@ def test_bad_config_exit_two(capsys, tmp_path):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, ["tensors", "--config", str(tmp_path / "missing.cfg")])
     assert code == 2
-    code, _, err = run(capsys, ["tensors", "--preset", "sphere",
-                                "--point", "0.1,0.2"])
-    assert code == 2
+    for command in ("tensors", "verify"):
+        code, _, err = run(capsys, [command, "--preset", "sphere", "--point", "0.1,0.2"])
+        assert code == 2 and "point has 2 coordinates, metric needs 3" in err
     code, _, err = run(capsys, ["tensors", "--preset", "sphere",
                                 "--param", "radius"])
     assert code == 2
+
+
+@pytest.mark.parametrize("source, message", [
+    (["--preset", "sphere", "--param", "radius=abc"], "parameter radius must be a finite number"),
+    (["--preset", "bumpy", "--param", "eps=NaN"], "parameter eps must be a finite number"),
+    ("dim = x\n", "line 1: dim must be an integer"),
+    ("dim = 3\nsignature = a,b\n", "line 2: signature entry must be an integer"),
+    ("preset = sphere\nparam.radius = abc\n", "line 2: param.radius must be a finite number"),
+], ids=["param-flag", "param-nan", "config-dim", "config-signature", "config-param"])
+def test_malformed_number_exit_two(capsys, tmp_path, source, message):
+    if isinstance(source, str):
+        path = tmp_path / "metric.cfg"
+        path.write_text(source)
+        source = ["--config", str(path)]
+    code, _, err = run(capsys, ["tensors"] + source)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("variant, dimension", [("tractor-induced", 0), ("levi-civita", 3)])
+def test_holonomy_loops_stay_in_the_hyperbolic_chart(capsys, variant, dimension):
+    # the default loop radius 0.25 exceeds the chart margin at the default
+    # base point; the loop family caps it as verify does
+    code, out, _ = run(capsys, ["holonomy", "--preset", "hyperbolic", "--variant", variant])
+    assert code == 0
+    assert json.loads(out)["dimension"] == dimension
 
 
 def test_verify_flat_passes_and_deterministic(capsys, tmp_path):
