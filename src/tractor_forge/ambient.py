@@ -32,13 +32,13 @@ Ric(u, v) = tr(w -> R(w, u) v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import (CurvatureStack, _christoffel_matrices, compute_stack, connection_at,
                         connection_curvature, stack_at)
-from .metric import ChartDomainError, MetricError, MetricJet, MetricSpec, metric_jet
+from .metric import ChartDomainError, MetricError, MetricSpec, metric_jet
 
 __all__ = [
     "SingularMapError",
@@ -111,19 +111,6 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
     # [a, c] = d_a Omega_c
     dOmega = (-shifts[:, 3] + 8 * shifts[:, 2] - 8 * shifts[:, 1] + shifts[:, 0]) / (12 * h)
     return connection_curvature(omegas[0], dOmega)
-
-
-def _take_rows(data, rows):
-    """A batched stack or jet restricted to `rows`."""
-    values = {}
-    for f in fields(data):
-        value = getattr(data, f.name)
-        if isinstance(value, np.ndarray):
-            value = value[rows]
-        elif isinstance(value, MetricJet):
-            value = _take_rows(value, rows)
-        values[f.name] = value
-    return type(data)(**values)
 
 
 @dataclass
@@ -219,24 +206,15 @@ class AmbientGeometry:
     # -- connections -----------------------------------------------------------
 
     def _batch(self, p, u, stack):
-        """Points as (k, n+2), directions as (k, c, n+2), the stack, its g, P
-        and Psharp as (k, 1, n, n) arrays that broadcast over c, and its Gamma
-        as a (k, n, n, n) array.
-
-        A single point takes its stack from `stack_at` when none is given;
-        a (k, n+2) stack of points from one batched `compute_stack`.
-        """
-        p = np.asarray(p, dtype=float)
-        points = p.reshape(-1, self.dim)
-        if stack is None:
-            xs = points[:, 1:-1]
-            stack = (self.stack(xs[0]) if p.ndim == 1
-                     else compute_stack(metric_jet(self.spec, xs)))
+        """Points as (k, n+2), directions as (k, c, n+2), the stack's g, P and
+        Psharp as (k, 1, n, n) arrays that broadcast over c, and its Gamma as
+        a (k, n, n, n) array."""
+        points = np.asarray(p, dtype=float).reshape(-1, self.dim)
         dirs = np.asarray(u, dtype=float).reshape(len(points), -1, self.dim)
         k, n = len(points), self.n
         fields = [np.reshape(arr, (k, 1, n, n)) for arr in (stack.g, stack.P, stack.Psharp)]
         fields.append(np.reshape(stack.Gamma, (k, n, n, n)))
-        return points, dirs, stack, fields
+        return points, dirs, fields
 
     def omega(self, p, u, stack: CurvatureStack | None = None) -> np.ndarray:
         """Connection matrix for direction u = (a, U, b): D_t v = vdot + Omega v.
@@ -246,8 +224,25 @@ class AmbientGeometry:
         stack; at k points it is one direction per point, (k, n+2), or
         (k, c, n+2).  The result has shape u.shape[:-1] + (n+2, n+2), and
         each matrix equals the one for its point and direction alone.
+
+        Without a `stack`, points on the slice s = 0 read the order-2
+        `connection_at` data, and points off it the order-3 stack that the
+        s*dPsharp term needs: `stack_at` for one point, one batched
+        `compute_stack` for many.  A batch with points on both sides is
+        evaluated in those two parts and raises the error of its first bad
+        row, as that row's own call would.
         """
-        points, dirs, stack, (g, P, Psharp, Gamma) = self._batch(p, u, stack)
+        p = np.asarray(p, dtype=float)
+        if stack is None:
+            on = p[..., 0] == 0.0
+            if on.all():
+                stack = connection_at(self.spec, p[..., 1:-1])
+            elif not on.any():
+                stack = (self.stack(p[1:-1]) if p.ndim == 1
+                         else compute_stack(metric_jet(self.spec, p[:, 1:-1])))
+            else:
+                return self._omega_in_parts(p, np.asarray(u, dtype=float), on)
+        points, dirs, (g, P, Psharp, Gamma) = self._batch(p, u, stack)
         k, n = len(points), self.n
         s = points[:, 0]
         a, U, b = dirs[..., 0, None, None], dirs[..., 1:-1], dirs[..., -1, None, None]
@@ -268,15 +263,31 @@ class AmbientGeometry:
         Omega[..., 1:-1, 1:-1] = f @ tm_block
         return Omega.reshape(np.shape(u)[:-1] + (self.dim, self.dim))
 
+    def _omega_in_parts(self, points, dirs, on) -> np.ndarray:
+        """`omega` of a (k, n+2) stack of points, the rows on the slice (`on`)
+        and those off it each with their own data."""
+        out = np.empty(dirs.shape[:-1] + (self.dim, self.dim))
+        try:
+            for rows in (on, ~on):
+                out[rows] = self.omega(points[rows], dirs[rows])
+        except MetricError:
+            for point, d in zip(points, dirs):
+                self.omega(point, d)  # the first bad row raises its own error
+            raise
+        return out
+
     def omega_crude(self, p, u, stack: CurvatureStack | None = None) -> np.ndarray:
         """Connection matrix of the crude alternative; regular for all q > 0.
 
-        Accepts stacks of points and directions like `omega`.
+        Accepts stacks of points and directions like `omega`.  It has no
+        s*dPsharp term, so without a `stack` every point reads `connection_at`.
         """
         p = np.asarray(p, dtype=float)
         if not np.all(p[..., -1] > 0):  # NaN fails the test too
             raise MetricError("crude connection requires q > 0")
-        points, dirs, _, (g, P, Psharp, Gamma) = self._batch(p, u, stack)
+        if stack is None:
+            stack = connection_at(self.spec, p[..., 1:-1])
+        points, dirs, (g, P, Psharp, Gamma) = self._batch(p, u, stack)
         q = points[:, -1, None, None]
         U, b = dirs[..., 1:-1], dirs[..., -1, None, None]
         Ucol = U[..., None]
@@ -323,16 +334,16 @@ class AmbientGeometry:
     def curvature_all_pairs(self, p, crude: bool = False) -> np.ndarray:
         """Finite-difference curvature R[a, b] at p, by `curvature_from_omega`.
 
-        The stencil's connection matrices come from one batched omega call
-        over one stack of its distinct chart points; `curvature_from_omega`
-        looks each stencil point's matrices up.
+        The stencil's connection matrices come from one batched omega call,
+        which picks each stencil point's data itself: at a point on the
+        slice, only the four S-shifted points of the ambient stencil are off
+        it and read the order-3 stack, and the crude connection reads none.
+        `curvature_from_omega` looks each stencil point's matrices up.
         """
         fn = self.omega_crude if crude else self.omega
         points = _stencil(np.asarray(p, dtype=float), self.dim, _FD_STEP)
-        xs, rows = np.unique(points[:, 1:-1], axis=0, return_inverse=True)
-        stack = _take_rows(compute_stack(metric_jet(self.spec, xs)), rows.ravel())
         basis = np.broadcast_to(np.eye(self.dim), (len(points), self.dim, self.dim))
-        by_point = {pt.tobytes(): om for pt, om in zip(points, fn(points, basis, stack))}
+        by_point = {pt.tobytes(): om for pt, om in zip(points, fn(points, basis))}
         return curvature_from_omega(lambda pt, _: by_point[pt.tobytes()], p, self.dim)
 
     def ricci(self, p, pairs: np.ndarray | None = None) -> np.ndarray:
@@ -380,12 +391,6 @@ class AmbientGeometry:
                     rhs = t * t * self.torsion_lowered(p, u, v, z, stack)
                     res_t = max(res_t, abs(lhs - rhs))
             results[t] = {"metric_scaling": res_h, "torsion_scaling": res_t}
-        # F-contractions of the torsion
-        F = self.fundamental_field(p)
-        res_f = 0.0
-        for u in vecs:
-            res_f = max(res_f, float(np.max(np.abs(self.torsion(p, F, u, stack)))))
-        results["torsion_F_contraction"] = res_f
         # phi = h(F, .) equals q ds + s dq = d(sq) at p and its dilations, so dphi = 0
         res_dphi = 0.0
         for pt in [p] + [self.scale_point(p, t) for t in _SCALES]:

@@ -255,15 +255,16 @@ def _conformal_round(n: int, offsets, sign: float, radius: float) -> Expr:
 
 
 def _number(kind, value, what: str):
-    """kind(value) when that is finite, else a MetricError naming `what`."""
+    """kind(value) when value is a finite number, and an integral one if kind
+    is int, else a MetricError naming `what`.  Booleans are not numbers here."""
     try:
-        out = kind(value)
+        out = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
-    if not math.isfinite(out):
+    if not math.isfinite(out) or (kind is int and not out.is_integer()):
         noun = "an integer" if kind is int else "a finite number"
         raise MetricError(f"{what} must be {noun}, got {value!r}")
-    return out
+    return kind(out)
 
 
 def preset(name: str, **params) -> MetricSpec:

@@ -325,7 +325,11 @@ class TractorOracle:
 
 
 class AmbientOracle:
-    """Lifted ambient connection over (s, x, q) points."""
+    """Lifted ambient connection over (s, x, q) points.
+
+    `AmbientGeometry.omega` picks each node's data: the order-2
+    `connection_at` data on the slice s = 0, the order-3 stack off it.
+    """
 
     name = "ambient"
 
@@ -336,26 +340,7 @@ class AmbientOracle:
         self.spec = spec
 
     def omega_nodes(self, points, tangents) -> np.ndarray:
-        """On the slice s = 0 the order-2 connection data suffices; off it
-        the nodes share one batched order-3 stack.  A batch with nodes on
-        both sides is split by the s == 0 mask."""
-        points = np.asarray(points, dtype=float)
-        tangents = np.asarray(tangents, dtype=float)
-        on = points[:, 0] == 0.0
-        if on.all():
-            return self.geom.omega(points, tangents, connection_at(self.spec, points[:, 1:-1]))
-        if not on.any():
-            return self.geom.omega(points, tangents)
-        out = np.empty((len(points), self.fiber_dim, self.fiber_dim))
-        try:
-            out[on] = self.omega_nodes(points[on], tangents[on])
-            out[~on] = self.omega_nodes(points[~on], tangents[~on])
-        except MetricError:
-            # raise what the unsplit batch raises: the split must not change
-            # which bad row an error names
-            self.geom.omega(points, tangents)
-            raise
-        return out
+        return self.geom.omega(points, tangents)
 
     omega = _omega_at_node
 
@@ -378,9 +363,7 @@ class CrudeOracle:
         self.spec = spec
 
     def omega_nodes(self, points, tangents) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return self.geom.omega_crude(points, tangents,
-                                     connection_at(self.spec, points[:, 1:-1]))
+        return self.geom.omega_crude(points, tangents)
 
     omega = _omega_at_node
 

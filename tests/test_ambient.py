@@ -192,7 +192,6 @@ def test_homogeneity_degrees(bumpy_geom):
     for t in (0.5, 2.0):
         assert rep[t]["metric_scaling"] < 1e-10
         assert rep[t]["torsion_scaling"] < 1e-10
-    assert rep["torsion_F_contraction"] < 1e-12
     assert rep["dphi"] < 1e-9
     assert rep["lift_homogeneity"] < 1e-11
 

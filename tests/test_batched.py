@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tractor_forge import ambient, curvature
 from tractor_forge import transport as tp
 from tractor_forge.ambient import (AmbientGeometry, SingularMapError, ambient_point,
                                    curvature_from_omega)
@@ -203,3 +204,30 @@ def test_batched_fd_curvature_equals_per_point_path(name, s, crude):
     # one omega call per stencil point, each with its own single-point stack
     per_point = curvature_from_omega(lambda pt, dirs: fn(pt, dirs), p, geom.dim)
     assert np.array_equal(geom.curvature_all_pairs(p, crude=crude), per_point)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_only_off_slice_ambient_points_reach_the_order3_stack(monkeypatch, name):
+    spec = SPECS[name]
+    geom = AmbientGeometry(spec)
+    rng = np.random.default_rng(9)
+    x = spec.sample_points(rng, 1)[0] * 0.5
+    p = ambient_point(0.0, x, 1.1)
+    off = np.array([ambient_point(0.05, x, 1.1), ambient_point(-0.05, 0.5 * x, 0.9)])
+    dirs = rng.standard_normal((2, geom.dim))
+    stacked = []  # chart rows of every compute_stack call
+
+    def counting(jet, original=curvature.compute_stack):
+        stacked.extend(map(tuple, np.atleast_2d(jet.point).tolist()))
+        return original(jet)
+
+    for module in (ambient, curvature):
+        monkeypatch.setattr(module, "compute_stack", counting)
+    geom.omega(p, dirs[0])
+    geom.omega(np.array([p, ambient_point(0.0, 0.5 * x, 0.9)]), dirs)
+    for points in (p, off[0], off):
+        geom.omega_crude(points, dirs[0] if points.ndim == 1 else dirs)
+    geom.curvature_all_pairs(p, crude=True)
+    assert stacked == []
+    geom.curvature_all_pairs(p)
+    assert stacked == [tuple(x.tolist())] * 4  # the S-shifted stencil points

@@ -104,7 +104,12 @@ def test_bad_config_exit_two(capsys, tmp_path):
     ("dim = x\n", "line 1: dim must be an integer"),
     ("dim = 3\nsignature = a,b\n", "line 2: signature entry must be an integer"),
     ("preset = sphere\nparam.radius = abc\n", "line 2: param.radius must be a finite number"),
-], ids=["param-flag", "param-nan", "config-dim", "config-signature", "config-param"])
+    (["--preset", "sphere", "--param", "n=3.5"], "parameter n must be an integer, got 3.5"),
+    (["--preset", "sphere", "--param", "radius=true"],
+     "parameter radius must be a finite number, got True"),
+    ("preset = sphere\nparam.n = 3.5\n", "parameter n must be an integer, got 3.5"),
+], ids=["param-flag", "param-nan", "config-dim", "config-signature", "config-param",
+        "param-fraction", "param-bool", "config-param-fraction"])
 def test_malformed_number_exit_two(capsys, tmp_path, source, message):
     if isinstance(source, str):
         path = tmp_path / "metric.cfg"
@@ -113,6 +118,19 @@ def test_malformed_number_exit_two(capsys, tmp_path, source, message):
     code, _, err = run(capsys, ["tensors"] + source)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("source", [["--preset", "sphere", "--param", "n=4.0"],
+                                    "preset = sphere\nparam.n = 4\n"],
+                         ids=["param-flag", "config-param"])
+def test_integral_n_written_as_a_float_is_accepted(capsys, tmp_path, source):
+    if isinstance(source, str):
+        path = tmp_path / "metric.cfg"
+        path.write_text(source)
+        source = ["--config", str(path)]
+    code, out, _ = run(capsys, ["tensors"] + source)
+    assert code == 0
+    assert json.loads(out)["n"] == 4
 
 
 @pytest.mark.parametrize("variant, dimension", [("tractor-induced", 0), ("levi-civita", 3)])

@@ -6,7 +6,7 @@ import pytest
 from tractor_forge import ambient, curvature
 from tractor_forge import expr as ex
 from tractor_forge import transport as tp
-from tractor_forge.metric import MetricError, preset
+from tractor_forge.metric import PRESET_NAMES, MetricError, preset
 
 BASE = np.array([0.1, -0.15, 0.2])
 
@@ -424,3 +424,26 @@ def test_lift_loop_profiles_follow_each_piece_parameter():
         assert second[0] == pytest.approx(0.15 * (1.0 + u))
         assert np.array_equal(first[1:-1], seg.point(0.5 + 0.5 * u))
         assert np.array_equal(second[1:-1], seg.point(0.5 * u))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_ambient_and_crude_equal_the_tractor_connection_on_the_slice(name):
+    """At (0, x, 1) along (0, U, 0), the ambient and crude connection
+    matrices are the tractor ones at x along U.
+
+    The identity is bookkeeping, not evidence for the paper's theorem: on
+    the slice all three read the same order-2 data in the same splitting,
+    so lifted loops on the slice integrate the tractor ODE again.
+    """
+    spec = preset(name)
+    rng = np.random.default_rng(12)
+    xs = spec.sample_points(rng, 6) * 0.5
+    U = rng.standard_normal(xs.shape)
+    want = tp.TractorOracle(spec).omega_nodes(xs, U)
+    k = len(xs)
+    points = np.column_stack([np.zeros(k), xs, np.ones(k)])
+    dirs = np.column_stack([np.zeros(k), U, np.zeros(k)])
+    bound = 1e-15 * np.maximum(1.0, np.abs(want).max(axis=(1, 2)))
+    for oracle in (tp.AmbientOracle(spec), tp.CrudeOracle(spec)):
+        got = oracle.omega_nodes(points, dirs)
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= bound), oracle.name
