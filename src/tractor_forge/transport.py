@@ -19,10 +19,10 @@ A connection oracle is any object with:
 Each row of `omega_nodes` equals the `omega` call at that node exactly.
 
 Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with an adaptive
-embedded Dormand-Prince 5(4) step.  Omega depends only on t, so each
-distinct node time costs one connection matrix: a segment's first node
-goes through `omega`, and the five new nodes of each step attempt through
-`omega_nodes`.  Every transport goes through `parallel_transport`, which
+embedded Dormand-Prince 8(5,3) step (DOP853).  Omega depends only on t, so
+each distinct node time costs one connection matrix: a segment's first
+node goes through `omega`, and the eleven new nodes of each step attempt
+through `omega_nodes`.  Every transport goes through `parallel_transport`, which
 also takes a list of paths and integrates them in lockstep: each path
 keeps its own step control, and each round makes one `omega_nodes` call
 over the new nodes of every path still running.  Transports chained over
@@ -401,38 +401,90 @@ class LeviCivitaOracle:
 
 # -- integrator ------------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
+# Differential Equations I, sec. II.10): the nodes _C and the rows _A of its 12
+# stages, the 8th-order weights _B, and the weights _E5 and _E3 of its 5th- and
+# 3rd-order error estimates; the 13th (FSAL) stage of the published pair weighs
+# nothing in either estimate and is not computed.  The literals are copied from
+# SciPy's scipy/integrate/_ivp/dop853_coefficients.py (BSD-3-Clause license;
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), and _E3 is
+# formed the same way as there, as _B minus three corrections.  Each row of _A and
+# each weight vector is a (1, s) matrix, for the stage sums over the (lanes, s,
+# fiber*cols) stack of stage derivatives.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0
+])
+_A = [np.array([row]) for row in (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)]
+_B = np.array([[
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2
+]])
+_E3 = _B - np.array([[
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1
+]])
+_E5 = np.array([[
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1
+]])
 
 
 def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
-    """DP5(4) over the segments of every lane in lockstep, one connection
+    """DOP853 over the segments of every lane in lockstep, one connection
     matrix per distinct node.
 
     Lane l carries the (fiber, k) array V[l] over the segments lanes[l], each
     with its own t, h, error scale and accept/reject decision.  Omega
-    depends only on t, so the stage with c7 = c6 = 1 reuses stage 6, an
-    accepted step's last node (t + 1.0*h, bit for bit the new t) is the
-    next step's first, and a rejected step keeps its first node.  A
-    segment's first node goes through `oracle.omega`; each round, the five
-    new nodes of every lane still running, known before any stage is
-    computed, go through one `oracle.omega_nodes` call, with their points
-    and tangents concatenated from the (5, dim) arrays of `Segment.nodes`,
-    and the stages run on (lanes, fiber, k) stacks.  Stacking only
-    batches the arithmetic, so each lane ends bit for bit where it would
-    alone.
+    depends only on t, so an accepted step's last node (c = 1: t + 1.0*h,
+    bit for bit the new t) is the next step's first, and a rejected step
+    keeps its first node.  A segment's first node goes through
+    `oracle.omega`; each round, the eleven new nodes of every lane still
+    running, known before any stage is computed, go through one
+    `oracle.omega_nodes` call, with their points and tangents concatenated
+    from the (11, dim) arrays of `Segment.nodes`, and the stages run on
+    (lanes, fiber, k) stacks.  A step's error is h e5^2 / sqrt(e5^2 +
+    0.01 e3^2), where e5 and e3 are the max-norms of the two error
+    estimates over the lane's error scale.  Stacking only batches the
+    arithmetic, and each stage sum is one lane's (1, s) @ (s, fiber*k)
+    product, so each lane ends bit for bit where it would alone.
     """
     min_h = 1e-10
     fiber = oracle.fiber_dim
@@ -449,10 +501,11 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
 
     for lane in range(len(lanes)):
         begin(lane)
-    new_cs = _DP_C[1:6].tolist()
+    new_cs = _C[1:].tolist()
+    stages = len(_C)
     active = list(range(len(lanes)))
     while active:
-        points, tangents = [], []  # (5, dim) arrays of every lane's new nodes
+        points, tangents = [], []  # (11, dim) arrays of every lane's new nodes
         for lane in active:
             h[lane] = min(h[lane], 1.0 - t[lane])
             lane_points, lane_tangents = lanes[lane][seg_index[lane]].nodes(
@@ -460,32 +513,32 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
             points.append(lane_points)
             tangents.append(lane_tangents)
         new = oracle.omega_nodes(np.concatenate(points), np.concatenate(tangents))
-        new = new.reshape(len(active), 5, fiber, fiber)
-        mats = [np.stack([first[lane] for lane in active]),
-                *(new[:, j] for j in range(5)), new[:, 4]]
+        new = new.reshape(len(active), stages - 1, fiber, fiber)
         hs = np.array([h[lane] for lane in active])[:, None, None]
         v = V[active]
-        ks = []
-        for stage, mat in enumerate(mats):
-            y = v
-            for a, k in zip(_DP_A[stage], ks):
-                y = y + hs * a * k
-            ks.append(-(mat @ y))
-        v5 = v + hs * sum(b * k for b, k in zip(_DP_B5, ks))
-        v4 = v + hs * sum(b * k for b, k in zip(_DP_B4, ks))
-        errs = np.max(np.abs(v5 - v4), axis=(1, 2)).tolist()
-        peaks = np.max(np.abs(v5), axis=(1, 2)).tolist()
+        ks = np.empty((len(active), stages) + v.shape[1:])
+        flat = ks.reshape(len(active), stages, -1)  # a view: row s is stage s
+        ks[:, 0] = -(np.stack([first[lane] for lane in active]) @ v)
+        for stage in range(1, stages):
+            y = v + hs * (_A[stage - 1] @ flat[:, :stage]).reshape(v.shape)
+            ks[:, stage] = -(new[:, stage - 1] @ y)
+        v8 = v + hs * (_B @ flat).reshape(v.shape)
+        e5s = np.max(np.abs(_E5 @ flat), axis=(1, 2)).tolist()
+        e3s = np.max(np.abs(_E3 @ flat), axis=(1, 2)).tolist()
+        peaks = np.max(np.abs(v8), axis=(1, 2)).tolist()
         running = []
         for row, lane in enumerate(active):
-            err = errs[row] / scale_ref[lane]
+            e5, e3 = e5s[row] / scale_ref[lane], e3s[row] / scale_ref[lane]
+            denom = e5 * e5 + 0.01 * e3 * e3
+            err = h[lane] * e5 * e5 / denom ** 0.5 if denom > 0 else 0.0
             if err <= tol or h[lane] <= min_h:
                 if h[lane] <= min_h and err > tol:
                     raise TransportError(f"step underflow at t={t[lane]:.6f} (err {err:.2e})")
                 t[lane] += h[lane]
-                V[lane] = v5[row]
-                first[lane] = new[row, 4]
+                V[lane] = v8[row]
+                first[lane] = new[row, -1]
                 scale_ref[lane] = max(scale_ref[lane], peaks[row])
-            factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
+            factor = 0.9 * (tol / err) ** 0.125 if err > 0 else 5.0
             h[lane] = max(min_h, h[lane] * min(5.0, max(0.2, factor)))
             if t[lane] >= 1.0:
                 seg_index[lane] += 1

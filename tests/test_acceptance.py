@@ -320,9 +320,8 @@ def test_criterion_10_scale_lift_transport():
         amp = min(0.15, 0.3 * cap) if np.isfinite(cap) else 0.15
         loop = tp.rectangle_loop(base, 0, 1, _RADII.get(name, 0.25))
         v0 = rng.standard_normal(spec.n + 2)
-        for f_expr in reparams:
-            rep = hol.lift_transport_check(spec, loop, f_expr, v0,
-                                           tol=1e-10, s_amplitude=amp)
+        for rep in hol.lift_transport_check(spec, loop, reparams, v0,
+                                            tol=1e-10, s_amplitude=amp):
             worst = max(worst, rep["reparameterized_lift_residual"],
                         rep["fiber_loop_residual"],
                         rep["geodesic_flow_residual"])

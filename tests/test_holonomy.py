@@ -118,18 +118,33 @@ def test_lift_transport_check_sphere():
     f_expr = ex.add(ex.const(1.0), ex.mul(
         ex.const(0.3), ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), t)), 2)))
     v0 = np.array([0.4, 1.0, -0.7, 0.2, -0.3])
-    rep = hol.lift_transport_check(spec, loop, f_expr, v0, tol=1e-10,
-                                   s_amplitude=0.2)
+    [rep] = hol.lift_transport_check(spec, loop, [f_expr], v0, tol=1e-10,
+                                     s_amplitude=0.2)
     assert rep["reparameterized_lift_residual"] < 1e-6
     assert rep["fiber_loop_residual"] < 1e-6
     assert rep["geodesic_flow_residual"] < 1e-9
+    # two profiles share one lockstep call, with one report each, equal to
+    # the report of that profile checked alone
+    g_expr = ex.sub(ex.const(1.0), ex.mul(ex.const(0.2), ex.mul(t, ex.sub(ex.const(1.0), t))))
+    [alone] = hol.lift_transport_check(spec, loop, [g_expr], v0, tol=1e-10, s_amplitude=0.2)
+    assert hol.lift_transport_check(spec, loop, [f_expr, g_expr], v0, tol=1e-10,
+                                    s_amplitude=0.2) == [rep, alone]
 
 
 def test_matrix_log_raises_when_series_diverges():
-    # max|G - I| = 0.4 passes the entry gate, but X = 0.4*ones has
-    # eigenvalue 2, so the series diverges (the true log has entries 0.22)
+    # X = 0.4*ones has eigenvalue 2, so the series diverges (the true log
+    # has entries 0.22); ||X||_F = 2 is over the gate
     with pytest.raises(hol.LogConvergenceError):
         hol.matrix_log(np.eye(5) + 0.4 * np.ones((5, 5)))
+
+
+def test_matrix_log_gates_on_the_frobenius_norm():
+    # every entry of X = 0.45*ones is under 0.5, but ||X||_F = 2.7 and X
+    # has eigenvalue 2.7: the gate raises before any series term
+    with pytest.raises(hol.LogConvergenceError, match=r"\|\|G - I\|\|_F = 2\.700 >= 0\.5"):
+        hol.matrix_log(np.eye(6) + 0.45 * np.ones((6, 6)))
+    with pytest.raises(hol.LogConvergenceError, match="not converged"):
+        hol.matrix_log(np.full((3, 3), np.nan))
 
 
 def test_chained_rectangle_prefixes_equal_prefix_transports_exactly():

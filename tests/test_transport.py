@@ -1,9 +1,13 @@
 """Paths, loop families, and parallel transport for all connection oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from tractor_forge import ambient, curvature
+from tractor_forge import ambient, curvature, report
 from tractor_forge import expr as ex
 from tractor_forge import transport as tp
 from tractor_forge.metric import PRESET_NAMES, MetricError, preset
@@ -231,30 +235,33 @@ def test_parallel_transport_rejects_misshapen_v0():
 
 
 def _reference_segment(oracle, seg, v, tol):
-    """DP5(4) with every stage evaluating Omega afresh (seven calls a step)."""
+    """DOP853 on one path, with every stage evaluating Omega afresh (twelve
+    calls a step)."""
     def rhs(t, y):
         return -(oracle.omega(seg.point(t), seg.tangent(t)) @ y)
 
     t, h, min_h = 0.0, 0.1, 1e-10
     scale_ref = max(1.0, float(np.max(np.abs(v))))
+    stages = len(tp._C)
     while t < 1.0:
         h = min(h, 1.0 - t)
-        ks = []
-        for stage in range(7):
-            y = v.copy()
-            for a, k in zip(tp._DP_A[stage], ks):
-                y = y + h * a * k
-            ks.append(rhs(t + tp._DP_C[stage] * h, y))
-        v5 = v + h * sum(b * k for b, k in zip(tp._DP_B5, ks))
-        v4 = v + h * sum(b * k for b, k in zip(tp._DP_B4, ks))
-        err = float(np.max(np.abs(v5 - v4))) / scale_ref
+        ks = np.empty((stages,) + v.shape)
+        flat = ks.reshape(stages, -1)
+        for stage in range(stages):
+            y = v + h * (tp._A[stage - 1] @ flat[:stage]).reshape(v.shape) if stage else v
+            ks[stage] = rhs(t + tp._C[stage] * h, y)
+        v8 = v + h * (tp._B @ flat).reshape(v.shape)
+        e5 = float(np.max(np.abs(tp._E5 @ flat))) / scale_ref
+        e3 = float(np.max(np.abs(tp._E3 @ flat))) / scale_ref
+        denom = e5 * e5 + 0.01 * e3 * e3
+        err = h * e5 * e5 / denom ** 0.5 if denom > 0 else 0.0
         if err <= tol or h <= min_h:
             if h <= min_h and err > tol:
                 raise tp.TransportError(f"step underflow at t={t:.6f}")
             t += h
-            v = v5
+            v = v8
             scale_ref = max(scale_ref, float(np.max(np.abs(v))))
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
+        factor = 0.9 * (tol / err) ** 0.125 if err > 0 else 5.0
         h = max(min_h, h * min(5.0, max(0.2, factor)))
     return v
 
@@ -310,14 +317,14 @@ def test_transport_equals_reference_integrator_exactly(case):
     reference = _CountingOracle(oracle)
     want = _reference_transport(reference, path, np.eye(oracle.fiber_dim), tol)
     assert np.array_equal(got, want)
-    # the same nodes, with one omega call per distinct node time: five new
-    # nodes per step attempt plus each segment's t = 0, against seven
-    attempts, rest = divmod(len(reference.nodes), 7)
+    # the same nodes, with one omega call per distinct node time: eleven new
+    # nodes per step attempt plus each segment's t = 0, against twelve
+    attempts, rest = divmod(len(reference.nodes), 12)
     assert rest == 0
-    assert len(counted.nodes) == 5 * attempts + len(path.segments)
+    assert len(counted.nodes) == 11 * attempts + len(path.segments)
     assert set(counted.nodes) == set(reference.nodes)
-    # one batched call per attempt, for its five new nodes
-    assert counted.batches == [5] * attempts
+    # one batched call per attempt, for its eleven new nodes
+    assert counted.batches == [11] * attempts
 
 
 def _lockstep_cases():
@@ -389,11 +396,11 @@ def test_lockstep_round_batches_every_running_lane(case):
     together = _CountingOracle(oracle)
     tp.parallel_transport(together, paths, np.broadcast_to(eye, (len(paths),) + eye.shape), tol)
     # a lane runs for as many rounds as its path alone makes step attempts,
-    # and each round makes one omega_nodes call for five nodes per running lane
+    # and each round makes one omega_nodes call for eleven nodes per running lane
     attempts = [len(c.batches) for c in alone]
-    assert together.batches == [5 * sum(a > r for a in attempts)
+    assert together.batches == [11 * sum(a > r for a in attempts)
                                 for r in range(max(attempts))]
-    assert len(together.nodes) == 5 * sum(attempts) + sum(len(p.segments) for p in paths)
+    assert len(together.nodes) == 11 * sum(attempts) + sum(len(p.segments) for p in paths)
     assert set(together.nodes) == set().union(*(set(c.nodes) for c in alone))
 
 
@@ -447,3 +454,53 @@ def test_ambient_and_crude_equal_the_tractor_connection_on_the_slice(name):
     for oracle in (tp.AmbientOracle(spec), tp.CrudeOracle(spec)):
         got = oracle.omega_nodes(points, dirs)
         assert np.all(np.abs(got - want).max(axis=(1, 2)) <= bound), oracle.name
+
+
+def test_dop853_tableau():
+    c, b = tp._C, tp._B[0]
+    assert len(c) == len(b) == len(tp._A) + 1 == 12
+    for k in range(1, 9):  # b integrates polynomials of degree < 8 exactly
+        assert np.sum(b * c ** (k - 1)) == pytest.approx(1.0 / k, rel=0, abs=1e-14)
+    for stage, row in enumerate(tp._A, start=1):
+        assert row.shape == (1, stage)
+        assert np.sum(row) == pytest.approx(c[stage], rel=0, abs=1e-14)
+    for weights in (tp._E3, tp._E5):
+        assert weights.shape == (1, 12)
+        assert np.sum(weights) == pytest.approx(0.0, rel=0, abs=1e-14)
+    pytest.importorskip("scipy")
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert np.array_equal(c, ref.C[:12])
+    for stage, row in enumerate(tp._A, start=1):
+        assert np.array_equal(row[0], ref.A[stage, :stage])
+    assert np.array_equal(b, ref.B)
+    # the 13th (FSAL) stage has no weight in either error estimate
+    assert ref.E3[12] == ref.E5[12] == 0.0
+    assert np.array_equal(tp._E3[0], ref.E3[:12])
+    assert np.array_equal(tp._E5[0], ref.E5[:12])
+
+
+def test_package_imports_no_scipy():
+    """The tableau is literal: importing the package and its command line
+    loads numpy only, not scipy."""
+    code = ("import sys, tractor_forge, tractor_forge.cli; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_transport_error_on_the_verify_loops(name):
+    """At verify's tol = 1e-9, every loop transport of verify's family
+    lies within 5e-9 of its transport at tol = 1e-13: the tractor loops,
+    their slice lifts and three off-slice lifts."""
+    suite = report._Suite(report.RunConfig(preset=name))
+    lifted = [tp.lift_loop(lp) for lp in suite.loops]
+    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
+           for lp in suite.loops[:3]]
+    for oracle, paths in ((suite.tractor, suite.loops), (suite.ambient, lifted + off)):
+        eye = np.broadcast_to(np.eye(oracle.fiber_dim), (len(paths),) + (oracle.fiber_dim,) * 2)
+        coarse = tp.parallel_transport(oracle, paths, eye, 1e-9)
+        fine = tp.parallel_transport(oracle, paths, eye, 1e-13)
+        assert np.max(np.abs(coarse - fine)) <= 5e-9, oracle.name
