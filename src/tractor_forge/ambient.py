@@ -99,13 +99,13 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
 
     Coordinate partials of the connection matrices use 4th-order central
     differences with step `h`, and `connection_curvature` assembles R from
-    them.  `omega_fn(point, directions)` must accept any point near `point`
-    and a (dim, dim) stack of directions, and return their (dim, fiber,
-    fiber) stack of connection matrices: one call per stencil point.
+    them.  `omega_fn(points, directions)` is called once, with the (m, dim)
+    stack of the m = 1 + 4 dim stencil points and an (m, dim, dim) stack
+    of the coordinate directions at each, and must return their (m, dim,
+    fiber, fiber) connection matrices.
     """
-    basis = np.eye(dim)
-    omegas = np.stack([omega_fn(pt, basis)
-                       for pt in _stencil(np.asarray(point, dtype=float), dim, h)])
+    points = _stencil(np.asarray(point, dtype=float), dim, h)
+    omegas = omega_fn(points, np.broadcast_to(np.eye(dim), (len(points), dim, dim)))
     fiber = omegas.shape[-1]
     shifts = omegas[1:].reshape(dim, 4, dim, fiber, fiber)  # [a, k, c] at k*h*e_a
     # [a, c] = d_a Omega_c
@@ -334,17 +334,13 @@ class AmbientGeometry:
     def curvature_all_pairs(self, p, crude: bool = False) -> np.ndarray:
         """Finite-difference curvature R[a, b] at p, by `curvature_from_omega`.
 
-        The stencil's connection matrices come from one batched omega call,
-        which picks each stencil point's data itself: at a point on the
-        slice, only the four S-shifted points of the ambient stencil are off
-        it and read the order-3 stack, and the crude connection reads none.
-        `curvature_from_omega` looks each stencil point's matrices up.
+        The stencil's connection matrices come from its one batched omega
+        call, which picks each stencil point's data itself: at a point on
+        the slice, only the four S-shifted points of the ambient stencil are
+        off it and read the order-3 stack, and the crude connection reads
+        none.
         """
-        fn = self.omega_crude if crude else self.omega
-        points = _stencil(np.asarray(p, dtype=float), self.dim, _FD_STEP)
-        basis = np.broadcast_to(np.eye(self.dim), (len(points), self.dim, self.dim))
-        by_point = {pt.tobytes(): om for pt, om in zip(points, fn(points, basis))}
-        return curvature_from_omega(lambda pt, _: by_point[pt.tobytes()], p, self.dim)
+        return curvature_from_omega(self.omega_crude if crude else self.omega, p, self.dim)
 
     def ricci(self, p, pairs: np.ndarray | None = None) -> np.ndarray:
         """Ricci matrix over the coordinate basis: Ric(u, v) = tr(w -> R(w, u) v)."""

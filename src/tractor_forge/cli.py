@@ -1,7 +1,9 @@
 """Command-line front door.
 
 Subcommands: tensors, tractor, ambient, holonomy, verify.  Exit codes:
-0 all checks pass, 1 some check failed, 2 configuration or domain error.
+0 all checks pass, 1 some check failed, 2 configuration or domain error
+(a metric entry evaluated outside the domain of log, sqrt or division
+included).
 The TRACTOR_FORGE_LOG environment variable sets the log level.
 """
 
@@ -19,6 +21,7 @@ from . import holonomy as hol
 from . import transport as tp
 from .ambient import AmbientGeometry, SingularMapError, ambient_point
 from .curvature import stack_at
+from .expr import EvaluationDomainError
 from .metric import MetricError, signature_of
 from .report import RunConfig, report_emit, run_verify
 from .tractor import connection_matrix, normality_check, tractor_metric
@@ -286,7 +289,7 @@ def main(argv=None) -> int:
         log.error("singular bundle map: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MetricError, tp.TransportError, OSError) as exc:
+    except (MetricError, EvaluationDomainError, tp.TransportError, OSError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,9 +84,10 @@ class CurvatureStack:
 
 
 def _batched(jet: MetricJet) -> tuple:
-    """The jet's g, ginv, dg, d2g and d3g, each with a leading batch axis."""
+    """The jet's g, ginv, dg, d2g and d3g, each with a leading batch axis;
+    d3g is None for an order-2 jet."""
     arrays = (jet.g, jet.ginv, jet.dg, jet.d2g, jet.d3g)
-    return arrays if jet.g.ndim == 3 else tuple(a[None] for a in arrays)
+    return arrays if jet.g.ndim == 3 else tuple(None if a is None else a[None] for a in arrays)
 
 
 def _batched_like(jet: MetricJet, fields: dict) -> dict:
@@ -253,7 +254,8 @@ def stack_at(spec: MetricSpec, x) -> CurvatureStack:
 
 @dataclass
 class ConnectionPoint:
-    """Light subset of the stack needed to evaluate connection matrices.
+    """Light subset of the stack needed to evaluate connection matrices,
+    plus the Riemann tensor the same chain computes.
 
     Built from an order-2 jet, so it is cheap enough for the inner loop of
     a transport integrator.  Field layout mirrors CurvatureStack.
@@ -261,6 +263,7 @@ class ConnectionPoint:
 
     jet: MetricJet
     Gamma: np.ndarray
+    Riem: np.ndarray
     Ric: np.ndarray
     Scal: float             # a (k,) array for a batch of points
     P: np.ndarray
@@ -287,7 +290,7 @@ def connection_at(spec: MetricSpec, x) -> ConnectionPoint:
     jet = metric_jet(spec, x, order=2)
     c = _connection_fields(*_batched(jet)[:4])
     return ConnectionPoint(jet=jet, **_batched_like(jet, {
-        name: c[name] for name in ("Gamma", "Ric", "Scal", "P", "Psharp")}))
+        name: c[name] for name in ("Gamma", "Riem", "Ric", "Scal", "P", "Psharp")}))
 
 
 def _christoffel_matrices(Gamma, X) -> np.ndarray:

@@ -8,22 +8,25 @@ simplifier is deliberately minimal: constant folding and 0/1 identities
 only.
 
 Hot paths (metric jets, path segments) evaluate through `compile_exprs`,
-which turns a list of expressions into one straight-line Python function
-with a temporary per distinct subexpression.  The function returns each
-distinct non-constant value once; the table records the constants and
-the column of every expression, and callers place the values into arrays
-with one `take`.  The tree-walking `evaluate` (also `Expr.__call__`)
-computes the same values node by node and serves as the independent
-reference in tests.  Both raise EvaluationDomainError outside the domain
-of log, sqrt, division and negative powers.
+which turns a list of expressions into a `Table`: one straight-line Python
+function with a temporary per distinct subexpression, and `Table.rows`,
+which gives the value of every expression at k points as one (k, m)
+array.  How the function's output is laid out is known only here.  The
+tree-walking `evaluate` (also `Expr.__call__`) computes the same values
+node by node and serves as the independent reference in tests.  Both
+raise EvaluationDomainError outside the domain of log, sqrt, division and
+negative powers.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import types
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -558,31 +561,56 @@ def _table_code(src: str) -> types.CodeType:
     return namespace["_table"].__code__
 
 
-def compile_exprs(exprs):
-    """Compile a list of expressions into one table x -> tuple of floats.
+class Table:
+    """A list of expressions compiled by `compile_exprs`.
 
-    The generated function is straight-line code: each variable used is
+    `function(x)` returns, at one point x, each distinct non-constant value
+    among the expressions once, in order of first appearance; `source` is
+    its generated text.  `constants` holds the distinct constant values
+    (told apart by `repr`, so -0.0 and 0.0 stay apart), and `columns` the
+    index of each expression's value in `function(x) + constants`.  `rows`
+    reads that layout; callers need nothing else.
+    """
+
+    def __init__(self, function, source: str, constants: tuple, columns: tuple):
+        self.function = function
+        self.source = source
+        self.constants = constants
+        self.columns = columns
+        self._width = len(set(columns))  # every value and constant is some column
+        self._take = np.array(columns, dtype=np.intp)
+
+    def rows(self, xs) -> np.ndarray:
+        """The (k, m) array of the m expressions' values at the k points xs,
+        in the order the expressions were given.
+
+        One `np.fromiter` fills a (k, width) buffer with the per-point rows
+        `function(x) + constants`, and one `take` of `columns` places every
+        expression's value.
+        """
+        function, constants, k = self.function, self.constants, len(xs)
+        flat = np.fromiter(itertools.chain.from_iterable([function(x) + constants for x in xs]),
+                           float, count=k * self._width)
+        return flat.reshape(k, self._width).take(self._take, axis=1)
+
+
+def compile_exprs(exprs) -> Table:
+    """Compile a list of expressions into one `Table`.
+
+    The table's function is straight-line code: each variable used is
     read once as a float, and each distinct subexpression becomes one
     temporary `tK = a op b`, keyed by its operator and operand names, so a
     subtree shared between entries (as the partial derivatives of one
-    metric entry share most of theirs) is computed once.  The arithmetic is
-    the scalar float and `math` arithmetic `evaluate` does, in the same
-    order, so the values equal `evaluate`'s exactly.  ValueError,
+    metric entry share most of theirs) is computed once, and an expression
+    listed more than once is computed once.  The arithmetic is the scalar
+    float and `math` arithmetic `evaluate` does, in the same order, so
+    `rows` equals `evaluate` exactly, signs of zeros included.  ValueError,
     ZeroDivisionError and OverflowError (log or sqrt of a negative,
     division by zero, 0^-k, overflow) are raised as EvaluationDomainError.
-
-    The function returns each distinct non-constant operand among the
-    expressions once, in order of first appearance.  The table records the
-    rest on itself: `constants`, the distinct constant values among the
-    expressions (by `repr`, so -0.0 and 0.0 stay apart), and `columns`,
-    the index of each expression's value in `table(x) + table.constants`.
-    A caller fills a (k, width) buffer with the rows `table(x) +
-    table.constants` and places every entry with one `take` of `columns`.
 
     Constants are parameters `cK` with the values as defaults, so tables
     that differ only in their constants (the segments of a loop family,
     say) share one code object, and Python's compiler runs once for them.
-    The generated text is kept on the function as `source`.
     """
     loads: set[int] = set()
     lines: list[str] = []
@@ -631,9 +659,7 @@ def compile_exprs(exprs):
         "        raise EvaluationDomainError(str(exc)) from exc\n",
     ])
     defaults = {param: float(text) for text, param in consts.items()}
-    table = types.FunctionType(_table_code(src), _TABLE_GLOBALS, "_table",
-                               tuple(defaults.values()))
-    table.source = src
-    table.constants = tuple(defaults[c] for c in constants)
-    table.columns = tuple(column[o] for o in outputs)
-    return table
+    function = types.FunctionType(_table_code(src), _TABLE_GLOBALS, "_table",
+                                  tuple(defaults.values()))
+    return Table(function, src, tuple(defaults[c] for c in constants),
+                 tuple(column[o] for o in outputs))

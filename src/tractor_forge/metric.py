@@ -3,12 +3,13 @@
 A MetricSpec holds symbolic entries g_ij over coordinates x1..xn.  Jets
 carry exact partial derivatives of g up to third order, which is the
 depth the Cotton-York tensor needs (it differentiates the Schouten
-tensor, hence Ricci, hence two Christoffel derivatives).
+tensor, hence Ricci, hence two Christoffel derivatives); an order-2 jet,
+enough for the connection data, stops at the second and has no d3g.
+Both are evaluated through one compiled `expr` table per spec and order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -103,19 +104,19 @@ class MetricSpec:
 
 @dataclass
 class MetricJet:
-    """Metric values and exact partials to order three at one point.
+    """Metric values and exact partials to order two or three at one point.
 
     Derivative indices come first: dg[k,i,j] = d_k g_ij,
-    d2g[l,k,i,j] = d_l d_k g_ij, d3g[m,l,k,i,j] = d_m d_l d_k g_ij.
-    A jet of a (k, n) stack of points carries a leading batch axis of
-    length k on every array.
+    d2g[l,k,i,j] = d_l d_k g_ij, d3g[m,l,k,i,j] = d_m d_l d_k g_ij; d3g
+    is None in an order-2 jet.  A jet of a (k, n) stack of points carries
+    a leading batch axis of length k on every array.
     """
 
     point: np.ndarray
     g: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
-    d3g: np.ndarray
+    d3g: np.ndarray | None
     ginv: np.ndarray
     spec: MetricSpec = field(repr=False, default=None)
 
@@ -127,55 +128,36 @@ class MetricJet:
 class _JetEvaluator:
     """Compiled table of g and its symbolic partials up to `max_order`.
 
-    Only canonical index combinations are compiled (i <= j in the metric
-    indices, sorted derivative multi-indices), into one straight-line
-    function by `compile_exprs`, which shares the subexpressions common to
-    an entry and its partials and returns each distinct non-constant value
-    once per point.  g, dg, d2g and d3g are consecutive blocks of one flat
-    buffer per point; the index array `gather`, computed once here from
-    the table's `columns`, gives each position the column of the value it
-    stands for (all derivative orderings, both metric index orders, the
-    orders above `max_order` reading a zero), so mixed-partial symmetry
-    holds exactly.  `jet` fills a (k, width) buffer with one `np.fromiter`
-    over the rows `table(x) + table.constants` and places every entry with
-    one `take` of `gather`.
+    The table lists its expressions in the jet's own flat layout: the
+    blocks g, dg, d2g (and d3g at order three) one after another, each in
+    C order of its (derivative..., i, j) index.  Every position of a
+    partial, whatever the order of its derivative indices and of i, j,
+    holds the same `Expr` object, built once by differentiating the
+    partial of the sorted multi-index without its first index, so
+    mixed-partial symmetry holds exactly and `compile_exprs` computes each
+    distinct partial once.  `jet` is the table's `rows` split at `bounds`.
     """
 
     def __init__(self, spec: MetricSpec, max_order: int = 3):
         n = spec.n
-        self.shapes = [(n,) * (order + 2) for order in range(4)]
-        self.bounds = np.cumsum([0] + [n ** (order + 2) for order in range(4)])
-        # expression 0 is the zero of the orders above max_order
-        exprs, dst, src = [const(0.0)], [], []
-        for i in range(n):
-            for j in range(i, n):
-                partial = {(): spec.entries[i][j]}
-                for order in range(max_order + 1):
-                    for multi in itertools.combinations_with_replacement(range(n), order):
-                        if order:
-                            partial[multi] = partial[multi[1:]].diff(multi[0])
-                        for index in {perm + ij for perm in itertools.permutations(multi)
-                                      for ij in ((i, j), (j, i))}:
-                            pos = 0
-                            for k in index:
-                                pos = pos * n + k
-                            dst.append(self.bounds[order] + pos)
-                            src.append(len(exprs))
-                        exprs.append(partial[multi])
+        self.shapes = [(n,) * (order + 2) for order in range(max_order + 1)]
+        self.bounds = np.cumsum([0] + [n ** (order + 2) for order in range(max_order + 1)])
+
+        partials, exprs = {}, []  # (i, j, sorted multi-index) -> Expr, with i <= j
+        for shape in self.shapes:
+            for index in np.ndindex(shape):
+                i, j, multi = min(index[-2:]), max(index[-2:]), tuple(sorted(index[:-2]))
+                key = (i, j, multi)
+                if key not in partials:  # the lower orders are in already
+                    partials[key] = (partials[i, j, multi[1:]].diff(multi[0]) if multi
+                                     else spec.entries[i][j])
+                exprs.append(partials[key])
         self.table = compile_exprs(exprs)
-        self.width = max(self.table.columns) + 1  # every value and constant is some column
-        gather = np.zeros(self.bounds[-1], dtype=np.intp)
-        gather[dst] = src
-        self.gather = np.array(self.table.columns, dtype=np.intp)[gather]
 
     def jet(self, rows) -> list:
-        """[g, dg, d2g, d3g] at the k points `rows` (lists of floats), each
-        with a leading batch axis of length k; orders above the table's are
-        zero."""
-        table, constants, k = self.table, self.table.constants, len(rows)
-        flat = np.fromiter(itertools.chain.from_iterable([table(x) + constants for x in rows]),
-                           float, count=k * self.width)
-        flat = flat.reshape(k, self.width).take(self.gather, axis=1)
+        """[g, dg, d2g] (then d3g at order three) at the k points `rows`
+        (lists of floats), each with a leading batch axis of length k."""
+        flat, k = self.table.rows(rows), len(rows)
         return [flat[:, lo:hi].reshape((k,) + shape)
                 for lo, hi, shape in zip(self.bounds, self.bounds[1:], self.shapes)]
 
@@ -213,7 +195,7 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
     evaluator = spec._jet_tables.get(order)
     if evaluator is None:
         evaluator = spec._jet_tables[order] = _JetEvaluator(spec, order)
-    g, dg, d2g, d3g = evaluator.jet(points)
+    g, dg, d2g, d3g = evaluator.jet(points) + [None] * (3 - order)
     entry_max = ([max(map(abs, g.ravel().tolist()))] if one else
                  np.abs(g).max(axis=(1, 2)).tolist())
     for row, det, big in zip(points, np.linalg.det(g).tolist(), entry_max):
@@ -221,7 +203,8 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
             raise SingularMetricError(f"metric singular at {row} (det={det:.3e})")
     ginv = np.linalg.solve(g, np.eye(spec.n))
     if x.ndim == 1:
-        g, dg, d2g, d3g, ginv = g[0], dg[0], d2g[0], d3g[0], ginv[0]
+        g, dg, d2g, ginv = g[0], dg[0], d2g[0], ginv[0]
+        d3g = None if d3g is None else d3g[0]
     return MetricJet(point=x, g=g, dg=dg, d2g=d2g, d3g=d3g, ginv=ginv, spec=spec)
 
 

@@ -33,8 +33,6 @@ a path transported in a list equals its transport alone exactly.
 from __future__ import annotations
 
 import copy
-import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,39 +75,27 @@ class TransportError(RuntimeError):
 class Segment:
     """One smooth piece: coordinate Exprs in t with exact tangents.
 
-    Coordinates and tangents are compiled together, once, on construction,
-    into one `expr.compile_exprs` table; `_columns[0]` and `_columns[1]`
-    are the columns of the coordinates and of the tangents in a row of it.
-    `span` = (t0, t1) restricts the segment to that range of the
-    expressions' parameter: `point(u)` is the coordinates at
-    t0 + (t1 - t0) u and `tangent(u)` their derivative there, scaled by
-    t1 - t0.  `sub` cuts such a piece out of a segment and shares its
-    compiled table.  `nodes` evaluates many u at once into (k, dim) arrays
-    of points and tangents, with the scale applied as one array product;
-    `point` and `tangent` read one row, which for one u is cheaper than
-    `nodes`' buffer, and give the same values.
+    Coordinates, then tangents, are compiled together, once, on
+    construction, into one `expr.compile_exprs` table.  `span` = (t0, t1)
+    restricts the segment to that range of the expressions' parameter:
+    `point(u)` is the coordinates at t0 + (t1 - t0) u and `tangent(u)`
+    their derivative there, scaled by t1 - t0.  `sub` cuts such a piece
+    out of a segment and shares its compiled table.  `nodes` evaluates
+    many u at once into (k, dim) arrays of points and tangents, slices of
+    the table's rows with the scale applied as one array product, and
+    `point` and `tangent` read one row of `nodes`.
     """
 
     coords: tuple  # tuple of Expr in Var(0)
     tangents: tuple = field(default=None)
     span: tuple = (0.0, 1.0)
     _table: object = field(default=None, init=False, repr=False, compare=False)
-    _columns: object = field(default=None, init=False, repr=False, compare=False)
-    _pick: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tangents is None:
             object.__setattr__(
                 self, "tangents", tuple(c.diff(0) for c in self.coords))
-        table = ex.compile_exprs(self.coords + self.tangents)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_columns",
-                           np.array(table.columns, dtype=np.intp).reshape(2, self.dim))
-        # itemgetter of one column returns the value itself, not a tuple
-        object.__setattr__(self, "_pick", tuple(
-            operator.itemgetter(*cols) if len(cols) > 1
-            else (lambda row, cols=cols: tuple(row[c] for c in cols))
-            for cols in self._columns.tolist()))
+        object.__setattr__(self, "_table", ex.compile_exprs(self.coords + self.tangents))
 
     @property
     def dim(self) -> int:
@@ -120,21 +106,16 @@ class Segment:
         t0, t1 = self.span
         return t0 + (t1 - t0) * u
 
-    def _row(self, u: float) -> tuple:
-        """The table's values at u, then its constants."""
-        return self._table((self._param(u),)) + self._table.constants
-
     def nodes(self, us) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates and tangents at each u of `us`, as two (k, dim) arrays."""
-        flat = np.fromiter(itertools.chain.from_iterable([self._row(u) for u in us]), float)
-        rows = flat.reshape(len(us), -1).take(self._columns, axis=1)
-        return rows[:, 0], (self.span[1] - self.span[0]) * rows[:, 1]
+        rows = self._table.rows([(self._param(u),) for u in us])
+        return rows[:, :self.dim], (self.span[1] - self.span[0]) * rows[:, self.dim:]
 
     def point(self, u: float) -> np.ndarray:
-        return np.array(self._pick[0](self._row(u)))
+        return self.nodes((u,))[0][0]
 
     def tangent(self, u: float) -> np.ndarray:
-        return (self.span[1] - self.span[0]) * np.array(self._pick[1](self._row(u)))
+        return self.nodes((u,))[1][0]
 
     def sub(self, u0: float, u1: float) -> "Segment":
         """The piece of this segment over its parameter range [u0, u1];
@@ -395,8 +376,8 @@ class LeviCivitaOracle:
         return connection_at(self.spec, point).g
 
     def curvature_pairs(self, point) -> np.ndarray:
-        stack = stack_at(self.spec, point)
-        return stack.Riem.transpose(1, 2, 0, 3)  # [i,j,l,k] = R^l_{ijk}
+        Riem = connection_at(self.spec, point).Riem
+        return Riem.transpose(1, 2, 0, 3)  # [i,j,l,k] = R^l_{ijk}
 
 
 # -- integrator ------------------------------------------------------------------

@@ -301,15 +301,17 @@ def _reference_fd_curvature(omega_fn, point, dim, h):
 
 @pytest.mark.parametrize("crude", [False, True])
 def test_fd_curvature_one_omega_call_per_stencil_point(bumpy_geom, crude):
+    # one batched call, with each stencil point in it once
     fn = bumpy_geom.omega_crude if crude else bumpy_geom.omega
-    calls = []
+    calls, points = [], []
 
-    def omega_fn(pt, dirs):
+    def omega_fn(pts, dirs):
         calls.append(dirs.shape)
-        return fn(pt, dirs)
+        points.extend(map(tuple, pts.tolist()))
+        return fn(pts, dirs)
 
     p = ambient_point(0.1, BASE3, 1.0)
     R = curvature_from_omega(omega_fn, p, bumpy_geom.dim)
-    assert calls == [(5, 5)] * (1 + 4 * 5)
+    assert calls == [(1 + 4 * 5, 5, 5)] and len(set(points)) == 1 + 4 * 5
     assert np.array_equal(R, _reference_fd_curvature(fn, p, bumpy_geom.dim, 2e-3))
     assert np.array_equal(R, bumpy_geom.curvature_all_pairs(p, crude=crude))

@@ -133,6 +133,17 @@ def test_integral_n_written_as_a_float_is_accepted(capsys, tmp_path, source):
     assert json.loads(out)["n"] == 4
 
 
+@pytest.mark.parametrize("argv", [["tensors", "--point=-0.5,0.1,0.2"], ["verify"]],
+                         ids=["tensors", "verify"])
+def test_entry_outside_its_math_domain_exits_two(capsys, tmp_path, argv):
+    # log(x1) at x1 = -0.5, and at the x1 < 0 among verify's sample points
+    path = tmp_path / "metric.cfg"
+    path.write_text("dim = 3\ng[1][1] = 2 + log(x1)\ng[2][2] = 1\ng[3][3] = 1\n")
+    code, _, err = run(capsys, argv + ["--config", str(path)])
+    assert code == 2
+    assert "error: math domain error" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("variant, dimension", [("tractor-induced", 0), ("levi-civita", 3)])
 def test_holonomy_loops_stay_in_the_hyperbolic_chart(capsys, variant, dimension):
     # the default loop radius 0.25 exceeds the chart margin at the default

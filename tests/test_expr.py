@@ -64,9 +64,8 @@ def test_operator_overloading():
 
 
 def _outputs(table, x):
-    """The value of each compiled expression at x, placed by `table.columns`."""
-    row = table(x) + table.constants
-    return tuple(row[c] for c in table.columns)
+    """The value of each compiled expression at x, as a tuple of floats."""
+    return tuple(table.rows([x])[0].tolist())
 
 
 def test_compile_exprs_matches_evaluate():
@@ -98,7 +97,7 @@ def test_compile_exprs_shares_subexpressions_and_matches_evaluate_exactly():
 def test_compile_exprs_shares_code_between_tables_differing_in_constants():
     a = ex.compile_exprs([ex.parse_expr("2.5 * sin(x1) - 1", 1)])
     b = ex.compile_exprs([ex.parse_expr("0.5 * sin(x1) - 3", 1)])
-    assert a.__code__ is b.__code__
+    assert a.function.__code__ is b.function.__code__
     assert _outputs(a, (0.3,)) == (2.5 * math.sin(0.3) - 1.0,)
     assert _outputs(b, (0.3,)) == (0.5 * math.sin(0.3) - 3.0,)
     signed = _outputs(ex.compile_exprs([ex.const(-0.0), ex.const(0.0)]), ())
@@ -110,8 +109,21 @@ def test_compile_exprs_returns_each_distinct_value_once():
     exprs = [sin, ex.const(2.0), ex.parse_expr("sin(x1)", 1), ex.var(0), ex.const(-0.0),
              ex.const(2.0), ex.const(0.0)]
     table = ex.compile_exprs(exprs)
-    assert table((0.3,)) == (math.sin(0.3), 0.3)
+    assert table.function((0.3,)) == (math.sin(0.3), 0.3)
     assert [(v, math.copysign(1.0, v)) for v in table.constants] == [(2.0, 1.0), (-0.0, -1.0),
                                                                      (0.0, 1.0)]
     assert table.columns == (0, 2, 0, 1, 3, 2, 4)
     assert _outputs(table, (0.3,)) == tuple(ex.evaluate(e, (0.3,)) for e in exprs)
+
+
+def test_rows_equal_evaluate_exactly_with_signs_of_zeros():
+    exprs = [ex.parse_expr(t, 2) for t in ("-x1", "x1 * x2", "sin(x2) - 1", "exp(x1) / x2")]
+    exprs += [ex.const(-0.0), exprs[1], ex.const(0.0), ex.const(3.0)]
+    table = ex.compile_exprs(exprs)
+    assert table.rows([]).shape == (0, len(exprs))
+    xs = [(0.0, -0.5), (0.3, 2.0), (-1.2, 0.7)]
+    rows = table.rows(xs)
+    want = np.array([[ex.evaluate(e, x) for e in exprs] for x in xs])
+    assert rows.shape == want.shape == (len(xs), len(exprs))
+    assert np.array_equal(rows, want) and np.array_equal(np.signbit(rows), np.signbit(want))
+    assert np.signbit(rows[0, [0, 1, 4, 5]]).all()

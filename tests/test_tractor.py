@@ -68,7 +68,8 @@ def test_exact_curvature_equals_fd_curvature_of_the_connection_matrices(name):
     spec = preset(name)
     x = spec.sample_points(np.random.default_rng(11), 1)[0] * 0.5
     fd = curvature_from_omega(
-        lambda pt, dirs: connection_matrix(connection_at(spec, pt), dirs), x, spec.n)
+        lambda pts, dirs: np.stack([connection_matrix(connection_at(spec, pt), d)
+                                    for pt, d in zip(pts, dirs)]), x, spec.n)
     assert np.max(np.abs(curvature_all_pairs(stack_at(spec, x)) - fd)) <= 1e-8
 
 

@@ -408,7 +408,7 @@ def test_sub_segment_shares_compiled_code():
     seg = tp.trig_loop(BASE, 0.2, np.random.default_rng(4)).segments[0]
     assert seg.span == (0.0, 1.0)
     piece = seg.sub(0.25, 0.75)
-    assert piece._table is seg._table and piece._columns is seg._columns
+    assert piece._table is seg._table
     assert piece.span == (0.25, 0.75)
     assert piece != seg and piece == seg.sub(0.25, 0.75)
     assert piece.sub(0.5, 1.0) == seg.sub(0.5, 0.75)
