@@ -85,13 +85,14 @@ def split_point(p):
     return float(p[0]), p[1:-1], float(p[-1])
 
 
-def _stencil(point: np.ndarray, dim: int, h: float) -> np.ndarray:
-    """point, then point + k h e_a for a in range(dim) and k in (-2, -1, 1, 2)."""
-    points = np.repeat(point[None], 1 + 4 * dim, axis=0)
+def _stencil(points: np.ndarray, dim: int, h: float) -> np.ndarray:
+    """For each of the (k, dim) points: the point, then point + j h e_a for a
+    in range(dim) and j in (-2, -1, 1, 2); a (k, 1 + 4 dim, dim) array."""
+    stencil = np.repeat(points[:, None], 1 + 4 * dim, axis=1)
     for a in range(dim):
-        for j, k in enumerate((-2, -1, 1, 2)):
-            points[1 + 4 * a + j, a] += k * h
-    return points
+        for i, j in enumerate((-2, -1, 1, 2)):
+            stencil[:, 1 + 4 * a + i, a] += j * h
+    return stencil
 
 
 def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.ndarray:
@@ -99,18 +100,26 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
 
     Coordinate partials of the connection matrices use 4th-order central
     differences with step `h`, and `connection_curvature` assembles R from
-    them.  `omega_fn(points, directions)` is called once, with the (m, dim)
-    stack of the m = 1 + 4 dim stencil points and an (m, dim, dim) stack
-    of the coordinate directions at each, and must return their (m, dim,
-    fiber, fiber) connection matrices.
+    them.  `point` is one point or a (k, dim) stack of points, and the
+    result is (dim, dim, fiber, fiber) or (k, dim, dim, fiber, fiber).
+    `omega_fn(points, directions)` is called once, with the (m, dim) stack
+    of the m = k (1 + 4 dim) stencil points and an (m, dim, dim) stack of
+    the coordinate directions at each, and must return their (m, dim,
+    fiber, fiber) connection matrices; each row of the result is then the
+    one-point result of its point.
     """
-    points = _stencil(np.asarray(point, dtype=float), dim, h)
-    omegas = omega_fn(points, np.broadcast_to(np.eye(dim), (len(points), dim, dim)))
+    point = np.asarray(point, dtype=float)
+    points = _stencil(point.reshape(-1, dim), dim, h)
+    k, m = points.shape[:2]
+    omegas = omega_fn(points.reshape(k * m, dim), np.broadcast_to(np.eye(dim), (k * m, dim, dim)))
     fiber = omegas.shape[-1]
-    shifts = omegas[1:].reshape(dim, 4, dim, fiber, fiber)  # [a, k, c] at k*h*e_a
-    # [a, c] = d_a Omega_c
-    dOmega = (-shifts[:, 3] + 8 * shifts[:, 2] - 8 * shifts[:, 1] + shifts[:, 0]) / (12 * h)
-    return connection_curvature(omegas[0], dOmega)
+    omegas = omegas.reshape(k, m, dim, fiber, fiber)
+    shifts = omegas[:, 1:].reshape(k, dim, 4, dim, fiber, fiber)  # [., a, j, c] at j*h*e_a
+    # [., a, c] = d_a Omega_c
+    dOmega = (-shifts[:, :, 3] + 8 * shifts[:, :, 2] - 8 * shifts[:, :, 1]
+              + shifts[:, :, 0]) / (12 * h)
+    R = connection_curvature(omegas[:, 0], dOmega)
+    return R.reshape(point.shape[:-1] + R.shape[1:])
 
 
 @dataclass
@@ -334,11 +343,12 @@ class AmbientGeometry:
     def curvature_all_pairs(self, p, crude: bool = False) -> np.ndarray:
         """Finite-difference curvature R[a, b] at p, by `curvature_from_omega`.
 
-        The stencil's connection matrices come from its one batched omega
-        call, which picks each stencil point's data itself: at a point on
-        the slice, only the four S-shifted points of the ambient stencil are
-        off it and read the order-3 stack, and the crude connection reads
-        none.
+        p is one point or a (k, n+2) stack of points, each row of the
+        result equal to the one-point result.  The stencils' connection
+        matrices come from one batched omega call, which picks each stencil
+        point's data itself: at a point on the slice, only the four
+        S-shifted points of the ambient stencil are off it and read the
+        order-3 stack, and the crude connection reads none.
         """
         return curvature_from_omega(self.omega_crude if crude else self.omega, p, self.dim)
 

@@ -313,9 +313,11 @@ def connection_curvature(omegas: np.ndarray, dOmega: np.ndarray) -> np.ndarray:
 
     omegas[a] is the connection matrix of coordinate direction a and
     dOmega[a, b] = d_a Omega_b; the result is antisymmetric in (a, b).
+    Leading axes, the same on both, batch points; each row is the one-point
+    result.
     """
-    products = omegas[:, None] @ omegas[None, :]  # [a, b] = Omega_a Omega_b
-    return dOmega - np.swapaxes(dOmega, 0, 1) + products - np.swapaxes(products, 0, 1)
+    products = omegas[..., :, None, :, :] @ omegas[..., None, :, :, :]  # [a, b] = Omega_a Omega_b
+    return dOmega - np.swapaxes(dOmega, -4, -3) + products - np.swapaxes(products, -4, -3)
 
 
 def weyl_endomorphism(stack: CurvatureStack, X, Y) -> np.ndarray:

@@ -6,11 +6,15 @@ to partial points of each loop.  Each loop is transported once, as a chain
 over pieces that end at those partial points, so the running products are
 the prefix transports and the last is the loop transport; the loops of one
 estimate advance together, one lockstep `parallel_transport` call per piece
-index, with results equal to one loop at a time.  Both mechanisms
-feed one bracket closure; the dimension is the rank of the flattened
-generator set under a singular-value cut (relative threshold plus a small
-absolute floor, so a flat connection whose transports are
-identity-plus-integrator-noise reports dimension 0).
+index, with results equal to one loop at a time.  The curvature at those
+points is evaluated the same way: after each transport call, one
+`curvature_pairs` call on the stack of that index's piece ends, a loop's
+last end left out (and one call for the base point), each row equal to
+the call on its point alone.  Both mechanisms feed one bracket closure;
+the dimension is the rank of the flattened generator set under a
+singular-value cut (relative threshold plus a small absolute floor, so a
+flat connection whose transports are identity-plus-integrator-noise
+reports dimension 0).
 """
 
 from __future__ import annotations
@@ -132,9 +136,11 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
 
     All loops are transported in lockstep, one `parallel_transport` call per
     piece index: the k-th pieces of every loop, from their (k-1)-th prefix
-    transports.  Transports that land too far from the identity are retried
-    on the loop shrunk toward the base point (factor 1/2, up to
-    `_MAX_HALVINGS` times).
+    transports.  After each, one `curvature_pairs` call takes the stack of
+    those pieces' ends that are conjugation points (every end but a loop's
+    last); the base point has a call of its own.  Transports that land too
+    far from the identity are retried on the loop shrunk toward the base
+    point (factor 1/2, up to `_MAX_HALVINGS` times).
     """
     base = np.asarray(base, dtype=float)
     for loop in loops:
@@ -142,20 +148,25 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
             raise MetricError("loop is not based at the requested base point")
         if not loop.is_loop():
             raise MetricError("open path passed to holonomy estimation")
-    base_pairs = oracle.curvature_pairs(base)
     pieces = [_pieces(loop) for loop in loops]
     prefixes = [[np.eye(oracle.fiber_dim)] for _ in loops]  # at base, then each piece end
+    base_pairs = oracle.curvature_pairs(base[None])[0]
+    pairs = [[base_pairs] for _ in loops]  # at base, then each conjugation point
     for k in range(max((len(p) for p in pieces), default=0)):
         lanes = [i for i, p in enumerate(pieces) if k < len(p)]
         ends = tp.parallel_transport(oracle, [pieces[i][k] for i in lanes],
                                      np.stack([prefixes[i][-1] for i in lanes]), tol)
         for i, T in zip(lanes, ends):
             prefixes[i].append(T)
+        inner = [i for i in lanes if k + 1 < len(pieces[i])]  # the last piece ends at the base
+        if inner:
+            Rs = oracle.curvature_pairs(np.stack([pieces[i][k].end for i in inner]))
+            for i, R in zip(inner, Rs):
+                pairs[i].append(R)
     generators = []
     loop_transports = []
-    for loop, loop_pieces, Ts in zip(loops, pieces, prefixes):
+    for loop, Ts, Rs in zip(loops, prefixes, pairs):
         G = Ts.pop()
-        conj = list(zip([base] + [piece.end for piece in loop_pieces], Ts))
         loop_transports.append(G)
         current = loop
         for attempt in range(_MAX_HALVINGS + 1):
@@ -167,13 +178,12 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
                     raise
                 current = tp.scale_path(current, base, 0.5)
                 G = tp.transport_matrix(oracle, current, tol)
-        for k, (point, T) in enumerate(conj):
+        for T, R in zip(Ts, Rs):
             Tinv = np.linalg.inv(T)
-            pairs = base_pairs if k == 0 else oracle.curvature_pairs(point)
-            d = pairs.shape[0]
+            d = R.shape[0]
             for i in range(d):
                 for j in range(i + 1, d):
-                    generators.append(Tinv @ pairs[i, j] @ T)
+                    generators.append(Tinv @ R[i, j] @ T)
 
     basis, svals = closed_span(generators, rank_tol)
     return HolonomyAlgebra(

@@ -46,6 +46,18 @@ class RunConfig:
     out: str | None = None
     format: str = "json"
 
+    def __post_init__(self):
+        """Reject a tolerance or radius that is not finite and positive, and
+        a negative count or seed, before any work."""
+        for name in ("tol_tensor", "tol_transport", "tol_rank", "radius"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # NaN fails too
+                raise MetricError(f"{name} must be finite and > 0, not {value}")
+        for name in ("samples", "loops", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise MetricError(f"{name} must be >= 0, not {value}")
+
     def metric_spec(self) -> MetricSpec:
         if self.config_path:
             return load_config(self.config_path)

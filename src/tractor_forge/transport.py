@@ -14,9 +14,12 @@ A connection oracle is any object with:
     omega(point, tangent) -> (fiber_dim x fiber_dim) matrix, the k = 1
                    case of omega_nodes,
     fiber_metric(point) -> matrix H (for metric-preservation checks),
-    curvature_pairs(point) -> [point_dim, point_dim, ...] curvature
-                   matrices for holonomy generator harvesting.
-Each row of `omega_nodes` equals the `omega` call at that node exactly.
+    curvature_pairs(points) -> (k, point_dim, point_dim, fiber_dim,
+                   fiber_dim) stack of curvature matrices R[a, b] at k
+                   points, given as a (k, point_dim) stack, for holonomy
+                   generator harvesting.
+Each row of `omega_nodes` equals the `omega` call at that node exactly, and
+each row of `curvature_pairs` the call on that point alone.
 
 Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with an adaptive
 embedded Dormand-Prince 8(5,3) step (DOP853).  Omega depends only on t, so
@@ -301,8 +304,9 @@ class TractorOracle:
     def fiber_metric(self, point) -> np.ndarray:
         return tractor_metric(connection_at(self.spec, point).g)
 
-    def curvature_pairs(self, point) -> np.ndarray:
-        return curvature_all_pairs(stack_at(self.spec, point))
+    def curvature_pairs(self, points) -> np.ndarray:
+        # one `stack_at` per point: perfbench's stack latencies sample these calls
+        return np.stack([curvature_all_pairs(stack_at(self.spec, x)) for x in points])
 
 
 class AmbientOracle:
@@ -328,8 +332,8 @@ class AmbientOracle:
     def fiber_metric(self, point) -> np.ndarray:
         return self.geom.metric(point)
 
-    def curvature_pairs(self, point) -> np.ndarray:
-        return self.geom.curvature_all_pairs(point)
+    def curvature_pairs(self, points) -> np.ndarray:
+        return self.geom.curvature_all_pairs(points)
 
 
 class CrudeOracle:
@@ -351,8 +355,8 @@ class CrudeOracle:
     def fiber_metric(self, point) -> np.ndarray:
         return self.geom.metric(point)
 
-    def curvature_pairs(self, point) -> np.ndarray:
-        return self.geom.curvature_all_pairs(point, crude=True)
+    def curvature_pairs(self, points) -> np.ndarray:
+        return self.geom.curvature_all_pairs(points, crude=True)
 
 
 class LeviCivitaOracle:
@@ -375,9 +379,9 @@ class LeviCivitaOracle:
     def fiber_metric(self, point) -> np.ndarray:
         return connection_at(self.spec, point).g
 
-    def curvature_pairs(self, point) -> np.ndarray:
-        Riem = connection_at(self.spec, point).Riem
-        return Riem.transpose(1, 2, 0, 3)  # [i,j,l,k] = R^l_{ijk}
+    def curvature_pairs(self, points) -> np.ndarray:
+        Riem = connection_at(self.spec, points).Riem
+        return Riem.transpose(0, 2, 3, 1, 4)  # [., i,j,l,k] = R^l_{ijk}
 
 
 # -- integrator ------------------------------------------------------------------

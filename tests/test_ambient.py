@@ -315,3 +315,12 @@ def test_fd_curvature_one_omega_call_per_stencil_point(bumpy_geom, crude):
     assert calls == [(1 + 4 * 5, 5, 5)] and len(set(points)) == 1 + 4 * 5
     assert np.array_equal(R, _reference_fd_curvature(fn, p, bumpy_geom.dim, 2e-3))
     assert np.array_equal(R, bumpy_geom.curvature_all_pairs(p, crude=crude))
+    # a stack of k points: one call over their k (1 + 4 dim) stencil points
+    calls.clear()
+    points.clear()
+    stack = np.array([p, ambient_point(0.0, BASE3, 1.0), ambient_point(-0.05, 0.5 * BASE3, 0.9)])
+    Rs = curvature_from_omega(omega_fn, stack, bumpy_geom.dim)
+    assert calls == [(3 * (1 + 4 * 5), 5, 5)] and len(set(points)) == 3 * (1 + 4 * 5)
+    assert Rs.shape == (3,) + R.shape
+    for row, point in zip(Rs, stack):
+        assert np.array_equal(row, curvature_from_omega(fn, point, bumpy_geom.dim))

@@ -1,9 +1,10 @@
 """Batched evaluation: every row of a stacked call equals the single call.
 
 metric_jet, connection_at and compute_stack take (k, n) stacks of points,
-each oracle's omega_nodes takes (k, point_dim) stacks of nodes, and the
-finite-difference ambient curvature makes one batched omega call.  Each is
-checked for exact equality with its single-point form.
+each oracle's omega_nodes takes (k, point_dim) stacks of nodes and its
+curvature_pairs (k, point_dim) stacks of points, and the finite-difference
+ambient curvature makes one batched omega call.  Each is checked for exact
+equality with its single-point form.
 """
 
 import dataclasses
@@ -205,6 +206,28 @@ def test_batched_fd_curvature_equals_per_point_path(name, s, crude):
     per_point = curvature_from_omega(
         lambda pts, dirs: np.stack([fn(pt, d) for pt, d in zip(pts, dirs)]), p, geom.dim)
     assert np.array_equal(geom.curvature_all_pairs(p, crude=crude), per_point)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("s", [(0.0, 0.0, 0.0), (0.1, -0.05, 0.02), (0.0, 0.1, 0.0)],
+                         ids=["on-slice", "off-slice", "mixed"])
+def test_batched_curvature_pairs_rows_equal_per_point_calls(name, s):
+    spec = SPECS[name]
+    xs = spec.sample_points(np.random.default_rng(10), 3) * 0.5
+    lifted = np.column_stack([s, xs, [1.0, 1.2, 0.9]])
+    cases = [
+        (tp.TractorOracle(spec), xs),
+        (tp.LeviCivitaOracle(spec), xs),
+        (tp.AmbientOracle(spec), lifted),
+        (tp.CrudeOracle(spec), lifted),
+    ]
+    for oracle, points in cases:
+        batch = oracle.curvature_pairs(points)
+        d, fiber = oracle.point_dim, oracle.fiber_dim
+        assert batch.shape == (3, d, d, fiber, fiber)
+        for i in range(3):
+            assert np.array_equal(batch[i], oracle.curvature_pairs(points[i:i + 1])[0]), \
+                (oracle.name, i)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

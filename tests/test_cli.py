@@ -144,6 +144,23 @@ def test_entry_outside_its_math_domain_exits_two(capsys, tmp_path, argv):
     assert "error: math domain error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--samples", "-1"], "samples must be >= 0, not -1"),
+    (["tensors", "--samples", "-2"], "samples must be >= 0, not -2"),
+    (["verify", "--loops", "-1"], "loops must be >= 0, not -1"),
+    (["tensors", "--seed", "-1"], "seed must be >= 0, not -1"),
+    (["verify", "--format", "json", "--tol-rank", "nan"], "tol_rank must be finite and > 0"),
+    (["holonomy", "--tol-transport", "0"], "tol_transport must be finite and > 0"),
+    (["tensors", "--tol-tensor=-1e-9"], "tol_tensor must be finite and > 0"),
+    (["holonomy", "--radius", "inf"], "radius must be finite and > 0"),
+], ids=["verify-samples", "tensors-samples", "loops", "seed", "tol-rank-nan",
+        "tol-transport-zero", "tol-tensor-negative", "radius-inf"])
+def test_unusable_run_settings_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, argv + ["--preset", "sphere"])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("variant, dimension", [("tractor-induced", 0), ("levi-civita", 3)])
 def test_holonomy_loops_stay_in_the_hyperbolic_chart(capsys, variant, dimension):
     # the default loop radius 0.25 exceeds the chart margin at the default

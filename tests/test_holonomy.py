@@ -207,3 +207,55 @@ def test_pieces_compile_nothing(monkeypatch):
     monkeypatch.setattr(ex, "compile_exprs", refuse)
     for loop in loops:
         assert tp.PathSpec(tuple(s for p in hol._pieces(loop) for s in p.segments)).is_loop()
+
+
+class _CountingOracle:
+    """An oracle that records the number of points of each curvature_pairs call."""
+
+    def __init__(self, oracle):
+        self.inner = oracle
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def curvature_pairs(self, points):
+        self.calls.append(len(points))
+        return self.inner.curvature_pairs(points)
+
+
+def _per_point_generators(oracle, base, loops, tol):
+    """The generators harvested one loop, one piece and one point at a time."""
+    generators = []
+    for loop in loops:
+        T = np.eye(oracle.fiber_dim)
+        conj = [(base, T)]
+        for piece in hol._pieces(loop):
+            T = tp.parallel_transport(oracle, piece, T, tol)
+            conj.append((piece.end, T))
+        generators.append(hol.matrix_log(conj.pop()[1]))
+        for point, T in conj:
+            R = oracle.curvature_pairs(point[None])[0]
+            Tinv = np.linalg.inv(T)
+            generators += [Tinv @ R[i, j] @ T for i in range(len(R)) for j in range(i + 1, len(R))]
+    return generators
+
+
+@pytest.mark.parametrize("cls", [tp.TractorOracle, tp.LeviCivitaOracle, tp.AmbientOracle,
+                                 tp.CrudeOracle])
+def test_one_curvature_call_per_piece_index(cls):
+    spec = preset("bumpy", eps=0.1)
+    oracle = _CountingOracle(cls(spec))
+    loops = _loops(BASE)  # 3 rectangles of three pieces, 2 trig loops of two
+    base = BASE
+    if oracle.point_dim != spec.n:
+        loops, base = [tp.lift_loop(lp) for lp in loops], np.concatenate(([0.0], BASE, [1.0]))
+    alg = hol.holonomy_algebra(oracle, base, loops, 1e-10)
+    # the base point, then the first and second piece ends that are not a loop's last
+    assert oracle.calls == [1, 5, 3]
+    want = _per_point_generators(cls(spec), base, loops, 1e-10)
+    assert len(alg.generators) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(alg.generators, want))
+    basis, svals = hol.closed_span(want, alg.rank_tol)
+    assert np.array_equal(alg.sv_profile, svals) and alg.dim == len(basis)
+    assert all(np.array_equal(a, b) for a, b in zip(alg.basis, basis))
