@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-rank", type=float, default=1e-6)
     common.add_argument("--samples", type=int, default=10)
     common.add_argument("--loops", type=int, default=12,
-                        help="total loop-family size per suite")
+                        help="total loop-family size per suite, at least the "
+                             "n(n-1)/2 coordinate rectangles")
     common.add_argument("--radius", type=float, default=0.25)
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--out", help="write the report to this path")

@@ -13,16 +13,23 @@ Conventions (pinned by the unit-sphere tests):
   W            = riem_low - P (x) g   (Kulkarni-Nomizu; zero for round metrics)
   CY_{ijk}     = (nabla_i P)_{jk} - (nabla_j P)_{ik}
 
-Contractions: the chain runs over a leading batch axis (one point is a
+Two chains share one Christoffel head (ginvT, B, Gamma) and one Schouten
+tail (Scal, P, Psharp).  `compute_stack` adds the derivative part (dginv,
+dB, dGamma), the Riemann tensor and the order-3 fields, and takes Ric as
+the trace of that Riemann tensor.  `connection_at` forms neither dGamma
+nor the Riemann tensor: it contracts Ricci straight from g^{-1}, dg and
+d2g (`_contracted_ricci`).  The two agree to rounding.
+
+Contractions: both chains run over a leading batch axis (one point is a
 batch of one) and every multi-index contraction is one batched matmul per
 point: the free index axes fold into matrix rows or columns, the summed
 index is the inner dimension, and index orders change by `transpose`.  So
 Gamma^k_ij = 1/2 g^{kl} B_ijl is B as an (n*n, n) matrix times g^{-1}
 transposed, then k moved to the front; Gamma.Gamma in Riemann is one
-(n*n, n) @ (n, n*n) product.  Only the Ricci traces stay `np.einsum`
-calls on this path (`weyl_endomorphism`, a one-point check, keeps its
-einsum).  The fields agree with the einsum formulas, which the tests keep
-as a reference, to rounding.
+(n*n, n) @ (n, n*n) product.  Only the stack's Ricci and dRic traces stay
+`np.einsum` calls on this path (`weyl_endomorphism`, a one-point check,
+keeps its einsum).  The fields agree with the einsum formulas, which the
+tests keep as a reference, to rounding.
 """
 
 from __future__ import annotations
@@ -100,32 +107,37 @@ def _batched_like(jet: MetricJet, fields: dict) -> dict:
     return fields
 
 
-def _christoffel(ginv, dg, d2g) -> dict:
-    """Gamma, dGamma and dginv over a leading batch axis, plus the
-    intermediates the order-3 stack reuses: B = dg combination, its
-    partials dB, ginv_dg[m,a,c] = g^{ab} d_m g_bc, and ginvT, the transpose
-    of g^{-1} as a C-ordered array (matmul runs faster on it than on a
-    transposed view)."""
+def _christoffel(ginv, dg) -> dict:
+    """The head both chains share, over a leading batch axis: Gamma, the dg
+    combination B it contracts, and ginvT, the transpose of g^{-1} as a
+    C-ordered array (matmul runs faster on it than on a transposed view)."""
     nb, n = ginv.shape[:2]
     ginvT = ginv.transpose(0, 2, 1).copy()
+    # B[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
+    B = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    # Gamma[k,i,j] = 1/2 g^{kl} B[i,j,l]: rows (i,j) against k, then k to the front
+    Gamma = 0.5 * (B.reshape(nb, n * n, n) @ ginvT).reshape(nb, n, n, n).transpose(0, 3, 1, 2)
+    return dict(Gamma=Gamma, B=B, ginvT=ginvT)
+
+
+def _christoffel_partials(ginv, dg, d2g, c: dict) -> dict:
+    """dGamma and dginv over a leading batch axis, plus the intermediates
+    the order-3 stack reuses: dB, the partials of B, and
+    ginv_dg[m,a,c] = g^{ab} d_m g_bc; `c` is the `_christoffel` head."""
+    nb, n = ginv.shape[:2]
+    ginvT = c["ginvT"]
     # ginv_dg with rows (m,c) against a; dginv[m,a,d] = -ginv_dg[m,a,c] g^{cd}, rows (m,a)
     ginv_dg = ((dg.transpose(0, 1, 3, 2).reshape(nb, n * n, n) @ ginvT)
                .reshape(nb, n, n, n).transpose(0, 1, 3, 2))
     dginv = -(ginv_dg.reshape(nb, n * n, n) @ ginv).reshape(nb, n, n, n)
-    # B[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
-    B = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    B_rows = B.reshape(nb, n * n, n)  # rows (i,j) against l
-    # Gamma[k,i,j] = 1/2 g^{kl} B[i,j,l]: rows (i,j) against k, then k to the front
-    Gamma = 0.5 * (B_rows @ ginvT).reshape(nb, n, n, n).transpose(0, 3, 1, 2)
     dB = d2g + d2g.transpose(0, 1, 3, 2, 4) - d2g.transpose(0, 1, 3, 4, 2)
     # dGamma[m,k,i,j] = 1/2 (d_m g^{kl} B[i,j,l] + g^{kl} dB[m,i,j,l]): rows (i,j)
     # against columns (m,k), and rows (m,i,j) against k
-    from_dginv = B_rows @ dginv.transpose(0, 3, 1, 2).reshape(nb, n, n * n)
+    from_dginv = c["B"].reshape(nb, n * n, n) @ dginv.transpose(0, 3, 1, 2).reshape(nb, n, n * n)
     from_dB = dB.reshape(nb, n ** 3, n) @ ginvT
     dGamma = 0.5 * (from_dginv.reshape(nb, n, n, n, n).transpose(0, 3, 4, 1, 2)
                     + from_dB.reshape(nb, n, n, n, n).transpose(0, 1, 4, 2, 3))
-    return dict(Gamma=Gamma, dGamma=dGamma, dginv=dginv, B=B, dB=dB, ginv_dg=ginv_dg,
-                ginvT=ginvT)
+    return dict(dGamma=dGamma, dginv=dginv, dB=dB, ginv_dg=ginv_dg)
 
 
 def _second_christoffel(ginv, dg, d2g, d3g, c: dict):
@@ -171,22 +183,53 @@ def _riemann(Gamma, dGamma):
     return A - A.transpose(0, 1, 3, 2, 4)
 
 
-def _connection_fields(g, ginv, dg, d2g) -> dict:
-    """Christoffel -> Riemann -> Ricci -> Schouten -> Psharp over a leading
-    batch axis, from the order-2 part of a jet.
+def _contracted_ricci(ginv, dg, d2g, c: dict):
+    """Ric over a leading batch axis from the order-2 jet and the
+    `_christoffel` head, without dGamma or the Riemann tensor:
 
-    The one copy of this chain: `connection_at` returns its fields and
-    `compute_stack` extends them to order three.  Scal is a (k,) array.
+      Ric_jk = d_i Gamma^i_jk - d_j c_k + c_m Gamma^m_jk - Gamma^i_jm Gamma^m_ik
+
+    with c_k = Gamma^i_ik = 1/2 tr(g^{-1} d_k g),
+    d_j c_k = 1/2 (tr(g^{-1} d_j d_k g) - tr(g^{-1} d_j g g^{-1} d_k g)) and
+    d_i Gamma^i_jk = 1/2 (v^l B[j,k,l]
+                          + g^{il} (d_i d_j g_kl + d_i d_k g_jl - d_i d_l g_jk)),
+    v^l = d_i g^{il} = -g^{ia} d_i g_ab g^{bl}.  The symmetries of d2g put each
+    contracted index pair side by side, so every term is one batched matmul.
     """
+    nb, n = ginv.shape[:2]
+    Gamma = c["Gamma"]
+    ginv_row = ginv.reshape(nb, 1, n * n)
+    d2g_sq = d2g.reshape(nb, n * n, n * n)
+    # dg_ginv[k,a,c] = d_k g_ab g^{bc}, so tr(g^{-1} d_j g g^{-1} d_k g) is
+    # dg_ginv[j,a,c] dg_ginv[k,c,a], and v^l = -g^{ka} dg_ginv[k,a,l]
+    dg_ginv = (dg.reshape(nb, n * n, n) @ ginv).reshape(nb, n, n, n)
+    tr_dd = (dg_ginv.reshape(nb, n, n * n)
+             @ dg_ginv.transpose(0, 3, 2, 1).reshape(nb, n * n, n))
+    v = -(ginv_row @ dg_ginv.reshape(nb, n * n, n))
+    trace = 0.5 * (dg.reshape(nb, n, n * n) @ ginv.reshape(nb, n * n, 1))  # c_k as a column
+    d_trace = 0.5 * ((d2g_sq @ ginv.reshape(nb, n * n, 1)).reshape(nb, n, n) - tr_dd)
+    # g^{il} d_i d_j g_kl = g^{il} d2g[j,i,l,k]: (i,l) the middle rows of each j
+    inner = (ginv.reshape(nb, 1, 1, n * n) @ d2g.reshape(nb, n, n * n, n)).reshape(nb, n, n)
+    box = (ginv_row @ d2g_sq).reshape(nb, n, n)  # g^{il} d_i d_l g_jk
+    div_Gamma = 0.5 * ((c["B"].reshape(nb, n * n, n) @ v.reshape(nb, n, 1)).reshape(nb, n, n)
+                       + inner + inner.transpose(0, 2, 1) - box)
+    # c_m Gamma^m_jk: Gamma's rows (j,k) against m, a view of its memory
+    trace_Gamma = (Gamma.transpose(0, 2, 3, 1).reshape(nb, n * n, n) @ trace).reshape(nb, n, n)
+    # GammaT[j,i,m] = Gamma^i_jm: rows j against (i,m), and rows (i,m) against k
+    GammaT = Gamma.transpose(0, 2, 1, 3).copy()
+    quadratic = GammaT.reshape(nb, n, n * n) @ GammaT.reshape(nb, n * n, n)
+    return div_Gamma - d_trace + trace_Gamma - quadratic
+
+
+def _schouten(g, ginv, Ric) -> tuple:
+    """The tail both chains share: Scal (a (k,) array), P and Psharp over a
+    leading batch axis."""
     nb, n = g.shape[:2]
     if n < 3:
         raise ValueError("Schouten tensor requires n >= 3")
-    c = _christoffel(ginv, dg, d2g)
-    Riem = _riemann(c["Gamma"], c["dGamma"])
-    Ric = np.einsum("...iijk->...jk", Riem)
     Scal = (ginv.reshape(nb, 1, n * n) @ Ric.reshape(nb, n * n, 1))[:, 0, 0]
     P = (1.0 / (n - 2)) * (Ric - Scal[:, None, None] / (2 * n - 2) * g)
-    return dict(c, Riem=Riem, Ric=Ric, Scal=Scal, P=P, Psharp=ginv @ P)
+    return Scal, P, ginv @ P
 
 
 def kulkarni_nomizu(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -200,12 +243,17 @@ def kulkarni_nomizu(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def compute_stack(jet: MetricJet) -> CurvatureStack:
-    """The curvature stack of an order-3 jet, batched like the jet."""
+    """The curvature stack of an order-3 jet, batched like the jet.
+
+    Ric is the trace of the Riemann tensor, which the stack keeps."""
     g, ginv, dg, d2g, d3g = _batched(jet)
     nb, n = g.shape[:2]
-    c = _connection_fields(g, ginv, dg, d2g)
-    dginv, Gamma, dGamma, Ric, Scal, P = (c[name] for name in ("dginv", "Gamma", "dGamma",
-                                                               "Ric", "Scal", "P"))
+    c = _christoffel(ginv, dg)
+    c.update(_christoffel_partials(ginv, dg, d2g, c))
+    Gamma, dGamma, dginv = c["Gamma"], c["dGamma"], c["dginv"]
+    Riem = _riemann(Gamma, dGamma)
+    Ric = np.einsum("...iijk->...jk", Riem)
+    Scal, P, Psharp = _schouten(g, ginv, Ric)
     d2Gamma = _second_christoffel(ginv, dg, d2g, d3g, c)
 
     # dRiem[p,l,i,j,k] = A - A with i, j swapped, where
@@ -236,13 +284,13 @@ def compute_stack(jet: MetricJet) -> CurvatureStack:
     CYsharp = (CY.reshape(nb, n * n, n) @ ginv).reshape(nb, n, n, n)
 
     # riem_low[i,j,k,l] = g_km R^m_ijl: one (n, n) @ (n, n**3) product per point
-    riem_low = ((g @ c["Riem"].reshape(nb, n, n ** 3)).reshape(nb, n, n, n, n)
+    riem_low = ((g @ Riem.reshape(nb, n, n ** 3)).reshape(nb, n, n, n, n)
                 .transpose(0, 2, 3, 1, 4))
     W = riem_low - kulkarni_nomizu(P, g)
 
     fields = _batched_like(jet, dict(
-        Gamma=Gamma, dGamma=dGamma, Riem=c["Riem"], riem_low=riem_low, Ric=Ric, Scal=Scal,
-        P=P, Psharp=c["Psharp"], dP=dP, dPsharp=dPsharp, covP=covP, W=W, CY=CY,
+        Gamma=Gamma, dGamma=dGamma, Riem=Riem, riem_low=riem_low, Ric=Ric, Scal=Scal,
+        P=P, Psharp=Psharp, dP=dP, dPsharp=dPsharp, covP=covP, W=W, CY=CY,
         CYsharp=CYsharp, dginv=dginv))
     return CurvatureStack(jet=jet, **fields)
 
@@ -254,16 +302,16 @@ def stack_at(spec: MetricSpec, x) -> CurvatureStack:
 
 @dataclass
 class ConnectionPoint:
-    """Light subset of the stack needed to evaluate connection matrices,
-    plus the Riemann tensor the same chain computes.
+    """Light subset of the stack needed to evaluate connection matrices.
 
-    Built from an order-2 jet, so it is cheap enough for the inner loop of
-    a transport integrator.  Field layout mirrors CurvatureStack.
+    Built from an order-2 jet, with Ricci by its contracted formula, so it
+    forms neither dGamma nor the Riemann tensor and is cheap enough for the
+    inner loop of a transport integrator.  Field layout mirrors
+    CurvatureStack.
     """
 
     jet: MetricJet
     Gamma: np.ndarray
-    Riem: np.ndarray
     Ric: np.ndarray
     Scal: float             # a (k,) array for a batch of points
     P: np.ndarray
@@ -288,9 +336,12 @@ def connection_at(spec: MetricSpec, x) -> ConnectionPoint:
     x is one point or a (k, n) stack of points, as for `metric_jet`.
     """
     jet = metric_jet(spec, x, order=2)
-    c = _connection_fields(*_batched(jet)[:4])
-    return ConnectionPoint(jet=jet, **_batched_like(jet, {
-        name: c[name] for name in ("Gamma", "Riem", "Ric", "Scal", "P", "Psharp")}))
+    g, ginv, dg, d2g = _batched(jet)[:4]
+    c = _christoffel(ginv, dg)
+    Ric = _contracted_ricci(ginv, dg, d2g, c)
+    Scal, P, Psharp = _schouten(g, ginv, Ric)
+    return ConnectionPoint(jet=jet, **_batched_like(jet, dict(
+        Gamma=c["Gamma"], Ric=Ric, Scal=Scal, P=P, Psharp=Psharp)))
 
 
 def _christoffel_matrices(Gamma, X) -> np.ndarray:

@@ -79,15 +79,20 @@ class RunConfig:
 
     def loop_family(self, spec: MetricSpec, base) -> list:
         """The n(n-1)/2 coordinate rectangles at `base` plus trig loops up
-        to `loops`, drawn from seed + 1.  The radius is capped at 0.9 times
-        the distance from `base` to the edge of the chart box."""
+        to `loops`, drawn from seed + 1; fewer than n(n-1)/2 loops raise
+        MetricError.  The radius is capped at 0.9 times the distance from
+        `base` to the edge of the chart box."""
+        n = spec.n
+        rectangles = n * (n - 1) // 2
+        if self.loops < rectangles:
+            raise MetricError(f"loops must be >= {rectangles}, the number of coordinate "
+                              f"rectangles at n = {n}, not {self.loops}")
         radius = self.radius
         if spec.chart_domain is not None:
             margin = min(min(b - lo, hi - b) for b, (lo, hi) in zip(base, spec.chart_domain))
             radius = min(radius, 0.9 * margin)
-        n = spec.n
-        extra = max(0, self.loops - n * (n - 1) // 2)
-        return tp.loop_family(base, extra, radius, np.random.default_rng(self.seed + 1))
+        return tp.loop_family(base, self.loops - rectangles, radius,
+                              np.random.default_rng(self.seed + 1))
 
     def to_dict(self) -> dict:
         return {

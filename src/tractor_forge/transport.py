@@ -42,8 +42,8 @@ import numpy as np
 
 from . import expr as ex
 from .ambient import AmbientGeometry
-from .curvature import _christoffel_matrices, connection_at, stack_at
-from .metric import MetricError, MetricSpec
+from .curvature import _christoffel_matrices, compute_stack, connection_at, stack_at
+from .metric import MetricError, MetricSpec, metric_jet
 from .tractor import connection_matrix, curvature_all_pairs, tractor_metric
 
 __all__ = [
@@ -380,7 +380,7 @@ class LeviCivitaOracle:
         return connection_at(self.spec, point).g
 
     def curvature_pairs(self, points) -> np.ndarray:
-        Riem = connection_at(self.spec, points).Riem
+        Riem = compute_stack(metric_jet(self.spec, points)).Riem
         return Riem.transpose(0, 2, 3, 1, 4)  # [., i,j,l,k] = R^l_{ijk}
 
 

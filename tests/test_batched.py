@@ -27,7 +27,7 @@ SPECS = {name: preset(name) for name in PRESET_NAMES}
 
 _STACK_FIELDS = ("Gamma", "dGamma", "Riem", "riem_low", "Ric", "Scal", "P", "Psharp",
                  "dP", "dPsharp", "covP", "W", "CY", "CYsharp", "dginv", "g", "ginv")
-_CONNECTION_FIELDS = ("Gamma", "Riem", "Ric", "Scal", "P", "Psharp", "g", "ginv")
+_CONNECTION_FIELDS = ("Gamma", "Ric", "Scal", "P", "Psharp", "g", "ginv")
 
 
 def _chart_points(spec, max_size=5):

@@ -153,8 +153,11 @@ def test_entry_outside_its_math_domain_exits_two(capsys, tmp_path, argv):
     (["holonomy", "--tol-transport", "0"], "tol_transport must be finite and > 0"),
     (["tensors", "--tol-tensor=-1e-9"], "tol_tensor must be finite and > 0"),
     (["holonomy", "--radius", "inf"], "radius must be finite and > 0"),
+    (["holonomy", "--loops", "0"], "loops must be >= 3, the number of coordinate rectangles"),
+    (["verify", "--loops", "2"], "loops must be >= 3, the number of coordinate rectangles"),
 ], ids=["verify-samples", "tensors-samples", "loops", "seed", "tol-rank-nan",
-        "tol-transport-zero", "tol-tensor-negative", "radius-inf"])
+        "tol-transport-zero", "tol-tensor-negative", "radius-inf", "holonomy-loops-floor",
+        "verify-loops-floor"])
 def test_unusable_run_settings_exit_two(capsys, argv, message):
     code, out, err = run(capsys, argv + ["--preset", "sphere"])
     assert code == 2 and out == ""

@@ -30,7 +30,7 @@ BATCH = 17
 
 _STACK_FIELDS = ("Gamma", "dGamma", "Riem", "riem_low", "Ric", "Scal", "P", "Psharp",
                  "dP", "dPsharp", "covP", "W", "CY", "CYsharp", "dginv")
-_CONNECTION_FIELDS = ("Gamma", "Riem", "Ric", "Scal", "P", "Psharp")
+_CONNECTION_FIELDS = ("Gamma", "Ric", "Scal", "P", "Psharp")
 
 
 def _reference_stack(jet) -> dict:

@@ -1,8 +1,9 @@
 """Identities on random analytic metrics, beyond the six presets.
 
 Each example is a config metric: the flat metric of signature (n, 0) or
-(n-1, 1), n = 3 or 4, with a small sin or exp bump in two coordinates on
-every diagonal entry and a sin bump on one off-diagonal entry.  The bumps
+(n-1, 1), n = 3 or 4 here (other tests pass other `dims`), with a small
+sin or exp bump in two coordinates on every diagonal entry and a sin bump
+on one off-diagonal entry.  The bumps
 keep the metric diagonally dominant on the sampling box, so its signature
 is the declared one, and make its Schouten, Weyl and Cotton-York tensors
 generic.  At a random chart point the tractor connection is normal, and
@@ -37,8 +38,8 @@ def _bump(draw, n, fns=("sin", "exp")):
 
 
 @st.composite
-def _config(draw):
-    n = draw(st.sampled_from((3, 4)))
+def _config(draw, dims=(3, 4)):
+    n = draw(st.sampled_from(dims))
     lorentzian = draw(st.booleans())
     lines = [f"dim = {n}", f"signature = {n - 1},1" if lorentzian else f"signature = {n},0"]
     for i in range(1, n + 1):
