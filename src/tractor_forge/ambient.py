@@ -20,12 +20,22 @@ transport solves vdot = -Omega v.
 The crude connection of the alternative construction keeps q explicit:
     nabla_X Y = nabla_X Y - q g(X,Y) S - q P(X,Y) Q,
     nabla_X Q = X/q,  nabla_X S = P(X)/q,  nabla_Q X = X/q,  nabla_S X = 0.
-It is regular for all q > 0 and coincides with the lifted connection on
-the slice q = 1, s = 0.
+It is the normal tractor connection in a q-dependent gauge (the gauge law
+of Bailey, Eastwood and Gover): with L = diag(1/q, Id_n, 1/q) on the
+fiber and u = (a, U, b),
+    Omega_crude(u) = L^{-1} Omega_tractor(U) L + L^{-1} dL(u) + (b/q) Id.
+Proof: conjugating by L multiplies the S and Q rows by q and the S and Q
+columns by 1/q, which rescales the off-diagonal blocks by q^{+-1} as
+above; L^{-1} dL(u) = -(b/q) diag(1, 0, 1), and (b/q) Id = d(log q)(u) Id
+is a closed scalar form.  So its curvature is L^{-1} R_tractor L on
+chart-chart pairs and 0 on every pair with S or Q, it preserves
+tractor_metric(q^2 g), it is regular for all q > 0, and it coincides with
+the lifted connection on the slice q = 1, s = 0.  `transport.CrudeOracle`
+builds it that way from the tractor connection.
 
-The curvature R[a, b] of either connection differentiates its connection
-matrices by a finite-difference stencil (`curvature_from_omega`) and
-assembles them by the formula the tractor curvature also uses,
+The curvature R[a, b] of the ambient connection differentiates its
+connection matrices by a finite-difference stencil (`curvature_from_omega`)
+and assembles them by the formula the tractor curvature also uses,
 `curvature.connection_curvature`.  The Ricci tensor is its trace,
 Ric(u, v) = tr(w -> R(w, u) v).
 """
@@ -214,17 +224,6 @@ class AmbientGeometry:
 
     # -- connections -----------------------------------------------------------
 
-    def _batch(self, p, u, stack):
-        """Points as (k, n+2), directions as (k, c, n+2), the stack's g, P and
-        Psharp as (k, 1, n, n) arrays that broadcast over c, and its Gamma as
-        a (k, n, n, n) array."""
-        points = np.asarray(p, dtype=float).reshape(-1, self.dim)
-        dirs = np.asarray(u, dtype=float).reshape(len(points), -1, self.dim)
-        k, n = len(points), self.n
-        fields = [np.reshape(arr, (k, 1, n, n)) for arr in (stack.g, stack.P, stack.Psharp)]
-        fields.append(np.reshape(stack.Gamma, (k, n, n, n)))
-        return points, dirs, fields
-
     def omega(self, p, u, stack: CurvatureStack | None = None) -> np.ndarray:
         """Connection matrix for direction u = (a, U, b): D_t v = vdot + Omega v.
 
@@ -251,8 +250,12 @@ class AmbientGeometry:
                          else compute_stack(metric_jet(self.spec, p[:, 1:-1])))
             else:
                 return self._omega_in_parts(p, np.asarray(u, dtype=float), on)
-        points, dirs, (g, P, Psharp, Gamma) = self._batch(p, u, stack)
+        points = p.reshape(-1, self.dim)
+        dirs = np.asarray(u, dtype=float).reshape(len(points), -1, self.dim)
         k, n = len(points), self.n
+        # g, P and Psharp broadcast over the directions of each point
+        g, P, Psharp = (np.reshape(arr, (k, 1, n, n)) for arr in (stack.g, stack.P, stack.Psharp))
+        Gamma = np.reshape(stack.Gamma, (k, n, n, n))
         s = points[:, 0]
         a, U, b = dirs[..., 0, None, None], dirs[..., 1:-1], dirs[..., -1, None, None]
         Ucol = U[..., None]
@@ -285,30 +288,6 @@ class AmbientGeometry:
             raise
         return out
 
-    def omega_crude(self, p, u, stack: CurvatureStack | None = None) -> np.ndarray:
-        """Connection matrix of the crude alternative; regular for all q > 0.
-
-        Accepts stacks of points and directions like `omega`.  It has no
-        s*dPsharp term, so without a `stack` every point reads `connection_at`.
-        """
-        p = np.asarray(p, dtype=float)
-        if not np.all(p[..., -1] > 0):  # NaN fails the test too
-            raise MetricError("crude connection requires q > 0")
-        if stack is None:
-            stack = connection_at(self.spec, p[..., 1:-1])
-        points, dirs, (g, P, Psharp, Gamma) = self._batch(p, u, stack)
-        q = points[:, -1, None, None]
-        U, b = dirs[..., 1:-1], dirs[..., -1, None, None]
-        Ucol = U[..., None]
-        Omega = np.zeros(dirs.shape[:2] + (self.dim, self.dim))
-        Omega[..., 0, 1:-1] = -q * (g @ Ucol)[..., 0]
-        Omega[..., -1, 1:-1] = -q * (P @ Ucol)[..., 0]
-        Omega[..., 1:-1, 0] = (Psharp @ Ucol)[..., 0] / q
-        Omega[..., 1:-1, -1] = U / q
-        Omega[..., 1:-1, 1:-1] = (_christoffel_matrices(Gamma, U)
-                                  + (b / q[..., None]) * np.eye(self.n))
-        return Omega.reshape(np.shape(u)[:-1] + (self.dim, self.dim))
-
     def covariant_derivative(self, p, u, w, dw=None, stack=None) -> np.ndarray:
         """D_u w for an ambient vector w with directional component derivative dw."""
         out = self.omega(p, u, stack) @ np.asarray(w, dtype=float)
@@ -340,17 +319,17 @@ class AmbientGeometry:
 
     # -- curvature and Ricci ------------------------------------------------------
 
-    def curvature_all_pairs(self, p, crude: bool = False) -> np.ndarray:
+    def curvature_all_pairs(self, p) -> np.ndarray:
         """Finite-difference curvature R[a, b] at p, by `curvature_from_omega`.
 
         p is one point or a (k, n+2) stack of points, each row of the
         result equal to the one-point result.  The stencils' connection
-        matrices come from one batched omega call, which picks each stencil
+        matrices come from one batched `omega` call, which picks each stencil
         point's data itself: at a point on the slice, only the four
-        S-shifted points of the ambient stencil are off it and read the
-        order-3 stack, and the crude connection reads none.
+        S-shifted points of the stencil are off it and read the order-3
+        stack.
         """
-        return curvature_from_omega(self.omega_crude if crude else self.omega, p, self.dim)
+        return curvature_from_omega(self.omega, p, self.dim)
 
     def ricci(self, p, pairs: np.ndarray | None = None) -> np.ndarray:
         """Ricci matrix over the coordinate basis: Ric(u, v) = tr(w -> R(w, u) v)."""

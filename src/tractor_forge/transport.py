@@ -336,27 +336,64 @@ class AmbientOracle:
         return self.geom.curvature_all_pairs(points)
 
 
+def _positive_q(points) -> np.ndarray:
+    """The q column of a (k, n+2) stack of points, each q checked to be > 0."""
+    q = points[:, -1]
+    if not np.all(q > 0):  # NaN fails the test too
+        raise MetricError("crude connection requires q > 0")
+    return q
+
+
+def _gauge(M, q) -> np.ndarray:
+    """L^{-1} M L for L = diag(1/q, Id_n, 1/q), each point's q on its matrices.
+
+    M is a (k, ..., n+2, n+2) stack and q the (k,) values: rows 0 and n+1
+    are multiplied by q, and columns 0 and n+1 divided by q.
+    """
+    q = np.reshape(q, (-1,) + (1,) * (M.ndim - 1))
+    M = M.copy()
+    M[..., [0, -1], :] *= q
+    M[..., :, [0, -1]] /= q
+    return M
+
+
 class CrudeOracle:
-    """Crude alternative connection over (s, x, q) points."""
+    """Crude alternative connection over (s, x, q) points: the tractor
+    connection in the gauge L = diag(1/q, Id_n, 1/q), plus b/q on the
+    tangent diagonal along u = (a, U, b) (the identity is proved in the
+    `ambient` module).  So its curvature is the gauged tractor curvature,
+    and the fiber metric it preserves is tractor_metric(q^2 g).
+    """
 
     name = "crude"
 
     def __init__(self, spec: MetricSpec):
-        self.geom = AmbientGeometry(spec)
+        self.tractor = TractorOracle(spec)
         self.point_dim = spec.n + 2
         self.fiber_dim = spec.n + 2
         self.spec = spec
 
     def omega_nodes(self, points, tangents) -> np.ndarray:
-        return self.geom.omega_crude(points, tangents)
+        points, tangents = np.asarray(points, dtype=float), np.asarray(tangents, dtype=float)
+        q = _positive_q(points)
+        Omega = _gauge(self.tractor.omega_nodes(points[:, 1:-1], tangents[:, 1:-1]), q)
+        Omega[:, 1:-1, 1:-1] += (tangents[:, -1] / q)[:, None, None] * np.eye(self.spec.n)
+        return Omega
 
     omega = _omega_at_node
 
     def fiber_metric(self, point) -> np.ndarray:
-        return self.geom.metric(point)
+        point = np.asarray(point, dtype=float)
+        q = _positive_q(point[None])[0]
+        return tractor_metric(q * q * connection_at(self.spec, point[1:-1]).g)
 
     def curvature_pairs(self, points) -> np.ndarray:
-        return self.geom.curvature_all_pairs(points, crude=True)
+        points = np.asarray(points, dtype=float)
+        q = _positive_q(points)
+        dim = self.point_dim
+        R = np.zeros((len(points), dim, dim, dim, dim))
+        R[:, 1:-1, 1:-1] = _gauge(self.tractor.curvature_pairs(points[:, 1:-1]), q)
+        return R
 
 
 class LeviCivitaOracle:

@@ -7,7 +7,7 @@ from tractor_forge.ambient import (AmbientGeometry, SingularMapError,
                                    ambient_point, curvature_from_omega, split_point)
 from tractor_forge.curvature import stack_at
 from tractor_forge.metric import ChartDomainError, MetricError, preset
-from tractor_forge.transport import AmbientOracle
+from tractor_forge.transport import AmbientOracle, CrudeOracle
 
 RNG = np.random.default_rng(31)
 
@@ -88,11 +88,15 @@ def test_non_finite_s_or_q_is_checked_before_the_bundle_map(sphere_geom):
 
 @pytest.mark.parametrize("q", [np.nan, -np.inf, 0.0])
 def test_crude_connection_rejects_q_not_positive(bumpy_geom, q):
-    u = np.ones(bumpy_geom.dim)
-    good = ambient_point(0.1, BASE3, 1.0)
-    for p in (ambient_point(0.1, BASE3, q), np.array([good, ambient_point(0.1, BASE3, q)])):
-        with pytest.raises(MetricError, match="q > 0"):
-            bumpy_geom.omega_crude(p, np.ones_like(p) if p.ndim == 2 else u)
+    oracle = CrudeOracle(bumpy_geom.spec)
+    good, bad = ambient_point(0.1, BASE3, 1.0), ambient_point(0.1, BASE3, q)
+    stacked = np.array([good, bad])
+    for call in (lambda: oracle.omega(bad, np.ones(bumpy_geom.dim)),
+                 lambda: oracle.omega_nodes(stacked, np.ones_like(stacked)),
+                 lambda: oracle.curvature_pairs(stacked),
+                 lambda: oracle.fiber_metric(bad)):
+        with pytest.raises(MetricError, match="crude connection requires q > 0"):
+            call()
 
 
 def test_lift_pairs_to_base_metric(bumpy_geom):
@@ -163,16 +167,17 @@ def test_slice_connection_equals_induced_tractor(bumpy_geom):
 
 
 def test_crude_connection_regular_everywhere(bumpy_geom):
-    st = stack_at(bumpy_geom.spec, BASE3)
+    oracle = CrudeOracle(bumpy_geom.spec)
     # regular even where the bundle map of the main connection degenerates
     u = np.concatenate(([0.2], RNG.standard_normal(3), [0.4]))
-    Om = bumpy_geom.omega_crude(ambient_point(50.0, BASE3, 0.3), u, st)
+    Om = oracle.omega(ambient_point(50.0, BASE3, 0.3), u)
     assert np.all(np.isfinite(Om))
     # matches the induced tractor connection on the q = 1 slice
     from tractor_forge.tractor import connection_matrix
+    st = stack_at(bumpy_geom.spec, BASE3)
     X = RNG.standard_normal(3)
     u = np.concatenate(([0.0], X, [0.0]))
-    assert bumpy_geom.omega_crude(ambient_point(0.7, BASE3, 1.0), u, st) \
+    assert oracle.omega(ambient_point(0.7, BASE3, 1.0), u) \
         == pytest.approx(connection_matrix(st, X), abs=1e-12)
 
 
@@ -272,11 +277,10 @@ def test_batched_omega_equals_per_direction_exactly(name, s):
     x = geom.spec.sample_points(rng, 1)[0] * 0.5
     p = ambient_point(s, x, 1.2)
     dirs = np.vstack([np.eye(geom.dim), rng.standard_normal((3, geom.dim))])
-    for fn in (geom.omega, geom.omega_crude):
-        batch = fn(p, dirs)
-        assert batch.shape == (len(dirs), geom.dim, geom.dim)
-        for u, got in zip(dirs, batch):
-            assert np.array_equal(got, fn(p, u))
+    batch = geom.omega(p, dirs)
+    assert batch.shape == (len(dirs), geom.dim, geom.dim)
+    for u, got in zip(dirs, batch):
+        assert np.array_equal(got, geom.omega(p, u))
 
 
 def _reference_fd_curvature(omega_fn, point, dim, h):
@@ -299,10 +303,9 @@ def _reference_fd_curvature(omega_fn, point, dim, h):
     return R
 
 
-@pytest.mark.parametrize("crude", [False, True])
-def test_fd_curvature_one_omega_call_per_stencil_point(bumpy_geom, crude):
+def test_fd_curvature_one_omega_call_per_stencil_point(bumpy_geom):
     # one batched call, with each stencil point in it once
-    fn = bumpy_geom.omega_crude if crude else bumpy_geom.omega
+    fn = bumpy_geom.omega
     calls, points = [], []
 
     def omega_fn(pts, dirs):
@@ -314,7 +317,7 @@ def test_fd_curvature_one_omega_call_per_stencil_point(bumpy_geom, crude):
     R = curvature_from_omega(omega_fn, p, bumpy_geom.dim)
     assert calls == [(1 + 4 * 5, 5, 5)] and len(set(points)) == 1 + 4 * 5
     assert np.array_equal(R, _reference_fd_curvature(fn, p, bumpy_geom.dim, 2e-3))
-    assert np.array_equal(R, bumpy_geom.curvature_all_pairs(p, crude=crude))
+    assert np.array_equal(R, bumpy_geom.curvature_all_pairs(p))
     # a stack of k points: one call over their k (1 + 4 dim) stencil points
     calls.clear()
     points.clear()

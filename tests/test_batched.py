@@ -125,12 +125,11 @@ def test_geometry_omega_direction_stacks_per_point():
     points = np.column_stack([[0.0, 0.1, -0.1], rng.uniform(-0.5, 0.5, (3, 3)),
                               [1.0, 1.2, 0.8]])
     dirs = rng.standard_normal((3, 4, geom.dim))
-    for fn in (geom.omega, geom.omega_crude):
-        batch = fn(points, dirs)
-        assert batch.shape == (3, 4, geom.dim, geom.dim)
-        for i in range(3):
-            for c in range(4):
-                assert np.array_equal(batch[i, c], fn(points[i], dirs[i, c]))
+    batch = geom.omega(points, dirs)
+    assert batch.shape == (3, 4, geom.dim, geom.dim)
+    for i in range(3):
+        for c in range(4):
+            assert np.array_equal(batch[i, c], geom.omega(points[i], dirs[i, c]))
 
 
 def test_f_map_on_a_stack_of_points_without_a_stack():
@@ -195,17 +194,16 @@ def test_batch_with_one_singular_bundle_map_raises_like_the_row():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 @pytest.mark.parametrize("s", [0.0, 0.1])
-@pytest.mark.parametrize("crude", [False, True])
-def test_batched_fd_curvature_equals_per_point_path(name, s, crude):
+def test_batched_fd_curvature_equals_per_point_path(name, s):
     spec = SPECS[name]
     geom = AmbientGeometry(spec)
     x = spec.sample_points(np.random.default_rng(8), 1)[0] * 0.5
     p = ambient_point(s, x, 1.1)
-    fn = geom.omega_crude if crude else geom.omega
     # one omega call per stencil point, each with its own single-point stack
     per_point = curvature_from_omega(
-        lambda pts, dirs: np.stack([fn(pt, d) for pt, d in zip(pts, dirs)]), p, geom.dim)
-    assert np.array_equal(geom.curvature_all_pairs(p, crude=crude), per_point)
+        lambda pts, dirs: np.stack([geom.omega(pt, d) for pt, d in zip(pts, dirs)]),
+        p, geom.dim)
+    assert np.array_equal(geom.curvature_all_pairs(p), per_point)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -249,9 +247,12 @@ def test_only_off_slice_ambient_points_reach_the_order3_stack(monkeypatch, name)
         monkeypatch.setattr(module, "compute_stack", counting)
     geom.omega(p, dirs[0])
     geom.omega(np.array([p, ambient_point(0.0, 0.5 * x, 0.9)]), dirs)
-    for points in (p, off[0], off):
-        geom.omega_crude(points, dirs[0] if points.ndim == 1 else dirs)
-    geom.curvature_all_pairs(p, crude=True)
+    crude = tp.CrudeOracle(spec)
+    for points in (p[None], off[:1], off):
+        crude.omega_nodes(points, dirs[:len(points)])
     assert stacked == []
     geom.curvature_all_pairs(p)
     assert stacked == [tuple(x.tolist())] * 4  # the S-shifted stencil points
+    stacked.clear()
+    crude.curvature_pairs(off)  # one stack_at per point, for its tractor curvature
+    assert stacked == [tuple(row[1:-1].tolist()) for row in off]
