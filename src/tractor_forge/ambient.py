@@ -46,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (CurvatureStack, _christoffel_matrices, compute_stack, connection_at,
+from .curvature import (CurvatureStack, _christoffel_matrices, connection_at,
                         connection_curvature, stack_at)
-from .metric import ChartDomainError, MetricError, MetricSpec, metric_jet
+from .metric import ChartDomainError, MetricError, MetricSpec
 
 __all__ = [
     "SingularMapError",
@@ -234,22 +234,17 @@ class AmbientGeometry:
         each matrix equals the one for its point and direction alone.
 
         Without a `stack`, points on the slice s = 0 read the order-2
-        `connection_at` data, and points off it the order-3 stack that the
-        s*dPsharp term needs: `stack_at` for one point, one batched
-        `compute_stack` for many.  A batch with points on both sides is
-        evaluated in those two parts and raises the error of its first bad
-        row, as that row's own call would.
+        `connection_at` data, and points off it the order-3 `connection_at`,
+        whose dPsharp the s*dPsharp term needs.  A batch with points on both
+        sides is evaluated in those two parts and raises the error of its
+        first bad row, as that row's own call would.
         """
         p = np.asarray(p, dtype=float)
         if stack is None:
             on = p[..., 0] == 0.0
-            if on.all():
-                stack = connection_at(self.spec, p[..., 1:-1])
-            elif not on.any():
-                stack = (self.stack(p[1:-1]) if p.ndim == 1
-                         else compute_stack(metric_jet(self.spec, p[:, 1:-1])))
-            else:
+            if on.any() and not on.all():
                 return self._omega_in_parts(p, np.asarray(u, dtype=float), on)
+            stack = connection_at(self.spec, p[..., 1:-1], order=2 if on.all() else 3)
         points = p.reshape(-1, self.dim)
         dirs = np.asarray(u, dtype=float).reshape(len(points), -1, self.dim)
         k, n = len(points), self.n
@@ -327,7 +322,7 @@ class AmbientGeometry:
         matrices come from one batched `omega` call, which picks each stencil
         point's data itself: at a point on the slice, only the four
         S-shifted points of the stencil are off it and read the order-3
-        stack.
+        `connection_at`.
         """
         return curvature_from_omega(self.omega, p, self.dim)
 

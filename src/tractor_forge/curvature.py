@@ -13,14 +13,25 @@ Conventions (pinned by the unit-sphere tests):
   W            = riem_low - P (x) g   (Kulkarni-Nomizu; zero for round metrics)
   CY_{ijk}     = (nabla_i P)_{jk} - (nabla_j P)_{ik}
 
-Two chains share one Christoffel head (ginvT, B, Gamma) and one Schouten
-tail (Scal, P, Psharp).  `compute_stack` adds the derivative part (dginv,
-dB, dGamma), the Riemann tensor and the order-3 fields, and takes Ric as
-the trace of that Riemann tensor.  `connection_at` forms neither dGamma
-nor the Riemann tensor: it contracts Ricci straight from g^{-1}, dg and
-d2g (`_contracted_ricci`).  The two agree to rounding.
+Three routes share one Christoffel head (ginvT, B, Gamma) and one
+Schouten tail (Scal, P, Psharp, and dP, dPsharp from dRic):
+  - `compute_stack` (order-3 jet) adds the derivative part (dginv, dB,
+    dGamma, d2Gamma), the Riemann tensor and its partials and the order-3
+    fields, and takes Ric and dRic as traces of the Riemann tensor and its
+    partials.  `stack_at` and every reader of Riem, W, covP or CY use it.
+  - `connection_at` (order-2 jet) forms neither dGamma nor the Riemann
+    tensor: it contracts Ricci straight from g^{-1}, dg and d2g
+    (`_contracted_ricci`).  Tractor and on-slice ambient transport nodes
+    use it.
+  - `connection_at(..., order=3)` adds dGamma and contracts dRic straight
+    from g^{-1}, dg, d2g and d3g (`_contracted_dricci`), for dPsharp; the
+    order-2 fields stay bit for bit.  Off-slice ambient nodes use it.
+The routes agree to rounding.  The caller's need picks the route: at one
+point the number of numpy calls, not the array size, sets the cost, and
+the contracted dRic made one-point `compute_stack` calls slower when tried
+inside it.
 
-Contractions: both chains run over a leading batch axis (one point is a
+Contractions: all three routes run over a leading batch axis (one point is a
 batch of one) and every multi-index contraction is one batched matmul per
 point: the free index axes fold into matrix rows or columns, the summed
 index is the inner dimension, and index orders change by `transpose`.  So
@@ -195,6 +206,8 @@ def _contracted_ricci(ginv, dg, d2g, c: dict):
                           + g^{il} (d_i d_j g_kl + d_i d_k g_jl - d_i d_l g_jk)),
     v^l = d_i g^{il} = -g^{ia} d_i g_ab g^{bl}.  The symmetries of d2g put each
     contracted index pair side by side, so every term is one batched matmul.
+    Returns Ric and a dict of the intermediates `_contracted_dricci` reuses:
+    dg_ginv, v, trace (c_k as a column), d_trace (d_j c_k), inner and GammaT.
     """
     nb, n = ginv.shape[:2]
     Gamma = c["Gamma"]
@@ -218,7 +231,67 @@ def _contracted_ricci(ginv, dg, d2g, c: dict):
     # GammaT[j,i,m] = Gamma^i_jm: rows j against (i,m), and rows (i,m) against k
     GammaT = Gamma.transpose(0, 2, 1, 3).copy()
     quadratic = GammaT.reshape(nb, n, n * n) @ GammaT.reshape(nb, n * n, n)
-    return div_Gamma - d_trace + trace_Gamma - quadratic
+    parts = dict(dg_ginv=dg_ginv, v=v, trace=trace, d_trace=d_trace, inner=inner, GammaT=GammaT)
+    return div_Gamma - d_trace + trace_Gamma - quadratic, parts
+
+
+def _contracted_dricci(ginv, dg, d2g, d3g, c: dict, parts: dict):
+    """d_p Ric_jk over a leading batch axis from the order-3 jet, without
+    d2Gamma or the Riemann tensor; `c` is the `_christoffel` head with its
+    `_christoffel_partials`, and `parts` the intermediates `_contracted_ricci`
+    returned with Ric:
+
+      d_p Ric_jk = d_p d_i Gamma^i_jk - d_p d_j c_k + (d_p c_m) Gamma^m_jk
+                   + c_m d_p Gamma^m_jk - d_p Gamma^i_jm Gamma^m_ik - Gamma^i_jm d_p Gamma^m_ik
+
+    The last two terms are one product and its transpose in (j, k).  The
+    traced second derivatives differentiate `_contracted_ricci`'s forms once
+    more, with D_k = g^{-1} d_k g:
+      d_p d_i Gamma^i_jk = 1/2 (d_p v^l B[j,k,l] + v^l dB[p,j,k,l]
+                                + X_pjk + X_pkj - Y_pjk),
+      X_pjk = d_p g^{il} d_i d_j g_kl + g^{il} d_p d_i d_j g_kl,
+      Y_pjk = d_p g^{il} d_i d_l g_jk + g^{il} d_p d_i d_l g_jk,
+      d_p v^l = -(d_p g^{ia} d_i g_ab + g^{ia} d_p d_i g_ab) g^{bl} - v^a d_p g_ab g^{bl};
+      d_p d_j c_k = 1/2 (g^{ab} d_p d_j d_k g_ab + U_pjk + U_jpk + U_kpj
+                         + tr(D_p D_j D_k) + tr(D_p D_k D_j)),
+      U_pjk = d_p g^{ab} d_j d_k g_ab.
+    Each contraction is one batched matmul, and no array is larger than d3g.
+    """
+    nb, n = ginv.shape[:2]
+    Gamma, dGamma, dginv, D = c["Gamma"], c["dGamma"], c["dginv"], c["ginv_dg"]
+    v = parts["v"]
+    ginv_row = ginv.reshape(nb, 1, 1, n * n)
+    dginv_rows = dginv.reshape(nb, n, n * n)
+    d2g_sq = d2g.reshape(nb, n * n, n * n)
+    d3g_sq = d3g.reshape(nb, n, n * n, n * n)
+    dv = (-((dginv_rows @ dg.reshape(nb, n * n, n) + parts["inner"]) @ ginv)
+          - (v[:, None] @ parts["dg_ginv"])[:, :, 0])
+    # U[p,j,k] = U_pjk; with it, d_p g^{il} d_i d_j g_kl - U_jpk in the [j,p,k]
+    # layout of its matmul, (i, l) the middle rows of each j in d2g[j,i,l,k]
+    U = (dginv_rows @ d2g_sq.transpose(0, 2, 1)).reshape(nb, n, n, n)
+    XU = (dginv.reshape(nb, 1, n, n * n) @ d2g.reshape(nb, n, n * n, n)) - U
+    # DD[j,a,k,c] = (D_j D_k)[a,c], then tr(D_p D_j D_k) with rows (c,a)
+    DD = D.reshape(nb, n * n, n) @ D.transpose(0, 2, 1, 3).reshape(nb, n, n * n)
+    C = (D.reshape(nb, n, n * n)
+         @ DD.reshape(nb, n, n, n, n).transpose(0, 4, 2, 1, 3).reshape(nb, n * n, n * n))
+    # d_p Gamma^i_jm Gamma^m_ik: rows (p,j) against (i,m), and rows (i,m) against k
+    quadratic = (dGamma.transpose(0, 1, 3, 2, 4).reshape(nb, n * n, n * n)
+                 @ parts["GammaT"].reshape(nb, n * n, n))
+    # W + W^T collects the terms that are not symmetric in (j, k) one by one
+    W = (XU.transpose(0, 2, 1, 3)
+         + (ginv_row @ d3g.reshape(nb, n * n, n * n, n)).reshape(nb, n, n, n)
+         - C.reshape(nb, n, n, n) - 2.0 * quadratic.reshape(nb, n, n, n))
+    # the symmetric terms, with rows p against (j,k)
+    symmetric = (dv @ c["B"].reshape(nb, n * n, n).transpose(0, 2, 1)
+                 + (c["dB"].reshape(nb, n, n * n, n) @ v.reshape(nb, 1, n, 1))[..., 0]
+                 - dginv_rows @ d2g_sq - (ginv_row @ d3g_sq)[:, :, 0]
+                 - (d3g_sq @ ginv.reshape(nb, 1, n * n, 1))[..., 0] - U.reshape(nb, n, n * n))
+    # (d_p c_m) Gamma^m_jk + c_m d_p Gamma^m_jk
+    trace_Gamma = ((parts["d_trace"] @ Gamma.reshape(nb, n, n * n))
+                   + (parts["trace"].reshape(nb, 1, 1, n)
+                      @ dGamma.reshape(nb, n, n, n * n))[:, :, 0])
+    return (0.5 * (symmetric.reshape(nb, n, n, n) + W + W.transpose(0, 1, 3, 2))
+            + trace_Gamma.reshape(nb, n, n, n))
 
 
 def _schouten(g, ginv, Ric) -> tuple:
@@ -230,6 +303,24 @@ def _schouten(g, ginv, Ric) -> tuple:
     Scal = (ginv.reshape(nb, 1, n * n) @ Ric.reshape(nb, n * n, 1))[:, 0, 0]
     P = (1.0 / (n - 2)) * (Ric - Scal[:, None, None] / (2 * n - 2) * g)
     return Scal, P, ginv @ P
+
+
+def _schouten_partials(g, ginv, dg, Ric, Scal, P, dRic, c: dict) -> tuple:
+    """dP and dPsharp over a leading batch axis from dRic and the Schouten
+    tail; `c` carries the jet's dginv and ginvT."""
+    nb, n = g.shape[:2]
+    dginv = c["dginv"]
+    dScal = (dginv.reshape(nb, n, n * n) @ Ric.reshape(nb, n * n, 1)
+             + dRic.reshape(nb, n, n * n) @ ginv.reshape(nb, n * n, 1))[..., 0]
+    cP = 1.0 / (n - 2)
+    cS = 1.0 / (2 * n - 2)
+    dP = cP * (dRic - cS * (dScal[:, :, None, None] * g[:, None]
+                            + Scal[:, None, None, None] * dg))
+    # dPsharp[p,i,j] = d_p g^{ik} P_kj + g^{ik} d_p P_kj, the second with rows (p,j)
+    dPsharp = ((dginv.reshape(nb, n * n, n) @ P).reshape(nb, n, n, n)
+               + (dP.transpose(0, 1, 3, 2).reshape(nb, n * n, n) @ c["ginvT"])
+               .reshape(nb, n, n, n).transpose(0, 1, 3, 2))
+    return dP, dPsharp
 
 
 def kulkarni_nomizu(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -264,17 +355,7 @@ def compute_stack(jet: MetricJet) -> CurvatureStack:
          .reshape((nb,) + (n,) * 5).transpose(0, 3, 1, 2, 4, 5))
     dRiem = A - A.transpose(0, 1, 2, 4, 3, 5)
     dRic = np.einsum("...piijk->...pjk", dRiem)
-    dScal = (dginv.reshape(nb, n, n * n) @ Ric.reshape(nb, n * n, 1)
-             + dRic.reshape(nb, n, n * n) @ ginv.reshape(nb, n * n, 1))[..., 0]
-
-    cP = 1.0 / (n - 2)
-    cS = 1.0 / (2 * n - 2)
-    dP = cP * (dRic - cS * (dScal[:, :, None, None] * g[:, None]
-                            + Scal[:, None, None, None] * dg))
-    # dPsharp[p,i,j] = d_p g^{ik} P_kj + g^{ik} d_p P_kj, the second with rows (p,j)
-    dPsharp = ((dginv.reshape(nb, n * n, n) @ P).reshape(nb, n, n, n)
-               + (dP.transpose(0, 1, 3, 2).reshape(nb, n * n, n) @ c["ginvT"])
-               .reshape(nb, n, n, n).transpose(0, 1, 3, 2))
+    dP, dPsharp = _schouten_partials(g, ginv, dg, Ric, Scal, P, dRic, c)
 
     # covP[k,i,j] = d_k P_ij - Gamma^m_ki P_mj - Gamma^m_kj P_im, rows (k,i) and (k,j)
     Gamma_rows = Gamma.transpose(0, 2, 3, 1).reshape(nb, n * n, n)
@@ -304,10 +385,11 @@ def stack_at(spec: MetricSpec, x) -> CurvatureStack:
 class ConnectionPoint:
     """Light subset of the stack needed to evaluate connection matrices.
 
-    Built from an order-2 jet, with Ricci by its contracted formula, so it
-    forms neither dGamma nor the Riemann tensor and is cheap enough for the
-    inner loop of a transport integrator.  Field layout mirrors
-    CurvatureStack.
+    Built with Ricci by its contracted formula, so it forms neither the
+    Riemann tensor nor, from an order-2 jet, dGamma, and is cheap enough for
+    the inner loop of a transport integrator.  From an order-3 jet it also
+    carries dPsharp, which the ambient connection needs off the slice; from
+    an order-2 jet dPsharp is None.  Field layout mirrors CurvatureStack.
     """
 
     jet: MetricJet
@@ -316,6 +398,7 @@ class ConnectionPoint:
     Scal: float             # a (k,) array for a batch of points
     P: np.ndarray
     Psharp: np.ndarray
+    dPsharp: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -330,18 +413,24 @@ class ConnectionPoint:
         return self.jet.ginv
 
 
-def connection_at(spec: MetricSpec, x) -> ConnectionPoint:
-    """Christoffel and Schouten data from the order-2 jet only.
+def connection_at(spec: MetricSpec, x, order: int = 2) -> ConnectionPoint:
+    """Christoffel and Schouten data from the jet of the given order (2 or 3).
 
-    x is one point or a (k, n) stack of points, as for `metric_jet`.
+    x is one point or a (k, n) stack of points, as for `metric_jet`.  At
+    order 3 dPsharp comes from the contracted dRic (`_contracted_dricci`);
+    Gamma, Ric, P and Psharp are those of order 2, bit for bit.
     """
-    jet = metric_jet(spec, x, order=2)
-    g, ginv, dg, d2g = _batched(jet)[:4]
+    jet = metric_jet(spec, x, order=order)
+    g, ginv, dg, d2g, d3g = _batched(jet)
     c = _christoffel(ginv, dg)
-    Ric = _contracted_ricci(ginv, dg, d2g, c)
+    Ric, parts = _contracted_ricci(ginv, dg, d2g, c)
     Scal, P, Psharp = _schouten(g, ginv, Ric)
-    return ConnectionPoint(jet=jet, **_batched_like(jet, dict(
-        Gamma=c["Gamma"], Ric=Ric, Scal=Scal, P=P, Psharp=Psharp)))
+    fields = dict(Gamma=c["Gamma"], Ric=Ric, Scal=Scal, P=P, Psharp=Psharp)
+    if d3g is not None:
+        c.update(_christoffel_partials(ginv, dg, d2g, c))
+        dRic = _contracted_dricci(ginv, dg, d2g, d3g, c, parts)
+        fields["dPsharp"] = _schouten_partials(g, ginv, dg, Ric, Scal, P, dRic, c)[1]
+    return ConnectionPoint(jet=jet, **_batched_like(jet, fields))
 
 
 def _christoffel_matrices(Gamma, X) -> np.ndarray:

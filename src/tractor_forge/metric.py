@@ -196,12 +196,19 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
     if evaluator is None:
         evaluator = spec._jet_tables[order] = _JetEvaluator(spec, order)
     g, dg, d2g, d3g = evaluator.jet(points) + [None] * (3 - order)
-    entry_max = ([max(map(abs, g.ravel().tolist()))] if one else
-                 np.abs(g).max(axis=(1, 2)).tolist())
-    for row, det, big in zip(points, np.linalg.det(g).tolist(), entry_max):
-        if abs(det) <= _DET_FLOOR * max(1.0, big ** spec.n):
-            raise SingularMetricError(f"metric singular at {row} (det={det:.3e})")
-    ginv = np.linalg.solve(g, np.eye(spec.n))
+    # |det| <= _DET_FLOOR max(1, max|g_ij|)^n, with both sides to the power
+    # 1/n so that large entries cannot overflow the bound
+    det, root = np.linalg.det(g), _DET_FLOOR ** (1.0 / spec.n)
+    if one:
+        singular = [abs(det.item()) ** (1.0 / spec.n)
+                    <= root * max(1.0, max(map(abs, g.ravel().tolist())))]
+    else:
+        singular = (np.abs(det) ** (1.0 / spec.n)
+                    <= root * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))).tolist()
+    if any(singular):
+        row = singular.index(True)
+        raise SingularMetricError(f"metric singular at {points[row]} (det={det[row]:.3e})")
+    ginv = np.linalg.inv(g)
     if x.ndim == 1:
         g, dg, d2g, ginv = g[0], dg[0], d2g[0], ginv[0]
         d3g = None if d3g is None else d3g[0]

@@ -265,7 +265,8 @@ def lift_loop(path: PathSpec, s_expr: ex.Expr | None = None,
         glob = ex.div(ex.add(ex.const(float(idx)), u), ex.const(float(k)))
         s_loc = ex.substitute(s_expr, 0, glob)
         q_loc = ex.substitute(q_expr, 0, glob)
-        segs.append(Segment((s_loc,) + seg.coords + (q_loc,), span=seg.span))
+        segs.append(Segment((s_loc,) + seg.coords + (q_loc,),
+                            (s_loc.diff(0),) + seg.tangents + (q_loc.diff(0),), seg.span))
     return PathSpec(tuple(segs))
 
 
@@ -313,7 +314,7 @@ class AmbientOracle:
     """Lifted ambient connection over (s, x, q) points.
 
     `AmbientGeometry.omega` picks each node's data: the order-2
-    `connection_at` data on the slice s = 0, the order-3 stack off it.
+    `connection_at` on the slice s = 0, the order-3 one off it.
     """
 
     name = "ambient"
@@ -519,7 +520,8 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
         t[lane], h[lane] = 0.0, 0.1
         scale_ref[lane] = max(1.0, float(np.max(np.abs(V[lane]))))
         # Omega at the step's first node
-        first[lane] = oracle.omega(seg.point(0.0), seg.tangent(0.0))
+        point, tangent = seg.nodes((0.0,))
+        first[lane] = oracle.omega(point[0], tangent[0])
 
     for lane in range(len(lanes)):
         begin(lane)

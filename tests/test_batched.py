@@ -1,10 +1,10 @@
 """Batched evaluation: every row of a stacked call equals the single call.
 
-metric_jet, connection_at and compute_stack take (k, n) stacks of points,
-each oracle's omega_nodes takes (k, point_dim) stacks of nodes and its
-curvature_pairs (k, point_dim) stacks of points, and the finite-difference
-ambient curvature makes one batched omega call.  Each is checked for exact
-equality with its single-point form.
+metric_jet, connection_at (at order 2 and 3) and compute_stack take (k, n)
+stacks of points, each oracle's omega_nodes takes (k, point_dim) stacks of
+nodes and its curvature_pairs (k, point_dim) stacks of points, and the
+finite-difference ambient curvature makes one batched omega call.  Each is
+checked for exact equality with its single-point form.
 """
 
 import dataclasses
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractor_forge import ambient, curvature
+from tractor_forge import curvature
 from tractor_forge import transport as tp
 from tractor_forge.ambient import (AmbientGeometry, SingularMapError, ambient_point,
                                    curvature_from_omega)
@@ -74,9 +74,15 @@ def test_batched_connection_and_stack_rows_equal_single(name, data):
     spec = SPECS[name]
     xs = data.draw(_chart_points(spec))
     conn = connection_at(spec, xs)
+    conn3 = connection_at(spec, xs, order=3)
     stack = compute_stack(metric_jet(spec, xs))
+    assert conn.dPsharp is None
+    for name in _CONNECTION_FIELDS:  # order 3 adds dPsharp and changes nothing else
+        assert np.array_equal(getattr(conn3, name), getattr(conn, name)), name
     for i, x in enumerate(xs):
         _assert_rows_equal(conn, connection_at(spec, x), _CONNECTION_FIELDS, i)
+        _assert_rows_equal(conn3, connection_at(spec, x, order=3),
+                           _CONNECTION_FIELDS + ("dPsharp",), i)
         _assert_rows_equal(stack, compute_stack(metric_jet(spec, x)), _STACK_FIELDS, i)
 
 
@@ -237,22 +243,22 @@ def test_only_off_slice_ambient_points_reach_the_order3_stack(monkeypatch, name)
     p = ambient_point(0.0, x, 1.1)
     off = np.array([ambient_point(0.05, x, 1.1), ambient_point(-0.05, 0.5 * x, 0.9)])
     dirs = rng.standard_normal((2, geom.dim))
-    stacked = []  # chart rows of every compute_stack call
+    jets = {2: [], 3: []}  # chart rows of every metric_jet call, by order
 
-    def counting(jet, original=curvature.compute_stack):
-        stacked.extend(map(tuple, np.atleast_2d(jet.point).tolist()))
-        return original(jet)
+    def counting(spec, x, order=3, original=curvature.metric_jet):
+        jets[order].extend(map(tuple, np.atleast_2d(x).tolist()))
+        return original(spec, x, order)
 
-    for module in (ambient, curvature):
-        monkeypatch.setattr(module, "compute_stack", counting)
+    monkeypatch.setattr(curvature, "metric_jet", counting)
     geom.omega(p, dirs[0])
     geom.omega(np.array([p, ambient_point(0.0, 0.5 * x, 0.9)]), dirs)
+    assert jets[2] == [tuple(x.tolist()), tuple(x.tolist()), tuple((0.5 * x).tolist())]
     crude = tp.CrudeOracle(spec)
     for points in (p[None], off[:1], off):
         crude.omega_nodes(points, dirs[:len(points)])
-    assert stacked == []
+    assert jets[3] == []
     geom.curvature_all_pairs(p)
-    assert stacked == [tuple(x.tolist())] * 4  # the S-shifted stencil points
-    stacked.clear()
+    assert jets[3] == [tuple(x.tolist())] * 4  # the S-shifted stencil points
+    jets[3].clear()
     crude.curvature_pairs(off)  # one stack_at per point, for its tractor curvature
-    assert stacked == [tuple(row[1:-1].tolist()) for row in off]
+    assert jets[3] == [tuple(row[1:-1].tolist()) for row in off]

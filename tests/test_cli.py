@@ -144,6 +144,20 @@ def test_entry_outside_its_math_domain_exits_two(capsys, tmp_path, argv):
     assert "error: math domain error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["tensors", "verify"])
+@pytest.mark.parametrize("text, point", [
+    ("dim = 4\ng[1][1] = 1e100\ng[2][2] = 1\ng[3][3] = 1\ng[4][4] = 1\n", []),
+    ("dim = 3\ng[1][1] = exp(400*x1)\ng[2][2] = 1\ng[3][3] = 1\n", ["--point=1,0,0"]),
+], ids=["huge-entry", "steep-entry"])
+def test_entries_past_the_singularity_bound_exit_two(capsys, tmp_path, command, text, point):
+    # max|g_ij|^n overflows a float here; the metric is singular relative to its entries
+    path = tmp_path / "metric.cfg"
+    path.write_text(text)
+    code, _, err = run(capsys, [command, "--config", str(path)] + point)
+    assert code == 2
+    assert "error: metric singular" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--samples", "-1"], "samples must be >= 0, not -1"),
     (["tensors", "--samples", "-2"], "samples must be >= 0, not -2"),

@@ -101,6 +101,8 @@ def _check_against_reference(spec, xs, label):
         want = _reference_stack(metric_jet(spec, x))
         _assert_close(conn, want, _CONNECTION_FIELDS, label)
         assert isinstance(conn.Scal, float) == (x.ndim == 1)
+        _assert_close(connection_at(spec, x, order=3), want, _CONNECTION_FIELDS + ("dPsharp",),
+                      label)
         # the Christoffel block of the connection matrices: Gamma^k_ij X^i
         X = rng.standard_normal(x.shape)
         gamma_x = np.einsum("...kij,...i->...kj", want["Gamma"], X)

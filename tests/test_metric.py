@@ -85,6 +85,34 @@ def test_singular_metric_rejected():
         metric_jet(spec, np.array([0.0, 0.5, 0.5]))
 
 
+_HUGE_ENTRY = "dim = 4\ng[1][1] = 1e100\ng[2][2] = 1\ng[3][3] = 1\ng[4][4] = 1\n"
+_STEEP_ENTRY = "dim = 3\ng[1][1] = exp(400*x1)\ng[2][2] = 1\ng[3][3] = 1\n"
+
+
+@pytest.mark.parametrize("text, good, x", [(_HUGE_ENTRY, [], [0.1, 0.2, 0.3, 0.4]),
+                                           (_STEEP_ENTRY, [[0.0, 0.1, 0.2]], [1.0, 0.0, 0.0])],
+                         ids=["huge", "steep"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_singularity_bound_of_large_entries_does_not_overflow(text, good, x, order):
+    # |det| = max|g_ij| lies far below 1e-12 max|g_ij|^n, a power past the float range
+    spec, x = parse_config(text), np.array(x)
+    with pytest.raises(SingularMetricError) as alone:
+        metric_jet(spec, x, order)
+    assert str(alone.value).startswith(f"metric singular at {x.tolist()}")
+    with pytest.raises(SingularMetricError) as batched:  # the first singular row's message
+        metric_jet(spec, np.array(good + [x, 0.5 * x]), order)
+    assert str(batched.value) == str(alone.value)
+
+
+def test_large_well_scaled_metric_is_not_singular():
+    # det = 1e360 overflows to inf, which the bound (1e-12 * 1e360) must not reject
+    spec = parse_config("dim = 3\ng[1][1] = 1e120\ng[2][2] = 1e120\ng[3][3] = 1e120\n")
+    for x in (np.zeros(3), np.zeros((2, 3))):
+        with np.errstate(over="ignore"):  # numpy's warning for the infinite det
+            jet = metric_jet(spec, x)
+        assert np.array_equal(jet.ginv, np.broadcast_to(1e-120 * np.eye(3), jet.g.shape))
+
+
 def test_chart_domain_enforced():
     spec = preset("sphere")
     with pytest.raises(ChartDomainError):

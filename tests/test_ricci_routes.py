@@ -1,12 +1,13 @@
-"""The two routes to Ricci agree.
+"""The two routes to Ricci and its first partials agree.
 
-`connection_at` contracts Ricci straight from the order-2 jet (no dGamma,
-no Riemann tensor); `compute_stack` traces the Riemann tensor it keeps.
-Their Ric, Scal, P and Psharp must agree within 1e-13 of
-max(1, max|field|) on the presets and on random config metrics up to
-n = 5, and a batch of points must still give each point's own result bit
-for bit.  The Levi-Civita oracle's curvature reads the stack's Riemann
-tensor.
+`connection_at` contracts Ricci straight from the order-2 jet, and at
+order 3 its partials dRic from the order-3 jet (no d2Gamma, no Riemann
+tensor); `compute_stack` traces the Riemann tensor it keeps and its
+partials.  Their Ric, Scal, P and Psharp at both orders, and dRic and
+dPsharp at order 3, must agree within 1e-13 of max(1, max|field|) on the
+presets and on random config metrics up to n = 5, and at both orders a
+batch of points must still give each point's own result bit for bit.
+The Levi-Civita oracle's curvature reads the stack's Riemann tensor.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from test_random_metrics import _config
 
+from tractor_forge import curvature
 from tractor_forge import transport as tp
 from tractor_forge.curvature import compute_stack, connection_at, stack_at
 from tractor_forge.metric import PRESET_NAMES, metric_jet, parse_config, preset
@@ -32,19 +34,46 @@ def _points(spec, box, size=6):
     return st.lists(coord, min_size=size, max_size=size).map(np.array)
 
 
+def _contracted_dricci(jet):
+    """dRic by `connection_at`'s order-3 chain."""
+    g, ginv, dg, d2g, d3g = curvature._batched(jet)
+    c = curvature._christoffel(ginv, dg)
+    c.update(curvature._christoffel_partials(ginv, dg, d2g, c))
+    parts = curvature._contracted_ricci(ginv, dg, d2g, c)[1]
+    return curvature._contracted_dricci(ginv, dg, d2g, d3g, c, parts)
+
+
+def _traced_dricci(stack):
+    """dRic from the stack's Schouten fields: Ric = (n-2) P + J g, J = tr_g P."""
+    J = np.einsum("...ab,...ab->...", stack.ginv, stack.P)
+    dJ = (np.einsum("...pab,...ab->...p", stack.dginv, stack.P)
+          + np.einsum("...ab,...pab->...p", stack.ginv, stack.dP))
+    return ((stack.n - 2) * stack.dP + dJ[..., None, None] * stack.g[..., None, :, :]
+            + J[..., None, None, None] * stack.jet.dg)
+
+
+def _assert_close(got, want, label):
+    assert got.shape == want.shape, label
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(got - want))) <= TOL * scale, label
+
+
 def _check_routes(spec, xs):
-    conn = connection_at(spec, xs)
-    stack = compute_stack(metric_jet(spec, xs))
-    for name in _RICCI_FIELDS:
-        got, want = np.asarray(getattr(conn, name)), np.asarray(getattr(stack, name))
-        assert got.shape == want.shape, name
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert float(np.max(np.abs(got - want))) <= TOL * scale, name
-    for i, x in enumerate(xs):
-        single = connection_at(spec, x)
-        for name in _RICCI_FIELDS + ("Gamma",):
-            assert np.array_equal(np.asarray(getattr(conn, name))[i], getattr(single, name)), \
-                (name, i)
+    jet = metric_jet(spec, xs)
+    stack = compute_stack(jet)
+    for order in (2, 3):
+        names = _RICCI_FIELDS + (("dPsharp",) if order == 3 else ())
+        conn = connection_at(spec, xs, order=order)
+        assert (conn.dPsharp is None) == (order == 2)
+        for name in names:
+            _assert_close(np.asarray(getattr(conn, name)), np.asarray(getattr(stack, name)),
+                          (order, name))
+        for i, x in enumerate(xs):
+            single = connection_at(spec, x, order=order)
+            for name in names + ("Gamma",):
+                assert np.array_equal(np.asarray(getattr(conn, name))[i], getattr(single, name)), \
+                    (order, name, i)
+    _assert_close(_contracted_dricci(jet), _traced_dricci(stack), "dRic")
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tractor_forge import ambient, curvature, report
+from tractor_forge import curvature, report
 from tractor_forge import expr as ex
 from tractor_forge import transport as tp
 from tractor_forge.metric import PRESET_NAMES, MetricError, preset
@@ -367,21 +367,22 @@ def test_list_transport_equals_per_path_calls_exactly(case):
 
 def test_mixed_slice_rounds_send_only_off_slice_nodes_to_the_order3_stack(monkeypatch):
     oracle, paths, tol = _lockstep_cases()["mixed-slice"]
-    stacked = []  # chart rows of every compute_stack call
+    jets = {2: [], 3: []}  # chart rows of every metric_jet call, by order
 
-    def counting(jet, original=curvature.compute_stack):
-        stacked.extend(map(tuple, np.atleast_2d(jet.point).tolist()))
-        return original(jet)
+    def counting(spec, x, order=3, original=curvature.metric_jet):
+        jets[order].extend(map(tuple, np.atleast_2d(x).tolist()))
+        return original(spec, x, order)
 
-    for module in (ambient, curvature):
-        monkeypatch.setattr(module, "compute_stack", counting)
+    monkeypatch.setattr(curvature, "metric_jet", counting)
     counted = _CountingOracle(oracle)
     eye = np.eye(oracle.fiber_dim)
     tp.parallel_transport(counted, paths, np.broadcast_to(eye, (len(paths),) + eye.shape), tol)
     nodes = [np.frombuffer(point) for point, _ in counted.nodes]
     off = [tuple(p[1:-1].tolist()) for p in nodes if p[0] != 0.0]
-    assert off and len(off) < len(nodes)  # both kinds of node occur
-    assert sorted(stacked) == sorted(off)
+    on = [tuple(p[1:-1].tolist()) for p in nodes if p[0] == 0.0]
+    assert off and on  # both kinds of node occur
+    assert sorted(jets[3]) == sorted(off)
+    assert sorted(jets[2]) == sorted(on)
 
 
 @pytest.mark.parametrize("case", ["tractor", "off-slice"])
