@@ -19,7 +19,7 @@ from .transport import (AmbientOracle, CrudeOracle, LeviCivitaOracle,
                         PathSpec, Segment, TractorOracle, TransportError,
                         lift_loop, loop_family, parallel_transport,
                         path_from_waypoints, rectangle_loop, reverse_path,
-                        scale_path, transport_matrix, trig_loop)
+                        transport_matrix, trig_loop)
 from .holonomy import (HolonomyAlgebra, compare_holonomy, fixed_vectors,
                        holonomy_algebra, lift_transport_check, matrix_log)
 from .report import RunConfig, VerifyReport, report_emit, run_verify
@@ -36,7 +36,7 @@ __all__ = [
     "AmbientGeometry", "SingularMapError", "ambient_point", "split_point",
     "PathSpec", "Segment", "TransportError", "loop_family", "rectangle_loop",
     "trig_loop", "path_from_waypoints", "lift_loop", "reverse_path",
-    "scale_path", "parallel_transport", "transport_matrix",
+    "parallel_transport", "transport_matrix",
     "TractorOracle", "AmbientOracle", "CrudeOracle", "LeviCivitaOracle",
     "HolonomyAlgebra", "matrix_log", "holonomy_algebra", "compare_holonomy",
     "fixed_vectors", "lift_transport_check",

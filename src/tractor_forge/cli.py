@@ -232,13 +232,14 @@ def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
     alg = hol.holonomy_algebra(oracle, base, loops, 1e-9, cfg.tol_rank)
     H = oracle.fiber_metric(base)
     loop_rows = []
-    for idx, (lp, G) in enumerate(zip(loops, alg.loop_transports)):
+    for idx, (lp, G, log_res) in enumerate(zip(loops, alg.loop_transports, alg.log_residuals)):
         kind = "rectangle" if len(lp.segments) > 1 else "trig"
         loop_rows.append({
             "loop": idx,
             "kind": kind,
             "metric_drift": _maxabs(G.T @ H @ G - H),
             "distance_from_identity": _maxabs(G - np.eye(oracle.fiber_dim)),
+            "log_residual": log_res,
         })
     payload = {
         "variant": variant,
@@ -252,9 +253,10 @@ def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
         "bracket_closure_residual": hol.bracket_closure_residual(alg),
         "loops": loop_rows,
     }
-    table = [("loop", "kind", "metric_drift", "distance_from_identity")] + [
+    table = [("loop", "kind", "metric_drift", "distance_from_identity", "log_residual")] + [
         [row["loop"], row["kind"], f"{row['metric_drift']:.6e}",
-         f"{row['distance_from_identity']:.6e}"] for row in loop_rows]
+         f"{row['distance_from_identity']:.6e}", f"{row['log_residual']:.6e}"]
+        for row in loop_rows]
     _emit(table if cfg.format == "csv" else payload, cfg)
     return 0
 

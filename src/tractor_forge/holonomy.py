@@ -1,20 +1,24 @@
-"""Holonomy Lie-algebra estimation from loop transports and curvature.
+"""Holonomy Lie-algebra estimation from transported curvature.
 
-Generators come from two mechanisms: truncated matrix logs of small-loop
-transport operators, and curvature endomorphisms conjugated by transports
-to partial points of each loop.  Each loop is transported once, as a chain
-over pieces that end at those partial points, so the running products are
-the prefix transports and the last is the loop transport; the loops of one
-estimate advance together, one lockstep `parallel_transport` call per piece
-index, with results equal to one loop at a time.  The curvature at those
-points is evaluated the same way: after each transport call, one
-`curvature_pairs` call on the stack of that index's piece ends, a loop's
-last end left out (and one call for the base point), each row equal to
-the call on its point alone.  Both mechanisms feed one bracket closure;
-the dimension is the rank of the flattened generator set under a
+By Ambrose-Singer the holonomy algebra at a base point is spanned by the
+curvature endomorphisms conjugated by transports from the base point,
+P^-1 R(X, Y) P; these are the only generators.  They are taken at the base
+point and at partial points of each loop: each loop is transported once,
+as a chain over pieces that end at those partial points, so the running
+products are the prefix transports and the last is the loop transport; the
+loops of one estimate advance together, one lockstep `parallel_transport`
+call per piece index, with results equal to one loop at a time.  The
+curvature at those points is evaluated the same way: after each transport
+call, one `curvature_pairs` call on the stack of that index's piece ends,
+a loop's last end left out (and one call for the base point), each row
+equal to the call on its point alone.  The generators are closed under
+brackets; the dimension is the rank of the flattened set under a
 singular-value cut (relative threshold plus a small absolute floor, so a
-flat connection whose transports are identity-plus-integrator-noise
-reports dimension 0).
+flat connection whose curvature is zero up to noise reports dimension 0).
+
+Each loop transport G is independent evidence: the residual of matrix_log(G)
+off the estimated algebra is reported per loop (inf where the log series
+does not converge), and never feeds the generators.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
 _ABS_FLOOR = 1e-8
 _LOG_TOL = 1e-15      # the log series stops at a term below this
 _LOG_MAX_TERMS = 80
-_MAX_HALVINGS = 5     # shrinkings of a loop whose transport has no log series
 
 
 class LogConvergenceError(RuntimeError):
@@ -76,14 +79,15 @@ def matrix_log(G: np.ndarray) -> np.ndarray:
 class HolonomyAlgebra:
     """Estimated holonomy Lie algebra at a base point."""
 
-    generators: list        # raw generator matrices
+    generators: list        # conjugated curvature matrices
     basis: list             # orthonormal (Frobenius) spanning matrices
     dim: int
     sv_profile: np.ndarray  # singular values behind the rank decision
     rank_tol: float
     base: np.ndarray
     fiber_metric: np.ndarray
-    loop_transports: list   # each loop's transport, on the loop as given
+    loop_transports: list   # each loop's transport
+    log_residuals: list     # per loop: ||log G off span(basis)||_F, inf if no log series
 
 
 def _orthonormal_span(mats, rank_tol: float):
@@ -138,9 +142,9 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
     piece index: the k-th pieces of every loop, from their (k-1)-th prefix
     transports.  After each, one `curvature_pairs` call takes the stack of
     those pieces' ends that are conjugation points (every end but a loop's
-    last); the base point has a call of its own.  Transports that land too
-    far from the identity are retried on the loop shrunk toward the base
-    point (factor 1/2, up to `_MAX_HALVINGS` times).
+    last); the base point has a call of its own.  The generators are the
+    conjugated curvatures alone; each loop transport's log is then measured
+    against their closed span (`log_residuals`).
     """
     base = np.asarray(base, dtype=float)
     for loop in loops:
@@ -164,20 +168,8 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
             for i, R in zip(inner, Rs):
                 pairs[i].append(R)
     generators = []
-    loop_transports = []
-    for loop, Ts, Rs in zip(loops, prefixes, pairs):
-        G = Ts.pop()
-        loop_transports.append(G)
-        current = loop
-        for attempt in range(_MAX_HALVINGS + 1):
-            try:
-                generators.append(matrix_log(G))
-                break
-            except LogConvergenceError:
-                if attempt == _MAX_HALVINGS:
-                    raise
-                current = tp.scale_path(current, base, 0.5)
-                G = tp.transport_matrix(oracle, current, tol)
+    loop_transports = [Ts.pop() for Ts in prefixes]
+    for Ts, Rs in zip(prefixes, pairs):
         for T, R in zip(Ts, Rs):
             Tinv = np.linalg.inv(T)
             d = R.shape[0]
@@ -189,7 +181,25 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
     return HolonomyAlgebra(
         generators=generators, basis=basis, dim=len(basis),
         sv_profile=svals, rank_tol=rank_tol, base=base,
-        fiber_metric=oracle.fiber_metric(base), loop_transports=loop_transports)
+        fiber_metric=oracle.fiber_metric(base), loop_transports=loop_transports,
+        log_residuals=[_log_residual(G, basis) for G in loop_transports])
+
+
+def _off_span(mats, basis) -> list:
+    """Frobenius norm of each matrix minus its projection onto span(basis)."""
+    if not basis:
+        return [float(np.linalg.norm(m)) for m in mats]
+    B = np.stack([b.ravel() for b in basis])
+    return [float(np.linalg.norm(m.ravel() - B.T @ (B @ m.ravel()))) for m in mats]
+
+
+def _log_residual(G, basis) -> float:
+    """How far log(G) lies off span(basis); inf where the log series fails."""
+    try:
+        L = matrix_log(G)
+    except LogConvergenceError:
+        return float("inf")
+    return _off_span([L], basis)[0]
 
 
 def algebra_metric_residual(alg: HolonomyAlgebra) -> float:
@@ -219,17 +229,7 @@ def bracket_closure_residual(alg: HolonomyAlgebra) -> float:
 
 def span_residual(algA: HolonomyAlgebra, algB: HolonomyAlgebra) -> float:
     """max Frobenius residual of A-basis elements projected onto span(B)."""
-    if not algA.basis:
-        return 0.0
-    if not algB.basis:
-        return max(float(np.linalg.norm(a)) for a in algA.basis)
-    B = np.stack([b.ravel() for b in algB.basis])
-    res = 0.0
-    for a in algA.basis:
-        w = a.ravel()
-        proj = B.T @ (B @ w)
-        res = max(res, float(np.linalg.norm(w - proj)))
-    return res
+    return max(_off_span(algA.basis, algB.basis), default=0.0)
 
 
 def compare_holonomy(algA: HolonomyAlgebra, algB: HolonomyAlgebra,

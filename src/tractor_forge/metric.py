@@ -197,8 +197,11 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
         evaluator = spec._jet_tables[order] = _JetEvaluator(spec, order)
     g, dg, d2g, d3g = evaluator.jet(points) + [None] * (3 - order)
     # |det| <= _DET_FLOOR max(1, max|g_ij|)^n, with both sides to the power
-    # 1/n so that large entries cannot overflow the bound
-    det, root = np.linalg.det(g), _DET_FLOOR ** (1.0 / spec.n)
+    # 1/n so that large entries cannot overflow the bound; an overflowing
+    # det is inf, which the bound accepts, so numpy's warning is moot
+    with np.errstate(over="ignore"):
+        det = np.linalg.det(g)
+    root = _DET_FLOOR ** (1.0 / spec.n)
     if one:
         singular = [abs(det.item()) ** (1.0 / spec.n)
                     <= root * max(1.0, max(map(abs, g.ravel().tolist())))]

@@ -380,19 +380,16 @@ class _Suite:
         alg_t = hol.holonomy_algebra(self.tractor, self.base, loops, ttol, self.cfg.tol_rank)
         alg_a = hol.holonomy_algebra(self.ambient, self.abase, amb_loops, ttol,
                                      self.cfg.tol_rank)
-        alg_c = hol.holonomy_algebra(tp.CrudeOracle(self.spec), self.abase, amb_loops, ttol,
-                                     self.cfg.tol_rank)
 
-        for name, anchor, alg in (
-                ("holonomy-tractor-vs-ambient",
-                 "tractor and ambient holonomy algebras coincide", alg_a),
-                ("holonomy-crude-alternative",
-                 "crude-connection holonomy matches the tractor holonomy", alg_c)):
-            cmp = hol.compare_holonomy(alg_t, alg)
-            res = max(cmp["residual_a_in_b"], cmp["residual_b_in_a"])
-            if cmp["dim_a"] != cmp["dim_b"]:
-                res = float("inf")
-            self.add(name, anchor, res, 1e-5)
+        cmp = hol.compare_holonomy(alg_t, alg_a)
+        res = max(cmp["residual_a_in_b"], cmp["residual_b_in_a"])
+        if cmp["dim_a"] != cmp["dim_b"]:
+            res = float("inf")
+        self.add("holonomy-tractor-vs-ambient",
+                 "tractor and ambient holonomy algebras coincide", res, 1e-5)
+        self.add("holonomy-loop-logs",
+                 "each loop transport's log lies in the estimated algebra",
+                 max(alg_t.log_residuals + alg_a.log_residuals), 1e-6)
 
         self.add("holonomy-orthogonal-algebra",
                  "holonomy generators are anti-self-adjoint for the fiber metric",

@@ -56,7 +56,6 @@ __all__ = [
     "trig_loop",
     "loop_family",
     "reverse_path",
-    "scale_path",
     "lift_loop",
     "parallel_transport",
     "transport_matrix",
@@ -231,18 +230,6 @@ def loop_family(base, count: int, radius: float,
 
 def reverse_path(path: PathSpec) -> PathSpec:
     return PathSpec(tuple(seg.reversed() for seg in reversed(path.segments)))
-
-
-def scale_path(path: PathSpec, base, factor: float) -> PathSpec:
-    """Shrink the path toward `base`: gamma -> base + factor*(gamma - base)."""
-    base = np.asarray(base, dtype=float)
-    segs = []
-    for seg in path.segments:
-        coords = tuple(
-            ex.add(ex.const(b), ex.mul(ex.const(factor), ex.sub(c, ex.const(b))))
-            for c, b in zip(seg.coords, base))
-        segs.append(Segment(coords, span=seg.span))
-    return PathSpec(tuple(segs))
 
 
 def lift_loop(path: PathSpec, s_expr: ex.Expr | None = None,

@@ -255,11 +255,14 @@ def test_criterion_07_tractor_equals_ambient_holonomy():
     for name in PRESETS:
         algs = _algebras(name)
         rep = hol.compare_holonomy(algs["tractor"], algs["ambient"])
-        ok = ok and rep["verdict"] == "equal"
+        # every loop transport's log lies in the algebra of the curvature generators
+        logs = max(algs["tractor"].log_residuals + algs["ambient"].log_residuals)
+        ok = ok and rep["verdict"] == "equal" and logs <= 1e-6
         details.append(f"{name}:dim={rep['dim_a']}/{rep['dim_b']},"
-                       f"res={max(rep['residual_a_in_b'], rep['residual_b_in_a']):.1e}")
+                       f"res={max(rep['residual_a_in_b'], rep['residual_b_in_a']):.1e},"
+                       f"logs={logs:.1e}")
     _record(7, ok, "tractor vs ambient holonomy equal on all presets "
-            f"[{' '.join(details)}] (span residual <= 1e-5)")
+            f"[{' '.join(details)}] (span residual <= 1e-5, loop logs <= 1e-6)")
 
 
 def test_criterion_08_parallel_tractors_and_exact_metric():

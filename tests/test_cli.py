@@ -73,7 +73,7 @@ def test_holonomy_variants_and_csv(capsys, tmp_path):
                               "--out", str(csv_path)] + POINT)
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0].startswith("loop,kind,metric_drift")
+    assert lines[0] == "loop,kind,metric_drift,distance_from_identity,log_residual"
     assert len(lines) == 5  # header + 4 loops
 
 
@@ -185,6 +185,19 @@ def test_holonomy_loops_stay_in_the_hyperbolic_chart(capsys, variant, dimension)
     code, out, _ = run(capsys, ["holonomy", "--preset", "hyperbolic", "--variant", variant])
     assert code == 0
     assert json.loads(out)["dimension"] == dimension
+
+
+def test_holonomy_reports_loops_without_a_log_series(capsys):
+    # at radius 0.5 several s2xs2 loop transports are too far from the
+    # identity for the log series; they read inf and the dimension holds
+    code, out, _ = run(capsys, ["holonomy", "--preset", "s2xs2", "--radius", "0.5",
+                                "--point", "0,0,0,0"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["dimension"] == 10
+    residuals = [row["log_residual"] for row in data["loops"]]
+    assert all(r == float("inf") or r <= 1e-6 for r in residuals)
+    assert float("inf") in residuals
 
 
 def test_verify_flat_passes_and_deterministic(capsys, tmp_path):

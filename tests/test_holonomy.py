@@ -173,16 +173,18 @@ def test_one_segment_loop_splits_at_its_midpoint():
     assert G == pytest.approx(tp.transport_matrix(oracle, loop, 1e-10), abs=1e-8)
 
 
-def test_halving_keeps_the_unshrunk_loop_transport():
+def test_loop_without_a_log_series_still_gives_the_algebra():
+    # the transport of this loop is too far from the identity for the log
+    # series; the curvature generators still give all of so(3)
     oracle = tp.LeviCivitaOracle(preset("sphere"))
     loop = tp.rectangle_loop(BASE, 0, 1, 0.5)
     G = tp.transport_matrix(oracle, loop, 1e-9)
     with pytest.raises(hol.LogConvergenceError):
         hol.matrix_log(G)
     alg = hol.holonomy_algebra(oracle, BASE, [loop], 1e-9)
+    assert alg.log_residuals == [np.inf]
     assert np.array_equal(alg.loop_transports[0], G)
-    shrunk = alg.generators[0]  # the log of a shrunk loop's transport
-    assert np.max(np.abs(shrunk)) < 0.5
+    assert alg.dim == 3
 
 
 def test_lockstep_loop_transports_equal_per_loop_transports_exactly():
@@ -233,7 +235,7 @@ def _per_point_generators(oracle, base, loops, tol):
         for piece in hol._pieces(loop):
             T = tp.parallel_transport(oracle, piece, T, tol)
             conj.append((piece.end, T))
-        generators.append(hol.matrix_log(conj.pop()[1]))
+        conj.pop()  # the loop transport, at the base point again
         for point, T in conj:
             R = oracle.curvature_pairs(point[None])[0]
             Tinv = np.linalg.inv(T)

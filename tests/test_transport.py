@@ -55,15 +55,6 @@ def test_loop_family_contents():
         assert lp.base == pytest.approx(BASE)
 
 
-def test_scale_path_shrinks_toward_base():
-    loop = tp.rectangle_loop(BASE, 0, 1, 0.4)
-    half = tp.scale_path(loop, BASE, 0.5)
-    assert half.base == pytest.approx(BASE)
-    p = loop.segments[1].point(0.7)
-    ph = half.segments[1].point(0.7)
-    assert ph == pytest.approx(BASE + 0.5 * (p - BASE))
-
-
 def test_lift_loop_profiles():
     loop = tp.rectangle_loop(BASE, 0, 1, 0.2)
     t = ex.var(0)
@@ -166,7 +157,6 @@ def test_compiled_segments_equal_evaluate_exactly():
     paths = {
         "rectangle": rect,
         "trig_loop": trig,
-        "scale_path": tp.scale_path(trig, BASE, 0.5),
         "reverse_path": tp.reverse_path(rect),
         "lift_loop": tp.lift_loop(rect, s_expr=s_expr, q_expr=ex.const(1.0) + t * t),
     }
@@ -417,8 +407,6 @@ def test_sub_segment_shares_compiled_code():
         assert np.array_equal(piece.point(u), seg.point(0.25 + 0.5 * u))
         assert np.array_equal(piece.tangent(u), 0.5 * seg.tangent(0.25 + 0.5 * u))
         assert piece.reversed().point(u) == pytest.approx(piece.point(1.0 - u), abs=1e-15)
-        assert (tp.scale_path(tp.PathSpec((piece,)), BASE, 0.5).segments[0].point(u)
-                == pytest.approx(BASE + 0.5 * (piece.point(u) - BASE), abs=1e-15))
 
 
 def test_lift_loop_profiles_follow_each_piece_parameter():
