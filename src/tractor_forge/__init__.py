@@ -21,7 +21,7 @@ from .transport import (AmbientOracle, CrudeOracle, LeviCivitaOracle,
                         path_from_waypoints, rectangle_loop, reverse_path,
                         transport_matrix, trig_loop)
 from .holonomy import (HolonomyAlgebra, compare_holonomy, fixed_vectors,
-                       holonomy_algebra, lift_transport_check, matrix_log)
+                       holonomy_algebra, matrix_log)
 from .report import RunConfig, VerifyReport, report_emit, run_verify
 
 __version__ = "0.1.0"
@@ -39,6 +39,6 @@ __all__ = [
     "parallel_transport", "transport_matrix",
     "TractorOracle", "AmbientOracle", "CrudeOracle", "LeviCivitaOracle",
     "HolonomyAlgebra", "matrix_log", "holonomy_algebra", "compare_holonomy",
-    "fixed_vectors", "lift_transport_check",
+    "fixed_vectors",
     "RunConfig", "VerifyReport", "run_verify", "report_emit",
 ]

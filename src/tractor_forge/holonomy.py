@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from . import transport as tp
 from .metric import MetricError
 
@@ -38,7 +37,6 @@ __all__ = [
     "holonomy_algebra",
     "compare_holonomy",
     "fixed_vectors",
-    "lift_transport_check",
 ]
 
 _ABS_FLOOR = 1e-8
@@ -261,40 +259,3 @@ def fixed_vectors(alg: HolonomyAlgebra, tol: float = 1e-6) -> list:
     keep = [k for k in range(size) if svals[k] <= tol * svals[0]]
     return [vt[k] for k in keep]
 
-
-def lift_transport_check(spec, loop: tp.PathSpec, q_exprs, v0,
-                         tol: float = 1e-10, s_amplitude: float = 0.2) -> list:
-    """Scale-lift transport tests on one chart loop, one dict per q profile.
-
-    Compares ambient transport along the slice embedding (0, gamma, 1)
-    against, for each profile f of `q_exprs`, (a) the reparameterized lift
-    (0, gamma, f(t)) with f(0)=f(1)=1 and (b) a loop pushed into general
-    (s, q) fibers with s(0)=s(1)=0.  The slice embedding is transported
-    once, in one lockstep call with the two lifts of every profile.  Also
-    reports the geodesic-flow residual nabla_F F - F at a point of each
-    tilted lift.
-    """
-    oracle = tp.AmbientOracle(spec)
-    geom = oracle.geom
-    v0 = np.asarray(v0, dtype=float)
-    t = ex.var(0)
-    pi_t = ex.mul(ex.const(np.pi), t)
-    s_expr = ex.mul(ex.const(s_amplitude), ex.pow_(ex.call("sin", pi_t), 2))
-    lifts = [(tp.lift_loop(loop, q_expr=q_expr),
-              tp.lift_loop(loop, s_expr=s_expr, q_expr=q_expr)) for q_expr in q_exprs]
-    paths = [tp.lift_loop(loop)] + [path for pair in lifts for path in pair]
-    ref, *got = tp.parallel_transport(oracle, paths,
-                                      np.broadcast_to(v0, (len(paths),) + v0.shape), tol)
-    reports = []
-    for (_, tilted), got_q, got_sq in zip(lifts, got[::2], got[1::2]):
-        p = tilted.segments[0].point(0.37)
-        F = geom.fundamental_field(p)
-        dF = np.zeros(geom.dim)
-        dF[0], dF[-1] = F[0], F[-1]
-        reports.append({
-            "reparameterized_lift_residual": float(np.max(np.abs(got_q - ref))),
-            "fiber_loop_residual": float(np.max(np.abs(got_sq - ref))),
-            "geodesic_flow_residual":
-                float(np.max(np.abs(geom.covariant_derivative(p, F, F, dF) - F))),
-        })
-    return reports

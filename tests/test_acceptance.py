@@ -313,7 +313,7 @@ def test_criterion_10_scale_lift_transport():
         ex.add(ex.const(1.0), ex.mul(ex.const(-0.2), ex.pow_(
             ex.call("sin", ex.mul(ex.const(2.0 * np.pi), t)), 2))),
     ]
-    worst = 0.0
+    worst = flow = 0.0
     rng = np.random.default_rng(8)
     for name in ("sphere", "ppwave", "bumpy"):
         spec = _spec(name)
@@ -323,11 +323,21 @@ def test_criterion_10_scale_lift_transport():
         amp = min(0.15, 0.3 * cap) if np.isfinite(cap) else 0.15
         loop = tp.rectangle_loop(base, 0, 1, _RADII.get(name, 0.25))
         v0 = rng.standard_normal(spec.n + 2)
-        for rep in hol.lift_transport_check(spec, loop, reparams, v0,
-                                            tol=1e-10, s_amplitude=amp):
-            worst = max(worst, rep["reparameterized_lift_residual"],
-                        rep["fiber_loop_residual"],
-                        rep["geodesic_flow_residual"])
+        # the slice embedding (0, gamma, 1) and, per profile f, the
+        # reparameterized lift (0, gamma, f) and the tilted lift (s, gamma, f)
+        tilted = [tp.lift_loop(loop, s_expr=_s_profile(amp), q_expr=f) for f in reparams]
+        paths = ([tp.lift_loop(loop)] + [tp.lift_loop(loop, q_expr=f) for f in reparams]
+                 + tilted)
+        ref, *got = tp.parallel_transport(tp.AmbientOracle(spec), paths,
+                                          np.broadcast_to(v0, (len(paths), spec.n + 2)), 1e-10)
+        worst = max([worst] + [float(np.max(np.abs(v - ref))) for v in got])
+        # geodesic flow of the fundamental field: nabla_F F = F
+        for path in tilted:
+            p = path.segments[0].point(0.37)
+            F = geom.fundamental_field(p)
+            dF = np.zeros(geom.dim)
+            dF[0], dF[-1] = F[0], F[-1]
+            flow = max(flow, float(np.max(np.abs(geom.covariant_derivative(p, F, F, dF) - F))))
     # off-slice lifted loops leave the ambient holonomy dimension unchanged
     stable = True
     for name in ("sphere", "bumpy"):
@@ -343,9 +353,10 @@ def test_criterion_10_scale_lift_transport():
             tp.AmbientOracle(spec), ambient_point(0.0, base, 1.0),
             algs["amb_loops"] + off, 1e-9)
         stable = stable and alg_off.dim == algs["ambient"].dim
-    ok = worst <= 1e-6 and stable
+    ok = worst <= 1e-6 and flow <= 1e-9 and stable
     _record(10, ok, f"2 reparameterizations x 3 presets residual "
-            f"{worst:.2e} <= 1e-6; off-slice loops keep the dimension")
+            f"{worst:.2e} <= 1e-6; geodesic flow {flow:.2e} <= 1e-9; "
+            f"off-slice loops keep the dimension")
 
 
 def test_criterion_11_singular_bundle_map_reported():

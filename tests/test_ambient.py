@@ -7,7 +7,9 @@ from tractor_forge.ambient import (AmbientGeometry, SingularMapError,
                                    ambient_point, curvature_from_omega, split_point)
 from tractor_forge.curvature import stack_at
 from tractor_forge.metric import ChartDomainError, MetricError, preset
-from tractor_forge.transport import AmbientOracle, CrudeOracle
+from tractor_forge.tractor import connection_matrix
+from tractor_forge.transport import (AmbientOracle, CrudeOracle, TractorOracle,
+                                    path_from_waypoints, transport_matrix)
 
 RNG = np.random.default_rng(31)
 
@@ -157,7 +159,6 @@ def test_torsion_matches_cotton_york_closed_form(bumpy_geom):
 
 
 def test_slice_connection_equals_induced_tractor(bumpy_geom):
-    from tractor_forge.tractor import connection_matrix
     st = stack_at(bumpy_geom.spec, BASE3)
     p = ambient_point(0.0, BASE3, 1.0)
     X = RNG.standard_normal(3)
@@ -173,7 +174,6 @@ def test_crude_connection_regular_everywhere(bumpy_geom):
     Om = oracle.omega(ambient_point(50.0, BASE3, 0.3), u)
     assert np.all(np.isfinite(Om))
     # matches the induced tractor connection on the q = 1 slice
-    from tractor_forge.tractor import connection_matrix
     st = stack_at(bumpy_geom.spec, BASE3)
     X = RNG.standard_normal(3)
     u = np.concatenate(([0.0], X, [0.0]))
@@ -327,3 +327,58 @@ def test_fd_curvature_one_omega_call_per_stencil_point(bumpy_geom):
     assert Rs.shape == (3,) + R.shape
     for row, point in zip(Rs, stack):
         assert np.array_equal(row, curvature_from_omega(fn, point, bumpy_geom.dim))
+
+
+def _gauge(geom, p):
+    """G = diag(1, f, 1) at the ambient point p, with f = m^-1."""
+    f, _ = geom.f_map(p)
+    G = np.eye(geom.dim)
+    G[1:-1, 1:-1] = f
+    return G
+
+
+def _off_slice_points(geom, count, rng):
+    """Ambient points with chart part in the sample box, q in [0.7, 1.4] and
+    0 < |s| <= 0.6 of the safe bound."""
+    points = []
+    for x in geom.spec.sample_points(rng, count) * 0.5:
+        q = float(rng.uniform(0.7, 1.4))
+        cap = geom.default_s_bound(x, q)
+        s = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.6)) * (
+            min(0.5, cap) if np.isfinite(cap) else 0.5)
+        points.append(ambient_point(s, x, q))
+    return points
+
+
+@pytest.mark.parametrize("name", ["sphere", "ppwave", "s2xs2", "bumpy"])
+def test_ambient_connection_is_the_gauged_tractor_connection(name):
+    # Omega_amb(p, u) = G Omega_T(x, U) G^-1 + diag(0, f dm(u), 0), with
+    # m = s Psharp + q Id and dm(u) = a Psharp + b Id + s dPsharp(U)
+    geom = AmbientGeometry(preset(name, eps=0.1) if name == "bumpy" else preset(name))
+    rng = np.random.default_rng(5)
+    n = geom.n
+    for p in _off_slice_points(geom, 4, rng):
+        s, x, _ = split_point(p)
+        st = stack_at(geom.spec, x)
+        f, _ = geom.f_map(p)
+        G = _gauge(geom, p)
+        for u in rng.standard_normal((3, geom.dim)):
+            a, U, b = u[0], u[1:-1], u[-1]
+            dm = a * st.Psharp + b * np.eye(n) + s * np.einsum("k,kij->ij", U, st.dPsharp)
+            want = G @ connection_matrix(st, U) @ np.linalg.inv(G)
+            want[1:-1, 1:-1] += f @ dm
+            got = geom.omega(p, u)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["sphere", "ppwave", "s2xs2", "bumpy"])
+def test_off_slice_transport_is_the_gauged_tractor_transport(name):
+    # so an open ambient path transports as G(p1) P_T G(p0)^-1, with P_T the
+    # tractor transport along its chart part
+    geom = AmbientGeometry(preset(name, eps=0.1) if name == "bumpy" else preset(name))
+    points = _off_slice_points(geom, 3, np.random.default_rng(6))
+    amb = transport_matrix(AmbientOracle(geom.spec), path_from_waypoints(points), 1e-11)
+    chart = transport_matrix(TractorOracle(geom.spec),
+                             path_from_waypoints([split_point(p)[1] for p in points]), 1e-11)
+    want = _gauge(geom, points[-1]) @ chart @ np.linalg.inv(_gauge(geom, points[0]))
+    assert np.max(np.abs(amb - want)) <= 1e-9

@@ -187,17 +187,34 @@ def test_holonomy_loops_stay_in_the_hyperbolic_chart(capsys, variant, dimension)
     assert json.loads(out)["dimension"] == dimension
 
 
+def _strict_json(text):
+    """json.loads refusing the non-standard Infinity, -Infinity and NaN."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_holonomy_reports_loops_without_a_log_series(capsys):
     # at radius 0.5 several s2xs2 loop transports are too far from the
-    # identity for the log series; they read inf and the dimension holds
+    # identity for the log series; they read "inf" and the dimension holds
     code, out, _ = run(capsys, ["holonomy", "--preset", "s2xs2", "--radius", "0.5",
                                 "--point", "0,0,0,0"])
     assert code == 0
-    data = json.loads(out)
+    data = _strict_json(out)
     assert data["dimension"] == 10
     residuals = [row["log_residual"] for row in data["loops"]]
-    assert all(r == float("inf") or r <= 1e-6 for r in residuals)
-    assert float("inf") in residuals
+    assert all(r == "inf" or r <= 1e-6 for r in residuals)
+    assert "inf" in residuals
+
+
+def test_verify_json_is_strict_when_a_residual_is_inf(capsys):
+    # the tractor and ambient dimensions differ here (FD curvature noise),
+    # so holonomy-tractor-vs-ambient reads inf
+    code, out, _ = run(capsys, ["verify", "--preset", "sphere", "--param", "radius=0.5"])
+    assert code == 1
+    checks = {c["name"]: c for c in _strict_json(out)["checks"]}
+    assert checks["holonomy-tractor-vs-ambient"]["residual"] == "inf"
+    assert checks["holonomy-tractor-vs-ambient"]["pass"] is False
 
 
 def test_verify_flat_passes_and_deterministic(capsys, tmp_path):

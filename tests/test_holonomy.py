@@ -1,4 +1,4 @@
-"""Holonomy algebra estimation, comparison, and scale-lift transport."""
+"""Holonomy algebra estimation and comparison."""
 
 import numpy as np
 import pytest
@@ -109,26 +109,6 @@ def test_holonomy_stable_under_radius_halving():
     alg1 = hol.holonomy_algebra(oracle, BASE, _loops(BASE, 2, 0.25), 1e-9)
     alg2 = hol.holonomy_algebra(oracle, BASE, _loops(BASE, 4, 0.125), 1e-9)
     assert alg1.dim == alg2.dim
-
-
-def test_lift_transport_check_sphere():
-    spec = preset("sphere")
-    loop = tp.rectangle_loop(BASE, 0, 1, 0.25)
-    t = ex.var(0)
-    f_expr = ex.add(ex.const(1.0), ex.mul(
-        ex.const(0.3), ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), t)), 2)))
-    v0 = np.array([0.4, 1.0, -0.7, 0.2, -0.3])
-    [rep] = hol.lift_transport_check(spec, loop, [f_expr], v0, tol=1e-10,
-                                     s_amplitude=0.2)
-    assert rep["reparameterized_lift_residual"] < 1e-6
-    assert rep["fiber_loop_residual"] < 1e-6
-    assert rep["geodesic_flow_residual"] < 1e-9
-    # two profiles share one lockstep call, with one report each, equal to
-    # the report of that profile checked alone
-    g_expr = ex.sub(ex.const(1.0), ex.mul(ex.const(0.2), ex.mul(t, ex.sub(ex.const(1.0), t))))
-    [alone] = hol.lift_transport_check(spec, loop, [g_expr], v0, tol=1e-10, s_amplitude=0.2)
-    assert hol.lift_transport_check(spec, loop, [f_expr, g_expr], v0, tol=1e-10,
-                                    s_amplitude=0.2) == [rep, alone]
 
 
 def test_matrix_log_raises_when_series_diverges():
