@@ -21,16 +21,18 @@ A connection oracle is any object with:
 Each row of `omega_nodes` equals the `omega` call at that node exactly, and
 each row of `curvature_pairs` the call on that point alone.
 
-Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with an adaptive
-embedded Dormand-Prince 8(5,3) step (DOP853).  Omega depends only on t, so
-each distinct node time costs one connection matrix: a segment's first
-node goes through `omega`, and the eleven new nodes of each step attempt
-through `omega_nodes`.  Every transport goes through `parallel_transport`, which
-also takes a list of paths and integrates them in lockstep: each path
+Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with the order-8,
+5-stage Lobatto IIIA collocation step (Hairer and Wanner, Solving ODEs II,
+sec. IV.5), its stages from one linear solve, and step doubling (Hairer,
+Norsett and Wanner, Solving ODEs I, sec. II.4).  Omega depends only on t,
+so each distinct node time costs one connection matrix: a segment's first
+node goes through `omega`, and the ten new nodes of each attempt through
+`omega_nodes`.  Every transport goes through `parallel_transport`,
+which also takes a list of paths and integrates them in lockstep: each path
 keeps its own step control, and each round makes one `omega_nodes` call
 over the new nodes of every path still running.  Transports chained over
-consecutive sub-paths equal the transport of the whole path exactly, and
-a path transported in a list equals its transport alone exactly.
+consecutive sub-paths equal the transport of the whole path exactly, and a
+path transported in a list equals its transport alone exactly.
 """
 
 from __future__ import annotations
@@ -411,146 +413,143 @@ class LeviCivitaOracle:
 
 # -- integrator ------------------------------------------------------------------
 
-# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett and Wanner, Solving Ordinary
-# Differential Equations I, sec. II.10): the nodes _C and the rows _A of its 12
-# stages, the 8th-order weights _B, and the weights _E5 and _E3 of its 5th- and
-# 3rd-order error estimates; the 13th (FSAL) stage of the published pair weighs
-# nothing in either estimate and is not computed.  The literals are copied from
-# SciPy's scipy/integrate/_ivp/dop853_coefficients.py (BSD-3-Clause license;
-# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), and _E3 is
-# formed the same way as there, as _B minus three corrections.  Each row of _A and
-# each weight vector is a (1, s) matrix, for the stage sums over the (lanes, s,
-# fiber*cols) stack of stage derivatives.
-_C = np.array([
-    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510, 0.281649658092772603273242802490,
-    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
-    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0
+# The 5-stage Lobatto IIIA collocation method, of order 8 (Hairer and Wanner,
+# Solving Ordinary Differential Equations II, sec. IV.5): its nodes _C and its
+# collocation matrix _A, a_ij = the integral from 0 to c_i of the j-th Lagrange
+# polynomial on the nodes, in closed form.  _A's first row is zero and its last
+# row is the weights b (stiffly accurate), so a step's first stage is its start
+# value and its result is its last stage.
+_R21 = np.sqrt(21.0)
+_C = np.array([0.0, 0.5 - _R21 / 14, 0.5, 0.5 + _R21 / 14, 1.0])
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [17 / 280 + 3 * _R21 / 1960, 49 / 360 - _R21 / 280, 8 / 45 - 32 * _R21 / 735,
+     49 / 360 - 23 * _R21 / 840, -3 / 280 + 3 * _R21 / 1960],
+    [13 / 320, 49 / 360 + 7 * _R21 / 192, 8 / 45, 49 / 360 - 7 * _R21 / 192, 3 / 320],
+    [17 / 280 - 3 * _R21 / 1960, 49 / 360 + 23 * _R21 / 840, 8 / 45 + 32 * _R21 / 735,
+     49 / 360 + _R21 / 280, -3 / 280 - 3 * _R21 / 1960],
+    [1 / 20, 49 / 180, 16 / 45, 49 / 180, 1 / 20],
 ])
-_A = [np.array([row]) for row in (
-    (5.26001519587677318785587544488e-2,),
-    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
-    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
-    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
-     9.24834003261792003115737966543e-1),
-    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
-     1.25467687566822425016691814123e-1),
-    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
-     6.02165389804559606850219397283e-2, -1.7578125e-2),
-    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
-     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-     8.27378916381402288758473766002e-3),
-    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
-     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
-    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
-     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-     -2.03312017085086261358222928593e-2),
-    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
-     1.09143734899672957818500254654, -8.14978701074692612513997267357,
-     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-     2.49360555267965238987089396762, -3.0467644718982195003823669022),
-    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
-     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-     6.43392746015763530355970484046e-1),
-)]
-_B = np.array([[
-    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
-    4.45031289275240888144113950566, 1.89151789931450038304281599044,
-    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
-    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
-    4.47106157277725905176885569043e-2
-]])
-_E3 = _B - np.array([[
-    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1
-]])
-_E5 = np.array([[
-    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
-    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
-    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
-    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
-    -0.2235530786388629525884427845e-1
-]])
+# Step doubling (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.4): one
+# step of size 2h against two of size h.  For an order-8 method the two
+# results differ by 2^8 - 1 = 255 times the error of the two steps
+# (Richardson); dividing by 64 instead keeps a 4x margin, which matches
+# DOP853's accuracy at the same tol on verify's loops.
+_DOUBLING_DIVISOR = 64.0
+# The estimate rests on the expansion of the step's stability function, the
+# (4, 4) Pade approximant of e^z, in z = 2h lambda; it converges only below the
+# approximant's nearest pole, a root of 1 - z/2 + 3z^2/28 - z^3/84 + z^4/1680.
+# An attempt with 2h max ||Omega||_inf (a bound on every |z|) past it fails, so
+# a stiff connection shrinks the step instead of passing off the method's stiff
+# limit as a transport.
+_POLE = 6.0465298776332631
+# The stage nodes of a round's three steps, as rows of its 11 connection
+# matrices: row 0 at t, rows 1-4 at t + c 2h for c in _C[1:] (row 2 is t + h
+# and row 4 is t + 2h), rows 5-7 at t + c h and rows 8-10 at (t + h) + c h for
+# c in _C[1:4].
+_DOUBLE, _FIRST, _SECOND = [0, 1, 2, 3, 4], [0, 5, 6, 7, 2], [2, 8, 9, 10, 4]
+
+
+def _lobatto_step(Omega, h, V, where) -> np.ndarray:
+    """One Lobatto IIIA step of v' = -Omega v per row, from the (R, fiber, k)
+    values V with the (R,) sizes h and the (R, 5, fiber, fiber) matrices at
+    the nodes t + c h: the stages Y_2..Y_5 solve Y_i + h sum_{j>=2} a_ij
+    Omega_j Y_j = V - h a_i1 Omega_1 V, one (4 fiber)-square system per row,
+    which LAPACK solves alone; the result is Y_5.  `where(row)` names a row
+    whose system is singular."""
+    rows, _, fiber, _ = Omega.shape
+    ha = h[:, None, None] * _A[1:]  # (R, 4, 5): h a_ij
+    K = ha[:, :, 1:, None, None] * Omega[:, None, 1:]  # (R, 4, 4, fiber, fiber) blocks
+    K[:, range(4), range(4)] += np.eye(fiber)
+    K = K.transpose(0, 1, 3, 2, 4).reshape(rows, 4 * fiber, 4 * fiber)
+    rhs = (V[:, None] - ha[:, :, 0, None, None] * (Omega[:, 0] @ V)[:, None])
+    rhs = rhs.reshape(rows, 4 * fiber, -1)
+    try:
+        return np.linalg.solve(K, rhs)[:, -fiber:]
+    except np.linalg.LinAlgError:  # a zero pivot; its row has the smallest |det|
+        row = int(np.argmin(np.abs(np.linalg.det(K))))
+        raise TransportError(f"singular stage matrix at {where(row)}") from None
 
 
 def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
-    """DOP853 over the segments of every lane in lockstep, one connection
-    matrix per distinct node.
+    """Lobatto IIIA with step doubling over the segments of every lane in
+    lockstep, one connection matrix per distinct node.
 
-    Lane l carries the (fiber, k) array V[l] over the segments lanes[l], each
-    with its own t, h, error scale and accept/reject decision.  Omega
-    depends only on t, so an accepted step's last node (c = 1: t + 1.0*h,
-    bit for bit the new t) is the next step's first, and a rejected step
-    keeps its first node.  A segment's first node goes through
-    `oracle.omega`; each round, the eleven new nodes of every lane still
-    running, known before any stage is computed, go through one
-    `oracle.omega_nodes` call, with their points and tangents concatenated
-    from the (11, dim) arrays of `Segment.nodes`, and the stages run on
-    (lanes, fiber, k) stacks.  A step's error is h e5^2 / sqrt(e5^2 +
-    0.01 e3^2), where e5 and e3 are the max-norms of the two error
-    estimates over the lane's error scale.  Stacking only batches the
-    arithmetic, and each stage sum is one lane's (1, s) @ (s, fiber*k)
-    product, so each lane ends bit for bit where it would alone.
+    Lane l carries the (fiber, k) array V[l] over the segments lanes[l],
+    each with its own t, attempt size H[l] = 2h and accept/reject decision.
+    An attempt's end node t + 2h (bit for bit the new t) is the next one's
+    first, and a segment's first node goes through `oracle.omega`.  Each
+    round, the ten new nodes of every running lane go through one
+    `oracle.omega_nodes` call, from the (10, dim) arrays of `Segment.nodes`.
+    The two-step value V_h is accepted when max|V_h - V_2h| / 64 / max(1,
+    max|V_h|) <= tol (see _POLE), and the next 2h is 2h * 0.9
+    (tol/err)^(1/9), clamped to [0.2, 5].  Stacking only batches the
+    arithmetic, so each lane ends bit for bit where it would alone.  A
+    non-finite Omega or stage value, a singular stage system or a failure
+    at 2h = min_h raises TransportError.
     """
     min_h = 1e-10
     fiber = oracle.fiber_dim
     V = V.copy()
     seg_index = [0] * len(lanes)
-    t, h, scale_ref, first = ([None] * len(lanes) for _ in range(4))
+    t, H, first = ([None] * len(lanes) for _ in range(3))
 
     def begin(lane):  # start the lane's current segment
         seg = lanes[lane][seg_index[lane]]
-        t[lane], h[lane] = 0.0, 0.1
-        scale_ref[lane] = max(1.0, float(np.max(np.abs(V[lane]))))
-        # Omega at the step's first node
+        t[lane], H[lane] = 0.0, 0.1
         point, tangent = seg.nodes((0.0,))
         first[lane] = oracle.omega(point[0], tangent[0])
 
     for lane in range(len(lanes)):
         begin(lane)
-    new_cs = _C[1:].tolist()
-    stages = len(_C)
     active = list(range(len(lanes)))
     while active:
-        points, tangents = [], []  # (11, dim) arrays of every lane's new nodes
+        points, tangents = [], []  # (10, dim) arrays of every lane's new nodes
         for lane in active:
-            h[lane] = min(h[lane], 1.0 - t[lane])
-            lane_points, lane_tangents = lanes[lane][seg_index[lane]].nodes(
-                [t[lane] + c * h[lane] for c in new_cs])
+            size = H[lane] = min(H[lane], 1.0 - t[lane])
+            start, h = t[lane], 0.5 * size
+            times = ([start + c * size for c in _C[1:]] + [start + c * h for c in _C[1:4]]
+                     + [(start + h) + c * h for c in _C[1:4]])
+            lane_points, lane_tangents = lanes[lane][seg_index[lane]].nodes(times)
             points.append(lane_points)
             tangents.append(lane_tangents)
         new = oracle.omega_nodes(np.concatenate(points), np.concatenate(tangents))
-        new = new.reshape(len(active), stages - 1, fiber, fiber)
-        hs = np.array([h[lane] for lane in active])[:, None, None]
+        W = np.concatenate([np.stack([first[lane] for lane in active])[:, None],
+                            new.reshape(len(active), 10, fiber, fiber)], axis=1)
+
+        def where(row):
+            lane = active[row % len(active)]
+            return f"t={t[lane]:.6f}, 2h={H[lane]:.2e}"
+
+        finite = np.isfinite(W).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise TransportError(
+                f"non-finite connection matrix at {where(int(np.argmin(finite)))}")
+        sizes = np.array([H[lane] for lane in active])
         v = V[active]
-        ks = np.empty((len(active), stages) + v.shape[1:])
-        flat = ks.reshape(len(active), stages, -1)  # a view: row s is stage s
-        ks[:, 0] = -(np.stack([first[lane] for lane in active]) @ v)
-        for stage in range(1, stages):
-            y = v + hs * (_A[stage - 1] @ flat[:, :stage]).reshape(v.shape)
-            ks[:, stage] = -(new[:, stage - 1] @ y)
-        v8 = v + hs * (_B @ flat).reshape(v.shape)
-        e5s = np.max(np.abs(_E5 @ flat), axis=(1, 2)).tolist()
-        e3s = np.max(np.abs(_E3 @ flat), axis=(1, 2)).tolist()
-        peaks = np.max(np.abs(v8), axis=(1, 2)).tolist()
+        # the 2h step and the first h step start together, in one solve
+        both = _lobatto_step(np.concatenate([W[:, _DOUBLE], W[:, _FIRST]]),
+                             np.concatenate([sizes, 0.5 * sizes]), np.concatenate([v, v]), where)
+        double = both[:len(active)]
+        halves = _lobatto_step(W[:, _SECOND], 0.5 * sizes, both[len(active):], where)
+        finite = np.isfinite(halves).all(axis=(1, 2)) & np.isfinite(double).all(axis=(1, 2))
+        if not finite.all():
+            raise TransportError(f"non-finite stage values at {where(int(np.argmin(finite)))}")
+        errs = (np.max(np.abs(halves - double), axis=(1, 2)) / _DOUBLING_DIVISOR
+                / np.maximum(1.0, np.max(np.abs(halves), axis=(1, 2))))
+        reach = sizes * np.abs(W).sum(axis=-1).max(axis=(1, 2))
+        errs = np.where(reach < _POLE, errs, np.inf).tolist()
         running = []
         for row, lane in enumerate(active):
-            e5, e3 = e5s[row] / scale_ref[lane], e3s[row] / scale_ref[lane]
-            denom = e5 * e5 + 0.01 * e3 * e3
-            err = h[lane] * e5 * e5 / denom ** 0.5 if denom > 0 else 0.0
-            if err <= tol or h[lane] <= min_h:
-                if h[lane] <= min_h and err > tol:
-                    raise TransportError(f"step underflow at t={t[lane]:.6f} (err {err:.2e})")
-                t[lane] += h[lane]
-                V[lane] = v8[row]
-                first[lane] = new[row, -1]
-                scale_ref[lane] = max(scale_ref[lane], peaks[row])
-            factor = 0.9 * (tol / err) ** 0.125 if err > 0 else 5.0
-            h[lane] = max(min_h, h[lane] * min(5.0, max(0.2, factor)))
+            err = errs[row]
+            if err <= tol or H[lane] <= min_h:
+                if H[lane] <= min_h and err > tol:
+                    raise TransportError(f"step underflow at {where(row)} (err {err:.2e})")
+                t[lane] += H[lane]
+                V[lane] = halves[row]
+                first[lane] = W[row, 4]
+            factor = 0.9 * (tol / err) ** (1 / 9) if err > 0 else 5.0
+            H[lane] = max(min_h, H[lane] * min(5.0, max(0.2, factor)))
             if t[lane] >= 1.0:
                 seg_index[lane] += 1
                 if seg_index[lane] == len(lanes[lane]):

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from tractor_forge import transport as tp
 from tractor_forge.cli import main
 
 BUMPY = ["--preset", "bumpy", "--param", "eps=0.1"]
@@ -205,6 +207,16 @@ def test_holonomy_reports_loops_without_a_log_series(capsys):
     residuals = [row["log_residual"] for row in data["loops"]]
     assert all(r == "inf" or r <= 1e-6 for r in residuals)
     assert "inf" in residuals
+
+
+def test_holonomy_with_a_non_finite_connection_exits_two(capsys, monkeypatch):
+    def nan_omega(self, points, tangents):
+        return np.full((len(points), self.fiber_dim, self.fiber_dim), np.nan)
+
+    monkeypatch.setattr(tp.TractorOracle, "omega_nodes", nan_omega)
+    code, out, err = run(capsys, ["holonomy", "--preset", "flat"])
+    assert code == 2 and not out
+    assert "non-finite connection matrix at t=0.000000, 2h=" in err
 
 
 def test_verify_json_is_strict_when_a_residual_is_inf(capsys):

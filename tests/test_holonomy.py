@@ -5,6 +5,7 @@ import pytest
 
 from tractor_forge import expr as ex
 from tractor_forge import holonomy as hol
+from tractor_forge import report
 from tractor_forge import transport as tp
 from tractor_forge.metric import preset
 
@@ -241,3 +242,19 @@ def test_one_curvature_call_per_piece_index(cls):
     basis, svals = hol.closed_span(want, alg.rank_tol)
     assert np.array_equal(alg.sv_profile, svals) and alg.dim == len(basis)
     assert all(np.array_equal(a, b) for a, b in zip(alg.basis, basis))
+
+
+@pytest.mark.parametrize("name, dim", [("ppwave", 5), ("s2xs2", 10), ("bumpy", 10)])
+def test_verify_estimates_keep_a_rank_margin(name, dim):
+    """At verify's defaults (its loops, transport tol 1e-9 and rank tol),
+    the tractor and off-slice ambient estimates have their dimension, and
+    the first singular value below the cut lies at most half the absolute
+    floor: transport error does not crowd the rank decision."""
+    suite = report._Suite(report.RunConfig(preset=name))
+    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
+           for lp in suite.loops]
+    for oracle, base, loops in ((suite.tractor, suite.base, suite.loops),
+                                (suite.ambient, suite.abase, off)):
+        alg = hol.holonomy_algebra(oracle, base, loops, 1e-9, suite.cfg.tol_rank)
+        assert alg.dim == dim, oracle.name
+        assert alg.sv_profile[dim] <= hol._ABS_FLOOR / 2, oracle.name

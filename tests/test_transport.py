@@ -12,6 +12,8 @@ from tractor_forge import expr as ex
 from tractor_forge import transport as tp
 from tractor_forge.metric import PRESET_NAMES, MetricError, preset
 
+import dop853
+
 BASE = np.array([0.1, -0.15, 0.2])
 
 
@@ -224,35 +226,44 @@ def test_parallel_transport_rejects_misshapen_v0():
     assert tp.parallel_transport(oracle, loops * 2 + [loop], np.ones((5, 5))).shape == (5, 5)
 
 
-def _reference_segment(oracle, seg, v, tol):
-    """DOP853 on one path, with every stage evaluating Omega afresh (twelve
-    calls a step)."""
-    def rhs(t, y):
-        return -(oracle.omega(seg.point(t), seg.tangent(t)) @ y)
+def _reference_step(omegas, h, v):
+    """One Lobatto IIIA step of size h from v, given the connection
+    matrices at its five nodes: the stage system for Y_2..Y_5 built block by
+    block and solved alone; the result is Y_5."""
+    fiber = len(v)
+    blocks = [[(h * tp._A[i, j]) * omegas[j] for j in range(1, 5)] for i in range(1, 5)]
+    for i in range(4):
+        blocks[i][i] += np.eye(fiber)
+    rhs = np.concatenate([v - (h * tp._A[i, 0]) * (omegas[0] @ v) for i in range(1, 5)])
+    return np.linalg.solve(np.block(blocks), rhs)[-fiber:]
 
-    t, h, min_h = 0.0, 0.1, 1e-10
-    scale_ref = max(1.0, float(np.max(np.abs(v))))
-    stages = len(tp._C)
+
+def _reference_segment(oracle, seg, v, tol):
+    """Step-doubled Lobatto IIIA on one segment, with every step evaluating
+    Omega afresh at its five nodes (fifteen calls an attempt)."""
+    def step(times, h, v):
+        """The step's result and the largest row-sum norm of its matrices."""
+        omegas = [oracle.omega(seg.point(u), seg.tangent(u)) for u in times]
+        return _reference_step(omegas, h, v), max(np.abs(om).sum(axis=1).max() for om in omegas)
+
+    t, H, min_h = 0.0, 0.1, 1e-10
     while t < 1.0:
-        h = min(h, 1.0 - t)
-        ks = np.empty((stages,) + v.shape)
-        flat = ks.reshape(stages, -1)
-        for stage in range(stages):
-            y = v + h * (tp._A[stage - 1] @ flat[:stage]).reshape(v.shape) if stage else v
-            ks[stage] = rhs(t + tp._C[stage] * h, y)
-        v8 = v + h * (tp._B @ flat).reshape(v.shape)
-        e5 = float(np.max(np.abs(tp._E5 @ flat))) / scale_ref
-        e3 = float(np.max(np.abs(tp._E3 @ flat))) / scale_ref
-        denom = e5 * e5 + 0.01 * e3 * e3
-        err = h * e5 * e5 / denom ** 0.5 if denom > 0 else 0.0
-        if err <= tol or h <= min_h:
-            if h <= min_h and err > tol:
+        H = min(H, 1.0 - t)
+        h = 0.5 * H
+        double, norm_double = step([t + c * H for c in tp._C], H, v)
+        first, norm_first = step([t + c * h for c in tp._C], h, v)
+        halves, norm_second = step([(t + h) + c * h for c in tp._C[:4]] + [t + H], h, first)
+        err = (float(np.max(np.abs(halves - double))) / 64.0
+               / max(1.0, float(np.max(np.abs(halves)))))
+        if H * max(norm_double, norm_first, norm_second) >= tp._POLE:
+            err = float("inf")
+        if err <= tol or H <= min_h:
+            if H <= min_h and err > tol:
                 raise tp.TransportError(f"step underflow at t={t:.6f}")
-            t += h
-            v = v8
-            scale_ref = max(scale_ref, float(np.max(np.abs(v))))
-        factor = 0.9 * (tol / err) ** 0.125 if err > 0 else 5.0
-        h = max(min_h, h * min(5.0, max(0.2, factor)))
+            t += H
+            v = halves
+        factor = 0.9 * (tol / err) ** (1 / 9) if err > 0 else 5.0
+        H = max(min_h, H * min(5.0, max(0.2, factor)))
     return v
 
 
@@ -307,14 +318,14 @@ def test_transport_equals_reference_integrator_exactly(case):
     reference = _CountingOracle(oracle)
     want = _reference_transport(reference, path, np.eye(oracle.fiber_dim), tol)
     assert np.array_equal(got, want)
-    # the same nodes, with one omega call per distinct node time: eleven new
-    # nodes per step attempt plus each segment's t = 0, against twelve
-    attempts, rest = divmod(len(reference.nodes), 12)
+    # the same nodes, with one omega call per distinct node time: ten new
+    # nodes per attempt plus each segment's t = 0, against three steps of five
+    attempts, rest = divmod(len(reference.nodes), 15)
     assert rest == 0
-    assert len(counted.nodes) == 11 * attempts + len(path.segments)
+    assert len(counted.nodes) == 10 * attempts + len(path.segments)
     assert set(counted.nodes) == set(reference.nodes)
-    # one batched call per attempt, for its eleven new nodes
-    assert counted.batches == [11] * attempts
+    # one batched call per attempt, for its ten new nodes
+    assert counted.batches == [10] * attempts
 
 
 def _lockstep_cases():
@@ -387,11 +398,11 @@ def test_lockstep_round_batches_every_running_lane(case):
     together = _CountingOracle(oracle)
     tp.parallel_transport(together, paths, np.broadcast_to(eye, (len(paths),) + eye.shape), tol)
     # a lane runs for as many rounds as its path alone makes step attempts,
-    # and each round makes one omega_nodes call for eleven nodes per running lane
+    # and each round makes one omega_nodes call for ten nodes per running lane
     attempts = [len(c.batches) for c in alone]
-    assert together.batches == [11 * sum(a > r for a in attempts)
+    assert together.batches == [10 * sum(a > r for a in attempts)
                                 for r in range(max(attempts))]
-    assert len(together.nodes) == 11 * sum(attempts) + sum(len(p.segments) for p in paths)
+    assert len(together.nodes) == 10 * sum(attempts) + sum(len(p.segments) for p in paths)
     assert set(together.nodes) == set().union(*(set(c.nodes) for c in alone))
 
 
@@ -445,28 +456,44 @@ def test_ambient_and_crude_equal_the_tractor_connection_on_the_slice(name):
         assert np.all(np.abs(got - want).max(axis=(1, 2)) <= bound), oracle.name
 
 
+def test_lobatto_tableau():
+    c, A = tp._C, tp._A
+    r = np.sqrt(3.0 / 7.0)
+    assert c == pytest.approx([0.0, (1 - r) / 2, 0.5, (1 + r) / 2, 1.0], rel=0, abs=1e-16)
+    assert A.shape == (5, 5) and not A[0].any()
+    assert A.sum(axis=1) == pytest.approx(c, rel=0, abs=1e-15)
+    b = A[-1]  # stiffly accurate: the weights are the last row
+    for k in range(1, 6):  # collocation: each row integrates degree < 5 exactly up to c_i
+        assert A @ c ** (k - 1) == pytest.approx(c ** k / k, rel=0, abs=1e-15)
+    for k in range(1, 9):  # b integrates polynomials of degree < 8 exactly
+        assert b @ c ** (k - 1) == pytest.approx(1.0 / k, rel=0, abs=1e-15)
+    assert abs(b @ c ** 8 - 1.0 / 9) > 1e-5  # and no more: the order is 8
+    # the stability function's poles are the reciprocal eigenvalues of A[1:, 1:]
+    assert tp._POLE == pytest.approx(1.0 / np.abs(np.linalg.eigvals(A[1:, 1:])).max(), rel=1e-14)
+
+
 def test_dop853_tableau():
-    c, b = tp._C, tp._B[0]
-    assert len(c) == len(b) == len(tp._A) + 1 == 12
+    c, b = dop853.C, dop853.B[0]
+    assert len(c) == len(b) == len(dop853.A) + 1 == 12
     for k in range(1, 9):  # b integrates polynomials of degree < 8 exactly
         assert np.sum(b * c ** (k - 1)) == pytest.approx(1.0 / k, rel=0, abs=1e-14)
-    for stage, row in enumerate(tp._A, start=1):
+    for stage, row in enumerate(dop853.A, start=1):
         assert row.shape == (1, stage)
         assert np.sum(row) == pytest.approx(c[stage], rel=0, abs=1e-14)
-    for weights in (tp._E3, tp._E5):
+    for weights in (dop853.E3, dop853.E5):
         assert weights.shape == (1, 12)
         assert np.sum(weights) == pytest.approx(0.0, rel=0, abs=1e-14)
     pytest.importorskip("scipy")
     from scipy.integrate._ivp import dop853_coefficients as ref
 
     assert np.array_equal(c, ref.C[:12])
-    for stage, row in enumerate(tp._A, start=1):
+    for stage, row in enumerate(dop853.A, start=1):
         assert np.array_equal(row[0], ref.A[stage, :stage])
     assert np.array_equal(b, ref.B)
     # the 13th (FSAL) stage has no weight in either error estimate
     assert ref.E3[12] == ref.E5[12] == 0.0
-    assert np.array_equal(tp._E3[0], ref.E3[:12])
-    assert np.array_equal(tp._E5[0], ref.E5[:12])
+    assert np.array_equal(dop853.E3[0], ref.E3[:12])
+    assert np.array_equal(dop853.E5[0], ref.E5[:12])
 
 
 def test_package_imports_no_scipy():
@@ -481,15 +508,85 @@ def test_package_imports_no_scipy():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_transport_error_on_the_verify_loops(name):
-    """At verify's tol = 1e-9, every loop transport of verify's family
-    lies within 5e-9 of its transport at tol = 1e-13: the tractor loops,
-    their slice lifts and three off-slice lifts."""
+    """At verify's tol = 1e-9, every loop transport of verify's family lies
+    within 1e-9 of the DOP853 reference at tol = 1e-13: the tractor loops,
+    their slice lifts and their off-slice lifts."""
     suite = report._Suite(report.RunConfig(preset=name))
     lifted = [tp.lift_loop(lp) for lp in suite.loops]
     off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
-           for lp in suite.loops[:3]]
+           for lp in suite.loops]
     for oracle, paths in ((suite.tractor, suite.loops), (suite.ambient, lifted + off)):
-        eye = np.broadcast_to(np.eye(oracle.fiber_dim), (len(paths),) + (oracle.fiber_dim,) * 2)
-        coarse = tp.parallel_transport(oracle, paths, eye, 1e-9)
-        fine = tp.parallel_transport(oracle, paths, eye, 1e-13)
-        assert np.max(np.abs(coarse - fine)) <= 5e-9, oracle.name
+        eye = np.eye(oracle.fiber_dim)
+        got = tp.parallel_transport(oracle, paths, np.broadcast_to(eye, (len(paths),) + eye.shape),
+                                    1e-9)
+        for path, G in zip(paths, got):
+            assert np.max(np.abs(G - dop853.transport(oracle, path, eye, 1e-13))) <= 1e-9, \
+                oracle.name
+
+
+class _FixedOracle:
+    """A connection whose matrix is the same constant everywhere."""
+
+    point_dim = 3
+    fiber_dim = 5
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def omega_nodes(self, points, tangents):
+        return np.broadcast_to(self.matrix, (len(points),) + self.matrix.shape).copy()
+
+    omega = tp._omega_at_node
+
+
+@pytest.mark.parametrize("case", ["nan", "huge"])
+def test_unusable_connection_matrices_raise(case):
+    matrix = np.random.default_rng(8).standard_normal((5, 5))
+    matrix = np.where(matrix > 1.0, np.nan, matrix) if case == "nan" else 1e200 * matrix
+    oracle = _FixedOracle(matrix)
+    loop = tp.rectangle_loop(BASE, 0, 1, 0.3)
+    with pytest.raises(tp.TransportError, match=r"t=0\.000000, 2h="):
+        tp.transport_matrix(oracle, loop, 1e-9)
+    # a lane in a list fails the whole call the same way
+    with pytest.raises(tp.TransportError):
+        tp.parallel_transport(oracle, [loop, loop], np.ones((2, 5)), 1e-9)
+
+
+
+class _SingularStageOracle(_FixedOracle):
+    """Zero, but for a corner entry at the end node t = 0.1 of the first
+    attempt (2h = 0.1) along the unit segment on the x-axis, chosen so that
+    the last stage's row of that step's system is zero."""
+
+    def __init__(self):
+        super().__init__(np.zeros((5, 5)))
+        self.corner = -1.0 / (0.1 * tp._A[4, 4])
+
+    def omega_nodes(self, points, tangents):
+        out = super().omega_nodes(points, tangents)
+        out[points[:, 0] == 0.1, 0, 0] = self.corner
+        return out
+
+
+def test_a_singular_stage_system_raises():
+    oracle = _SingularStageOracle()
+    assert 0.1 * tp._A[4, 4] * oracle.corner == -1.0
+    path = tp.path_from_waypoints([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(tp.TransportError, match=r"singular stage matrix at t=0\.000000, 2h="):
+        tp.transport_matrix(oracle, path, 1e-9)
+    # beside a lane whose nodes all have x = 0.5
+    other = tp.path_from_waypoints([[0.5, 0.0, 0.0], [0.5, 1.0, 0.0]])
+    with pytest.raises(tp.TransportError, match="singular stage matrix"):
+        tp.parallel_transport(oracle, [other, path], np.ones((2, 5)), 1e-9)
+
+def test_a_steep_connection_shrinks_the_step_and_stays_accurate():
+    """A constant skew connection with max row sum 138, so 2h ||Omega|| is
+    past `_POLE` at the first attempt: the steps shrink and the transport
+    around a rectangle (four segments) is exp(-4 Omega) within 1e-6
+    (measured 3.1e-8)."""
+    matrix = np.random.default_rng(8).standard_normal((5, 5))
+    matrix = 20.0 * (matrix - matrix.T)
+    assert 0.1 * np.abs(matrix).sum(axis=1).max() > tp._POLE
+    G = tp.transport_matrix(_FixedOracle(matrix), tp.rectangle_loop(BASE, 0, 1, 0.3), 1e-9)
+    w, U = np.linalg.eig(-4.0 * matrix)
+    assert np.max(np.abs(G - (U @ np.diag(np.exp(w)) @ np.linalg.inv(U)).real)) <= 1e-6
