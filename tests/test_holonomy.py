@@ -128,18 +128,22 @@ def test_matrix_log_gates_on_the_frobenius_norm():
         hol.matrix_log(np.full((3, 3), np.nan))
 
 
-def test_chained_rectangle_prefixes_equal_prefix_transports_exactly():
+def _piece_product(oracle, loop, tol):
+    """The loop's transport as the ordered product of its pieces' transports."""
+    T = np.eye(oracle.fiber_dim)
+    for piece in hol._pieces(loop):
+        T = tp.transport_matrix(oracle, piece, tol) @ T
+    return T
+
+
+def test_rectangle_loop_transport_is_the_product_of_its_piece_transports():
     oracle = tp.TractorOracle(preset("bumpy", eps=0.1))
     loop = tp.rectangle_loop(BASE, 0, 2, 0.25)
-    pieces = hol._pieces(loop)
-    assert [len(p.segments) for p in pieces] == [2, 1, 1]
-    T = np.eye(5)
-    for piece, k in zip(pieces, (2, 3, 4)):
-        T = tp.parallel_transport(oracle, piece, T, 1e-10)
-        want = tp.transport_matrix(oracle, tp.PathSpec(loop.segments[:k]), 1e-10)
-        assert np.array_equal(T, want)
+    assert [len(p.segments) for p in hol._pieces(loop)] == [2, 1, 1]
     alg = hol.holonomy_algebra(oracle, BASE, [loop], 1e-10)
-    assert np.array_equal(alg.loop_transports[0], T)
+    G = alg.loop_transports[0]
+    assert np.array_equal(G, _piece_product(oracle, loop, 1e-10))
+    assert np.max(np.abs(G - tp.transport_matrix(oracle, loop, 1e-10))) <= 1e-9
 
 
 def test_one_segment_loop_splits_at_its_midpoint():
@@ -164,21 +168,18 @@ def test_loop_without_a_log_series_still_gives_the_algebra():
         hol.matrix_log(G)
     alg = hol.holonomy_algebra(oracle, BASE, [loop], 1e-9)
     assert alg.log_residuals == [np.inf]
-    assert np.array_equal(alg.loop_transports[0], G)
+    assert np.array_equal(alg.loop_transports[0], _piece_product(oracle, loop, 1e-9))
+    assert np.max(np.abs(alg.loop_transports[0] - G)) <= 1e-9
     assert alg.dim == 3
 
 
-def test_lockstep_loop_transports_equal_per_loop_transports_exactly():
+def test_lockstep_loop_transports_equal_products_of_piece_transports_exactly():
     oracle = tp.TractorOracle(preset("bumpy", eps=0.1))
     loops = _loops(BASE, count=3)
     alg = hol.holonomy_algebra(oracle, BASE, loops, 1e-10)
     for loop, G in zip(loops, alg.loop_transports):
-        if len(loop.segments) > 1:
-            assert np.array_equal(G, tp.transport_matrix(oracle, loop, 1e-10))
-        else:  # chained over its two halves
-            first, second = hol._pieces(loop)
-            T = tp.transport_matrix(oracle, first, 1e-10)
-            assert np.array_equal(G, tp.parallel_transport(oracle, second, T, 1e-10))
+        assert np.array_equal(G, _piece_product(oracle, loop, 1e-10))
+        assert np.max(np.abs(G - tp.transport_matrix(oracle, loop, 1e-10))) <= 1e-9
 
 
 def test_pieces_compile_nothing(monkeypatch):
@@ -208,13 +209,14 @@ class _CountingOracle:
 
 
 def _per_point_generators(oracle, base, loops, tol):
-    """The generators harvested one loop, one piece and one point at a time."""
+    """The generators harvested one loop, one piece and one point at a time,
+    each prefix transport the ordered product of its pieces' transports."""
     generators = []
     for loop in loops:
         T = np.eye(oracle.fiber_dim)
         conj = [(base, T)]
         for piece in hol._pieces(loop):
-            T = tp.parallel_transport(oracle, piece, T, tol)
+            T = tp.transport_matrix(oracle, piece, tol) @ T
             conj.append((piece.end, T))
         conj.pop()  # the loop transport, at the base point again
         for point, T in conj:
@@ -226,14 +228,24 @@ def _per_point_generators(oracle, base, loops, tol):
 
 @pytest.mark.parametrize("cls", [tp.TractorOracle, tp.LeviCivitaOracle, tp.AmbientOracle,
                                  tp.CrudeOracle])
-def test_one_curvature_call_per_piece_index(cls):
+def test_one_curvature_call_per_piece_index(cls, monkeypatch):
     spec = preset("bumpy", eps=0.1)
     oracle = _CountingOracle(cls(spec))
     loops = _loops(BASE)  # 3 rectangles of three pieces, 2 trig loops of two
     base = BASE
     if oracle.point_dim != spec.n:
         loops, base = [tp.lift_loop(lp) for lp in loops], np.concatenate(([0.0], BASE, [1.0]))
+    lanes = []  # the paths of each parallel_transport call
+
+    def counting(oracle, paths, v0, tol, original=tp.parallel_transport):
+        lanes.append(len(paths))
+        return original(oracle, paths, v0, tol)
+
+    monkeypatch.setattr(tp, "parallel_transport", counting)
     alg = hol.holonomy_algebra(oracle, base, loops, 1e-10)
+    monkeypatch.undo()
+    # one transport call, every piece of every loop a lane of it
+    assert lanes == [13]
     # the base point, then the first and second piece ends that are not a loop's last
     assert oracle.calls == [1, 5, 3]
     want = _per_point_generators(cls(spec), base, loops, 1e-10)

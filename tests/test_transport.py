@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tractor_forge import curvature, report
+from tractor_forge import holonomy as hol
 from tractor_forge import expr as ex
 from tractor_forge import transport as tp
 from tractor_forge.metric import PRESET_NAMES, MetricError, preset
@@ -276,23 +277,38 @@ def _reference_transport(oracle, path, v0, tol):
 
 class _CountingOracle:
     """Records the (point, tangent) node of every omega call and of every
-    row of every omega_nodes call, and the size of each omega_nodes call."""
+    row of every omega_nodes call, the number of omega calls, and the size
+    and result of each omega_nodes call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.point_dim = inner.point_dim
         self.fiber_dim = inner.fiber_dim
         self.nodes = []
+        self.singles = 0
         self.batches = []
+        self.results = []
 
     def omega(self, point, tangent):
         self.nodes.append((point.tobytes(), tangent.tobytes()))
+        self.singles += 1
         return self.inner.omega(point, tangent)
 
     def omega_nodes(self, points, tangents):
         self.nodes.extend((p.tobytes(), u.tobytes()) for p, u in zip(points, tangents))
         self.batches.append(len(points))
-        return self.inner.omega_nodes(points, tangents)
+        self.results.append(self.inner.omega_nodes(points, tangents))
+        return self.results[-1]
+
+
+def _check_first_batch(counted, oracle, paths):
+    """The first omega_nodes call holds each path's first node, in order,
+    and each of its rows is bit for bit the omega call at that node."""
+    starts = [path.segments[0].nodes((0.0,)) for path in paths]
+    assert counted.batches[0] == len(paths)
+    assert counted.nodes[:len(paths)] == [(p[0].tobytes(), u[0].tobytes()) for p, u in starts]
+    for row, (p, u) in zip(counted.results[0], starts):
+        assert np.array_equal(row, oracle.omega(p[0], u[0]))
 
 
 def _node_reuse_cases():
@@ -318,14 +334,18 @@ def test_transport_equals_reference_integrator_exactly(case):
     reference = _CountingOracle(oracle)
     want = _reference_transport(reference, path, np.eye(oracle.fiber_dim), tol)
     assert np.array_equal(got, want)
-    # the same nodes, with one omega call per distinct node time: ten new
-    # nodes per attempt plus each segment's t = 0, against three steps of five
+    # the same nodes, with one connection matrix per distinct node time: ten
+    # new nodes per attempt plus each segment's t = 0, against three steps of five
     attempts, rest = divmod(len(reference.nodes), 15)
     assert rest == 0
     assert len(counted.nodes) == 10 * attempts + len(path.segments)
     assert set(counted.nodes) == set(reference.nodes)
-    # one batched call per attempt, for its ten new nodes
-    assert counted.batches == [10] * attempts
+    # the first node in a batch of its own, then one batched call per
+    # attempt for its ten new nodes; each later segment's first node
+    # through omega
+    _check_first_batch(counted, oracle, [path])
+    assert counted.batches == [1] + [10] * attempts
+    assert counted.singles == len(path.segments) - 1
 
 
 def _lockstep_cases():
@@ -397,12 +417,15 @@ def test_lockstep_round_batches_every_running_lane(case):
         alone.append(counted)
     together = _CountingOracle(oracle)
     tp.parallel_transport(together, paths, np.broadcast_to(eye, (len(paths),) + eye.shape), tol)
-    # a lane runs for as many rounds as its path alone makes step attempts,
-    # and each round makes one omega_nodes call for ten nodes per running lane
-    attempts = [len(c.batches) for c in alone]
-    assert together.batches == [10 * sum(a > r for a in attempts)
-                                for r in range(max(attempts))]
+    # every lane's first node in one call; then a lane runs for as many
+    # rounds as its path alone makes step attempts, and each round makes
+    # one omega_nodes call for ten nodes per running lane
+    _check_first_batch(together, oracle, paths)
+    attempts = [len(c.batches) - 1 for c in alone]
+    assert together.batches == [len(paths)] + [10 * sum(a > r for a in attempts)
+                                               for r in range(max(attempts))]
     assert len(together.nodes) == 10 * sum(attempts) + sum(len(p.segments) for p in paths)
+    assert together.singles == sum(c.singles for c in alone)
     assert set(together.nodes) == set().union(*(set(c.nodes) for c in alone))
 
 
@@ -510,18 +533,22 @@ def test_package_imports_no_scipy():
 def test_transport_error_on_the_verify_loops(name):
     """At verify's tol = 1e-9, every loop transport of verify's family lies
     within 1e-9 of the DOP853 reference at tol = 1e-13: the tractor loops,
-    their slice lifts and their off-slice lifts."""
+    their slice lifts and their off-slice lifts, and the products of piece
+    transports that verify's two holonomy estimates (tractor, off-slice
+    ambient) take for the loop transports."""
     suite = report._Suite(report.RunConfig(preset=name))
     lifted = [tp.lift_loop(lp) for lp in suite.loops]
     off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
            for lp in suite.loops]
-    for oracle, paths in ((suite.tractor, suite.loops), (suite.ambient, lifted + off)):
+    for oracle, base, paths, loops in ((suite.tractor, suite.base, suite.loops, suite.loops),
+                                       (suite.ambient, suite.abase, lifted + off, off)):
         eye = np.eye(oracle.fiber_dim)
+        want = {id(path): dop853.transport(oracle, path, eye, 1e-13) for path in paths}
         got = tp.parallel_transport(oracle, paths, np.broadcast_to(eye, (len(paths),) + eye.shape),
                                     1e-9)
-        for path, G in zip(paths, got):
-            assert np.max(np.abs(G - dop853.transport(oracle, path, eye, 1e-13))) <= 1e-9, \
-                oracle.name
+        products = hol.holonomy_algebra(oracle, base, loops, 1e-9).loop_transports
+        for path, G in [*zip(paths, got), *zip(loops, products)]:
+            assert np.max(np.abs(G - want[id(path)])) <= 1e-9, oracle.name
 
 
 class _FixedOracle:
@@ -578,6 +605,16 @@ def test_a_singular_stage_system_raises():
     other = tp.path_from_waypoints([[0.5, 0.0, 0.0], [0.5, 1.0, 0.0]])
     with pytest.raises(tp.TransportError, match="singular stage matrix"):
         tp.parallel_transport(oracle, [other, path], np.ones((2, 5)), 1e-9)
+
+def test_a_transport_past_the_float_range_raises():
+    """A constant connection -300 Id grows the transport by e^300 along each
+    side of a unit rectangle: in the third side the stage values pass the
+    float range and the non-finite check raises TransportError, with no
+    numpy overflow warning on the way (RuntimeWarning is an error here)."""
+    oracle = _FixedOracle(-300.0 * np.eye(5))
+    with pytest.raises(tp.TransportError, match="non-finite stage values"):
+        tp.transport_matrix(oracle, tp.rectangle_loop(BASE, 0, 1, 1.0), 1e-9)
+
 
 def test_a_steep_connection_shrinks_the_step_and_stays_accurate():
     """A constant skew connection with max row sum 138, so 2h ||Omega|| is
