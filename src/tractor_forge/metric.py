@@ -41,7 +41,8 @@ __all__ = [
 
 PRESET_NAMES = ("flat", "sphere", "hyperbolic", "ppwave", "s2xs2", "bumpy")
 
-_DET_FLOOR = 1e-12
+# a metric whose condition estimate max|g_ij| max|g^ij| exceeds this is singular
+_COND_LIMIT = 1e12
 
 
 class MetricError(ValueError):
@@ -196,22 +197,28 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
     if evaluator is None:
         evaluator = spec._jet_tables[order] = _JetEvaluator(spec, order)
     g, dg, d2g, d3g = evaluator.jet(points) + [None] * (3 - order)
-    # |det| <= _DET_FLOOR max(1, max|g_ij|)^n, with both sides to the power
-    # 1/n so that large entries cannot overflow the bound; an overflowing
-    # det is inf, which the bound accepts, so numpy's warning is moot
-    with np.errstate(over="ignore"):
-        det = np.linalg.det(g)
-    root = _DET_FLOOR ** (1.0 / spec.n)
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:  # some row has no inverse: its g^-1 counts as inf
+        ginv = np.full_like(g, np.inf)
+        for row, matrix in enumerate(g):
+            try:
+                ginv[row] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                pass
+    # max|g_ij| max|g^ij| estimates the condition number of each row; a large
+    # entry with a well-scaled inverse passes, however large |det g|, and a
+    # non-finite estimate fails.  One row is checked on Python floats, as above.
     if one:
-        singular = [abs(det.item()) ** (1.0 / spec.n)
-                    <= root * max(1.0, max(map(abs, g.ravel().tolist())))]
+        cond = [max(map(abs, g.ravel().tolist())) * max(map(abs, ginv.ravel().tolist()))]
     else:
-        singular = (np.abs(det) ** (1.0 / spec.n)
-                    <= root * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = (np.abs(g).max(axis=(1, 2)) * np.abs(ginv).max(axis=(1, 2))).tolist()
+    singular = [not c <= _COND_LIMIT for c in cond]
     if any(singular):
         row = singular.index(True)
-        raise SingularMetricError(f"metric singular at {points[row]} (det={det[row]:.3e})")
-    ginv = np.linalg.inv(g)
+        raise SingularMetricError(
+            f"metric singular at {points[row]} (max|g| max|g^-1| = {cond[row]:.3e})")
     if x.ndim == 1:
         g, dg, d2g, ginv = g[0], dg[0], d2g[0], ginv[0]
         d3g = None if d3g is None else d3g[0]

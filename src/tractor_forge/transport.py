@@ -21,19 +21,20 @@ A connection oracle is any object with:
 Each row of `omega_nodes` equals the `omega` call at that node exactly, and
 each row of `curvature_pairs` the call on that point alone.
 
-Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with the order-8,
-5-stage Lobatto IIIA collocation step (Hairer and Wanner, Solving ODEs II,
+Transport solves vdot = -Omega(gamma(t), gammadot(t)) v with the order-16,
+9-stage Lobatto IIIA collocation step (Hairer and Wanner, Solving ODEs II,
 sec. IV.5), its stages from one linear solve, and step doubling (Hairer,
-Norsett and Wanner, Solving ODEs I, sec. II.4).  Omega depends only on t,
-so each distinct node time costs one connection matrix: a later segment's
-first node goes through `omega`, and every other node through
-`omega_nodes`.  Every transport goes through `parallel_transport`, which
+Norsett and Wanner, Solving ODEs I, sec. II.4); each segment's first
+attempt is the whole segment.  Omega depends only on t, so each distinct
+node time costs one connection matrix: a later segment's first node goes
+through `omega`, and every other node through `omega_nodes`, at most 128
+rows a call.  Every transport goes through `parallel_transport`, which
 also takes a list of paths and integrates them in lockstep: each path
-keeps its own step control, the paths' first nodes go in one `omega_nodes`
-call, and each round makes one more over the new nodes of every path
-still running.  Transports chained over consecutive sub-paths equal the
-transport of the whole path exactly, and a path transported in a list
-equals its transport alone exactly.
+keeps its own step control, the paths' first nodes go in one batch, and
+each round makes one more over the new nodes of every path still running.
+Transports chained over consecutive sub-paths equal the transport of the
+whole path exactly, and a path transported in a list equals its transport
+alone exactly.
 """
 
 from __future__ import annotations
@@ -414,64 +415,112 @@ class LeviCivitaOracle:
 
 # -- integrator ------------------------------------------------------------------
 
-# The 5-stage Lobatto IIIA collocation method, of order 8 (Hairer and Wanner,
-# Solving Ordinary Differential Equations II, sec. IV.5): its nodes _C and its
-# collocation matrix _A, a_ij = the integral from 0 to c_i of the j-th Lagrange
-# polynomial on the nodes, in closed form.  _A's first row is zero and its last
-# row is the weights b (stiffly accurate), so a step's first stage is its start
-# value and its result is its last stage.
-_R21 = np.sqrt(21.0)
-_C = np.array([0.0, 0.5 - _R21 / 14, 0.5, 0.5 + _R21 / 14, 1.0])
+# The 9-stage Lobatto IIIA collocation method, of order 16 (Hairer and Wanner,
+# Solving Ordinary Differential Equations II, sec. IV.5): its nodes _C, which
+# are 0, 1 and the roots of P_8'(2c - 1) with P_8 the Legendre polynomial, and
+# its collocation matrix _A, a_ij = the integral from 0 to c_i of the j-th
+# Lagrange polynomial on the nodes; both computed to 60 digits and rounded to
+# floats.  _A's first row is zero and its last row is the weights b (stiffly
+# accurate), so a step's first stage is its start value and its result is its
+# last stage.  The middle node is c = 1/2, so a step of 2h has a node at t + h.
+_C = np.array([0.0, 0.05012100229426992, 0.16140686024463113, 0.3184412680869109, 0.5,
+               0.6815587319130891, 0.8385931397553689, 0.94987899770573, 1.0])
 _A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0],
-    [17 / 280 + 3 * _R21 / 1960, 49 / 360 - _R21 / 280, 8 / 45 - 32 * _R21 / 735,
-     49 / 360 - 23 * _R21 / 840, -3 / 280 + 3 * _R21 / 1960],
-    [13 / 320, 49 / 360 + 7 * _R21 / 192, 8 / 45, 49 / 360 - 7 * _R21 / 192, 3 / 320],
-    [17 / 280 - 3 * _R21 / 1960, 49 / 360 + 23 * _R21 / 840, 8 / 45 + 32 * _R21 / 735,
-     49 / 360 + _R21 / 280, -3 / 280 - 3 * _R21 / 1960],
-    [1 / 20, 49 / 180, 16 / 45, 49 / 180, 1 / 20],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.019293838201043214, 0.035125520977621796, -0.006364102418704785,
+     0.0033337771969983825, -0.0021368470176082403, 0.0014942991627282267,
+     -0.0010740606993816593, 0.000733772666539289, -0.0002851957749663016],
+    [0.01018408040822765, 0.09508650844936212, 0.06393199562843808, -0.01158573133384272,
+     0.0061499369005518015, -0.0039808257871827, 0.002755324089419153,
+     -0.0018475051393836077, 0.0007130770290413462],
+    [0.0165693698435718, 0.07509351709620697, 0.15288206102488344, 0.08408547868891313,
+     -0.015130673172334495, 0.008000603570399209, -0.005096325861741485,
+     0.003289624570039603, -0.0012523876730272541],
+    [0.011990017361111112, 0.08786983372306313, 0.12868222230658308, 0.18975808031591837,
+     0.09287981859410431, -0.01654382482939521, 0.008587133943497804,
+     -0.005122152942660373, 0.0018988715277777778],
+    [0.015141276561916142, 0.07945805621036316, 0.14236568211182235, 0.16521365191612397,
+     0.2008903103605431, 0.08912877679761004, -0.01561270477480258, 0.007654163684195793,
+     -0.002680480954682911],
+    [0.013175811859847543, 0.08459518591978638, 0.1345140321606617, 0.17719508127370587,
+     0.17960970028765683, 0.18479998682036589, 0.07333736062164278,
+     -0.012338827668959348, 0.0037048084806612395],
+    [0.014174084663855191, 0.08201390811386347, 0.13834341694946253, 0.17171995632379494,
+     0.18789648420581687, 0.1698804782895248, 0.14363345866878566, 0.047622159802780964,
+     -0.005404949312154323],
+    [0.013888888888888888, 0.08274768078040276, 0.13726935625008085, 0.17321425548652317,
+     0.18575963718820862, 0.17321425548652317, 0.13726935625008085, 0.08274768078040276,
+     0.013888888888888888],
 ])
+_STAGES = len(_C)
+_ORDER = 2 * _STAGES - 2
 # Step doubling (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.4): one
-# step of size 2h against two of size h.  For an order-8 method the two
-# results differ by 2^8 - 1 = 255 times the error of the two steps
-# (Richardson); dividing by 64 instead keeps a 4x margin, which matches
-# DOP853's accuracy at the same tol on verify's loops.
-_DOUBLING_DIVISOR = 64.0
+# step of size 2h against two of size h.  For an order-16 method the two
+# results differ by 2^16 - 1 = 65535 times the error of the two steps
+# (Richardson); dividing by 4096 instead keeps a 16x margin, which holds the
+# transports of verify's loops within tol of DOP853 at tol = 1e-13.  The
+# estimate is asymptotic and a first attempt spans a whole segment, so a 4x
+# margin is not enough: five presets' loops then land up to 2.7 tol away.
+_DOUBLING_DIVISOR = 4096.0
 # The estimate rests on the expansion of the step's stability function, the
-# (4, 4) Pade approximant of e^z, in z = 2h lambda; it converges only below the
-# approximant's nearest pole, a root of 1 - z/2 + 3z^2/28 - z^3/84 + z^4/1680.
-# An attempt with 2h max ||Omega||_inf (a bound on every |z|) past it fails, so
-# a stiff connection shrinks the step instead of passing off the method's stiff
-# limit as a transport.
-_POLE = 6.0465298776332631
-# The stage nodes of a round's three steps, as rows of its 11 connection
-# matrices: row 0 at t, rows 1-4 at t + c 2h for c in _C[1:] (row 2 is t + h
-# and row 4 is t + 2h), rows 5-7 at t + c h and rows 8-10 at (t + h) + c h for
-# c in _C[1:4].
-_DOUBLE, _FIRST, _SECOND = [0, 1, 2, 3, 4], [0, 5, 6, 7, 2], [2, 8, 9, 10, 4]
+# (8, 8) Pade approximant of e^z, in z = 2h lambda; it converges only below the
+# approximant's nearest pole, 1 / max|eig A[1:, 1:]|.  An attempt with 2h
+# max ||Omega||_inf (a bound on every |z|) past it fails, so a stiff connection
+# shrinks the step instead of passing off the method's stiff limit as a
+# transport.
+_POLE = 11.309681738807543
+# Every segment's first attempt is the whole segment.
+_FIRST_SIZE = 1.0
+# The stage nodes of an attempt's three steps, as rows of its 23 connection
+# matrices: row 0 at t, rows 1-8 at t + c 2h for c in _C[1:] (row 4 is t + h
+# and row 8 is t + 2h), rows 9-15 at t + c h and rows 16-22 at (t + h) + c h
+# for c in _C[1:-1]: 22 new nodes per attempt.
+_MID = _STAGES // 2
+_DOUBLE = list(range(_STAGES))
+_FIRST = [0, *range(_STAGES, 2 * _STAGES - 2), _MID]
+_SECOND = [_MID, *range(2 * _STAGES - 2, 3 * _STAGES - 4), _STAGES - 1]
+_NEW_NODES = 3 * _STAGES - 5
+# Rows per `omega_nodes` call and per batched stage solve: the connection's
+# jets and the (8 fiber)-square stage systems of a wide round would otherwise
+# all be held at once.  Rows are independent, so the chunks change no value.
+_NODE_CHUNK = 128
+_SOLVE_CHUNK = 16
+
+
+def _omega_rows(oracle, points, tangents) -> np.ndarray:
+    """`oracle.omega_nodes` over (k, dim) node arrays, `_NODE_CHUNK` rows a call."""
+    return np.concatenate([oracle.omega_nodes(points[lo:lo + _NODE_CHUNK],
+                                              tangents[lo:lo + _NODE_CHUNK])
+                           for lo in range(0, len(points), _NODE_CHUNK)])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _lobatto_step(Omega, h, V, where) -> np.ndarray:
     """One Lobatto IIIA step of v' = -Omega v per row, from the (R, fiber, k)
-    values V with the (R,) sizes h and the (R, 5, fiber, fiber) matrices at
-    the nodes t + c h: the stages Y_2..Y_5 solve Y_i + h sum_{j>=2} a_ij
-    Omega_j Y_j = V - h a_i1 Omega_1 V, one (4 fiber)-square system per row,
-    which LAPACK solves alone; the result is Y_5.  `where(row)` names a row
-    whose system is singular.  Values past the float range come out inf or
-    nan, with no warning, for the caller's non-finite check."""
-    rows, _, fiber, _ = Omega.shape
-    ha = h[:, None, None] * _A[1:]  # (R, 4, 5): h a_ij
-    K = ha[:, :, 1:, None, None] * Omega[:, None, 1:]  # (R, 4, 4, fiber, fiber) blocks
-    K[:, range(4), range(4)] += np.eye(fiber)
-    K = K.transpose(0, 1, 3, 2, 4).reshape(rows, 4 * fiber, 4 * fiber)
-    rhs = (V[:, None] - ha[:, :, 0, None, None] * (Omega[:, 0] @ V)[:, None])
-    rhs = rhs.reshape(rows, 4 * fiber, -1)
-    try:
-        return np.linalg.solve(K, rhs)[:, -fiber:]
-    except np.linalg.LinAlgError:  # a zero pivot; its row has the smallest |det|
-        row = int(np.argmin(np.abs(np.linalg.det(K))))
-        raise TransportError(f"singular stage matrix at {where(row)}") from None
+    values V with the (R,) sizes h and the (R, 9, fiber, fiber) matrices at
+    the nodes t + c h: the stages Y_2..Y_9 solve Y_i + h sum_{j>=2} a_ij
+    Omega_j Y_j = V - h a_i1 Omega_1 V, one (8 fiber)-square system per row,
+    which LAPACK solves alone, `_SOLVE_CHUNK` rows per batched solve; the
+    result is Y_9.  `where(row)` names a row whose system is singular.
+    Values past the float range come out inf or nan, with no warning, for
+    the caller's non-finite check."""
+    rows, stages, fiber, _ = Omega.shape
+    size = (stages - 1) * fiber
+    out = np.empty(V.shape)
+    for lo in range(0, rows, _SOLVE_CHUNK):
+        Om, v = Omega[lo:lo + _SOLVE_CHUNK], V[lo:lo + _SOLVE_CHUNK]
+        ha = h[lo:lo + _SOLVE_CHUNK, None, None] * _A[1:]  # (r, 8, 9): h a_ij
+        K = ha[:, :, 1:, None, None] * Om[:, None, 1:]  # (r, 8, 8, fiber, fiber) blocks
+        K[:, range(stages - 1), range(stages - 1)] += np.eye(fiber)
+        K = K.transpose(0, 1, 3, 2, 4).reshape(len(Om), size, size)
+        rhs = (v[:, None] - ha[:, :, 0, None, None] * (Om[:, 0] @ v)[:, None])
+        try:
+            out[lo:lo + _SOLVE_CHUNK] = np.linalg.solve(
+                K, rhs.reshape(len(Om), size, -1))[:, -fiber:]
+        except np.linalg.LinAlgError:  # a zero pivot; its row has the smallest |det|
+            row = lo + int(np.argmin(np.abs(np.linalg.det(K))))
+            raise TransportError(f"singular stage matrix at {where(row)}") from None
+    return out
 
 
 def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
@@ -480,53 +529,54 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
 
     Lane l carries the (fiber, k) array V[l] over the segments lanes[l],
     each with its own t, attempt size H[l] = 2h and accept/reject decision.
-    An attempt's end node t + 2h (bit for bit the new t) is the next one's
-    first.  Every lane's first node goes through one `oracle.omega_nodes`
-    call before the first round, each row equal to the `oracle.omega` call
-    at its node.  A lane that starts a later segment mid-run calls
-    `oracle.omega` for that node: folding it into the round's batch would
-    leave no single-node call, and perfbench's self-test requires their
-    counters (tractor.omega_calls, ambient.omega_offslice_calls) to be
-    above 0, so that waits for the benchmark's next revision.  Each round,
-    the ten new nodes of every running lane go through one
-    `oracle.omega_nodes` call, from the (10, dim) arrays of `Segment.nodes`.
-    The two-step value V_h is accepted when max|V_h - V_2h| / 64 / max(1,
-    max|V_h|) <= tol (see _POLE), and the next 2h is 2h * 0.9
-    (tol/err)^(1/9), clamped to [0.2, 5].  Stacking only batches the
-    arithmetic, so each lane ends bit for bit where it would alone.  A
-    non-finite Omega or stage value, a singular stage system or a failure
-    at 2h = min_h raises TransportError.
+    Every segment's first attempt is the whole segment, 2h = 1.  An
+    attempt's end node t + 2h (bit for bit the new t) is the next one's
+    first.  Every lane's first node goes in one batch before the first
+    round, each row equal to the `oracle.omega` call at its node.  A lane
+    that starts a later segment mid-run calls `oracle.omega` for that node:
+    folding it into the round's batch would leave no single-node call, and
+    perfbench's self-test requires their counters (tractor.omega_calls,
+    ambient.omega_offslice_calls) to be above 0, so that waits for the
+    benchmark's next revision.  Each round, the 22 new nodes of every
+    running lane come from the (22, dim) arrays of `Segment.nodes` and go
+    in one batch.  A batch goes to `oracle.omega_nodes` in calls of at most
+    `_NODE_CHUNK` rows.  The two-step value V_h is accepted when max|V_h -
+    V_2h| / 4096 / max(1, max|V_h|) <= tol (see _POLE), and the next 2h is
+    2h * 0.9 (tol/err)^(1/17), clamped to [0.2, 5].  Chunking and stacking
+    only batch the arithmetic, so each lane ends bit for bit where it would
+    alone.  A non-finite Omega or stage value, a singular stage system or a
+    failure at 2h = min_h raises TransportError.
     """
     min_h = 1e-10
     fiber = oracle.fiber_dim
     V = V.copy()
     seg_index = [0] * len(lanes)
-    t, H, first = [0.0] * len(lanes), [0.1] * len(lanes), []
+    t, H, first = [0.0] * len(lanes), [_FIRST_SIZE] * len(lanes), []
     if lanes:  # every lane's first node, in one batch
         starts = [segs[0].nodes((0.0,)) for segs in lanes]
-        first = list(oracle.omega_nodes(np.concatenate([p for p, _ in starts]),
-                                        np.concatenate([u for _, u in starts])))
+        first = list(_omega_rows(oracle, np.concatenate([p for p, _ in starts]),
+                                 np.concatenate([u for _, u in starts])))
 
     def begin(lane):  # start the lane's next segment, mid-run
         seg = lanes[lane][seg_index[lane]]
-        t[lane], H[lane] = 0.0, 0.1
+        t[lane], H[lane] = 0.0, _FIRST_SIZE
         point, tangent = seg.nodes((0.0,))
         first[lane] = oracle.omega(point[0], tangent[0])
 
     active = list(range(len(lanes)))
     while active:
-        points, tangents = [], []  # (10, dim) arrays of every lane's new nodes
+        points, tangents = [], []  # (22, dim) arrays of every lane's new nodes
         for lane in active:
             size = H[lane] = min(H[lane], 1.0 - t[lane])
             start, h = t[lane], 0.5 * size
-            times = ([start + c * size for c in _C[1:]] + [start + c * h for c in _C[1:4]]
-                     + [(start + h) + c * h for c in _C[1:4]])
+            times = ([start + c * size for c in _C[1:]] + [start + c * h for c in _C[1:-1]]
+                     + [(start + h) + c * h for c in _C[1:-1]])
             lane_points, lane_tangents = lanes[lane][seg_index[lane]].nodes(times)
             points.append(lane_points)
             tangents.append(lane_tangents)
-        new = oracle.omega_nodes(np.concatenate(points), np.concatenate(tangents))
+        new = _omega_rows(oracle, np.concatenate(points), np.concatenate(tangents))
         W = np.concatenate([np.stack([first[lane] for lane in active])[:, None],
-                            new.reshape(len(active), 10, fiber, fiber)], axis=1)
+                            new.reshape(len(active), _NEW_NODES, fiber, fiber)], axis=1)
 
         def where(row):
             lane = active[row % len(active)]
@@ -538,7 +588,7 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
                 f"non-finite connection matrix at {where(int(np.argmin(finite)))}")
         sizes = np.array([H[lane] for lane in active])
         v = V[active]
-        # the 2h step and the first h step start together, in one solve
+        # the 2h step and the first h step start together, in one batch
         both = _lobatto_step(np.concatenate([W[:, _DOUBLE], W[:, _FIRST]]),
                              np.concatenate([sizes, 0.5 * sizes]), np.concatenate([v, v]), where)
         double = both[:len(active)]
@@ -558,8 +608,8 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
                     raise TransportError(f"step underflow at {where(row)} (err {err:.2e})")
                 t[lane] += H[lane]
                 V[lane] = halves[row]
-                first[lane] = W[row, 4]
-            factor = 0.9 * (tol / err) ** (1 / 9) if err > 0 else 5.0
+                first[lane] = W[row, _STAGES - 1]
+            factor = 0.9 * (tol / err) ** (1 / (_ORDER + 1)) if err > 0 else 5.0
             H[lane] = max(min_h, H[lane] * min(5.0, max(0.2, factor)))
             if t[lane] >= 1.0:
                 seg_index[lane] += 1

@@ -152,12 +152,21 @@ def test_entry_outside_its_math_domain_exits_two(capsys, tmp_path, argv):
     ("dim = 3\ng[1][1] = exp(400*x1)\ng[2][2] = 1\ng[3][3] = 1\n", ["--point=1,0,0"]),
 ], ids=["huge-entry", "steep-entry"])
 def test_entries_past_the_singularity_bound_exit_two(capsys, tmp_path, command, text, point):
-    # max|g_ij|^n overflows a float here; the metric is singular relative to its entries
+    # max|g_ij| max|g^ij| is 1e100 and e^400: the metric is singular relative to its entries
     path = tmp_path / "metric.cfg"
     path.write_text(text)
     code, _, err = run(capsys, [command, "--config", str(path)] + point)
     assert code == 2
     assert "error: metric singular" in err and "Traceback" not in err
+
+
+def test_one_large_entry_of_a_well_conditioned_metric_exits_zero(capsys, tmp_path):
+    # det = 1e5 is small against max|g_ij|^4, but max|g_ij| max|g^ij| = 1e5
+    path = tmp_path / "metric.cfg"
+    path.write_text("dim = 4\ng[1][1] = 1e5\ng[2][2] = 1\ng[3][3] = 1\ng[4][4] = 1\n")
+    code, out, _ = run(capsys, ["tensors", "--config", str(path)])
+    assert code == 0
+    assert json.loads(out)["signature"] == [4, 0]
 
 
 @pytest.mark.parametrize("argv, message", [

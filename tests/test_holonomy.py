@@ -270,3 +270,23 @@ def test_verify_estimates_keep_a_rank_margin(name, dim):
         alg = hol.holonomy_algebra(oracle, base, loops, 1e-9, suite.cfg.tol_rank)
         assert alg.dim == dim, oracle.name
         assert alg.sv_profile[dim] <= hol._ABS_FLOOR / 2, oracle.name
+
+
+_UNEQUAL_SPHERES = ("dim = 4\n"
+                    "g[1][1] = 4/(1 + x1^2 + x2^2)^2\ng[2][2] = 4/(1 + x1^2 + x2^2)^2\n"
+                    "g[3][3] = 64/(4 + x3^2 + x4^2)^2\ng[4][4] = 64/(4 + x3^2 + x4^2)^2\n")
+
+
+def test_unequal_sphere_product_has_the_full_algebra(tmp_path):
+    """S^2(1) x S^2(2) in stereographic charts is not Einstein, so no tractor
+    is parallel: at verify's defaults the tractor and off-slice ambient
+    estimates both have dimension 15, all of so(5, 1), and compare equal."""
+    path = tmp_path / "unequal-spheres.cfg"
+    path.write_text(_UNEQUAL_SPHERES)
+    suite = report._Suite(report.RunConfig(config_path=str(path)))
+    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
+           for lp in suite.loops]
+    alg_t = hol.holonomy_algebra(suite.tractor, suite.base, suite.loops, 1e-9, suite.cfg.tol_rank)
+    alg_a = hol.holonomy_algebra(suite.ambient, suite.abase, off, 1e-9, suite.cfg.tol_rank)
+    assert alg_t.dim == alg_a.dim == 15
+    assert hol.compare_holonomy(alg_t, alg_a)["verdict"] == "equal"

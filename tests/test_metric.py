@@ -94,7 +94,8 @@ _STEEP_ENTRY = "dim = 3\ng[1][1] = exp(400*x1)\ng[2][2] = 1\ng[3][3] = 1\n"
                          ids=["huge", "steep"])
 @pytest.mark.parametrize("order", [2, 3])
 def test_singularity_bound_of_large_entries_does_not_overflow(text, good, x, order):
-    # |det| = max|g_ij| lies far below 1e-12 max|g_ij|^n, a power past the float range
+    # max|g_ij| max|g^ij| is 1e100 and e^400, far past the condition limit 1e12,
+    # though max|g_ij|^n is past the float range
     spec, x = parse_config(text), np.array(x)
     with pytest.raises(SingularMetricError) as alone:
         metric_jet(spec, x, order)
@@ -106,12 +107,24 @@ def test_singularity_bound_of_large_entries_does_not_overflow(text, good, x, ord
 
 @pytest.mark.filterwarnings("error")
 def test_large_well_scaled_metric_is_not_singular():
-    # det = 1e360 overflows to inf, which the bound (1e-12 * 1e360) must not
-    # reject, and metric_jet lets no overflow warning through
+    # max|g_ij| max|g^ij| = 1, though det = 1e360 overflows a float, and
+    # metric_jet lets no overflow warning through
     spec = parse_config("dim = 3\ng[1][1] = 1e120\ng[2][2] = 1e120\ng[3][3] = 1e120\n")
     for x in (np.zeros(3), np.zeros((2, 3))):
         jet = metric_jet(spec, x)
         assert np.array_equal(jet.ginv, np.broadcast_to(1e-120 * np.eye(3), jet.g.shape))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [2, 3])
+def test_one_large_entry_of_a_well_conditioned_metric_is_not_singular(order):
+    # det = 1e5 lies below 1e-12 max|g_ij|^4 = 1e8, but max|g_ij| max|g^ij| = 1e5
+    spec = parse_config("dim = 4\ng[1][1] = 1e5\ng[2][2] = 1\ng[3][3] = 1\ng[4][4] = 1\n")
+    want = np.diag([1e-5, 1.0, 1.0, 1.0])
+    points = np.random.default_rng(2).uniform(-0.5, 0.5, (3, 4))
+    for x in (points[0], points):
+        jet = metric_jet(spec, x, order)
+        assert jet.ginv == pytest.approx(np.broadcast_to(want, jet.g.shape), rel=1e-15, abs=0)
 
 
 def test_chart_domain_enforced():

@@ -229,32 +229,34 @@ def test_parallel_transport_rejects_misshapen_v0():
 
 def _reference_step(omegas, h, v):
     """One Lobatto IIIA step of size h from v, given the connection
-    matrices at its five nodes: the stage system for Y_2..Y_5 built block by
-    block and solved alone; the result is Y_5."""
-    fiber = len(v)
-    blocks = [[(h * tp._A[i, j]) * omegas[j] for j in range(1, 5)] for i in range(1, 5)]
-    for i in range(4):
+    matrices at its nodes: the stage system for Y_2..Y_s built block by
+    block and solved alone; the result is Y_s."""
+    fiber, s = len(v), tp._STAGES
+    blocks = [[(h * tp._A[i, j]) * omegas[j] for j in range(1, s)] for i in range(1, s)]
+    for i in range(s - 1):
         blocks[i][i] += np.eye(fiber)
-    rhs = np.concatenate([v - (h * tp._A[i, 0]) * (omegas[0] @ v) for i in range(1, 5)])
+    rhs = np.concatenate([v - (h * tp._A[i, 0]) * (omegas[0] @ v) for i in range(1, s)])
     return np.linalg.solve(np.block(blocks), rhs)[-fiber:]
 
 
 def _reference_segment(oracle, seg, v, tol):
     """Step-doubled Lobatto IIIA on one segment, with every step evaluating
-    Omega afresh at its five nodes (fifteen calls an attempt)."""
+    Omega afresh at its nodes (three steps of `_STAGES` calls an attempt),
+    the first attempt the whole segment."""
     def step(times, h, v):
         """The step's result and the largest row-sum norm of its matrices."""
         omegas = [oracle.omega(seg.point(u), seg.tangent(u)) for u in times]
         return _reference_step(omegas, h, v), max(np.abs(om).sum(axis=1).max() for om in omegas)
 
-    t, H, min_h = 0.0, 0.1, 1e-10
+    order = 2 * tp._STAGES - 2
+    t, H, min_h = 0.0, tp._FIRST_SIZE, 1e-10
     while t < 1.0:
         H = min(H, 1.0 - t)
         h = 0.5 * H
         double, norm_double = step([t + c * H for c in tp._C], H, v)
         first, norm_first = step([t + c * h for c in tp._C], h, v)
-        halves, norm_second = step([(t + h) + c * h for c in tp._C[:4]] + [t + H], h, first)
-        err = (float(np.max(np.abs(halves - double))) / 64.0
+        halves, norm_second = step([(t + h) + c * h for c in tp._C[:-1]] + [t + H], h, first)
+        err = (float(np.max(np.abs(halves - double))) / tp._DOUBLING_DIVISOR
                / max(1.0, float(np.max(np.abs(halves)))))
         if H * max(norm_double, norm_first, norm_second) >= tp._POLE:
             err = float("inf")
@@ -263,7 +265,7 @@ def _reference_segment(oracle, seg, v, tol):
                 raise tp.TransportError(f"step underflow at t={t:.6f}")
             t += H
             v = halves
-        factor = 0.9 * (tol / err) ** (1 / 9) if err > 0 else 5.0
+        factor = 0.9 * (tol / err) ** (1 / (order + 1)) if err > 0 else 5.0
         H = max(min_h, H * min(5.0, max(0.2, factor)))
     return v
 
@@ -288,6 +290,9 @@ class _CountingOracle:
         self.singles = 0
         self.batches = []
         self.results = []
+
+    def __getattr__(self, name):  # fiber_metric, curvature_pairs
+        return getattr(self.inner, name)
 
     def omega(self, point, tangent):
         self.nodes.append((point.tobytes(), tangent.tobytes()))
@@ -334,17 +339,17 @@ def test_transport_equals_reference_integrator_exactly(case):
     reference = _CountingOracle(oracle)
     want = _reference_transport(reference, path, np.eye(oracle.fiber_dim), tol)
     assert np.array_equal(got, want)
-    # the same nodes, with one connection matrix per distinct node time: ten
-    # new nodes per attempt plus each segment's t = 0, against three steps of five
-    attempts, rest = divmod(len(reference.nodes), 15)
+    # the same nodes, with one connection matrix per distinct node time: 22
+    # new nodes per attempt plus each segment's t = 0, against three steps of nine
+    attempts, rest = divmod(len(reference.nodes), 3 * tp._STAGES)
     assert rest == 0
-    assert len(counted.nodes) == 10 * attempts + len(path.segments)
+    assert len(counted.nodes) == 22 * attempts + len(path.segments)
     assert set(counted.nodes) == set(reference.nodes)
     # the first node in a batch of its own, then one batched call per
-    # attempt for its ten new nodes; each later segment's first node
+    # attempt for its 22 new nodes; each later segment's first node
     # through omega
     _check_first_batch(counted, oracle, [path])
-    assert counted.batches == [1] + [10] * attempts
+    assert counted.batches == [1] + [22] * attempts
     assert counted.singles == len(path.segments) - 1
 
 
@@ -406,6 +411,11 @@ def test_mixed_slice_rounds_send_only_off_slice_nodes_to_the_order3_stack(monkey
     assert sorted(jets[2]) == sorted(on)
 
 
+def _chunks(rows):
+    """The sizes of the omega_nodes calls that carry a batch of `rows` nodes."""
+    return [min(128, rows - lo) for lo in range(0, rows, 128)]
+
+
 @pytest.mark.parametrize("case", ["tractor", "off-slice"])
 def test_lockstep_round_batches_every_running_lane(case):
     oracle, paths, tol = _lockstep_cases()[case]
@@ -418,15 +428,77 @@ def test_lockstep_round_batches_every_running_lane(case):
     together = _CountingOracle(oracle)
     tp.parallel_transport(together, paths, np.broadcast_to(eye, (len(paths),) + eye.shape), tol)
     # every lane's first node in one call; then a lane runs for as many
-    # rounds as its path alone makes step attempts, and each round makes
-    # one omega_nodes call for ten nodes per running lane
+    # rounds as its path alone makes step attempts, and each round's 22
+    # nodes per running lane go to omega_nodes in calls of at most 128 rows
     _check_first_batch(together, oracle, paths)
     attempts = [len(c.batches) - 1 for c in alone]
-    assert together.batches == [len(paths)] + [10 * sum(a > r for a in attempts)
-                                               for r in range(max(attempts))]
-    assert len(together.nodes) == 10 * sum(attempts) + sum(len(p.segments) for p in paths)
+    assert together.batches == [len(paths)] + [
+        size for r in range(max(attempts)) for size in _chunks(22 * sum(a > r for a in attempts))]
+    assert len(together.nodes) == 22 * sum(attempts) + sum(len(p.segments) for p in paths)
     assert together.singles == sum(c.singles for c in alone)
     assert set(together.nodes) == set().union(*(set(c.nodes) for c in alone))
+
+
+def test_a_segment_met_whole_takes_one_attempt():
+    """A segment whose whole-segment attempt meets tol takes that one
+    attempt: its first node and 22 new ones, within tol of DOP853."""
+    oracle = tp.TractorOracle(preset("bumpy", eps=0.1))
+    path = tp.path_from_waypoints([BASE, BASE + [0.2, 0.0, 0.1]])
+    counted = _CountingOracle(oracle)
+    G = tp.transport_matrix(counted, path, 1e-10)
+    assert counted.batches == [1, 22] and counted.singles == 0
+    assert len(set(counted.nodes)) == 1 + 22
+    want = dop853.transport(oracle, path, np.eye(oracle.fiber_dim), 1e-13)
+    assert np.max(np.abs(G - want)) <= 1e-10
+
+
+def test_a_round_past_the_chunk_size_equals_unchunked_rows(monkeypatch):
+    """Eight off-slice lanes send 8 x 22 = 176 new nodes in their first
+    round: two omega_nodes calls of 128 and 48 rows, bit for bit the rows of
+    one call on all 176, and the transports equal an integrator's without
+    chunks, bit for bit."""
+    oracle, paths, tol = _lockstep_cases()["off-slice"]
+    paths = paths * 2
+    fiber = oracle.fiber_dim
+    eye = np.broadcast_to(np.eye(fiber), (len(paths), fiber, fiber))
+    counted = _CountingOracle(oracle)
+    got = tp.parallel_transport(counted, paths, eye, tol)
+    assert counted.batches[:3] == [len(paths), 128, 48]
+    rows = counted.nodes[len(paths):len(paths) + 176]
+    points = np.array([np.frombuffer(point) for point, _ in rows])
+    tangents = np.array([np.frombuffer(tangent) for _, tangent in rows])
+    assert np.array_equal(np.concatenate(counted.results[1:3]),
+                          oracle.omega_nodes(points, tangents))
+    monkeypatch.setattr(tp, "_NODE_CHUNK", 10 ** 6)
+    monkeypatch.setattr(tp, "_SOLVE_CHUNK", 10 ** 6)
+    whole = _CountingOracle(oracle)
+    assert np.array_equal(tp.parallel_transport(whole, paths, eye, tol), got)
+    assert whole.batches[:2] == [len(paths), 176]
+
+
+def test_verify_estimates_send_at_most_128_nodes_per_call(monkeypatch):
+    """Every omega_nodes call of verify's two bumpy holonomy estimates
+    (tractor, off-slice ambient) has at most 128 rows, though their first
+    rounds have 27 lanes of 22 new nodes, and every batched stage solve
+    has at most 16 systems."""
+    suite = report._Suite(report.RunConfig(preset="bumpy"))
+    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
+           for lp in suite.loops]
+    stage_size = 8 * suite.tractor.fiber_dim
+    solves, solve = [], np.linalg.solve
+
+    def counting(a, b):
+        if np.shape(a)[-1] == stage_size:
+            solves.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    for oracle, base, loops in ((suite.tractor, suite.base, suite.loops),
+                                (suite.ambient, suite.abase, off)):
+        counted = _CountingOracle(oracle)
+        hol.holonomy_algebra(counted, base, loops, 1e-9, suite.cfg.tol_rank)
+        assert counted.batches[0] == 27 and max(counted.batches) == 128, oracle.name
+    assert solves and max(solves) == 16
 
 
 def test_sub_segment_shares_compiled_code():
@@ -480,17 +552,20 @@ def test_ambient_and_crude_equal_the_tractor_connection_on_the_slice(name):
 
 
 def test_lobatto_tableau():
-    c, A = tp._C, tp._A
-    r = np.sqrt(3.0 / 7.0)
-    assert c == pytest.approx([0.0, (1 - r) / 2, 0.5, (1 + r) / 2, 1.0], rel=0, abs=1e-16)
-    assert A.shape == (5, 5) and not A[0].any()
+    c, A, s = tp._C, tp._A, tp._STAGES
+    assert s == 9 and A.shape == (9, 9) and not A[0].any()
+    # the nodes: 0, 1 and the roots of P_8'(2c - 1); the middle one is 1/2
+    # exactly, so a step of 2h has a node at t + h
+    interior = (np.polynomial.legendre.Legendre.basis(s - 1).deriv().roots() + 1) / 2
+    assert c == pytest.approx([0.0, *interior, 1.0], rel=0, abs=1e-15)
+    assert c[s // 2] == 0.5 and c[-1] == 1.0
     assert A.sum(axis=1) == pytest.approx(c, rel=0, abs=1e-15)
     b = A[-1]  # stiffly accurate: the weights are the last row
-    for k in range(1, 6):  # collocation: each row integrates degree < 5 exactly up to c_i
+    for k in range(1, s + 1):  # collocation: each row integrates degree < 9 exactly up to c_i
         assert A @ c ** (k - 1) == pytest.approx(c ** k / k, rel=0, abs=1e-15)
-    for k in range(1, 9):  # b integrates polynomials of degree < 8 exactly
+    for k in range(1, 17):  # b integrates polynomials of degree < 16 exactly
         assert b @ c ** (k - 1) == pytest.approx(1.0 / k, rel=0, abs=1e-15)
-    assert abs(b @ c ** 8 - 1.0 / 9) > 1e-5  # and no more: the order is 8
+    assert abs(b @ c ** 16 - 1.0 / 17) > 1e-10  # and no more: the order is 16 (4.0e-10 off)
     # the stability function's poles are the reciprocal eigenvalues of A[1:, 1:]
     assert tp._POLE == pytest.approx(1.0 / np.abs(np.linalg.eigvals(A[1:, 1:])).max(), rel=1e-14)
 
@@ -581,23 +656,24 @@ def test_unusable_connection_matrices_raise(case):
 
 
 class _SingularStageOracle(_FixedOracle):
-    """Zero, but for a corner entry at the end node t = 0.1 of the first
-    attempt (2h = 0.1) along the unit segment on the x-axis, chosen so that
-    the last stage's row of that step's system is zero."""
+    """Zero, but for a corner entry at the end node t = 1 of the first
+    attempt (the whole segment, 2h = 1) along the unit segment on the
+    x-axis, chosen so that the last stage's row of that step's system is
+    zero."""
 
     def __init__(self):
         super().__init__(np.zeros((5, 5)))
-        self.corner = -1.0 / (0.1 * tp._A[4, 4])
+        self.corner = -1.0 / (tp._FIRST_SIZE * tp._A[-1, -1])
 
     def omega_nodes(self, points, tangents):
         out = super().omega_nodes(points, tangents)
-        out[points[:, 0] == 0.1, 0, 0] = self.corner
+        out[points[:, 0] == 1.0, 0, 0] = self.corner
         return out
 
 
 def test_a_singular_stage_system_raises():
     oracle = _SingularStageOracle()
-    assert 0.1 * tp._A[4, 4] * oracle.corner == -1.0
+    assert tp._FIRST_SIZE * tp._A[-1, -1] * oracle.corner == -1.0
     path = tp.path_from_waypoints([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(tp.TransportError, match=r"singular stage matrix at t=0\.000000, 2h="):
         tp.transport_matrix(oracle, path, 1e-9)
@@ -605,6 +681,7 @@ def test_a_singular_stage_system_raises():
     other = tp.path_from_waypoints([[0.5, 0.0, 0.0], [0.5, 1.0, 0.0]])
     with pytest.raises(tp.TransportError, match="singular stage matrix"):
         tp.parallel_transport(oracle, [other, path], np.ones((2, 5)), 1e-9)
+
 
 def test_a_transport_past_the_float_range_raises():
     """A constant connection -300 Id grows the transport by e^300 along each
@@ -618,12 +695,12 @@ def test_a_transport_past_the_float_range_raises():
 
 def test_a_steep_connection_shrinks_the_step_and_stays_accurate():
     """A constant skew connection with max row sum 138, so 2h ||Omega|| is
-    past `_POLE` at the first attempt: the steps shrink and the transport
+    past `_POLE` at the first attempt (the whole segment): the steps shrink and the transport
     around a rectangle (four segments) is exp(-4 Omega) within 1e-6
-    (measured 3.1e-8)."""
+    (measured 7.9e-10)."""
     matrix = np.random.default_rng(8).standard_normal((5, 5))
     matrix = 20.0 * (matrix - matrix.T)
-    assert 0.1 * np.abs(matrix).sum(axis=1).max() > tp._POLE
+    assert tp._FIRST_SIZE * np.abs(matrix).sum(axis=1).max() > tp._POLE
     G = tp.transport_matrix(_FixedOracle(matrix), tp.rectangle_loop(BASE, 0, 1, 0.3), 1e-9)
     w, U = np.linalg.eig(-4.0 * matrix)
     assert np.max(np.abs(G - (U @ np.diag(np.exp(w)) @ np.linalg.inv(U)).real)) <= 1e-6
