@@ -11,7 +11,9 @@ Hot paths (metric jets, path segments) evaluate through `compile_exprs`,
 which turns a list of expressions into a `Table`: one straight-line Python
 function with a temporary per distinct subexpression, and `Table.rows`,
 which gives the value of every expression at k points as one (k, m)
-array.  How the function's output is laid out is known only here.  The
+array.  How the function's output is laid out is known only here.
+`Table.bind` sets the parameters Var(1..k) of a table compiled with
+`bound=k`, so one compiled table serves every binding.  The
 tree-walking `evaluate` (also `Expr.__call__`) computes the same values
 node by node and serves as the independent reference in tests.  Both
 raise EvaluationDomainError outside the domain of log, sqrt, division and
@@ -20,6 +22,7 @@ negative powers.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -569,16 +572,31 @@ class Table:
     its generated text.  `constants` holds the distinct constant values
     (told apart by `repr`, so -0.0 and 0.0 stay apart), and `columns` the
     index of each expression's value in `function(x) + constants`.  `rows`
-    reads that layout; callers need nothing else.
+    reads that layout; callers need nothing else.  A table with `bound`
+    parameters evaluates only once `bind` has set them.
     """
 
-    def __init__(self, function, source: str, constants: tuple, columns: tuple):
+    def __init__(self, function, source: str, constants: tuple, columns: tuple,
+                 bound: int = 0):
         self.function = function
         self.source = source
         self.constants = constants
         self.columns = columns
+        self.bound = bound
+        self._fixed = function.__defaults__ or ()  # the constants
         self._width = len(set(columns))  # every value and constant is some column
         self._take = np.array(columns, dtype=np.intp)
+
+    def bind(self, values) -> "Table":
+        """This table, sharing its code object, with Var(1..bound) set to
+        `values` as Python floats (numpy scalars slow every operation)."""
+        values = tuple(map(float, values))
+        if len(values) != self.bound:
+            raise ValueError(f"table binds {self.bound} values, not {len(values)}")
+        table = copy.copy(self)
+        table.function = types.FunctionType(self.function.__code__, _TABLE_GLOBALS, "_table",
+                                            values + self._fixed)
+        return table
 
     def rows(self, xs) -> np.ndarray:
         """The (k, m) array of the m expressions' values at the k points xs,
@@ -594,7 +612,7 @@ class Table:
         return flat.reshape(k, self._width).take(self._take, axis=1)
 
 
-def compile_exprs(exprs) -> Table:
+def compile_exprs(exprs, bound: int = 0) -> Table:
     """Compile a list of expressions into one `Table`.
 
     The table's function is straight-line code: each variable used is
@@ -609,8 +627,10 @@ def compile_exprs(exprs) -> Table:
     division by zero, 0^-k, overflow) are raised as EvaluationDomainError.
 
     Constants are parameters `cK` with the values as defaults, so tables
-    that differ only in their constants (the segments of a loop family,
-    say) share one code object, and Python's compiler runs once for them.
+    that differ only in their constants share one code object, and
+    Python's compiler runs once for them.  Var(1..bound) are parameters
+    too, ahead of the constants, set by `Table.bind`: a table bound to
+    `values` equals `evaluate` at `(t, *values)`.
     """
     loads: set[int] = set()
     lines: list[str] = []
@@ -625,7 +645,8 @@ def compile_exprs(exprs) -> Table:
         if isinstance(e, Const):
             got = consts.setdefault(repr(e.value), f"c{len(consts)}")
         elif isinstance(e, Var):
-            loads.add(e.index)
+            if not 1 <= e.index <= bound:
+                loads.add(e.index)
             got = f"x{e.index}"
         else:
             if type(e) in _BINARY:
@@ -649,8 +670,9 @@ def compile_exprs(exprs) -> Table:
     values = dict.fromkeys(o for e, o in zip(exprs, outputs) if not isinstance(e, Const))
     constants = dict.fromkeys(o for e, o in zip(exprs, outputs) if isinstance(e, Const))
     column = {o: k for k, o in enumerate([*values, *constants])}
+    params = [f"x{i}" for i in range(1, bound + 1)] + list(consts.values())
     src = "".join([
-        f"def _table(x, {''.join(c + ', ' for c in consts.values())}):\n",
+        f"def _table(x, {''.join(p + ', ' for p in params)}):\n",
         *(f"    x{i} = float(x[{i}])\n" for i in sorted(loads)),
         "    try:\n",
         *lines,
@@ -662,4 +684,4 @@ def compile_exprs(exprs) -> Table:
     function = types.FunctionType(_table_code(src), _TABLE_GLOBALS, "_table",
                                   tuple(defaults.values()))
     return Table(function, src, tuple(defaults[c] for c in constants),
-                 tuple(column[o] for o in outputs))
+                 tuple(column[o] for o in outputs), bound)

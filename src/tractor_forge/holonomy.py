@@ -89,12 +89,17 @@ class HolonomyAlgebra:
 
 
 def _orthonormal_span(mats, rank_tol: float):
-    """Orthonormal basis of span(mats) with the rank cut; (basis, svals)."""
-    mats = [m for m in mats if np.linalg.norm(m) > _ABS_FLOOR]
-    if not mats:
+    """Orthonormal basis of span(mats) with the rank cut; (basis, svals).
+
+    Matrices of Frobenius norm at or below the absolute floor are left out,
+    all filtered in one norm over the stacked rows."""
+    if not len(mats):
         return [], np.zeros(0)
     shape = mats[0].shape
-    A = np.stack([m.ravel() for m in mats])
+    A = np.reshape(mats, (len(mats), -1))
+    A = A[np.linalg.norm(A, axis=1) > _ABS_FLOOR]
+    if not len(A):
+        return [], np.zeros(0)
     _, svals, vt = np.linalg.svd(A, full_matrices=False)
     cut = max(rank_tol * svals[0], _ABS_FLOOR)
     keep = int(np.sum(svals > cut))

@@ -165,23 +165,31 @@ class _Suite:
         self.s_test = min(0.3, 0.6 * s_cap) if np.isfinite(s_cap) else 0.3
 
     def add(self, name: str, anchor: str, residual: float, tol: float):
+        """Record a check, timed from the previous check of its group (or
+        the group's start)."""
+        now = time.perf_counter()
         self.checks.append({
             "name": name,
             "anchor": anchor,
             "residual": _round(float(residual)),
             "tol": tol,
             "pass": bool(residual <= tol),
-            "seconds": 0.0,
+            "seconds": now - self._stamp,
         })
+        self._stamp = now
 
     def timed(self, fn):
-        start = time.perf_counter()
+        """Run a group of checks: each check's `seconds` is the time since
+        the previous one, and the last check also takes the time after it,
+        so the group's seconds sum to its time."""
+        self._stamp = time.perf_counter()
         before = len(self.checks)
         fn()
-        elapsed = time.perf_counter() - start
-        added = len(self.checks) - before
-        for c in self.checks[before:]:
-            c["seconds"] = round(elapsed / max(1, added), 6)
+        group = self.checks[before:]
+        if group:
+            group[-1]["seconds"] += time.perf_counter() - self._stamp
+        for c in group:
+            c["seconds"] = round(c["seconds"], 6)
 
     # -- tensor-level checks ---------------------------------------------------
 

@@ -1,9 +1,12 @@
 """Parallel transport along expression-defined paths.
 
 A PathSpec is a chain of segments, each a tuple of Expr curves in the
-single parameter t (Var(0)) mapping [0,1], or a sub-range of it, into the
-chart (dimension n) or into the ambient coordinates (dimension n+2).
-Tangents are exact symbolic derivatives.
+parameter t (Var(0)) mapping [0,1], or a sub-range of it, into the chart
+(dimension n) or into the ambient coordinates (dimension n+2).  Tangents
+are exact symbolic derivatives.  The path builders bind a path's
+coefficients, as parameters Var(1..k), to a template segment compiled once
+per process and shape (a bounded cache); a coefficient of 0 or 1 stays a
+constant, so each node equals that of the path's own expression trees.
 
 A connection oracle is any object with:
     point_dim   -- dimension of the curve's coordinate space,
@@ -71,6 +74,8 @@ __all__ = [
 
 _T = ex.var(0)
 _HARMONICS = 2  # harmonics per coordinate of a `trig_loop`, each a sine and a cosine
+_TEMPLATE_LIMIT = 256  # template segments kept, least recently used dropped first
+_TEMPLATES: dict = {}  # key -> template segment, least recently used first
 
 
 class TransportError(RuntimeError):
@@ -81,27 +86,34 @@ class TransportError(RuntimeError):
 class Segment:
     """One smooth piece: coordinate Exprs in t with exact tangents.
 
-    Coordinates, then tangents, are compiled together, once, on
-    construction, into one `expr.compile_exprs` table.  `span` = (t0, t1)
-    restricts the segment to that range of the expressions' parameter:
-    `point(u)` is the coordinates at t0 + (t1 - t0) u and `tangent(u)`
-    their derivative there, scaled by t1 - t0.  `sub` cuts such a piece
-    out of a segment and shares its compiled table.  `nodes` evaluates
-    many u at once into (k, dim) arrays of points and tangents, slices of
-    the table's rows with the scale applied as one array product, and
-    `point` and `tangent` read one row of `nodes`.
+    The expressions are in t = Var(0) and in the parameters Var(1..k),
+    whose values are `params`.  Coordinates, then tangents, are compiled
+    together, once, on construction, into one `expr.compile_exprs` table;
+    `bind` sets other values and compiles nothing.  `span` = (t0, t1)
+    restricts the segment to that range of t: `point(u)` is the coordinates
+    at t0 + (t1 - t0) u and `tangent(u)` their derivative there, scaled by
+    t1 - t0.  `sub` cuts such a piece out of a segment and shares its
+    compiled table.  `nodes` evaluates many u at once into (k, dim) arrays
+    of points and tangents, slices of the table's rows with the scale
+    applied as one array product, and `point` and `tangent` read one row of
+    `nodes`.
     """
 
-    coords: tuple  # tuple of Expr in Var(0)
+    coords: tuple  # tuple of Expr in Var(0) and the parameters
     tangents: tuple = field(default=None)
     span: tuple = (0.0, 1.0)
+    params: tuple = ()  # values of Var(1), Var(2), ...
     _table: object = field(default=None, init=False, repr=False, compare=False)
+    # the template cache's key of the expressions; None if never cached
+    _key: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tangents is None:
             object.__setattr__(
                 self, "tangents", tuple(c.diff(0) for c in self.coords))
-        object.__setattr__(self, "_table", ex.compile_exprs(self.coords + self.tangents))
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
+        table = ex.compile_exprs(self.coords + self.tangents, bound=len(self.params))
+        object.__setattr__(self, "_table", table.bind(self.params))
 
     @property
     def dim(self) -> int:
@@ -123,6 +135,13 @@ class Segment:
     def tangent(self, u: float) -> np.ndarray:
         return self.nodes((u,))[1][0]
 
+    def bind(self, values) -> "Segment":
+        """This segment with its parameters set to `values`; nothing is compiled."""
+        seg = copy.copy(self)
+        object.__setattr__(seg, "params", tuple(map(float, values)))
+        object.__setattr__(seg, "_table", self._table.bind(seg.params))
+        return seg
+
     def sub(self, u0: float, u1: float) -> "Segment":
         """The piece of this segment over its parameter range [u0, u1];
         nothing is compiled."""
@@ -131,10 +150,74 @@ class Segment:
         return piece
 
     def reversed(self) -> "Segment":
-        flip = ex.sub(ex.const(1.0), _T)
+        """This segment run backwards, t -> 1 - t, with the same parameters."""
+        def build():
+            flip = ex.sub(ex.const(1.0), _T)
+            return Segment(tuple(ex.substitute(c, 0, flip) for c in self.coords),
+                           params=self.params)
+
+        key = None if self._key is None else ("reversed", self._key)
+        seg = _template(key, build).bind(self.params)
         t0, t1 = self.span
-        return Segment(tuple(ex.substitute(c, 0, flip) for c in self.coords),
-                       span=(1.0 - t1, 1.0 - t0))
+        object.__setattr__(seg, "span", (1.0 - t1, 1.0 - t0))
+        return seg
+
+
+def _template(key, build) -> Segment:
+    """The template segment cached under `key`, which determines its
+    expressions, made by `build()` on a miss; a None key is not cached."""
+    if key is None:
+        return build()
+    seg = _TEMPLATES.pop(key, None)
+    if seg is None:
+        seg = build()
+        object.__setattr__(seg, "_key", key)
+        if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
+            del _TEMPLATES[next(iter(_TEMPLATES))]
+    _TEMPLATES[key] = seg
+    return seg
+
+
+def _shape(coords, values) -> Segment:
+    """The segment `coords(params)` at `values`, one expression per value.
+
+    A 0 or 1 enters as its constant, which the smart constructors fold, any
+    other value as a parameter, which nothing folds.  Where every value is a
+    term or a factor of an expression in t, as in `_line` and `_trig`, each
+    node is then bit for bit that of `coords` built from constants.  The
+    template's key is `coords` and which values are 0 or 1, with the sign
+    of a zero.
+    """
+    values = tuple(map(float, values))
+    special = tuple(repr(v) if v == 0.0 or v == 1.0 else None for v in values)
+
+    def build():
+        return Segment(coords([ex.const(v) if s else ex.var(i)
+                               for i, (v, s) in enumerate(zip(values, special), start=1)]),
+                       params=values)
+
+    return _template((coords, special), build).bind(values)
+
+
+def _line(params) -> tuple:
+    """Straight-line coordinates a + d t, from params (a_1, d_1, a_2, d_2, ...)."""
+    return tuple(ex.add(a, ex.mul(d, _T)) for a, d in zip(params[::2], params[1::2]))
+
+
+def _trig(params) -> tuple:
+    """Trigonometric coordinates b + sum_k A_k sin(2 pi k t) + B_k (cos(2 pi k t) - 1),
+    from params (b, A_1, B_1, A_2, B_2, ...) for each coordinate in turn."""
+    coords = []
+    width = 1 + 2 * _HARMONICS
+    for lo in range(0, len(params), width):
+        e = params[lo]
+        for k in range(1, _HARMONICS + 1):
+            ca, cb = params[lo + 2 * k - 1:lo + 2 * k + 1]
+            angle = ex.mul(ex.const(2.0 * np.pi * k), _T)
+            e = ex.add(e, ex.mul(ca, ex.call("sin", angle)))
+            e = ex.add(e, ex.mul(cb, ex.sub(ex.call("cos", angle), ex.const(1.0))))
+        coords.append(e)
+    return tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -171,9 +254,7 @@ class PathSpec:
 def segment_from_points(p0, p1) -> Segment:
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    coords = tuple(ex.add(ex.const(a), ex.mul(ex.const(b - a), _T))
-                   for a, b in zip(p0, p1))
-    return Segment(coords)
+    return _shape(_line, [v for a, b in zip(p0, p1) for v in (a, b - a)])
 
 
 def path_from_waypoints(points) -> PathSpec:
@@ -200,21 +281,15 @@ def trig_loop(base, radius: float, rng: np.random.Generator) -> PathSpec:
     if radius <= 0:
         raise MetricError("loop radius must be positive")
     base = np.asarray(base, dtype=float)
-    two_pi = 2.0 * np.pi
-    coords = []
+    values = []
     amps = rng.uniform(-1.0, 1.0, size=(len(base), _HARMONICS, 2))
     for b, rows in zip(base, amps):
         # (cos - 1) ranges over [-2, 0], so it counts twice toward the bound
         reach = float(np.sum(np.abs(rows[:, 0])) + 2.0 * np.sum(np.abs(rows[:, 1])))
         scale = radius / max(1.0, reach)
-        e = ex.const(b)
-        for k, (ca, cb) in enumerate(rows, start=1):
-            angle = ex.mul(ex.const(two_pi * k), _T)
-            e = ex.add(e, ex.mul(ex.const(ca * scale), ex.call("sin", angle)))
-            e = ex.add(e, ex.mul(ex.const(cb * scale),
-                                 ex.sub(ex.call("cos", angle), ex.const(1.0))))
-        coords.append(e)
-    return PathSpec((Segment(tuple(coords)),))
+        values.append(b)
+        values.extend(c * scale for c in rows.ravel())
+    return PathSpec((_shape(_trig, values),))
 
 
 def loop_family(base, count: int, radius: float,
@@ -242,22 +317,30 @@ def lift_loop(path: PathSpec, s_expr: ex.Expr | None = None,
 
     The profiles are global in the path parameter; each segment of the base
     path occupies an equal sub-interval, over the segment's own parameter u.
+    The lifted template's key is the chart template's, the profiles' text
+    (which tells -0.0 from 0.0), the segment index, the count and the span.
     """
     k = len(path.segments)
     if s_expr is None:
         s_expr = ex.const(0.0)
     if q_expr is None:
         q_expr = ex.const(1.0)
+    profiles = (str(s_expr), str(q_expr))
     segs = []
     for idx, seg in enumerate(path.segments):
-        # global parameter (idx + u)/k, with u = (t - t0)/(t1 - t0) in [0, 1]
-        t0, t1 = seg.span
-        u = ex.div(ex.sub(_T, ex.const(t0)), ex.const(t1 - t0))
-        glob = ex.div(ex.add(ex.const(float(idx)), u), ex.const(float(k)))
-        s_loc = ex.substitute(s_expr, 0, glob)
-        q_loc = ex.substitute(q_expr, 0, glob)
-        segs.append(Segment((s_loc,) + seg.coords + (q_loc,),
-                            (s_loc.diff(0),) + seg.tangents + (q_loc.diff(0),), seg.span))
+        def build():
+            # global parameter (idx + u)/k, with u = (t - t0)/(t1 - t0) in [0, 1]
+            t0, t1 = seg.span
+            u = ex.div(ex.sub(_T, ex.const(t0)), ex.const(t1 - t0))
+            glob = ex.div(ex.add(ex.const(float(idx)), u), ex.const(float(k)))
+            s_loc = ex.substitute(s_expr, 0, glob)
+            q_loc = ex.substitute(q_expr, 0, glob)
+            return Segment((s_loc,) + seg.coords + (q_loc,),
+                           (s_loc.diff(0),) + seg.tangents + (q_loc.diff(0),), seg.span,
+                           seg.params)
+
+        key = None if seg._key is None else ("lift", seg._key, profiles, idx, k, seg.span)
+        segs.append(_template(key, build).bind(seg.params))
     return PathSpec(tuple(segs))
 
 

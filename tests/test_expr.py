@@ -127,3 +127,43 @@ def test_rows_equal_evaluate_exactly_with_signs_of_zeros():
     assert rows.shape == want.shape == (len(xs), len(exprs))
     assert np.array_equal(rows, want) and np.array_equal(np.signbit(rows), np.signbit(want))
     assert np.signbit(rows[0, [0, 1, 4, 5]]).all()
+
+
+def _rows_or_error(table, x):
+    try:
+        return table.rows([x])[0]
+    except ex.EvaluationDomainError:
+        return "domain error"
+
+
+def _evaluate_or_error(exprs, x):
+    try:
+        return np.array([ex.evaluate(e, x) for e in exprs])
+    except ex.EvaluationDomainError:
+        return "domain error"
+
+
+def test_bound_tables_equal_evaluate_at_the_bound_values_exactly():
+    """A table compiled with Var(1..k) bound equals `evaluate` at (t, *values),
+    signs of zeros and domain errors included, and every binding shares the
+    table's code object and holds Python floats."""
+    texts = ("x2 + x3 * x1", "x2 * sin(6.283185307179586 * x1) + x3 * (cos(x1) - 1)",
+             "-x2 / x1", "x3", "2.5", "log(x2 - x1)", "sqrt(x3) * x2^-2", "x1 * x3")
+    exprs = [ex.parse_expr(t, 3) for t in texts]
+    table = ex.compile_exprs(exprs, bound=2)
+    with pytest.raises(TypeError):  # unbound
+        table.rows([(0.5,)])
+    with pytest.raises(ValueError):
+        table.bind((1.0,))
+    for values in ((0.75, 0.3), (-0.0, 0.5), (0.0, -0.0), (np.float64(1.5), np.float64(-0.25))):
+        bound = table.bind(values)
+        assert bound.function.__code__ is table.function.__code__
+        assert all(type(v) is float for v in bound.function.__defaults__)
+        for t in (0.0, -0.0, 0.25, 1.0, -0.5):
+            x = (t, *values)
+            got, want = _rows_or_error(bound, (t,)), _evaluate_or_error(exprs, x)
+            if isinstance(want, str):
+                assert got == want, x
+            else:
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                    np.signbit(want)), x

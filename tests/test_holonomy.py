@@ -261,7 +261,9 @@ def test_verify_estimates_keep_a_rank_margin(name, dim):
     """At verify's defaults (its loops, transport tol 1e-9 and rank tol),
     the tractor and off-slice ambient estimates have their dimension, and
     the first singular value below the cut lies at most half the absolute
-    floor: transport error does not crowd the rank decision."""
+    floor: transport error does not crowd the rank decision.  The norm
+    filter over the stacked generators keeps what a per-matrix filter keeps,
+    with the same basis."""
     suite = report._Suite(report.RunConfig(preset=name))
     off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
            for lp in suite.loops]
@@ -270,6 +272,36 @@ def test_verify_estimates_keep_a_rank_margin(name, dim):
         alg = hol.holonomy_algebra(oracle, base, loops, 1e-9, suite.cfg.tol_rank)
         assert alg.dim == dim, oracle.name
         assert alg.sv_profile[dim] <= hol._ABS_FLOOR / 2, oracle.name
+        basis, svals = hol._orthonormal_span(alg.generators, suite.cfg.tol_rank)
+        want_basis, want_svals = _per_matrix_span(alg.generators, suite.cfg.tol_rank)
+        assert len(basis) == len(want_basis) and np.array_equal(svals, want_svals), oracle.name
+        assert all(np.array_equal(a, b) for a, b in zip(basis, want_basis)), oracle.name
+
+
+def _per_matrix_span(mats, rank_tol):
+    """`holonomy._orthonormal_span` with one norm per matrix: the reference
+    for its filter over the stacked rows."""
+    kept = [m for m in mats if np.linalg.norm(m) > hol._ABS_FLOOR]
+    if not kept:
+        return [], np.zeros(0)
+    _, svals, vt = np.linalg.svd(np.stack([m.ravel() for m in kept]), full_matrices=False)
+    keep = int(np.sum(svals > max(rank_tol * svals[0], hol._ABS_FLOOR)))
+    return [vt[k].reshape(kept[0].shape) for k in range(keep)], svals
+
+
+def test_norm_filter_drops_small_generators():
+    """Matrices at or below the absolute floor are left out, as one at a
+    time, and a set of them alone spans nothing."""
+    rng = np.random.default_rng(0)
+    mats = [rng.standard_normal((4, 4)) for _ in range(3)]
+    small = [np.full((4, 4), hol._ABS_FLOOR / 8), np.zeros((4, 4))]
+    basis, svals = hol._orthonormal_span(small + mats[:2] + small + mats[2:], 1e-6)
+    want_basis, want_svals = _per_matrix_span(mats, 1e-6)
+    assert np.array_equal(svals, want_svals) and len(basis) == len(want_basis) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(basis, want_basis))
+    basis, svals = hol._orthonormal_span(small, 1e-6)
+    assert basis == [] and svals.shape == (0,)
+    assert hol._orthonormal_span([], 1e-6)[0] == []
 
 
 _UNEQUAL_SPHERES = ("dim = 4\n"

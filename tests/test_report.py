@@ -111,3 +111,25 @@ def test_verify_catches_an_off_slice_connection_error(monkeypatch, rows, cols):
     assert not any(passed[name] for name in ("transport-scale-lift",
                                              "ambient-metric-compatibility",
                                              "holonomy-tractor-vs-ambient"))
+
+
+def test_each_check_is_timed_from_the_previous_one(monkeypatch):
+    """A check's seconds run from the previous check of its group (the
+    first from the group's start), the last check also takes the time
+    after it, and a group's seconds sum to the group's time."""
+    from tractor_forge import report
+    clock = iter([10.0, 10.5, 12.0, 12.25, 13.0,   # group 1: start, 3 checks, end
+                  20.0])                           # group 2: start, and no check
+    monkeypatch.setattr(report.time, "perf_counter", lambda: next(clock))
+    suite = object.__new__(report._Suite)
+    suite.checks = []
+
+    def group():
+        for name in ("a", "b", "c"):
+            suite.add(name, "", 0.0, 1.0)
+
+    suite.timed(group)
+    suite.timed(lambda: None)
+    assert [c["seconds"] for c in suite.checks] == [0.5, 1.5, 1.0]
+    assert sum(c["seconds"] for c in suite.checks) == 13.0 - 10.0
+

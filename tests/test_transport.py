@@ -148,8 +148,9 @@ def test_transport_deterministic():
     assert np.all(a == b)
 
 
-def _oracle_values(exprs, t):
-    return np.array([ex.evaluate(c, (t,)) for c in exprs])
+def _oracle_values(seg, exprs, t):
+    """The tree-walking values of a segment's expressions at t and its parameters."""
+    return np.array([ex.evaluate(c, (t, *seg.params)) for c in exprs])
 
 
 def test_compiled_segments_equal_evaluate_exactly():
@@ -166,8 +167,8 @@ def test_compiled_segments_equal_evaluate_exactly():
     for name, path in paths.items():
         for seg in path.segments:
             for tv in [*np.linspace(0.0, 1.0, 9), 0.123, 0.777]:
-                assert np.array_equal(seg.point(tv), _oracle_values(seg.coords, tv)), name
-                assert np.array_equal(seg.tangent(tv), _oracle_values(seg.tangents, tv)), name
+                assert np.array_equal(seg.point(tv), _oracle_values(seg, seg.coords, tv)), name
+                assert np.array_equal(seg.tangent(tv), _oracle_values(seg, seg.tangents, tv)), name
 
 
 def _same(a, b) -> bool:
@@ -194,8 +195,9 @@ def test_segment_nodes_equal_evaluate_exactly():
         params = [t0 + (t1 - t0) * u for u in us]
         points, tangents = seg.nodes(us)
         assert points.shape == tangents.shape == (len(us), seg.dim), name
-        assert _same(points, [_oracle_values(seg.coords, p) for p in params]), name
-        assert _same(tangents, [(t1 - t0) * _oracle_values(seg.tangents, p) for p in params]), name
+        assert _same(points, [_oracle_values(seg, seg.coords, p) for p in params]), name
+        assert _same(tangents, [(t1 - t0) * _oracle_values(seg, seg.tangents, p)
+                                for p in params]), name
         for u, point, tangent in zip(us, points, tangents):
             assert _same(seg.point(u), point) and _same(seg.tangent(u), tangent), name
 
@@ -704,3 +706,195 @@ def test_a_steep_connection_shrinks_the_step_and_stays_accurate():
     G = tp.transport_matrix(_FixedOracle(matrix), tp.rectangle_loop(BASE, 0, 1, 0.3), 1e-9)
     w, U = np.linalg.eig(-4.0 * matrix)
     assert np.max(np.abs(G - (U @ np.diag(np.exp(w)) @ np.linalg.inv(U)).real)) <= 1e-6
+
+
+# -- path templates against the expression-tree construction -----------------------
+#
+# Each loop builder binds its coefficients to a cached template segment.  The
+# functions below build the same paths from expression trees, one tree per
+# loop, as the builders did before templates: the reference for every node.
+
+
+def _tree_line(p0, p1):
+    t = ex.var(0)
+    return tp.Segment(tuple(ex.add(ex.const(a), ex.mul(ex.const(b - a), t))
+                            for a, b in zip(p0, p1)))
+
+
+def _tree_rectangle(base, i, j, radius):
+    corners = [base.copy() for _ in range(5)]
+    corners[1][i] += radius
+    corners[2][i] += radius
+    corners[2][j] += radius
+    corners[3][j] += radius
+    return tp.PathSpec(tuple(_tree_line(a, b) for a, b in zip(corners, corners[1:])))
+
+
+def _tree_trig_loop(base, radius, rng):
+    t = ex.var(0)
+    coords = []
+    amps = rng.uniform(-1.0, 1.0, size=(len(base), tp._HARMONICS, 2))
+    for b, rows in zip(base, amps):
+        reach = float(np.sum(np.abs(rows[:, 0])) + 2.0 * np.sum(np.abs(rows[:, 1])))
+        scale = radius / max(1.0, reach)
+        e = ex.const(b)
+        for k, (ca, cb) in enumerate(rows, start=1):
+            angle = ex.mul(ex.const(2.0 * np.pi * k), t)
+            e = ex.add(e, ex.mul(ex.const(ca * scale), ex.call("sin", angle)))
+            e = ex.add(e, ex.mul(ex.const(cb * scale),
+                                 ex.sub(ex.call("cos", angle), ex.const(1.0))))
+        coords.append(e)
+    return tp.PathSpec((tp.Segment(tuple(coords)),))
+
+
+def _tree_lift(path, s_expr, q_expr):
+    t = ex.var(0)
+    k = len(path.segments)
+    segs = []
+    for idx, seg in enumerate(path.segments):
+        t0, t1 = seg.span
+        u = ex.div(ex.sub(t, ex.const(t0)), ex.const(t1 - t0))
+        glob = ex.div(ex.add(ex.const(float(idx)), u), ex.const(float(k)))
+        s_loc = ex.substitute(s_expr, 0, glob)
+        q_loc = ex.substitute(q_expr, 0, glob)
+        segs.append(tp.Segment((s_loc,) + seg.coords + (q_loc,),
+                               (s_loc.diff(0),) + seg.tangents + (q_loc.diff(0),), seg.span))
+    return tp.PathSpec(tuple(segs))
+
+
+def _tree_reverse(path):
+    flip = ex.sub(ex.const(1.0), ex.var(0))
+    return tp.PathSpec(tuple(
+        tp.Segment(tuple(ex.substitute(c, 0, flip) for c in seg.coords),
+                   span=(1.0 - seg.span[1], 1.0 - seg.span[0]))
+        for seg in reversed(path.segments)))
+
+
+def _halves(path):
+    """Each segment's two halves, as one-segment paths."""
+    return [tp.PathSpec((seg.sub(a, b),)) for seg in path.segments
+            for a, b in ((0.0, 0.5), (0.5, 1.0))]
+
+
+def _verify_profiles(amp):
+    t = ex.var(0)
+    bump = ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), t)), 2)
+    return ex.mul(ex.const(amp), bump), ex.add(ex.const(1.0), ex.mul(ex.const(0.25), bump))
+
+
+_NODE_US = [*tp._C, *np.linspace(0.0, 1.0, 7), 0.123, 0.777]
+
+
+def _template_and_tree_paths(base, radius, seed):
+    """(name, template path, tree path) for every builder and transformation."""
+    n = len(base)
+    pairs = [(f"rectangle {i}{j}", tp.rectangle_loop(base, i, j, radius),
+              _tree_rectangle(base, i, j, radius)) for i in range(n) for j in range(i + 1, n)]
+    pairs += [(f"trig {k}", tp.trig_loop(base, radius, np.random.default_rng((seed, k))),
+               _tree_trig_loop(base, radius, np.random.default_rng((seed, k))))
+              for k in range(2)]
+    s_off, q_off = _verify_profiles(0.15)
+    out = []
+    for name, path, tree in pairs:
+        out += [(name, path, tree),
+                (f"{name} reversed", tp.reverse_path(path), _tree_reverse(tree))]
+        for half, (piece, tree_piece) in enumerate(zip(_halves(path), _halves(tree))):
+            out.append((f"{name} sub {half}", piece, tree_piece))
+            out.append((f"{name} sub {half} reversed", tp.reverse_path(piece),
+                        _tree_reverse(tree_piece)))
+            out.append((f"{name} sub {half} off-slice lift", tp.lift_loop(piece, s_off, q_off),
+                        _tree_lift(tree_piece, s_off, q_off)))
+        for label, s_expr, q_expr in (("slice", ex.const(0.0), ex.const(1.0)),
+                                      ("off-slice", s_off, q_off)):
+            lifted = tp.lift_loop(path, s_expr, q_expr)
+            tree_lifted = _tree_lift(tree, s_expr, q_expr)
+            out.append((f"{name} {label} lift", lifted, tree_lifted))
+            out.append((f"{name} {label} lift reversed", tp.reverse_path(lifted),
+                        _tree_reverse(tree_lifted)))
+            for half, (piece, tree_piece) in enumerate(zip(_halves(lifted),
+                                                           _halves(tree_lifted))):
+                out.append((f"{name} {label} lift sub {half}", piece, tree_piece))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("base", ["generic", "zeros and ones"])
+def test_template_paths_equal_the_expression_tree_paths_bit_for_bit(n, base):
+    """Rectangles, trig loops, their slice and off-slice lifts, reversed paths
+    and sub pieces: every node's point and tangent equals the one built from
+    the loop's own expression trees, signs of zeros included.  The second
+    base has coordinates 0, -0, 1, and -radius (a rectangle side that ends
+    at 0), the values the templates keep as constants."""
+    radius = 0.25
+    if base == "generic":
+        base = np.array([0.11, -0.17, 0.23, -0.05, 0.31])[:n]
+    else:
+        base = np.array([0.0, -radius, 1.0, -0.0, 0.5])[:n]
+    for name, path, tree in _template_and_tree_paths(base, radius, seed=n):
+        assert len(path.segments) == len(tree.segments), name
+        for seg, ref in zip(path.segments, tree.segments):
+            assert seg.span == ref.span, name
+            points, tangents = seg.nodes(_NODE_US)
+            want_points, want_tangents = ref.nodes(_NODE_US)
+            assert _same(points, want_points) and _same(tangents, want_tangents), name
+
+
+def test_a_second_loop_family_compiles_nothing(monkeypatch):
+    """Once a family's shapes are cached, another family at another base,
+    with its lifts, reversed loops and sub pieces, binds them and compiles
+    no table; each binding shares its template's code object."""
+    monkeypatch.setattr(tp, "_TEMPLATES", {})
+    compiled = []
+
+    def counting(exprs, bound=0, original=ex.compile_exprs):
+        compiled.append(len(exprs))
+        return original(exprs, bound)
+
+    monkeypatch.setattr(ex, "compile_exprs", counting)
+    s_off, q_off = _verify_profiles(0.15)
+
+    def family(base, seed):
+        loops = tp.loop_family(base, 8, 0.25, np.random.default_rng(seed))
+        paths = loops + [tp.lift_loop(lp) for lp in loops]
+        paths += [tp.lift_loop(lp, s_off, q_off) for lp in loops]
+        paths += [tp.reverse_path(lp) for lp in paths]
+        return paths + [piece for lp in paths for piece in hol._pieces(lp)]
+
+    first = family(np.array([0.11, -0.17, 0.23, -0.05]), 1)
+    assert len(compiled) == len(tp._TEMPLATES) > 0  # one compile per template
+    del compiled[:]
+    second = family(np.array([-0.2, 0.05, 0.13, 0.3]), 2)
+    assert compiled == []
+    codes = {id(seg._table.function.__code__) for p in first for seg in p.segments}
+    assert {id(seg._table.function.__code__) for p in second for seg in p.segments} <= codes
+
+
+def test_template_cache_stays_bounded(monkeypatch):
+    """1000 lifts with distinct off-slice profiles leave the cache at its
+    bound, and a template dropped from it and built again gives the same
+    nodes."""
+    monkeypatch.setattr(tp, "_TEMPLATES", {})
+    loop = tp.trig_loop(BASE, 0.2, np.random.default_rng(4))
+    first = tp.lift_loop(loop, *_verify_profiles(1e-3)).segments[0]
+    for k in range(2, 1001):
+        tp.lift_loop(loop, *_verify_profiles(k * 1e-3))
+        assert len(tp._TEMPLATES) <= tp._TEMPLATE_LIMIT
+    assert len(tp._TEMPLATES) == tp._TEMPLATE_LIMIT
+    again = tp.lift_loop(loop, *_verify_profiles(1e-3)).segments[0]
+    assert again._table is not first._table
+    for a, b in zip(again.nodes(_NODE_US), first.nodes(_NODE_US)):
+        assert _same(a, b)
+
+
+def test_verify_reports_repeat_in_one_process(monkeypatch):
+    """Two verify runs in one process, the first building every template
+    and the second binding them, give the same report apart from seconds."""
+    monkeypatch.setattr(tp, "_TEMPLATES", {})
+
+    def run():
+        checks = report.run_verify(report.RunConfig(preset="bumpy")).checks
+        return [{k: v for k, v in c.items() if k != "seconds"} for c in checks]
+
+    first = run()
+    assert tp._TEMPLATES
+    assert run() == first
