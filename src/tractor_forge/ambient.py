@@ -37,7 +37,9 @@ The curvature R[a, b] of the ambient connection differentiates its
 connection matrices by a finite-difference stencil (`curvature_from_omega`)
 and assembles them by the formula the tractor curvature also uses,
 `curvature.connection_curvature`.  The Ricci tensor is its trace,
-Ric(u, v) = tr(w -> R(w, u) v).
+Ric(u, v) = tr(w -> R(w, u) v).  Every evaluator also takes stacks of
+points and of directions (see `AmbientGeometry`), each row equal to its
+one-point call bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import (CurvatureStack, _christoffel_matrices, connection_at,
-                        connection_curvature, stack_at)
+                        connection_curvature, stack_at, take_rows)
 from .metric import ChartDomainError, MetricError, MetricSpec
 
 __all__ = [
@@ -85,14 +87,24 @@ class SingularMapError(MetricError):
         )
 
 
-def ambient_point(s: float, x, q: float) -> np.ndarray:
+def ambient_point(s, x, q) -> np.ndarray:
+    """(s, x, q); for a (k, n) stack x, one row per point, s and q broadcast."""
     x = np.asarray(x, dtype=float)
-    return np.concatenate(([float(s)], x, [float(q)]))
+    p = np.empty(x.shape[:-1] + (x.shape[-1] + 2,))
+    p[..., 0], p[..., 1:-1], p[..., -1] = s, x, q
+    return p
 
 
 def split_point(p):
     p = np.asarray(p, dtype=float)
     return float(p[0]), p[1:-1], float(p[-1])
+
+
+def _per_point(a, p, u) -> np.ndarray:
+    """a, one array per point of p, with an axis added for the directions
+    when u holds several at each point (p and u batched as in `omega`)."""
+    a, lead = np.asarray(a), np.ndim(p) - 1  # 1 for a stack of points
+    return a.reshape(np.shape(p)[:lead] + (1,) * (np.ndim(u) - 1 - lead) + a.shape[lead:])
 
 
 def _stencil(points: np.ndarray, dim: int, h: float) -> np.ndarray:
@@ -134,7 +146,12 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
 
 @dataclass
 class AmbientGeometry:
-    """Point-wise evaluators for the ambient construction over one metric."""
+    """Point-wise evaluators for the ambient construction over one metric.
+
+    Each takes one point or a (k, n+2) stack (with `stack`, if given,
+    batched like it) and its vectors batched, and broadcast, as u is in
+    `omega`; each row of a batched call equals the call on its row alone,
+    bit for bit."""
 
     spec: MetricSpec
 
@@ -154,12 +171,12 @@ class AmbientGeometry:
     def f_map(self, p, stack: CurvatureStack | None = None):
         """(f, m) with m = s*Psharp + q*Id and f = m^{-1}; raises when singular.
 
-        p may be a (k, n+2) stack of points with a stack batched like it;
-        f and m are then (k, n, n) stacks.  Only Psharp is read, so a
-        `ConnectionPoint` serves as well as a full stack (and is the default).
-        A non-finite s or q lies outside the domain (`ChartDomainError`); that
-        check precedes the singularity check, and a stack raises the error of
-        its first bad row, as that row's own call would.
+        For a stack of points f and m are (k, n, n) stacks.  Only Psharp is
+        read, so a `ConnectionPoint` serves as well as a full stack (and is
+        the default).  A non-finite s or q lies outside the domain
+        (`ChartDomainError`); that check precedes the singularity check, and
+        a stack raises the error of its first bad row, as that row's own
+        call would.
         """
         p = np.asarray(p, dtype=float)
         if stack is None:
@@ -185,41 +202,42 @@ class AmbientGeometry:
 
     def lift(self, p, X, stack: CurvatureStack | None = None) -> np.ndarray:
         """Lift of a base vector X: the ambient vector (0, f(X), 0)."""
-        f, _ = self.f_map(p, stack)
-        v = np.zeros(self.dim)
-        v[1:-1] = f @ np.asarray(X, dtype=float)
+        p, X = np.asarray(p, dtype=float), np.asarray(X, dtype=float)
+        v = np.zeros(X.shape[:-1] + (self.dim,))
+        v[..., 1:-1] = (_per_point(self.f_map(p, stack)[0], p, X) @ X[..., None])[..., 0]
         return v
 
     def metric(self, p, stack: CurvatureStack | None = None) -> np.ndarray:
         """Ambient metric h in the coordinate basis (S, d_i, Q); reads g and Psharp."""
-        s, x, q = split_point(p)
+        p = np.asarray(p, dtype=float)
         if stack is None:
-            stack = connection_at(self.spec, x)
+            stack = connection_at(self.spec, p[..., 1:-1])
         _, m = self.f_map(p, stack)
-        h = np.zeros((self.dim, self.dim))
-        h[0, -1] = h[-1, 0] = 1.0
-        h[1:-1, 1:-1] = m.T @ stack.g @ m
+        h = np.zeros(p.shape[:-1] + (self.dim, self.dim))
+        h[..., 0, -1] = h[..., -1, 0] = 1.0
+        h[..., 1:-1, 1:-1] = np.swapaxes(m, -2, -1) @ stack.g @ m
         return h
 
     def fundamental_field(self, p) -> np.ndarray:
-        s, x, q = split_point(p)
-        F = np.zeros(self.dim)
-        F[0], F[-1] = s, q
+        """F = s S + q Q."""
+        p = np.asarray(p, dtype=float)
+        F = np.zeros(p.shape)
+        F[..., 0], F[..., -1] = p[..., 0], p[..., -1]
         return F
 
     def phi(self, p, stack: CurvatureStack | None = None) -> np.ndarray:
         """Covector h(F, .); closed form q ds + s dq."""
-        return self.metric(p, stack) @ self.fundamental_field(p)
+        return (self.metric(p, stack) @ self.fundamental_field(p)[..., None])[..., 0]
 
     def scale_point(self, p, t: float) -> np.ndarray:
-        s, x, q = split_point(p)
-        return ambient_point(t * s, x, t * q)
+        """phi_t(s, x, q) = (ts, x, tq)."""
+        return self.scale_tangent(p, t)
 
     def scale_tangent(self, u, t: float) -> np.ndarray:
         """Differential of (s, x, q) -> (ts, x, tq) applied to u."""
-        u = np.asarray(u, dtype=float).copy()
-        u[0] *= t
-        u[-1] *= t
+        u = np.array(u, dtype=float)
+        u[..., 0] *= t
+        u[..., -1] *= t
         return u
 
     # -- connections -----------------------------------------------------------
@@ -285,7 +303,9 @@ class AmbientGeometry:
 
     def covariant_derivative(self, p, u, w, dw=None, stack=None) -> np.ndarray:
         """D_u w for an ambient vector w with directional component derivative dw."""
-        out = self.omega(p, u, stack) @ np.asarray(w, dtype=float)
+        u = np.asarray(u, dtype=float)
+        w = np.broadcast_to(np.asarray(w, dtype=float), u.shape)
+        out = (self.omega(p, u, stack) @ w[..., None])[..., 0]
         if dw is not None:
             out = out + np.asarray(dw, dtype=float)
         return out
@@ -293,24 +313,29 @@ class AmbientGeometry:
     # -- torsion ----------------------------------------------------------------
 
     def torsion(self, p, u, w, stack: CurvatureStack | None = None) -> np.ndarray:
-        """T(u, w) for coordinate-constant directions, from the rules alone."""
-        return self.omega(p, u, stack) @ np.asarray(w, dtype=float) \
-            - self.omega(p, w, stack) @ np.asarray(u, dtype=float)
+        """T(u, w) for coordinate-constant directions, from the rules alone:
+        one `omega` call on the directions of u and w together."""
+        u, w = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
+        Om = self.omega(p, np.stack([u, w], axis=-2), stack)
+        return (Om[..., 0, :, :] @ w[..., None] - Om[..., 1, :, :] @ u[..., None])[..., 0]
 
     def torsion_closed_form(self, p, X, Y, stack: CurvatureStack | None = None) -> np.ndarray:
         """s * (lift of CYsharp(X, Y)); the independent oracle for torsion."""
-        s, x, q = split_point(p)
+        p, X = np.asarray(p, dtype=float), np.asarray(X, dtype=float)
         if stack is None:
-            stack = self.stack(x)
-        cy = np.einsum("ijk,i,j->k", stack.CYsharp, np.asarray(X, float), np.asarray(Y, float))
-        return s * self.lift(p, cy, stack)
+            stack = self.stack(p[..., 1:-1])
+        cy = np.einsum("...ijk,...i,...j->...k", _per_point(stack.CYsharp, p, X), X, Y)
+        return _per_point(p[..., :1], p, X) * self.lift(p, cy, stack)
 
-    def torsion_lowered(self, p, u, w, z, stack: CurvatureStack | None = None) -> float:
-        """T*(u, w, z) = h(T(u, w), z)."""
+    def torsion_lowered(self, p, u, w, z, stack: CurvatureStack | None = None):
+        """T*(u, w, z) = h(T(u, w), z): a float, or an array for batched input."""
+        p = np.asarray(p, dtype=float)
         if stack is None:
-            stack = self.stack(split_point(p)[1])
+            stack = self.stack(p[..., 1:-1])
         T = self.torsion(p, u, w, stack)
-        return float(T @ self.metric(p, stack) @ np.asarray(z, dtype=float))
+        h = _per_point(self.metric(p, stack), p, T)
+        low = (T[..., None, :] @ h @ np.asarray(z, dtype=float)[..., None])[..., 0, 0]
+        return float(low) if low.ndim == 0 else low
 
     # -- curvature and Ricci ------------------------------------------------------
 
@@ -334,71 +359,53 @@ class AmbientGeometry:
 
     # -- structural checks ---------------------------------------------------------
 
-    def default_s_bound(self, x, q: float = 1.0) -> float:
-        """Safe |s| bound 0.5*q / max|eig(Psharp)| to stay clear of singular f."""
-        top = float(np.max(np.abs(np.linalg.eigvals(connection_at(self.spec, x).Psharp))))
-        if top < 1e-12:
-            return np.inf
-        return 0.5 * q / top
+    def default_s_bound(self, x, q=1.0):
+        """Safe |s| bound 0.5*q / max|eig(Psharp)| (inf where Psharp vanishes)."""
+        top = np.max(np.abs(np.linalg.eigvals(connection_at(self.spec, x).Psharp)), axis=-1)
+        with np.errstate(divide="ignore"):
+            bound = np.where(top < 1e-12, np.inf, 0.5 * np.asarray(q, dtype=float) / top)
+        return float(bound) if bound.ndim == 0 else bound
 
     def homogeneity_checks(self, p, rng=None) -> dict:
-        """Degree bookkeeping under phi_t(s, x, q) = (ts, x, tq)."""
-        s, x, q = split_point(p)
-        stack = self.stack(x)
+        """Degree bookkeeping under phi_t(s, x, q) = (ts, x, tq), at p and its
+        dilations by `_SCALES`, the three points in one batch."""
+        p = np.asarray(p, dtype=float)
+        stack = take_rows(self.stack(p[None, 1:-1]), [0] * (1 + len(_SCALES)))  # a row per point
         if rng is None:
             rng = np.random.default_rng(0)
-        results = {}
-        h0 = self.metric(p, stack)
         vecs = rng.standard_normal((4, self.dim))
-        for t in _SCALES:
-            pt = self.scale_point(p, t)
-            ht = self.metric(pt, stack)
-            # metric degree 2: h_t(dphi u, dphi v) = t^2 h(u, v)
-            res_h = 0.0
-            for u in vecs:
-                for v in vecs:
-                    lhs = float(self.scale_tangent(u, t) @ ht @ self.scale_tangent(v, t))
-                    rhs = t * t * float(u @ h0 @ v)
-                    res_h = max(res_h, abs(lhs - rhs) / max(1.0, abs(rhs)))
-            # lowered torsion degree 2
-            res_t = 0.0
-            for u in vecs[:2]:
-                for v in vecs[2:]:
-                    z = vecs[0] + vecs[3]
-                    lhs = self.torsion_lowered(pt, self.scale_tangent(u, t),
-                                               self.scale_tangent(v, t),
-                                               self.scale_tangent(z, t), stack)
-                    rhs = t * t * self.torsion_lowered(p, u, v, z, stack)
-                    res_t = max(res_t, abs(lhs - rhs))
-            results[t] = {"metric_scaling": res_h, "torsion_scaling": res_t}
+
+        def pushed(u):  # u at p, then pushed forward by each dilation
+            return np.stack([u] + [self.scale_tangent(u, t) for t in _SCALES])
+
+        pts, t = pushed(p), np.array(_SCALES)[:, None, None]
+        # metric degree 2: h_t(dphi u, dphi v) = t^2 h(u, v), over all pairs
+        h = self.metric(pts, stack)
+        u = pushed(vecs)
+        pair = (u[:, :, None, None, :] @ h[:, None, None] @ u[:, None, :, :, None])[..., 0, 0]
+        rhs = t * t * pair[0]
+        res_h = np.max(np.abs(pair[1:] - rhs) / np.maximum(1.0, np.abs(rhs)), axis=(1, 2))
+        # lowered torsion degree 2, on the pairs (u, v) of vecs[:2] x vecs[2:]
+        low = self.torsion_lowered(pts, u[:, [0, 0, 1, 1]], u[:, [2, 3, 2, 3]],
+                                   pushed(vecs[0] + vecs[3])[:, None], stack)
+        res_t = np.max(np.abs(low[1:] - t[..., 0] * t[..., 0] * low[0]), axis=1)
+        results = {scale: {"metric_scaling": float(a), "torsion_scaling": float(b)}
+                   for scale, a, b in zip(_SCALES, res_h, res_t)}
         # phi = h(F, .) equals q ds + s dq = d(sq) at p and its dilations, so dphi = 0
-        res_dphi = 0.0
-        for pt in [p] + [self.scale_point(p, t) for t in _SCALES]:
-            d_sq = self.fundamental_field(pt)[::-1]  # (q, 0, ..., 0, s)
-            res_dphi = max(res_dphi, float(np.max(np.abs(self.phi(pt, stack) - d_sq))))
-        results["dphi"] = res_dphi
+        d_sq = self.fundamental_field(pts)[:, ::-1]  # (q, 0, ..., 0, s)
+        results["dphi"] = float(np.max(np.abs(self.phi(pts, stack) - d_sq)))
         # lifted fields have homogeneity -1: lift at phi_t(p) = (1/t) * lift at p
-        res_lift = 0.0
-        for t in _SCALES:
-            pt = self.scale_point(p, t)
-            for X in np.eye(self.n):
-                lhs = self.lift(pt, X, stack)
-                rhs = self.lift(p, X, stack) / t
-                res_lift = max(res_lift, float(np.max(np.abs(lhs - rhs))))
-        results["lift_homogeneity"] = res_lift
+        lifts = self.lift(pts, np.broadcast_to(np.eye(self.n), (len(pts), self.n, self.n)), stack)
+        results["lift_homogeneity"] = float(np.max(np.abs(lifts[1:] - lifts[0] / t)))
         return results
 
     def nabF_check(self, p, rng=None) -> float:
         """max residual of nabla_u F = u over random directions u."""
-        s, x, q = split_point(p)
-        stack = self.stack(x)
+        p = np.asarray(p, dtype=float)
+        stack = self.stack(p[1:-1])
         if rng is None:
             rng = np.random.default_rng(0)
-        F = self.fundamental_field(p)
-        dF = np.zeros(self.dim)
-        res = 0.0
-        for u in rng.standard_normal((6, self.dim)):
-            dF[0], dF[-1] = u[0], u[-1]  # coefficient derivatives of (s, 0, q)
-            cov = self.covariant_derivative(p, u, F, dF, stack)
-            res = max(res, float(np.max(np.abs(cov - u))))
-        return res
+        u = rng.standard_normal((6, self.dim))
+        dF = self.fundamental_field(u)  # coefficient derivatives of (s, 0, q)
+        cov = self.covariant_derivative(p, u, self.fundamental_field(p), dF, stack)
+        return float(np.max(np.abs(cov - u)))

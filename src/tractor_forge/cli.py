@@ -20,9 +20,9 @@ import numpy as np
 from . import holonomy as hol
 from . import transport as tp
 from .ambient import AmbientGeometry, SingularMapError, ambient_point
-from .curvature import stack_at
+from .curvature import compute_stack, stack_at
 from .expr import EvaluationDomainError
-from .metric import MetricError, signature_of
+from .metric import MetricError, metric_jet, signature_of
 from .report import RunConfig, report_emit, run_verify
 from .tractor import connection_matrix, normality_check, tractor_metric
 
@@ -133,7 +133,7 @@ def cmd_tensors(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     points = spec.sample_points(rng, cfg.samples)
     st = stack_at(spec, base)
-    samples = [stack_at(spec, x) for x in points]
+    samples = compute_stack(metric_jet(spec, points))
     payload = {
         "n": spec.n,
         "signature": list(signature_of(st.g)),
@@ -147,8 +147,8 @@ def cmd_tensors(cfg: RunConfig) -> int:
         },
         "over_samples": {
             "count": int(cfg.samples),
-            "max_weyl_norm": max(_maxabs(sample.W) for sample in samples),
-            "max_cotton_york_norm": max(_maxabs(sample.CY) for sample in samples),
+            "max_weyl_norm": float(np.max(np.abs(samples.W), initial=0.0)),
+            "max_cotton_york_norm": float(np.max(np.abs(samples.CY), initial=0.0)),
         },
     }
     payload["conformally_flat"] = bool(
@@ -187,15 +187,10 @@ def cmd_ambient(cfg: RunConfig, s: float, q: float) -> int:
     st = geom.stack(base)
     f, _ = geom.f_map(p, st)
     h = geom.metric(p, st)
-    rng = np.random.default_rng(cfg.seed)
-    res_tor = 0.0
-    for _ in range(4):
-        X = rng.standard_normal(spec.n)
-        Y = rng.standard_normal(spec.n)
-        u = np.concatenate(([0.0], X, [0.0]))
-        w = np.concatenate(([0.0], Y, [0.0]))
-        res_tor = max(res_tor, _maxabs(
-            geom.torsion(p, u, w, st) - geom.torsion_closed_form(p, X, Y, st)))
+    XY = np.random.default_rng(cfg.seed).standard_normal((4, 2, spec.n))  # four pairs (X, Y)
+    X, Y = XY[:, 0], XY[:, 1]
+    u, w = ambient_point(0.0, X, 0.0), ambient_point(0.0, Y, 0.0)  # directions (0, V, 0)
+    res_tor = _maxabs(geom.torsion(p, u, w, st) - geom.torsion_closed_form(p, X, Y, st))
     hom = geom.homogeneity_checks(p, rng=np.random.default_rng(cfg.seed))
     payload = {
         "point": {"s": s, "base": [float(v) for v in base], "q": q},

@@ -45,7 +45,7 @@ tests keep as a reference, to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "ConnectionPoint",
     "compute_stack",
     "stack_at",
+    "take_rows",
     "connection_at",
     "kulkarni_nomizu",
     "connection_curvature",
@@ -381,6 +382,15 @@ def stack_at(spec: MetricSpec, x) -> CurvatureStack:
     return compute_stack(metric_jet(spec, x))
 
 
+def take_rows(data, rows):
+    """A batched jet, stack or connection point cut to the batch `rows` (a
+    slice or index list): each array, the jet's too, indexed alike."""
+    values = {f.name: getattr(data, f.name) for f in fields(data)}
+    return replace(data, **{name: v[rows] if isinstance(v, np.ndarray) else take_rows(v, rows)
+                            for name, v in values.items()
+                            if isinstance(v, (np.ndarray, MetricJet))})
+
+
 @dataclass
 class ConnectionPoint:
     """Light subset of the stack needed to evaluate connection matrices.
@@ -461,6 +471,7 @@ def connection_curvature(omegas: np.ndarray, dOmega: np.ndarray) -> np.ndarray:
 
 
 def weyl_endomorphism(stack: CurvatureStack, X, Y) -> np.ndarray:
-    """Matrix of Z -> W(X,Y)Z with one index raised by g."""
-    low = np.einsum("i,j,ijkl->kl", X, Y, stack.W)
+    """Matrix of Z -> W(X,Y)Z with one index raised by g; one per row of
+    (c, n) stacks X and Y at one point."""
+    low = np.einsum("...i,...j,ijkl->...kl", X, Y, stack.W)
     return stack.ginv @ low

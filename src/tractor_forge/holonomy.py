@@ -214,26 +214,22 @@ def _log_residual(G, basis) -> float:
 def algebra_metric_residual(alg: HolonomyAlgebra) -> float:
     """max of ||B^T H + H B|| over basis elements (orthogonal-algebra check)."""
     H = alg.fiber_metric
-    res = 0.0
-    for B in alg.basis:
-        scale = max(1.0, float(np.max(np.abs(B))))
-        res = max(res, float(np.max(np.abs(B.T @ H + H @ B))) / scale)
-    return res
+    B = np.reshape(alg.basis, (-1,) + H.shape)
+    res = (np.max(np.abs(B.swapaxes(1, 2) @ H + H @ B), axis=(1, 2))
+           / np.maximum(1.0, np.max(np.abs(B), axis=(1, 2))))
+    return float(np.max(res, initial=0.0))
 
 
 def bracket_closure_residual(alg: HolonomyAlgebra) -> float:
-    """max projection residual of basis brackets onto the span."""
-    if not alg.basis:
-        return 0.0
-    B = np.stack([b.ravel() for b in alg.basis])
-    res = 0.0
-    for i, a in enumerate(alg.basis):
-        for b in alg.basis[i + 1:]:
-            w = (a @ b - b @ a).ravel()
-            scale = max(1.0, float(np.max(np.abs(w))))
-            proj = B.T @ (B @ w)
-            res = max(res, float(np.max(np.abs(w - proj))) / scale)
-    return res
+    """max projection residual of basis brackets onto the span, all pairs at once."""
+    H = alg.fiber_metric
+    A = np.reshape(alg.basis, (-1,) + H.shape)
+    B = A.reshape(len(A), H.size)
+    i, j = np.triu_indices(len(A), 1)
+    W = (A[i] @ A[j] - A[j] @ A[i]).reshape(len(i), H.size, 1)  # each bracket as a column
+    res = (np.max(np.abs(W - B.T @ (B @ W)), axis=(1, 2))
+           / np.maximum(1.0, np.max(np.abs(W), axis=(1, 2))))
+    return float(np.max(res, initial=0.0))
 
 
 def span_residual(algA: HolonomyAlgebra, algB: HolonomyAlgebra) -> float:

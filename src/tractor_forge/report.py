@@ -2,7 +2,9 @@
 
 A RunConfig pins everything a run depends on (metric source, base point,
 tolerances, loop parameters, seed), so identical configs reproduce
-byte-identical JSON reports apart from the timing fields.
+byte-identical JSON reports apart from the timing fields.  `verify`'s
+check groups run on arrays: one batched call per point set and per set of
+random vectors, drawn in the order a point-by-point run would draw them.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from . import holonomy as hol
 from . import transport as tp
 from .ambient import ambient_point
-from .curvature import compute_stack, stack_at, weyl_endomorphism
-from .metric import MetricError, MetricSpec, load_config, metric_jet, preset, signature_of
+from .curvature import compute_stack, stack_at, take_rows, weyl_endomorphism
+from .metric import MetricError, MetricSpec, load_config, metric_jet, preset
 from .tractor import connection_matrix, normality_check, tractor_metric
 from . import expr as ex
 
@@ -141,8 +143,21 @@ def _round(x: float) -> float:
     return float(f"{x:.6e}")
 
 
+def _worst(a, scale=1.0) -> float:
+    """The largest over the rows of a batch of max|row| / scale; 0.0 for none."""
+    return float(np.max(np.max(np.abs(a), axis=tuple(range(1, np.ndim(a)))) / scale,
+                        initial=0.0))
+
+
+def _bilinear(a, M, b) -> np.ndarray:
+    """a @ M @ b for each row of the stacks a and b and matrices M."""
+    return (a[..., None, :] @ M @ b[..., None])[..., 0, 0]
+
+
 class _Suite:
-    """Collects timed checks against one metric."""
+    """Collects timed checks against one metric.  Each group evaluates its
+    point set and random vectors in batched calls; `rng` draws them in the
+    order docs/conventions.md ("Run inputs") lists."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -151,10 +166,10 @@ class _Suite:
         self.checks = []
         self.base = cfg.base_point(self.spec, self.rng)
         self.points = self.spec.sample_points(self.rng, cfg.samples)
-        # stack_at's two steps, spelled out: the spec's first order-3 jet
-        # builds its compiled table (a few ms) here rather than inside a
-        # stack_at call, whose per-call latency perfbench samples
-        self.stacks = [compute_stack(metric_jet(self.spec, x)) for x in self.points]
+        # stack_at's two steps, spelled out on the sample batch: the spec's
+        # first order-3 jet builds its compiled table (a few ms) here rather
+        # than inside a stack_at call, whose per-call latency perfbench samples
+        self.stacks = compute_stack(metric_jet(self.spec, self.points))
         self.base_stack = stack_at(self.spec, self.base)
         self.loops = cfg.loop_family(self.spec, self.base)
         self.tractor = tp.TractorOracle(self.spec)
@@ -195,109 +210,91 @@ class _Suite:
 
     def tensor_checks(self):
         tol = self.cfg.tol_tensor
-        sig_bad = 0
-        res_sym = res_bianchi = res_wtrace = res_cy = 0.0
-        for st in self.stacks:
-            if signature_of(st.jet.g) != tuple(self.spec.signature):
-                sig_bad += 1
-            scale = max(1.0, float(np.max(np.abs(st.riem_low))))
-            rl = st.riem_low
-            res_sym = max(res_sym,
-                          float(np.max(np.abs(rl + rl.transpose(1, 0, 2, 3)))) / scale,
-                          float(np.max(np.abs(rl + rl.transpose(0, 1, 3, 2)))) / scale,
-                          float(np.max(np.abs(rl - rl.transpose(2, 3, 0, 1)))) / scale,
-                          float(np.max(np.abs(st.Ric - st.Ric.T))) / scale)
-            bianchi = rl + np.einsum("jkil->ijkl", rl) + np.einsum("kijl->ijkl", rl)
-            res_bianchi = max(res_bianchi, float(np.max(np.abs(bianchi))) / scale)
-            wtr = np.einsum("ik,ijkl->jl", st.ginv, st.W)
-            res_wtrace = max(res_wtrace, float(np.max(np.abs(wtr))) / scale)
-            res_cy = max(res_cy, float(np.max(np.abs(st.CY + st.CY.transpose(1, 0, 2)))))
+        st = self.stacks
+        eigs = np.linalg.eigvalsh(st.g)
+        counts = np.stack([np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1)], axis=-1)
+        sig_bad = np.sum(np.any(counts != self.spec.signature, axis=-1))
+        rl = st.riem_low
+        scale = np.maximum(1.0, np.max(np.abs(rl), axis=(1, 2, 3, 4)))
+        res_sym = max(_worst(rl + rl.swapaxes(1, 2), scale), _worst(rl + rl.swapaxes(3, 4), scale),
+                      _worst(rl - rl.transpose(0, 3, 4, 1, 2), scale),
+                      _worst(st.Ric - st.Ric.swapaxes(1, 2), scale))
+        bianchi = rl + np.einsum("...jkil->...ijkl", rl) + np.einsum("...kijl->...ijkl", rl)
+        wtr = np.einsum("...ik,...ijkl->...jl", st.ginv, st.W)
         self.add("tensor-signature", "declared signature matches eigenvalue counts",
                  float(sig_bad), 0.0)
         self.add("tensor-curvature-symmetries",
                  "Riemann pair symmetries and Ricci symmetry", res_sym, tol)
         self.add("tensor-first-bianchi", "cyclic identity of the lowered Riemann",
-                 res_bianchi, tol)
+                 _worst(bianchi, scale), tol)
         self.add("tensor-weyl-tracefree", "Weyl tensor is totally trace-free",
-                 res_wtrace, tol)
+                 _worst(wtr, scale), tol)
         self.add("tensor-cotton-antisymmetry",
-                 "Cotton-York antisymmetric in its first slots", res_cy, tol)
+                 "Cotton-York antisymmetric in its first slots",
+                 _worst(st.CY + st.CY.swapaxes(1, 2)), tol)
 
     # -- tractor checks -----------------------------------------------------------
 
     def tractor_checks(self):
         tol = self.cfg.tol_tensor * 10
         n = self.spec.n
-        res_metric = 0.0
-        res_norm = 0.0
-        for st in self.stacks:
-            H = tractor_metric(st.g)
-            for _ in range(2):
-                X = self.rng.standard_normal(n)
-                Om = connection_matrix(st, X)
-                XH = np.zeros((n + 2, n + 2))  # X(H): only the g block varies
-                XH[1:n + 1, 1:n + 1] = np.einsum("k,kij->ij", X, st.jet.dg)
-                scale = max(1.0, float(np.max(np.abs(Om))))
-                res_metric = max(res_metric, float(
-                    np.max(np.abs(Om.T @ H + H @ Om - XH))) / scale)
-            rep = normality_check(st)
-            res_norm = max(res_norm,
-                           rep["preserves_null_direction"]["residual"],
-                           rep["ricci_contraction_vanishes"]["residual"])
+        st = self.stacks
+        X = self.rng.standard_normal((len(self.points), 2, n))  # two per point
+        Om = connection_matrix(st, X)
+        H = tractor_metric(st.g)[:, None]
+        XH = np.zeros(Om.shape)  # X(H): only the g block varies
+        XH[..., 1:n + 1, 1:n + 1] = np.einsum("ack,akij->acij", X, st.jet.dg)
+        res = (Om.swapaxes(-2, -1) @ H + H @ Om - XH).reshape(-1, n + 2, n + 2)  # a row per X
+        rep = normality_check(st)
         self.add("tractor-metricity",
                  "connection matrices are anti-self-adjoint for the fiber metric",
-                 res_metric, tol)
+                 _worst(res, np.maximum(1.0, np.max(np.abs(Om), axis=(-2, -1)).ravel())), tol)
         self.add("tractor-normality",
                  "curvature preserves the null direction with trace-free tangent block",
-                 res_norm, 1e-8)
+                 max(rep["preserves_null_direction"]["residual"],
+                     rep["ricci_contraction_vanishes"]["residual"]), 1e-8)
 
     # -- ambient checks ---------------------------------------------------------------
 
     def ambient_checks(self):
-        geom = self.geom
+        geom, rng = self.geom, self.rng
         n = self.spec.n
         tol_t = self.cfg.tol_transport
 
-        res_pair = res_comm = 0.0
-        for x, st in zip(self.points[:5], self.stacks):
-            q = float(self.rng.uniform(0.6, 1.6))
-            cap = geom.default_s_bound(x, q)
-            s = float(self.rng.uniform(-1.0, 1.0)) * (min(0.4, 0.8 * cap) if np.isfinite(cap) else 0.4)
-            p = ambient_point(s, x, q)
-            f, m = geom.f_map(p, st)
-            res_comm = max(res_comm, float(np.max(np.abs(f @ st.Psharp - st.Psharp @ f))))
-            h = geom.metric(p, st)
-            for _ in range(2):
-                X = self.rng.standard_normal(n)
-                Y = self.rng.standard_normal(n)
-                lhs = float(geom.lift(p, X, st) @ h @ geom.lift(p, Y, st))
-                rhs = float(X @ st.g @ Y)
-                res_pair = max(res_pair, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        # the first five sample points, each lifted off the slice by its own q and s
+        k = min(5, len(self.points))
+        x, st = self.points[:k], take_rows(self.stacks, slice(0, k))
+        q, u, XY = np.empty(k), np.empty(k), np.empty((k, 2, 2, n))
+        for i in range(k):  # each point's q, s and two vector pairs, in turn
+            q[i], u[i], XY[i] = rng.uniform(0.6, 1.6), rng.uniform(-1.0, 1.0), \
+                rng.standard_normal((2, 2, n))
+        cap = geom.default_s_bound(x, q)
+        s = u * np.where(np.isfinite(cap), np.minimum(0.4, 0.8 * cap), 0.4)
+        p = ambient_point(s, x, q)
+        f, _ = geom.f_map(p, st)
+        lifts = geom.lift(p, XY.reshape(k, 4, n), st).reshape(k, 2, 2, n + 2)
+        lhs = _bilinear(lifts[:, :, 0], geom.metric(p, st)[:, None], lifts[:, :, 1])
+        rhs = _bilinear(XY[:, :, 0], st.g[:, None], XY[:, :, 1])
         self.add("ambient-lift-pairing", "lifted vectors pair to the base metric",
-                 res_pair, 1e-9)
+                 _worst(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))), 1e-9)
         self.add("ambient-f-commutes", "bundle map commutes with the Schouten endomorphism",
-                 res_comm, 1e-10)
+                 _worst(f @ st.Psharp - st.Psharp @ f), 1e-10)
 
         # torsion
         st = self.base_stack
         p_off = ambient_point(self.s_test, self.base, 1.0)
-        res_tor = res_tor0 = res_torf = 0.0
+        XY = rng.standard_normal((4, 2, n))
+        X, Y = XY[:, 0], XY[:, 1]
+        u, w = ambient_point(0.0, X, 0.0), ambient_point(0.0, Y, 0.0)  # directions (0, V, 0)
         F = geom.fundamental_field(p_off)
-        for _ in range(4):
-            X = self.rng.standard_normal(n)
-            Y = self.rng.standard_normal(n)
-            u = np.concatenate(([0.0], X, [0.0]))
-            w = np.concatenate(([0.0], Y, [0.0]))
-            res_tor = max(res_tor, float(np.max(np.abs(
-                geom.torsion(p_off, u, w, st) - geom.torsion_closed_form(p_off, X, Y, st)))))
-            res_tor0 = max(res_tor0, float(np.max(np.abs(
-                geom.torsion(self.abase, u, w, st)))))
-            res_torf = max(res_torf, float(np.max(np.abs(geom.torsion(p_off, F, u, st)))))
         self.add("ambient-torsion-cotton",
-                 "rule-path torsion equals s times the lifted Cotton-York", res_tor, tol_t)
-        self.add("ambient-torsion-on-slice", "torsion vanishes at s = 0", res_tor0, 1e-9)
+                 "rule-path torsion equals s times the lifted Cotton-York",
+                 float(np.max(np.abs(geom.torsion(p_off, u, w, st)
+                                     - geom.torsion_closed_form(p_off, X, Y, st)))), tol_t)
+        self.add("ambient-torsion-on-slice", "torsion vanishes at s = 0",
+                 float(np.max(np.abs(geom.torsion(self.abase, u, w, st)))), 1e-9)
         self.add("ambient-torsion-F-contraction", "fundamental field contracts torsion to zero",
-                 res_torf, 1e-9)
+                 float(np.max(np.abs(geom.torsion(p_off, F, u, st)))), 1e-9)
 
         hom = geom.homogeneity_checks(p_off, rng=np.random.default_rng(self.cfg.seed))
         res_hom = max(hom[0.5]["metric_scaling"], hom[2.0]["metric_scaling"],
@@ -312,22 +309,17 @@ class _Suite:
 
         # curvature block identity, Ricci, and F-row checks at the slice
         pairs = geom.curvature_all_pairs(self.abase)
-        res_block = 0.0
-        for _ in range(4):
-            X = self.rng.standard_normal(n)
-            Y = self.rng.standard_normal(n)
-            Z = self.rng.standard_normal(n)
-            R = np.einsum("a,b,abcd->cd", np.concatenate(([0.0], X, [0.0])),
-                          np.concatenate(([0.0], Y, [0.0])), pairs)
-            got = R @ np.concatenate(([0.0], Z, [0.0]))
-            want = np.concatenate((
-                [0.0],
-                weyl_endomorphism(st, X, Y) @ Z,
-                [-float(np.einsum("ijk,i,j,k->", st.CY, X, Y, Z))]))
-            res_block = max(res_block, float(np.max(np.abs(got - want))))
+        XYZ = rng.standard_normal((4, 3, n))
+        X, Y, Z = XYZ[:, 0], XYZ[:, 1], XYZ[:, 2]
+        R = np.einsum("ia,ib,abcd->icd", ambient_point(0.0, X, 0.0), ambient_point(0.0, Y, 0.0),
+                      pairs)
+        got = (R @ ambient_point(0.0, Z, 0.0)[..., None])[..., 0]
+        want = np.zeros(got.shape)
+        want[:, 1:-1] = (weyl_endomorphism(st, X, Y) @ Z[..., None])[..., 0]
+        want[:, -1] = -np.einsum("ijk,ci,cj,ck->c", st.CY, X, Y, Z)
         self.add("ambient-curvature-block",
                  "curvature acts as the Weyl block plus a Cotton-York Q-component",
-                 res_block, self.cfg.tol_transport)
+                 float(np.max(np.abs(got - want))), self.cfg.tol_transport)
 
         ric = geom.ricci(self.abase, pairs)
         self.add("ambient-ricci-on-slice", "ambient Ricci vanishes on the embedded slice",
@@ -339,19 +331,17 @@ class _Suite:
                  res_rf, self.cfg.tol_transport)
 
         h0 = geom.metric(self.abase)
-        res_pairing = 0.0
-        for _ in range(4):
-            Zv = self.rng.standard_normal(n + 2)
-            Xv = np.concatenate(([0.0], self.rng.standard_normal(n), [0.0]))
-            Yv = np.concatenate(([0.0], self.rng.standard_normal(n), [0.0]))
-            RFZ = np.einsum("a,b,abcd->cd", F0, Zv, pairs)
-            RXY = np.einsum("a,b,abcd->cd", Xv, Yv, pairs)
-            lhs = float((RFZ @ Xv) @ h0 @ Yv)
-            rhs = float((RXY @ F0) @ h0 @ Zv)
-            res_pairing = max(res_pairing, abs(lhs - rhs))
+        draws = rng.standard_normal((4, 3 * n + 2))  # each round's Z, X and Y in turn
+        Zv = draws[:, :n + 2]
+        Xv, Yv = (ambient_point(0.0, V, 0.0) for V in (draws[:, n + 2:2 * n + 2],
+                                                        draws[:, 2 * n + 2:]))
+        RFZ = np.einsum("a,ib,abcd->icd", F0, Zv, pairs)
+        RXY = np.einsum("ia,ib,abcd->icd", Xv, Yv, pairs)
+        lhs = _bilinear((RFZ @ Xv[..., None])[..., 0], h0, Yv)
+        rhs = _bilinear(RXY @ F0, h0, Zv)
         self.add("ambient-curvature-F-pairing",
                  "pairing symmetry between F-curvature and slice curvature",
-                 res_pairing, self.cfg.tol_transport)
+                 float(np.max(np.abs(lhs - rhs))), self.cfg.tol_transport)
 
     # -- holonomy checks ------------------------------------------------------------------
 
@@ -398,7 +388,7 @@ class _Suite:
         if float(np.max(np.abs(st.Psharp - lam * np.eye(self.spec.n)))) <= 1e-9:
             v = np.zeros(self.spec.n + 2)
             v[0], v[-1] = 1.0, -lam
-            res_fix = max((float(np.max(np.abs(B @ v))) for B in alg_t.basis), default=0.0)
+            res_fix = _worst(np.reshape(alg_t.basis, (-1,) + v.shape * 2) @ v)
             self.add("holonomy-parallel-tractor",
                      "holonomy annihilates the Einstein-scale tractor", res_fix, 1e-6)
 
@@ -406,14 +396,13 @@ class _Suite:
         # (0, base, 1), and, starting and ending there, equals the tractor
         # transport of its chart loop
         h0 = self.geom.metric(self.abase)
+        Ga, Gt = np.stack(alg_a.loop_transports), np.stack(alg_t.loop_transports)
         self.add("ambient-metric-compatibility",
                  "transport around loops that leave the slice preserves the ambient metric",
-                 max(float(np.max(np.abs(G.T @ h0 @ G - h0))) for G in alg_a.loop_transports),
-                 self.cfg.tol_transport)
+                 _worst(Ga.swapaxes(1, 2) @ h0 @ Ga - h0), self.cfg.tol_transport)
         self.add("transport-scale-lift",
                  "a loop lifted off the slice transports as its chart loop does",
-                 max(float(np.max(np.abs(Ga - Gt)))
-                     for Ga, Gt in zip(alg_a.loop_transports, alg_t.loop_transports)), 1e-6)
+                 _worst(Ga - Gt), 1e-6)
 
         # plumbing invariants: reversal and fiber-metric preservation, on the
         # last loop's transport from the tractor holonomy estimate

@@ -96,7 +96,7 @@ class Segment:
     compiled table.  `nodes` evaluates many u at once into (k, dim) arrays
     of points and tangents, slices of the table's rows with the scale
     applied as one array product, and `point` and `tangent` read one row of
-    `nodes`.
+    `nodes`, or at u = 0 and 1 the end rows of one `nodes` call made once.
     """
 
     coords: tuple  # tuple of Expr in Var(0) and the parameters
@@ -106,6 +106,8 @@ class Segment:
     _table: object = field(default=None, init=False, repr=False, compare=False)
     # the template cache's key of the expressions; None if never cached
     _key: object = field(default=None, init=False, repr=False, compare=False)
+    # (points, tangents) at u = (0, 1), None until read and in every copy
+    _ends: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tangents is None:
@@ -129,25 +131,36 @@ class Segment:
         rows = self._table.rows([(self._param(u),) for u in us])
         return rows[:, :self.dim], (self.span[1] - self.span[0]) * rows[:, self.dim:]
 
+    def _node(self, u: float) -> tuple:
+        """The point and tangent at u, each a fresh array."""
+        if u != 0.0 and u != 1.0:
+            return tuple(rows[0] for rows in self.nodes((u,)))
+        if self._ends is None:
+            object.__setattr__(self, "_ends", self.nodes((0.0, 1.0)))
+        return tuple(rows[int(u)].copy() for rows in self._ends)
+
     def point(self, u: float) -> np.ndarray:
-        return self.nodes((u,))[0][0]
+        return self._node(u)[0]
 
     def tangent(self, u: float) -> np.ndarray:
-        return self.nodes((u,))[1][0]
+        return self._node(u)[1]
+
+    def _copy(self, **changes) -> "Segment":
+        """A copy with `changes` set, and without the end rows of this one."""
+        seg = copy.copy(self)
+        for name, value in dict(changes, _ends=None).items():
+            object.__setattr__(seg, name, value)
+        return seg
 
     def bind(self, values) -> "Segment":
         """This segment with its parameters set to `values`; nothing is compiled."""
-        seg = copy.copy(self)
-        object.__setattr__(seg, "params", tuple(map(float, values)))
-        object.__setattr__(seg, "_table", self._table.bind(seg.params))
-        return seg
+        params = tuple(map(float, values))
+        return self._copy(params=params, _table=self._table.bind(params))
 
     def sub(self, u0: float, u1: float) -> "Segment":
         """The piece of this segment over its parameter range [u0, u1];
         nothing is compiled."""
-        piece = copy.copy(self)
-        object.__setattr__(piece, "span", (self._param(u0), self._param(u1)))
-        return piece
+        return self._copy(span=(self._param(u0), self._param(u1)))
 
     def reversed(self) -> "Segment":
         """This segment run backwards, t -> 1 - t, with the same parameters."""
@@ -157,10 +170,8 @@ class Segment:
                            params=self.params)
 
         key = None if self._key is None else ("reversed", self._key)
-        seg = _template(key, build).bind(self.params)
         t0, t1 = self.span
-        object.__setattr__(seg, "span", (1.0 - t1, 1.0 - t0))
-        return seg
+        return _template(key, build).bind(self.params)._copy(span=(1.0 - t1, 1.0 - t0))
 
 
 def _template(key, build) -> Segment:
@@ -636,15 +647,14 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
     seg_index = [0] * len(lanes)
     t, H, first = [0.0] * len(lanes), [_FIRST_SIZE] * len(lanes), []
     if lanes:  # every lane's first node, in one batch
-        starts = [segs[0].nodes((0.0,)) for segs in lanes]
-        first = list(_omega_rows(oracle, np.concatenate([p for p, _ in starts]),
-                                 np.concatenate([u for _, u in starts])))
+        starts = [segs[0]._node(0.0) for segs in lanes]
+        first = list(_omega_rows(oracle, np.stack([p for p, _ in starts]),
+                                 np.stack([u for _, u in starts])))
 
     def begin(lane):  # start the lane's next segment, mid-run
         seg = lanes[lane][seg_index[lane]]
         t[lane], H[lane] = 0.0, _FIRST_SIZE
-        point, tangent = seg.nodes((0.0,))
-        first[lane] = oracle.omega(point[0], tangent[0])
+        first[lane] = oracle.omega(*seg._node(0.0))
 
     active = list(range(len(lanes)))
     while active:

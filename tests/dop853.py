@@ -9,7 +9,9 @@ SciPy's scipy/integrate/_ivp/dop853_coefficients.py (BSD-3-Clause license;
 Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), and E3 is
 formed the same way as there, as B minus three corrections.  Each row of A and
 each weight vector is a (1, s) matrix, for the stage sums over the (s,
-fiber*cols) stack of stage derivatives.
+fiber*cols) stack of stage derivatives.  `transport` integrates a list of
+paths in lockstep; `transport_alone` integrates one path by itself, and each
+lockstep transport equals it bit for bit.
 """
 
 import numpy as np
@@ -73,8 +75,8 @@ E5 = np.array([[
 
 
 def _segment(oracle, seg, v, tol):
-    """DOP853 on one segment; each step's twelve connection matrices come
-    from one `omega_nodes` call, since Omega depends only on t."""
+    """DOP853 on one segment, alone; each step's twelve connection matrices
+    come from one `omega_nodes` call, since Omega depends only on t."""
     t, h, min_h = 0.0, 0.1, 1e-10
     scale_ref = max(1.0, float(np.max(np.abs(v))))
     stages = len(C)
@@ -102,9 +104,77 @@ def _segment(oracle, seg, v, tol):
     return v
 
 
-def transport(oracle, path, v0, tol):
-    """The transport of v0 along `path`, segment by segment."""
+def transport_alone(oracle, path, v0, tol):
+    """The transport of v0 along one path, segment by segment, without
+    lockstep: the reference that `transport` equals bit for bit."""
     v = np.asarray(v0, dtype=float).copy()
     for seg in path.segments:
         v = _segment(oracle, seg, v, tol)
     return v
+
+
+def _steps(oracle, segments, V, ts, hs):
+    """One DOP853 step of each lane: segments[i] from ts[i] by hs[i] on V[i],
+    with one `omega_nodes` call on every lane's twelve nodes.  Returns the
+    8th-order values and each lane's unscaled 5th- and 3rd-order error norms."""
+    lanes, stages = len(segments), len(C)
+    nodes = [seg.nodes([t + c * h for c in C]) for seg, t, h in zip(segments, ts, hs)]
+    omegas = oracle.omega_nodes(np.concatenate([p for p, _ in nodes]),
+                                np.concatenate([u for _, u in nodes]))
+    omegas = omegas.reshape((lanes, stages) + omegas.shape[1:])
+    h = np.array(hs)[:, None, None]
+    ks = np.empty((lanes, stages) + V.shape[1:])
+    flat = ks.reshape(lanes, stages, -1)
+    for stage in range(stages):
+        y = V + h * (A[stage - 1] @ flat[:, :stage]).reshape(V.shape) if stage else V
+        ks[:, stage] = -(omegas[:, stage] @ y)
+    V8 = V + h * (B @ flat).reshape(V.shape)
+    return V8, np.max(np.abs(E5 @ flat), axis=(1, 2)), np.max(np.abs(E3 @ flat), axis=(1, 2))
+
+
+def transport(oracle, paths, v0, tol):
+    """The transports of v0 along `paths` in lockstep, segment by segment.
+
+    `paths` is one path with v0 a (fiber, cols) matrix, or a list of L paths
+    with v0 an (L, fiber, cols) stack, a matrix per path.  Each path keeps
+    its own t, step size h and accept decision on each segment; each round
+    makes one `omega_nodes` call on the twelve stage nodes of every path
+    still running, and the stage sums run over the paths in batched
+    products, so each transport equals the path's alone bit for bit.
+    """
+    single = isinstance(paths, tp.PathSpec)
+    paths = [paths] if single else list(paths)
+    V = np.array(v0[None] if single else v0, dtype=float)
+    min_h = 1e-10
+    seg = [0] * len(paths)
+    t, h = [0.0] * len(paths), [0.1] * len(paths)
+    scale_ref = [max(1.0, float(np.max(np.abs(v)))) for v in V]
+    active = list(range(len(paths)))
+    while active:
+        for lane in active:
+            h[lane] = min(h[lane], 1.0 - t[lane])
+        V8, e5s, e3s = _steps(oracle, [paths[lane].segments[seg[lane]] for lane in active],
+                              V[active], [t[lane] for lane in active],
+                              [h[lane] for lane in active])
+        running = []
+        for row, lane in enumerate(active):
+            e5, e3 = float(e5s[row]) / scale_ref[lane], float(e3s[row]) / scale_ref[lane]
+            denom = e5 * e5 + 0.01 * e3 * e3
+            err = h[lane] * e5 * e5 / denom ** 0.5 if denom > 0 else 0.0
+            if err <= tol or h[lane] <= min_h:
+                if h[lane] <= min_h and err > tol:
+                    raise tp.TransportError(f"step underflow at t={t[lane]:.6f}")
+                t[lane] += h[lane]
+                V[lane] = V8[row]
+                scale_ref[lane] = max(scale_ref[lane], float(np.max(np.abs(V[lane]))))
+            factor = 0.9 * (tol / err) ** 0.125 if err > 0 else 5.0
+            h[lane] = max(min_h, h[lane] * min(5.0, max(0.2, factor)))
+            if t[lane] >= 1.0:  # the next segment starts afresh from the value reached
+                seg[lane] += 1
+                if seg[lane] == len(paths[lane].segments):
+                    continue
+                t[lane], h[lane] = 0.0, 0.1
+                scale_ref[lane] = max(1.0, float(np.max(np.abs(V[lane]))))
+            running.append(lane)
+        active = running
+    return V[0] if single else V

@@ -27,6 +27,15 @@ def test_tensors_json(capsys):
     assert data["signature"] == [3, 0]
 
 
+def test_tensors_over_no_sample_points(capsys):
+    """--samples 0 sends an empty batch through the sample stacks: the
+    norms over no samples are 0, where taking the max of none raised."""
+    code, out, _ = run(capsys, ["tensors", "--samples", "0"] + BUMPY)
+    assert code == 0
+    assert json.loads(out)["over_samples"] == {"count": 0, "max_weyl_norm": 0.0,
+                                               "max_cotton_york_norm": 0.0}
+
+
 def test_tensors_text_format(capsys):
     code, out, _ = run(capsys, ["tensors", "--preset", "flat", "--format", "text"])
     assert code == 0

@@ -517,6 +517,31 @@ def test_sub_segment_shares_compiled_code():
         assert piece.reversed().point(u) == pytest.approx(piece.point(1.0 - u), abs=1e-15)
 
 
+def test_segment_ends_come_from_one_nodes_call_and_stay_with_their_segment(monkeypatch):
+    """A segment's point and tangent at u = 0 and 1 are the rows of one
+    `nodes((0, 1))` call, made on the first such read: building a path and
+    reading its base, end and loop check evaluate each segment's table once.
+    The copies `sub`, `bind` and `reversed` make read their own ends, and a
+    returned end is a fresh array."""
+    calls, real = [], tp.Segment.nodes
+    monkeypatch.setattr(tp.Segment, "nodes",
+                        lambda self, us: calls.append(tuple(us)) or real(self, us))
+    corners = [BASE, BASE + [0.2, 0, 0], BASE + [0.2, 0.2, 0], BASE + [0, 0.2, 0], BASE]
+    path = tp.path_from_waypoints(corners)
+    assert path.is_loop() and np.array_equal(path.base, BASE) and np.array_equal(path.end, BASE)
+    assert calls == [(0.0, 1.0)] * 4
+    seg = path.segments[1]
+    for copy in (seg.sub(0.25, 0.5), seg.bind([v + 0.1 for v in seg.params]), seg.reversed()):
+        points, tangents = real(copy, (0.0, 1.0))
+        for u in (0.0, 1.0):
+            assert np.array_equal(copy.point(u), points[int(u)])
+            assert np.array_equal(copy.tangent(u), tangents[int(u)])
+    assert np.array_equal(seg.sub(0.25, 0.5).point(1.0), seg.point(0.5))
+    end = seg.point(1.0)
+    end += 1.0
+    assert np.array_equal(seg.point(1.0), real(seg, (1.0,))[0][0])
+
+
 def test_lift_loop_profiles_follow_each_piece_parameter():
     seg = tp.trig_loop(BASE, 0.2, np.random.default_rng(4)).segments[0]
     t = ex.var(0)
@@ -619,13 +644,38 @@ def test_transport_error_on_the_verify_loops(name):
            for lp in suite.loops]
     for oracle, base, paths, loops in ((suite.tractor, suite.base, suite.loops, suite.loops),
                                        (suite.ambient, suite.abase, lifted + off, off)):
-        eye = np.eye(oracle.fiber_dim)
-        want = {id(path): dop853.transport(oracle, path, eye, 1e-13) for path in paths}
-        got = tp.parallel_transport(oracle, paths, np.broadcast_to(eye, (len(paths),) + eye.shape),
-                                    1e-9)
+        eyes = np.broadcast_to(np.eye(oracle.fiber_dim), (len(paths), oracle.fiber_dim,
+                                                          oracle.fiber_dim))
+        want = {id(path): G for path, G in zip(paths, dop853.transport(oracle, paths, eyes,
+                                                                       1e-13))}
+        got = tp.parallel_transport(oracle, paths, eyes, 1e-9)
         products = hol.holonomy_algebra(oracle, base, loops, 1e-9).loop_transports
         for path, G in [*zip(paths, got), *zip(loops, products)]:
             assert np.max(np.abs(G - want[id(path)])) <= 1e-9, oracle.name
+
+
+def test_dop853_lockstep_equals_each_path_alone():
+    """The DOP853 reference transports verify's loops in lockstep, one
+    omega_nodes call a round; each transport is bit for bit that of its path
+    integrated alone: the bumpy tractor loops, and slice and off-slice lifts
+    of three of them, whose lanes mix order-2 and order-3 ambient nodes."""
+    suite = report._Suite(report.RunConfig(preset="bumpy"))
+    lifted = [tp.lift_loop(lp) for lp in suite.loops[:3]]
+    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
+           for lp in suite.loops[:3]]
+    for oracle, paths in ((suite.tractor, suite.loops), (suite.ambient, lifted + off)):
+        eye = np.eye(oracle.fiber_dim)
+        together = _CountingOracle(oracle)
+        got = dop853.transport(together, paths, np.broadcast_to(eye, (len(paths),) + eye.shape),
+                               1e-13)
+        attempts = []
+        for path, G in zip(paths, got):
+            alone = _CountingOracle(oracle)
+            assert np.array_equal(G, dop853.transport_alone(alone, path, eye, 1e-13))
+            attempts.append(len(alone.batches))
+        # round r holds the twelve nodes of each path with more than r attempts
+        assert together.batches == [12 * sum(a > r for a in attempts)
+                                    for r in range(max(attempts))]
 
 
 class _FixedOracle:
