@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (CurvatureStack, _christoffel_matrices, connection_at,
-                        connection_curvature, stack_at, take_rows)
+from .curvature import (CurvatureStack, _christoffel_matrices, _repeat_rows, connection_at,
+                        connection_curvature, stack_at)
 from .metric import ChartDomainError, MetricError, MetricSpec
 
 __all__ = [
@@ -366,11 +366,14 @@ class AmbientGeometry:
             bound = np.where(top < 1e-12, np.inf, 0.5 * np.asarray(q, dtype=float) / top)
         return float(bound) if bound.ndim == 0 else bound
 
-    def homogeneity_checks(self, p, rng=None) -> dict:
+    def homogeneity_checks(self, p, rng=None, stack: CurvatureStack | None = None) -> dict:
         """Degree bookkeeping under phi_t(s, x, q) = (ts, x, tq), at p and its
-        dilations by `_SCALES`, the three points in one batch."""
+        dilations by `_SCALES`, the three points in one batch.  `stack` is
+        the one-point stack at p's chart point, built here if not given."""
         p = np.asarray(p, dtype=float)
-        stack = take_rows(self.stack(p[None, 1:-1]), [0] * (1 + len(_SCALES)))  # a row per point
+        if stack is None:
+            stack = self.stack(p[1:-1])
+        stack = _repeat_rows(stack, 1 + len(_SCALES))  # a row per point
         if rng is None:
             rng = np.random.default_rng(0)
         vecs = rng.standard_normal((4, self.dim))
@@ -399,10 +402,12 @@ class AmbientGeometry:
         results["lift_homogeneity"] = float(np.max(np.abs(lifts[1:] - lifts[0] / t)))
         return results
 
-    def nabF_check(self, p, rng=None) -> float:
-        """max residual of nabla_u F = u over random directions u."""
+    def nabF_check(self, p, rng=None, stack: CurvatureStack | None = None) -> float:
+        """max residual of nabla_u F = u over random directions u; `stack` as
+        in `homogeneity_checks`."""
         p = np.asarray(p, dtype=float)
-        stack = self.stack(p[1:-1])
+        if stack is None:
+            stack = self.stack(p[1:-1])
         if rng is None:
             rng = np.random.default_rng(0)
         u = rng.standard_normal((6, self.dim))

@@ -67,9 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-transport", type=float, default=1e-7)
     common.add_argument("--tol-rank", type=float, default=1e-6)
     common.add_argument("--samples", type=int, default=10)
-    common.add_argument("--loops", type=int, default=12,
+    common.add_argument("--loops", type=int, default=None,
                         help="total loop-family size per suite, at least the "
-                             "n(n-1)/2 coordinate rectangles")
+                             "n(n-1)/2 coordinate rectangles (default: "
+                             "max(12, n(n-1)/2))")
     common.add_argument("--radius", type=float, default=0.25)
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--out", help="write the report to this path")
@@ -191,7 +192,7 @@ def cmd_ambient(cfg: RunConfig, s: float, q: float) -> int:
     X, Y = XY[:, 0], XY[:, 1]
     u, w = ambient_point(0.0, X, 0.0), ambient_point(0.0, Y, 0.0)  # directions (0, V, 0)
     res_tor = _maxabs(geom.torsion(p, u, w, st) - geom.torsion_closed_form(p, X, Y, st))
-    hom = geom.homogeneity_checks(p, rng=np.random.default_rng(cfg.seed))
+    hom = geom.homogeneity_checks(p, np.random.default_rng(cfg.seed), st)
     payload = {
         "point": {"s": s, "base": [float(v) for v in base], "q": q},
         "f_eigenvalues": sorted(float(v) for v in np.linalg.eigvals(f).real),
@@ -206,7 +207,7 @@ def cmd_ambient(cfg: RunConfig, s: float, q: float) -> int:
             "lift_homogeneity": hom["lift_homogeneity"],
             "dphi": hom["dphi"],
         },
-        "nabF_identity": geom.nabF_check(p, rng=np.random.default_rng(cfg.seed)),
+        "nabF_identity": geom.nabF_check(p, np.random.default_rng(cfg.seed), st),
     }
     ok = (res_tor <= cfg.tol_transport
           and payload["homogeneity"]["metric_scaling"] <= cfg.tol_transport

@@ -391,6 +391,16 @@ def take_rows(data, rows):
                             if isinstance(v, (np.ndarray, MetricJet))})
 
 
+def _repeat_rows(data, count: int):
+    """A one-point jet, stack or connection point as a batch of `count`
+    copies, each row the one-point data (its Scal a float) bit for bit."""
+    values = {f.name: getattr(data, f.name) for f in fields(data)}
+    return replace(data, **{name: _repeat_rows(v, count) if isinstance(v, MetricJet)
+                            else np.repeat(np.asarray(v)[None], count, axis=0)
+                            for name, v in values.items()
+                            if isinstance(v, (np.ndarray, float, MetricJet))})
+
+
 @dataclass
 class ConnectionPoint:
     """Light subset of the stack needed to evaluate connection matrices.

@@ -3,9 +3,13 @@
 Supports real literals, coordinate variables x1..xn, the arithmetic
 operators + - * / ^ (integer exponents only), unary minus, and the
 functions sin, cos, exp, log, sqrt.  Expressions are immutable trees,
-closed under exact symbolic differentiation (`Expr.diff`).  The
-simplifier is deliberately minimal: constant folding and 0/1 identities
-only.
+closed under exact symbolic differentiation (`derivative`, and
+`Expr.diff` for a one-off call).  A build that differentiates many
+expressions sharing subtrees, such as a jet table or a path's tangents,
+passes one memo dict to all its `derivative` calls, so each distinct
+node is differentiated once per index and the partials share their
+subtrees as the expressions do.  The simplifier is deliberately minimal:
+constant folding and 0/1 identities only.
 
 Hot paths (metric jets, path segments) evaluate through `compile_exprs`,
 which turns a list of expressions into a `Table`: one straight-line Python
@@ -45,6 +49,7 @@ __all__ = [
     "ParseError",
     "EvaluationDomainError",
     "parse_expr",
+    "derivative",
     "substitute",
     "evaluate",
     "const",
@@ -71,7 +76,8 @@ class Expr:
     """Base class; concrete nodes subclass this."""
 
     def diff(self, index: int) -> "Expr":
-        raise NotImplementedError
+        """The exact partial by x{index+1}, by plain recursion; see `derivative`."""
+        return derivative(self, index)
 
     def __call__(self, x) -> float:
         return evaluate(self, x)
@@ -117,9 +123,6 @@ def _coerce(value) -> Expr:
 class Const(Expr):
     value: float
 
-    def diff(self, index):
-        return Const(0.0)
-
     def __str__(self):
         return repr(self.value)
 
@@ -130,9 +133,6 @@ class Var(Expr):
 
     index: int
 
-    def diff(self, index):
-        return Const(1.0 if index == self.index else 0.0)
-
     def __str__(self):
         return f"x{self.index + 1}"
 
@@ -141,9 +141,6 @@ class Var(Expr):
 class Add(Expr):
     a: Expr
     b: Expr
-
-    def diff(self, index):
-        return add(self.a.diff(index), self.b.diff(index))
 
     def __str__(self):
         return f"({self.a} + {self.b})"
@@ -154,9 +151,6 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
-    def diff(self, index):
-        return sub(self.a.diff(index), self.b.diff(index))
-
     def __str__(self):
         return f"({self.a} - {self.b})"
 
@@ -165,9 +159,6 @@ class Sub(Expr):
 class Mul(Expr):
     a: Expr
     b: Expr
-
-    def diff(self, index):
-        return add(mul(self.a.diff(index), self.b), mul(self.a, self.b.diff(index)))
 
     def __str__(self):
         return f"({self.a} * {self.b})"
@@ -178,10 +169,6 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def diff(self, index):
-        num = sub(mul(self.a.diff(index), self.b), mul(self.a, self.b.diff(index)))
-        return div(num, mul(self.b, self.b))
-
     def __str__(self):
         return f"({self.a} / {self.b})"
 
@@ -191,14 +178,6 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
-    def diff(self, index):
-        if self.exponent == 0:
-            return Const(0.0)
-        return mul(
-            mul(Const(float(self.exponent)), pow_(self.base, self.exponent - 1)),
-            self.base.diff(index),
-        )
-
     def __str__(self):
         return f"({self.base} ^ {self.exponent})"
 
@@ -206,9 +185,6 @@ class Pow(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     a: Expr
-
-    def diff(self, index):
-        return neg(self.a.diff(index))
 
     def __str__(self):
         return f"(-{self.a})"
@@ -218,22 +194,6 @@ class Neg(Expr):
 class Call(Expr):
     name: str
     arg: Expr
-
-    def diff(self, index):
-        inner = self.arg.diff(index)
-        if self.name == "sin":
-            outer = Call("cos", self.arg)
-        elif self.name == "cos":
-            outer = neg(Call("sin", self.arg))
-        elif self.name == "exp":
-            outer = self
-        elif self.name == "log":
-            outer = div(Const(1.0), self.arg)
-        elif self.name == "sqrt":
-            outer = div(Const(0.5), self)
-        else:  # pragma: no cover - constructor restricts names
-            raise ValueError(f"unknown function {self.name!r}")
-        return mul(outer, inner)
 
     def __str__(self):
         return f"{self.name}({self.arg})"
@@ -359,6 +319,63 @@ def evaluate(e: Expr, x) -> float:
             raise EvaluationDomainError(f"sqrt of negative value in {e}")
         return getattr(math, e.name)(arg)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def derivative(e: Expr, index: int, memo: dict | None = None) -> Expr:
+    """The exact partial of `e` by x{index+1} (0-based `index`).
+
+    Without `memo` this is plain recursion, which differentiates a subtree
+    shared within `e` once per path to it.  A `memo` dict, passed to every
+    call of one build, maps (id(node), index) to (node, partial): each
+    distinct node is differentiated once per index, and keeping the node
+    means its id cannot be reused while the memo lives.  The smart
+    constructors see the same operands either way, so the result is the
+    same tree, only with its repeated subtrees shared.
+    """
+    if isinstance(e, Const):
+        return Const(0.0)
+    if isinstance(e, Var):
+        return Const(1.0 if index == e.index else 0.0)
+    if memo is not None:
+        got = memo.get((id(e), index))
+        if got is not None:
+            return got[1]
+    if isinstance(e, Add):
+        out = add(derivative(e.a, index, memo), derivative(e.b, index, memo))
+    elif isinstance(e, Sub):
+        out = sub(derivative(e.a, index, memo), derivative(e.b, index, memo))
+    elif isinstance(e, Mul):
+        da, db = derivative(e.a, index, memo), derivative(e.b, index, memo)
+        out = add(mul(da, e.b), mul(e.a, db))
+    elif isinstance(e, Div):
+        da, db = derivative(e.a, index, memo), derivative(e.b, index, memo)
+        out = div(sub(mul(da, e.b), mul(e.a, db)), mul(e.b, e.b))
+    elif isinstance(e, Pow):
+        out = Const(0.0) if e.exponent == 0 else mul(
+            mul(Const(float(e.exponent)), pow_(e.base, e.exponent - 1)),
+            derivative(e.base, index, memo))
+    elif isinstance(e, Neg):
+        out = neg(derivative(e.a, index, memo))
+    elif isinstance(e, Call):
+        inner = derivative(e.arg, index, memo)
+        if e.name == "sin":
+            outer = Call("cos", e.arg)
+        elif e.name == "cos":
+            outer = neg(Call("sin", e.arg))
+        elif e.name == "exp":
+            outer = e
+        elif e.name == "log":
+            outer = div(Const(1.0), e.arg)
+        elif e.name == "sqrt":
+            outer = div(Const(0.5), e)
+        else:  # pragma: no cover - constructor restricts names
+            raise ValueError(f"unknown function {e.name!r}")
+        out = mul(outer, inner)
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    if memo is not None:
+        memo[id(e), index] = (e, out)
+    return out
 
 
 def substitute(e: Expr, index: int, replacement: Expr) -> Expr:

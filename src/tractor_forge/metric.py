@@ -22,6 +22,7 @@ from .expr import (
     call,
     compile_exprs,
     const,
+    derivative,
     parse_expr,
     var,
 )
@@ -136,7 +137,11 @@ class _JetEvaluator:
     holds the same `Expr` object, built once by differentiating the
     partial of the sorted multi-index without its first index, so
     mixed-partial symmetry holds exactly and `compile_exprs` computes each
-    distinct partial once.  `jet` is the table's `rows` split at `bounds`.
+    distinct partial once.  All of the table's `derivative` calls share one
+    memo, so a subtree shared between entries and partials (the sphere's
+    conformal factor sits on every diagonal) is differentiated once per
+    index, not once per path to it; the memo is dropped with the build.
+    `jet` is the table's `rows` split at `bounds`.
     """
 
     def __init__(self, spec: MetricSpec, max_order: int = 3):
@@ -145,13 +150,14 @@ class _JetEvaluator:
         self.bounds = np.cumsum([0] + [n ** (order + 2) for order in range(max_order + 1)])
 
         partials, exprs = {}, []  # (i, j, sorted multi-index) -> Expr, with i <= j
+        memo = {}
         for shape in self.shapes:
             for index in np.ndindex(shape):
                 i, j, multi = min(index[-2:]), max(index[-2:]), tuple(sorted(index[:-2]))
                 key = (i, j, multi)
                 if key not in partials:  # the lower orders are in already
-                    partials[key] = (partials[i, j, multi[1:]].diff(multi[0]) if multi
-                                     else spec.entries[i][j])
+                    partials[key] = (derivative(partials[i, j, multi[1:]], multi[0], memo)
+                                     if multi else spec.entries[i][j])
                 exprs.append(partials[key])
         self.table = compile_exprs(exprs)
 

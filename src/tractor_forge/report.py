@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class RunConfig:
     tol_transport: float = 1e-7
     tol_rank: float = 1e-6
     samples: int = 10
-    loops: int = 12
+    loops: int | None = None  # None: max(12, n(n-1)/2), see `loop_count`
     radius: float = 0.25
     seed: int = 42
     out: str | None = None
@@ -57,7 +57,7 @@ class RunConfig:
                 raise MetricError(f"{name} must be finite and > 0, not {value}")
         for name in ("samples", "loops", "seed"):
             value = getattr(self, name)
-            if value < 0:
+            if value is not None and value < 0:
                 raise MetricError(f"{name} must be >= 0, not {value}")
 
     def metric_spec(self) -> MetricSpec:
@@ -79,21 +79,26 @@ class RunConfig:
             raise MetricError(f"point has {len(pt)} coordinates, metric needs {spec.n}")
         return pt
 
+    def loop_count(self, n: int) -> int:
+        """`loops`, or by default max(12, n(n-1)/2): 12 up to n = 5, and
+        from n = 6 just the coordinate rectangles."""
+        return max(12, n * (n - 1) // 2) if self.loops is None else self.loops
+
     def loop_family(self, spec: MetricSpec, base) -> list:
         """The n(n-1)/2 coordinate rectangles at `base` plus trig loops up
-        to `loops`, drawn from seed + 1; fewer than n(n-1)/2 loops raise
-        MetricError.  The radius is capped at 0.9 times the distance from
-        `base` to the edge of the chart box."""
-        n = spec.n
+        to `loop_count(n)`, drawn from seed + 1; fewer than n(n-1)/2 loops
+        raise MetricError.  The radius is capped at 0.9 times the distance
+        from `base` to the edge of the chart box."""
+        n, count = spec.n, self.loop_count(spec.n)
         rectangles = n * (n - 1) // 2
-        if self.loops < rectangles:
+        if count < rectangles:
             raise MetricError(f"loops must be >= {rectangles}, the number of coordinate "
-                              f"rectangles at n = {n}, not {self.loops}")
+                              f"rectangles at n = {n}, not {count}")
         radius = self.radius
         if spec.chart_domain is not None:
             margin = min(min(b - lo, hi - b) for b, (lo, hi) in zip(base, spec.chart_domain))
             radius = min(radius, 0.9 * margin)
-        return tp.loop_family(base, self.loops - rectangles, radius,
+        return tp.loop_family(base, count - rectangles, radius,
                               np.random.default_rng(self.seed + 1))
 
     def to_dict(self) -> dict:
@@ -160,8 +165,9 @@ class _Suite:
     order docs/conventions.md ("Run inputs") lists."""
 
     def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
         self.spec = cfg.metric_spec()
+        # the report's config gives the loop count the run used
+        self.cfg = cfg = replace(cfg, loops=cfg.loop_count(self.spec.n))
         self.rng = np.random.default_rng(cfg.seed)
         self.checks = []
         self.base = cfg.base_point(self.spec, self.rng)
@@ -296,7 +302,7 @@ class _Suite:
         self.add("ambient-torsion-F-contraction", "fundamental field contracts torsion to zero",
                  float(np.max(np.abs(geom.torsion(p_off, F, u, st)))), 1e-9)
 
-        hom = geom.homogeneity_checks(p_off, rng=np.random.default_rng(self.cfg.seed))
+        hom = geom.homogeneity_checks(p_off, np.random.default_rng(self.cfg.seed), st)
         res_hom = max(hom[0.5]["metric_scaling"], hom[2.0]["metric_scaling"],
                       hom[0.5]["torsion_scaling"], hom[2.0]["torsion_scaling"],
                       hom["lift_homogeneity"])
@@ -305,7 +311,7 @@ class _Suite:
         self.add("ambient-dphi-closed", "dual form of the fundamental field is closed",
                  hom["dphi"], tol_t)
         self.add("ambient-nabF", "covariant derivative of the fundamental field is the identity",
-                 geom.nabF_check(p_off, rng=np.random.default_rng(self.cfg.seed)), 1e-9)
+                 geom.nabF_check(p_off, np.random.default_rng(self.cfg.seed), st), 1e-9)
 
         # curvature block identity, Ricci, and F-row checks at the slice
         pairs = geom.curvature_all_pairs(self.abase)
@@ -422,7 +428,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     suite.timed(suite.tractor_checks)
     suite.timed(suite.ambient_checks)
     suite.timed(suite.holonomy_checks)
-    return VerifyReport(config=cfg.to_dict(), checks=suite.checks)
+    return VerifyReport(config=suite.cfg.to_dict(), checks=suite.checks)
 
 
 _CHECK_COLUMNS = ("name", "anchor", "residual", "tol", "pass", "seconds")

@@ -87,7 +87,9 @@ class Segment:
     """One smooth piece: coordinate Exprs in t with exact tangents.
 
     The expressions are in t = Var(0) and in the parameters Var(1..k),
-    whose values are `params`.  Coordinates, then tangents, are compiled
+    whose values are `params`.  Tangents not given are differentiated
+    through one `expr.derivative` memo, so the coordinates' shared subtrees
+    are differentiated once.  Coordinates, then tangents, are compiled
     together, once, on construction, into one `expr.compile_exprs` table;
     `bind` sets other values and compiles nothing.  `span` = (t0, t1)
     restricts the segment to that range of t: `point(u)` is the coordinates
@@ -111,8 +113,9 @@ class Segment:
 
     def __post_init__(self):
         if self.tangents is None:
+            memo = {}
             object.__setattr__(
-                self, "tangents", tuple(c.diff(0) for c in self.coords))
+                self, "tangents", tuple(ex.derivative(c, 0, memo) for c in self.coords))
         object.__setattr__(self, "params", tuple(map(float, self.params)))
         table = ex.compile_exprs(self.coords + self.tangents, bound=len(self.params))
         object.__setattr__(self, "_table", table.bind(self.params))
@@ -346,9 +349,10 @@ def lift_loop(path: PathSpec, s_expr: ex.Expr | None = None,
             glob = ex.div(ex.add(ex.const(float(idx)), u), ex.const(float(k)))
             s_loc = ex.substitute(s_expr, 0, glob)
             q_loc = ex.substitute(q_expr, 0, glob)
-            return Segment((s_loc,) + seg.coords + (q_loc,),
-                           (s_loc.diff(0),) + seg.tangents + (q_loc.diff(0),), seg.span,
-                           seg.params)
+            memo = {}
+            ds, dq = (ex.derivative(e, 0, memo) for e in (s_loc, q_loc))
+            return Segment((s_loc,) + seg.coords + (q_loc,), (ds,) + seg.tangents + (dq,),
+                           seg.span, seg.params)
 
         key = None if seg._key is None else ("lift", seg._key, profiles, idx, k, seg.span)
         segs.append(_template(key, build).bind(seg.params))

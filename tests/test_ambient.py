@@ -201,6 +201,22 @@ def test_homogeneity_degrees(bumpy_geom):
     assert rep["lift_homogeneity"] < 1e-11
 
 
+def test_checks_at_a_point_take_the_callers_stack(bumpy_geom, monkeypatch):
+    """Given the stack at p's chart point, homogeneity_checks and nabF_check
+    build none and give exactly the results of building it themselves."""
+    p = ambient_point(0.2, BASE3, 1.1)
+    want = (bumpy_geom.homogeneity_checks(p, np.random.default_rng(5)),
+            bumpy_geom.nabF_check(p, np.random.default_rng(5)))
+    st = stack_at(bumpy_geom.spec, BASE3)
+
+    def no_stack(self, x):
+        raise AssertionError("stack rebuilt")
+
+    monkeypatch.setattr(AmbientGeometry, "stack", no_stack)
+    assert (bumpy_geom.homogeneity_checks(p, np.random.default_rng(5), st),
+            bumpy_geom.nabF_check(p, np.random.default_rng(5), st)) == want
+
+
 def test_curvature_ricci_vanishes_on_ricci_flat_slice():
     geom = AmbientGeometry(preset("ppwave"))
     x = np.array([0.2, 0.1, -0.3, 0.25])

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_random_metrics import _config
 
 from tractor_forge import expr as ex
 from tractor_forge import metric as metric_mod
@@ -190,29 +192,34 @@ def test_parse_config_errors():
         parse_config("dim = 3\ng[1][1] = +++\n")
 
 
-def _oracle_jet(spec, x, order):
-    """[g, dg, d2g, d3g] from tree-walking `evaluate` of each symbolic partial.
-
-    Each partial is built as the jet builds it (sorted derivative indices,
-    differentiating by the last one first), so the values must agree exactly.
-    """
+def _reference_partials(spec, order):
+    """Every entry of the jet's flat layout (blocks g, dg, ... each in C
+    order), as the jet builds it but by plain recursive `Expr.diff`, with
+    no memo: a partial differentiates the one of its sorted multi-index
+    without the first index, so the last index is differentiated first."""
     n = spec.n
-    partials, values = {}, {}  # keyed by (i, j, sorted multi-index)
-    arrays = [np.zeros((n,) * (k + 2)) for k in range(4)]
+    partials, exprs = {}, []  # (i, j, sorted multi-index) -> Expr
     for k in range(order + 1):
-        for index in np.ndindex(arrays[k].shape):
-            key = (tuple(sorted(index[:k])), tuple(sorted(index[k:])))
-            if key not in values:
-                multi, (i, j) = key
-                e = spec.entries[i][j]
-                for r in reversed(range(k)):
-                    suffix = (i, j, multi[r:])
-                    if suffix not in partials:
-                        partials[suffix] = e.diff(multi[r])
-                    e = partials[suffix]
-                values[key] = ex.evaluate(e, x)
-            arrays[k][index] = values[key]
-    return arrays
+        for index in np.ndindex((n,) * (k + 2)):
+            i, j, multi = min(index[k:]), max(index[k:]), tuple(sorted(index[:k]))
+            if (i, j, multi) not in partials:
+                partials[i, j, multi] = (partials[i, j, multi[1:]].diff(multi[0]) if multi
+                                         else spec.entries[i][j])
+            exprs.append(partials[i, j, multi])
+    return exprs
+
+
+def _oracle_jet(spec, x, order):
+    """[g, dg, d2g, d3g] from tree-walking `evaluate` of each symbolic
+    partial of `_reference_partials`, so the values must agree exactly."""
+    n, exprs, values = spec.n, _reference_partials(spec, order), {}
+    for e in exprs:  # the list keeps every id in use
+        if id(e) not in values:
+            values[id(e)] = ex.evaluate(e, x)
+    flat = np.array([values[id(e)] for e in exprs])
+    bounds = np.cumsum([0] + [n ** (k + 2) for k in range(order + 1)])
+    return [flat[lo:hi].reshape((n,) * (k + 2))
+            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES + ("config",))
@@ -225,6 +232,35 @@ def test_compiled_jet_equals_evaluate_exactly(name):
             want = _oracle_jet(spec, x, order)[:order + 1]
             for k, (a, b) in enumerate(zip(got, want, strict=True)):
                 assert np.array_equal(a, b), (name, order, k)
+
+
+def _assert_table_is_the_plain_build(spec):
+    """The memoised order-2 and order-3 tables of a spec built just now
+    equal those compiled from `_reference_partials` in source, constants
+    and columns."""
+    for order in (2, 3):
+        got = metric_mod._JetEvaluator(spec, order).table
+        want = ex.compile_exprs(_reference_partials(spec, order))
+        assert (got.source, got.constants, got.columns) == \
+            (want.source, want.constants, want.columns), (spec.name, spec.n, order)
+
+
+def test_memoised_jet_tables_equal_the_plain_recursive_build():
+    """Every preset at n = 3 and 5 where it allows them, and the config
+    metric.  Each spec is built after the previous one is dropped, so
+    freed nodes' ids are reused between builds, as a memo that outlived
+    its build would show."""
+    for name in PRESET_NAMES:
+        for n in (4,) if name in ("ppwave", "s2xs2") else (3, 5):
+            _assert_table_is_the_plain_build(preset(name, n=n))
+            gc.collect()
+    _assert_table_is_the_plain_build(parse_config(TRANSCENDENTAL_CONFIG))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(text=_config(dims=(3, 4, 5)))
+def test_memoised_jet_tables_equal_the_plain_build_on_random_metrics(text):
+    _assert_table_is_the_plain_build(parse_config(text))
 
 
 def test_sphere_order_three_table_has_one_assignment_per_subexpression():

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from tractor_forge import report
 from tractor_forge.ambient import AmbientGeometry
-from tractor_forge.metric import MetricError
+from tractor_forge.metric import MetricError, preset
 from tractor_forge.report import (SCHEMA_VERSION, RunConfig, VerifyReport,
                                   report_emit, run_verify)
 
@@ -78,6 +79,20 @@ def test_runconfig_requires_metric_source():
     assert RunConfig(preset="sphere").metric_spec().n == 3
 
 
+def test_default_loop_count_covers_the_coordinate_rectangles():
+    """max(12, n(n-1)/2) loops by default, so 12 up to n = 5 and the
+    rectangles alone from n = 6; an explicit count is kept as given."""
+    assert [RunConfig().loop_count(n) for n in range(3, 9)] == [12, 12, 12, 15, 21, 28]
+    assert RunConfig(loops=2).loop_count(6) == 2
+    for n, loops in ((5, 12), (6, 15)):
+        suite = report._Suite(RunConfig(preset="bumpy", params={"n": n}, samples=1))
+        assert suite.cfg.loops == len(suite.loops) == loops
+        assert suite.cfg.to_dict()["loops"] == loops
+    with pytest.raises(MetricError, match="loops must be >= 15"):
+        RunConfig(preset="bumpy", params={"n": 6}, loops=12).loop_family(
+            preset("bumpy", n=6), np.zeros(6))
+
+
 def _scaled_off_slice(omega, rows, cols):
     """`omega` with its [rows, cols] block times 1.5 at points with s != 0.
 
@@ -117,7 +132,6 @@ def test_each_check_is_timed_from_the_previous_one(monkeypatch):
     """A check's seconds run from the previous check of its group (the
     first from the group's start), the last check also takes the time
     after it, and a group's seconds sum to the group's time."""
-    from tractor_forge import report
     clock = iter([10.0, 10.5, 12.0, 12.25, 13.0,   # group 1: start, 3 checks, end
                   20.0])                           # group 2: start, and no check
     monkeypatch.setattr(report.time, "perf_counter", lambda: next(clock))

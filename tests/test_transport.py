@@ -889,6 +889,25 @@ def test_template_paths_equal_the_expression_tree_paths_bit_for_bit(n, base):
             assert _same(points, want_points) and _same(tangents, want_tangents), name
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_memoised_template_tangents_equal_the_plain_recursive_build(monkeypatch, n):
+    """Rectangle, trig and lifted templates (on and off the slice), and
+    their reversals, built afresh: the memoised tangents are the trees
+    plain `Expr.diff` gives, and the compiled table equals the one of the
+    plain build in source, constants and columns."""
+    monkeypatch.setattr(tp, "_TEMPLATES", {})
+    s_off, q_off = _verify_profiles(0.15)
+    base = np.array([0.11, -0.17, 0.23, -0.05, 0.31])[:n]
+    for loop in tp.loop_family(base, 2, 0.25, np.random.default_rng(n)):
+        for path in (loop, tp.lift_loop(loop), tp.lift_loop(loop, s_off, q_off)):
+            for seg in path.segments + tp.reverse_path(path).segments:
+                tangents = tuple(c.diff(0) for c in seg.coords)
+                want = ex.compile_exprs(seg.coords + tangents, bound=len(seg.params))
+                assert seg.tangents == tangents
+                assert (seg._table.source, seg._table.constants, seg._table.columns) == \
+                    (want.source, want.constants, want.columns)
+
+
 def test_a_second_loop_family_compiles_nothing(monkeypatch):
     """Once a family's shapes are cached, another family at another base,
     with its lifts, reversed loops and sub pieces, binds them and compiles
