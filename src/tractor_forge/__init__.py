@@ -20,11 +20,11 @@ __version__ = "0.1.0"
 # module -> the names the package exports from it
 _EXPORTS = {
     "metric": ("MetricSpec", "MetricError", "SingularMetricError", "ChartDomainError",
-               "preset", "parse_config", "load_config", "metric_jet", "signature_at"),
+               "preset", "parse_config", "load_config", "metric_jet"),
     "curvature": ("CurvatureStack", "ConnectionPoint", "compute_stack", "stack_at",
                   "connection_at", "kulkarni_nomizu", "weyl_endomorphism"),
     "tractor": ("tractor_metric", "connection_matrix", "normality_check"),
-    "ambient": ("AmbientGeometry", "SingularMapError", "ambient_point", "split_point"),
+    "ambient": ("AmbientGeometry", "SingularMapError", "ambient_point"),
     "transport": ("PathSpec", "Segment", "TransportError", "loop_family", "rectangle_loop",
                   "trig_loop", "path_from_waypoints", "lift_loop", "reverse_path",
                   "parallel_transport", "transport_matrix",

@@ -56,7 +56,6 @@ __all__ = [
     "SingularMapError",
     "AmbientGeometry",
     "ambient_point",
-    "split_point",
     "curvature_from_omega",
 ]
 
@@ -93,11 +92,6 @@ def ambient_point(s, x, q) -> np.ndarray:
     p = np.empty(x.shape[:-1] + (x.shape[-1] + 2,))
     p[..., 0], p[..., 1:-1], p[..., -1] = s, x, q
     return p
-
-
-def split_point(p):
-    p = np.asarray(p, dtype=float)
-    return float(p[0]), p[1:-1], float(p[-1])
 
 
 def _per_point(a, p, u) -> np.ndarray:
@@ -163,9 +157,6 @@ class AmbientGeometry:
     def dim(self) -> int:
         return self.spec.n + 2
 
-    def stack(self, x) -> CurvatureStack:
-        return stack_at(self.spec, x)
-
     # -- the bundle map and metric -------------------------------------------
 
     def f_map(self, p, stack: CurvatureStack | None = None):
@@ -173,20 +164,20 @@ class AmbientGeometry:
 
         For a stack of points f and m are (k, n, n) stacks.  Only Psharp is
         read, so a `ConnectionPoint` serves as well as a full stack (and is
-        the default).  A non-finite s or q lies outside the domain
-        (`ChartDomainError`); that check precedes the singularity check, and
-        a stack raises the error of its first bad row, as that row's own
-        call would.
+        the default).  A non-finite s, or a q that is not finite and > 0,
+        lies outside the domain R x M x R+ (`ChartDomainError`); that check
+        precedes the singularity check, and a stack raises the error of its
+        first bad row, as that row's own call would.
         """
         p = np.asarray(p, dtype=float)
         if stack is None:
             stack = connection_at(self.spec, p[..., 1:-1])
         points = p.reshape(-1, self.dim)
-        finite = np.isfinite(points[:, [0, -1]]).all(axis=1)
-        if not finite.all():
-            bad = points[np.argmin(finite)]
+        inside = np.isfinite(points[:, [0, -1]]).all(axis=1) & (points[:, -1] > 0.0)
+        if not inside.all():
+            bad = points[np.argmin(inside)]
             raise ChartDomainError(f"ambient point {bad.tolist()} outside the domain: "
-                                   "s and q must be finite")
+                                   "s and q must be finite, and q > 0")
         n = self.n
         Psharp = np.reshape(stack.Psharp, (len(points), n, n))
         m = points[:, 0, None, None] * Psharp + points[:, -1, None, None] * np.eye(n)
@@ -229,12 +220,9 @@ class AmbientGeometry:
         """Covector h(F, .); closed form q ds + s dq."""
         return (self.metric(p, stack) @ self.fundamental_field(p)[..., None])[..., 0]
 
-    def scale_point(self, p, t: float) -> np.ndarray:
-        """phi_t(s, x, q) = (ts, x, tq)."""
-        return self.scale_tangent(p, t)
-
     def scale_tangent(self, u, t: float) -> np.ndarray:
-        """Differential of (s, x, q) -> (ts, x, tq) applied to u."""
+        """Differential of phi_t(s, x, q) = (ts, x, tq) applied to u; on a
+        point, phi_t itself."""
         u = np.array(u, dtype=float)
         u[..., 0] *= t
         u[..., -1] *= t
@@ -301,14 +289,11 @@ class AmbientGeometry:
             raise
         return out
 
-    def covariant_derivative(self, p, u, w, dw=None, stack=None) -> np.ndarray:
+    def covariant_derivative(self, p, u, w, dw, stack=None) -> np.ndarray:
         """D_u w for an ambient vector w with directional component derivative dw."""
         u = np.asarray(u, dtype=float)
         w = np.broadcast_to(np.asarray(w, dtype=float), u.shape)
-        out = (self.omega(p, u, stack) @ w[..., None])[..., 0]
-        if dw is not None:
-            out = out + np.asarray(dw, dtype=float)
-        return out
+        return (self.omega(p, u, stack) @ w[..., None])[..., 0] + np.asarray(dw, dtype=float)
 
     # -- torsion ----------------------------------------------------------------
 
@@ -323,7 +308,7 @@ class AmbientGeometry:
         """s * (lift of CYsharp(X, Y)); the independent oracle for torsion."""
         p, X = np.asarray(p, dtype=float), np.asarray(X, dtype=float)
         if stack is None:
-            stack = self.stack(p[..., 1:-1])
+            stack = stack_at(self.spec, p[..., 1:-1])
         cy = np.einsum("...ijk,...i,...j->...k", _per_point(stack.CYsharp, p, X), X, Y)
         return _per_point(p[..., :1], p, X) * self.lift(p, cy, stack)
 
@@ -331,7 +316,7 @@ class AmbientGeometry:
         """T*(u, w, z) = h(T(u, w), z): a float, or an array for batched input."""
         p = np.asarray(p, dtype=float)
         if stack is None:
-            stack = self.stack(p[..., 1:-1])
+            stack = stack_at(self.spec, p[..., 1:-1])
         T = self.torsion(p, u, w, stack)
         h = _per_point(self.metric(p, stack), p, T)
         low = (T[..., None, :] @ h @ np.asarray(z, dtype=float)[..., None])[..., 0, 0]
@@ -372,7 +357,7 @@ class AmbientGeometry:
         the one-point stack at p's chart point, built here if not given."""
         p = np.asarray(p, dtype=float)
         if stack is None:
-            stack = self.stack(p[1:-1])
+            stack = stack_at(self.spec, p[1:-1])
         stack = _repeat_rows(stack, 1 + len(_SCALES))  # a row per point
         if rng is None:
             rng = np.random.default_rng(0)
@@ -407,7 +392,7 @@ class AmbientGeometry:
         in `homogeneity_checks`."""
         p = np.asarray(p, dtype=float)
         if stack is None:
-            stack = self.stack(p[1:-1])
+            stack = stack_at(self.spec, p[1:-1])
         if rng is None:
             rng = np.random.default_rng(0)
         u = rng.standard_normal((6, self.dim))

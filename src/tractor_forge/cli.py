@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from . import transport as tp
 from .ambient import AmbientGeometry, SingularMapError, ambient_point
 from .curvature import compute_stack, stack_at
 from .expr import EvaluationDomainError
-from .metric import MetricError, metric_jet, signature_of
-from .report import RunConfig, report_emit, run_verify
+from .metric import PRESET_NAMES, MetricError, metric_jet, signature_of
+from .report import LOOP_TOL, RunConfig, report_emit, run_verify
 from .tractor import connection_matrix, normality_check, tractor_metric
 
 log = logging.getLogger("tractor_forge")
@@ -32,7 +33,10 @@ _ORACLES = {cls.name: cls for cls in (tp.TractorOracle, tp.AmbientOracle, tp.Cru
                                        tp.LeviCivitaOracle)}
 
 
-def _parse_point(text: str) -> list:
+def _parse_point(text: str) -> list | None:
+    """The coordinates of `--point`; None (the default base point) for ""."""
+    if not text:
+        return None
     try:
         return [float(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
@@ -41,7 +45,7 @@ def _parse_point(text: str) -> list:
 
 def _parse_params(items) -> dict:
     out = {}
-    for item in items or ():
+    for item in items:
         if "=" not in item:
             raise MetricError(f"--param expects NAME=VALUE, got {item!r}")
         key, _, val = item.partition("=")
@@ -53,69 +57,67 @@ def _parse_params(items) -> dict:
     return out
 
 
+_SETTINGS = {f.name for f in fields(RunConfig)}
+# flags whose text is parsed before it becomes a RunConfig field
+_PARSE = {"params": _parse_params, "point": _parse_point}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # RunConfig holds the defaults: a flag that is not given is left out
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     src = common.add_argument_group("metric source")
-    src.add_argument("--preset", help="built-in metric name (flat, sphere, "
-                     "hyperbolic, ppwave, s2xs2, bumpy)")
+    src.add_argument("--preset", help=f"built-in metric name ({', '.join(PRESET_NAMES)})")
     src.add_argument("--config", dest="config_path", metavar="PATH",
                      help="metric config file")
-    src.add_argument("--param", action="append", metavar="NAME=VALUE",
+    src.add_argument("--param", dest="params", action="append", metavar="NAME=VALUE",
                      help="preset parameter (repeatable), e.g. n=4 or eps=0.1")
     common.add_argument("--point", help="chart base point, comma-separated")
-    common.add_argument("--tol-tensor", type=float, default=1e-9)
-    common.add_argument("--tol-transport", type=float, default=1e-7)
-    common.add_argument("--tol-rank", type=float, default=1e-6)
-    common.add_argument("--samples", type=int, default=10)
-    common.add_argument("--loops", type=int, default=None,
+    common.add_argument("--tol-tensor", type=float)
+    common.add_argument("--tol-transport", type=float)
+    common.add_argument("--tol-rank", type=float)
+    common.add_argument("--samples", type=int)
+    common.add_argument("--loops", type=int,
                         help="total loop-family size per suite, at least the "
-                             "n(n-1)/2 coordinate rectangles (default: "
-                             "max(12, n(n-1)/2))")
-    common.add_argument("--radius", type=float, default=0.25)
-    common.add_argument("--seed", type=int, default=42)
+                             "n(n-1)/2 coordinate rectangles (unset: see "
+                             "RunConfig.loop_count)")
+    common.add_argument("--radius", type=float)
+    common.add_argument("--seed", type=int)
     common.add_argument("--out", help="write the report to this path")
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
+    common.add_argument("--format", choices=("json", "csv", "text"))
 
     parser = argparse.ArgumentParser(
         prog="tractor-forge",
         description="Conformal tractor / ambient-connection computations.")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("tensors", parents=[common],
-                   help="curvature stack invariants at sampled points")
+                   help="curvature stack invariants at sampled points"
+                   ).set_defaults(run=cmd_tensors)
     sub.add_parser("tractor", parents=[common],
-                   help="tractor connection and normality residuals")
+                   help="tractor connection and normality residuals"
+                   ).set_defaults(run=cmd_tractor)
     p_amb = sub.add_parser("ambient", parents=[common],
                            help="ambient metric, torsion, and scaling checks")
     p_amb.add_argument("--s", type=float, default=0.0,
                        help="ambient s coordinate of the evaluation point")
     p_amb.add_argument("--q", type=float, default=1.0,
-                       help="ambient q coordinate of the evaluation point")
+                       help="ambient q coordinate of the evaluation point (> 0)")
+    p_amb.set_defaults(run=cmd_ambient)
     p_hol = sub.add_parser("holonomy", parents=[common],
                            help="holonomy algebra estimation for one connection")
-    p_hol.add_argument("--variant", choices=list(_ORACLES),
-                       default="tractor-induced")
+    p_hol.add_argument("--variant", choices=list(_ORACLES), default=tp.TractorOracle.name)
+    p_hol.set_defaults(run=cmd_holonomy)
     sub.add_parser("verify", parents=[common],
-                   help="run the full identity battery on one metric")
+                   help="run the full identity battery on one metric"
+                   ).set_defaults(run=cmd_verify)
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        preset=args.preset,
-        params=_parse_params(args.param),
-        config_path=args.config_path,
-        point=_parse_point(args.point) if args.point else None,
-        tol_tensor=args.tol_tensor,
-        tol_transport=args.tol_transport,
-        tol_rank=args.tol_rank,
-        samples=args.samples,
-        loops=args.loops,
-        radius=args.radius,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-    )
+def _config_from_args(args: dict) -> RunConfig:
+    """The RunConfig of the parsed flags that name its fields."""
+    settings = {name: value for name, value in args.items() if name in _SETTINGS}
+    for name in settings.keys() & _PARSE.keys():
+        settings[name] = _PARSE[name](settings[name])
+    return RunConfig(**settings)
 
 
 def _emit(report, cfg: RunConfig) -> None:
@@ -185,7 +187,7 @@ def cmd_ambient(cfg: RunConfig, s: float, q: float) -> int:
     base = cfg.base_point(spec)
     geom = AmbientGeometry(spec)
     p = ambient_point(s, base, q)
-    st = geom.stack(base)
+    st = stack_at(spec, base)
     f, _ = geom.f_map(p, st)
     h = geom.metric(p, st)
     XY = np.random.default_rng(cfg.seed).standard_normal((4, 2, spec.n))  # four pairs (X, Y)
@@ -225,7 +227,7 @@ def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
     if oracle.point_dim == spec.n + 2:
         loops = [tp.lift_loop(lp) for lp in loops]
         base = ambient_point(0.0, base, 1.0)
-    alg = hol.holonomy_algebra(oracle, base, loops, 1e-9, cfg.tol_rank)
+    alg = hol.holonomy_algebra(oracle, base, loops, LOOP_TOL, cfg.tol_rank)
     H = oracle.fiber_metric(base)
     loop_rows = []
     for idx, (lp, G, log_res) in enumerate(zip(loops, alg.loop_transports, alg.log_residuals)):
@@ -267,23 +269,15 @@ def main(argv=None) -> int:
     level = os.environ.get("TRACTOR_FORGE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command, run = args.pop("command"), args.pop("run")
     try:
         cfg = _config_from_args(args)
         log.info("command=%s preset=%s config=%s seed=%d",
-                 args.command, cfg.preset, cfg.config_path, cfg.seed)
-        if args.command == "tensors":
-            return cmd_tensors(cfg)
-        if args.command == "tractor":
-            return cmd_tractor(cfg)
-        if args.command == "ambient":
-            return cmd_ambient(cfg, args.s, args.q)
-        if args.command == "holonomy":
-            return cmd_holonomy(cfg, args.variant)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise MetricError(f"unknown command {args.command!r}")
+                 command, cfg.preset, cfg.config_path, cfg.seed)
+        # the flags left are the command's own: ambient's s and q, holonomy's variant
+        return run(cfg, **{name: value for name, value in args.items()
+                           if name not in _SETTINGS})
     except SingularMapError as exc:
         log.error("singular bundle map: %s", exc)
         print(f"error: {exc}", file=sys.stderr)

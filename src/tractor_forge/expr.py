@@ -3,13 +3,12 @@
 Supports real literals, coordinate variables x1..xn, the arithmetic
 operators + - * / ^ (integer exponents only), unary minus, and the
 functions sin, cos, exp, log, sqrt.  Expressions are immutable trees,
-closed under exact symbolic differentiation (`derivative`, and
-`Expr.diff` for a one-off call).  A build that differentiates many
-expressions sharing subtrees, such as a jet table or a path's tangents,
-passes one memo dict to all its `derivative` calls, so each distinct
-node is differentiated once per index and the partials share their
-subtrees as the expressions do.  The simplifier is deliberately minimal:
-constant folding and 0/1 identities only.
+closed under exact symbolic differentiation (`derivative`).  A build
+that differentiates many expressions sharing subtrees, such as a jet
+table or a path's tangents, passes one memo dict to all its `derivative`
+calls, so each distinct node is differentiated once per index and the
+partials share their subtrees as the expressions do.  The simplifier is
+deliberately minimal: constant folding and 0/1 identities only.
 
 Hot paths (metric jets, path segments) evaluate through `compile_exprs`,
 which turns a list of expressions into a `Table`: one straight-line Python
@@ -18,8 +17,8 @@ which gives the value of every expression at k points as one (k, m)
 array.  How the function's output is laid out is known only here.
 `Table.bind` sets the parameters Var(1..k) of a table compiled with
 `bound=k`, so one compiled table serves every binding.  The
-tree-walking `evaluate` (also `Expr.__call__`) computes the same values
-node by node and serves as the independent reference in tests.  Both
+tree-walking `evaluate` computes the same values node by node and serves
+as the independent reference in tests.  Both
 raise EvaluationDomainError outside the domain of log, sqrt, division and
 negative powers.
 """
@@ -74,13 +73,6 @@ class EvaluationDomainError(ArithmeticError):
 @dataclass(frozen=True)
 class Expr:
     """Base class; concrete nodes subclass this."""
-
-    def diff(self, index: int) -> "Expr":
-        """The exact partial by x{index+1}, by plain recursion; see `derivative`."""
-        return derivative(self, index)
-
-    def __call__(self, x) -> float:
-        return evaluate(self, x)
 
     def __add__(self, other):
         return add(self, _coerce(other))

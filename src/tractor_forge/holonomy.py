@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _ABS_FLOOR = 1e-8
+_SPAN_TOL = 1e-5      # `compare_holonomy`: the largest residual of one basis in the other's span
+_FIXED_TOL = 1e-6     # `fixed_vectors`: singular values below this times the largest are null
 _LOG_TOL = 1e-15      # the log series stops at a term below this
 _LOG_MAX_TERMS = 80
 
@@ -237,25 +239,25 @@ def span_residual(algA: HolonomyAlgebra, algB: HolonomyAlgebra) -> float:
     return max(_off_span(algA.basis, algB.basis), default=0.0)
 
 
-def compare_holonomy(algA: HolonomyAlgebra, algB: HolonomyAlgebra,
-                     tol: float = 1e-5) -> dict:
-    """Dimension and mutual-span comparison of two holonomy algebras."""
+def compare_holonomy(algA: HolonomyAlgebra, algB: HolonomyAlgebra) -> dict:
+    """Dimension and mutual-span comparison of two holonomy algebras; "tol"
+    bounds each span residual."""
     if algA.basis and algB.basis and algA.basis[0].shape != algB.basis[0].shape:
         raise MetricError("holonomy algebras live in different matrix sizes")
     res_ab = span_residual(algA, algB)
     res_ba = span_residual(algB, algA)
-    equal = algA.dim == algB.dim and res_ab <= tol and res_ba <= tol
+    equal = algA.dim == algB.dim and res_ab <= _SPAN_TOL and res_ba <= _SPAN_TOL
     return {
         "dim_a": algA.dim,
         "dim_b": algB.dim,
         "residual_a_in_b": res_ab,
         "residual_b_in_a": res_ba,
-        "tol": tol,
+        "tol": _SPAN_TOL,
         "verdict": "equal" if equal else "different",
     }
 
 
-def fixed_vectors(alg: HolonomyAlgebra, tol: float = 1e-6) -> list:
+def fixed_vectors(alg: HolonomyAlgebra) -> list:
     """Orthonormal basis of the joint null space of all basis generators."""
     size = alg.fiber_metric.shape[0]
     if not alg.basis:
@@ -263,6 +265,6 @@ def fixed_vectors(alg: HolonomyAlgebra, tol: float = 1e-6) -> list:
     stacked = np.vstack(alg.basis)
     _, svals, vt = np.linalg.svd(stacked)
     svals = np.concatenate([svals, np.zeros(size - len(svals))])
-    keep = [k for k in range(size) if svals[k] <= tol * svals[0]]
+    keep = [k for k in range(size) if svals[k] <= _FIXED_TOL * svals[0]]
     return [vt[k] for k in keep]
 

@@ -44,6 +44,7 @@ PRESET_NAMES = ("flat", "sphere", "hyperbolic", "ppwave", "s2xs2", "bumpy")
 
 # a metric whose condition estimate max|g_ij| max|g^ij| exceeds this is singular
 _COND_LIMIT = 1e12
+_SAMPLE_MARGIN = 0.8  # `MetricSpec.domain_box`: the share of the chart box sampled
 
 
 class MetricError(ValueError):
@@ -91,11 +92,12 @@ class MetricSpec:
             return True
         return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.chart_domain))
 
-    def domain_box(self, margin: float = 0.8):
-        """Sampling box: declared domain shrunk toward 0, else [-margin, margin]^n."""
+    def domain_box(self):
+        """Sampling box: the declared domain shrunk toward 0 by `_SAMPLE_MARGIN`,
+        else [-_SAMPLE_MARGIN, _SAMPLE_MARGIN]^n."""
         if self.chart_domain is None:
-            return [(-margin, margin)] * self.n
-        return [(lo * margin, hi * margin) for lo, hi in self.chart_domain]
+            return [(-_SAMPLE_MARGIN, _SAMPLE_MARGIN)] * self.n
+        return [(lo * _SAMPLE_MARGIN, hi * _SAMPLE_MARGIN) for lo, hi in self.chart_domain]
 
     def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         box = self.domain_box()
@@ -144,7 +146,7 @@ class _JetEvaluator:
     `jet` is the table's `rows` split at `bounds`.
     """
 
-    def __init__(self, spec: MetricSpec, max_order: int = 3):
+    def __init__(self, spec: MetricSpec, max_order: int):
         n = spec.n
         self.shapes = [(n,) * (order + 2) for order in range(max_order + 1)]
         self.bounds = np.cumsum([0] + [n ** (order + 2) for order in range(max_order + 1)])
@@ -235,11 +237,6 @@ def signature_of(g) -> tuple:
     """(positive, negative) eigenvalue counts of the metric matrix g."""
     eigs = np.linalg.eigvalsh(g)
     return int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
-
-
-def signature_at(spec: MetricSpec, x) -> tuple:
-    """(positive, negative) eigenvalue counts of g at x."""
-    return signature_of(metric_jet(spec, x).g)
 
 
 # -- presets ------------------------------------------------------------------
@@ -343,13 +340,17 @@ def parse_config(text: str) -> MetricSpec:
     or a preset:
         preset = <name>
         param.<key> = <value>
-    Lines starting with '#' and blank lines are ignored.
+    Lines starting with '#' and blank lines are ignored.  Each key is set
+    at most once (g[i][j] and g[j][i] are one key), a preset takes no dim,
+    signature or entries, and param keys need a preset; the MetricError of
+    a config that breaks a rule names the offending line.
     """
     dim = None
     signature = None
     entries: dict[tuple, str] = {}
     preset_name = None
     preset_params: dict[str, float] = {}
+    seen: dict[str, int] = {}  # key -> its line; g[i][j] filed as g[min][max]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -358,6 +359,18 @@ def parse_config(text: str) -> MetricSpec:
             raise MetricError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        slot = key
+        if key.startswith("g["):
+            try:
+                i_part, j_part = key[1:].split("][")
+                i = int(i_part[1:])
+                j = int(j_part.rstrip("]"))
+            except ValueError:
+                raise MetricError(f"line {lineno}: bad entry key {key!r}") from None
+            slot = f"g[{min(i, j)}][{max(i, j)}]"
+        if slot in seen:
+            raise MetricError(f"line {lineno}: {key} set again (first on line {seen[slot]})")
+        seen[slot] = lineno
         if key == "dim":
             dim = _number(int, value, f"line {lineno}: dim")
         elif key == "signature":
@@ -370,18 +383,20 @@ def parse_config(text: str) -> MetricSpec:
         elif key.startswith("param."):
             preset_params[key[len("param."):]] = _number(float, value, f"line {lineno}: {key}")
         elif key.startswith("g["):
-            try:
-                i_part, j_part = key[1:].split("][")
-                i = int(i_part[1:])
-                j = int(j_part.rstrip("]"))
-            except ValueError:
-                raise MetricError(f"line {lineno}: bad entry key {key!r}") from None
             entries[(i, j)] = value
         else:
             raise MetricError(f"line {lineno}: unknown key {key!r}")
 
     if preset_name is not None:
+        explicit = [line for slot, line in seen.items()
+                    if slot in ("dim", "signature") or slot.startswith("g[")]
+        if explicit:
+            raise MetricError(f"line {explicit[0]}: a preset config takes no dim, "
+                              "signature or g entries")
         return preset(preset_name, **preset_params)
+    if preset_params:
+        first = next(line for slot, line in seen.items() if slot.startswith("param."))
+        raise MetricError(f"line {first}: param keys need a preset")
     if dim is None:
         raise MetricError("config must declare 'dim' or 'preset'")
     n = dim

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from . import expr as ex
 __all__ = ["RunConfig", "VerifyReport", "run_verify", "report_emit", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
+LOOP_TOL = 1e-9  # step tolerance of every loop transport that verify and holonomy run
 
 
 @dataclass
@@ -102,19 +103,13 @@ class RunConfig:
                               np.random.default_rng(self.seed + 1))
 
     def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "params": dict(sorted(self.params.items())),
-            "config_path": self.config_path,
-            "point": list(self.point) if self.point is not None else None,
-            "tol_tensor": self.tol_tensor,
-            "tol_transport": self.tol_transport,
-            "tol_rank": self.tol_rank,
-            "samples": self.samples,
-            "loops": self.loops,
-            "radius": self.radius,
-            "seed": self.seed,
-        }
+        """Every field but the output settings `out` and `format`."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("out", "format")}
+        out["params"] = dict(self.params)
+        if self.point is not None:
+            out["point"] = list(self.point)
+        return out
 
 
 @dataclass
@@ -258,7 +253,8 @@ class _Suite:
         self.add("tractor-normality",
                  "curvature preserves the null direction with trace-free tangent block",
                  max(rep["preserves_null_direction"]["residual"],
-                     rep["ricci_contraction_vanishes"]["residual"]), 1e-8)
+                     rep["ricci_contraction_vanishes"]["residual"]),
+                 rep["preserves_null_direction"]["tol"])
 
     # -- ambient checks ---------------------------------------------------------------
 
@@ -365,9 +361,8 @@ class _Suite:
         loops = self.loops
         s_expr, q_expr = self._s_profile(), self._q_profile()
         off = [tp.lift_loop(lp, s_expr=s_expr, q_expr=q_expr) for lp in loops]
-        ttol = 1e-9
-        alg_t = hol.holonomy_algebra(self.tractor, self.base, loops, ttol, self.cfg.tol_rank)
-        alg_a = hol.holonomy_algebra(self.ambient, self.abase, off, ttol, self.cfg.tol_rank)
+        alg_t = hol.holonomy_algebra(self.tractor, self.base, loops, LOOP_TOL, self.cfg.tol_rank)
+        alg_a = hol.holonomy_algebra(self.ambient, self.abase, off, LOOP_TOL, self.cfg.tol_rank)
 
         cmp = hol.compare_holonomy(alg_t, alg_a)
         res = max(cmp["residual_a_in_b"], cmp["residual_b_in_a"])
@@ -375,7 +370,7 @@ class _Suite:
             res = float("inf")
         self.add("holonomy-tractor-vs-ambient",
                  "tractor holonomy equals ambient holonomy on loops that leave the slice",
-                 res, 1e-5)
+                 res, cmp["tol"])
         self.add("holonomy-loop-logs",
                  "each loop transport's log lies in the estimated algebra",
                  max(alg_t.log_residuals + alg_a.log_residuals), 1e-6)
@@ -413,7 +408,7 @@ class _Suite:
         # plumbing invariants: reversal and fiber-metric preservation, on the
         # last loop's transport from the tractor holonomy estimate
         G = alg_t.loop_transports[-1]
-        Gi = tp.transport_matrix(self.tractor, tp.reverse_path(loops[-1]), ttol)
+        Gi = tp.transport_matrix(self.tractor, tp.reverse_path(loops[-1]), LOOP_TOL)
         H = self.tractor.fiber_metric(self.base)
         self.add("transport-reversal", "reverse transport inverts the loop transport",
                  float(np.max(np.abs(Gi @ G - np.eye(self.spec.n + 2)))), self.cfg.tol_transport)

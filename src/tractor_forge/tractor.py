@@ -35,6 +35,8 @@ __all__ = [
     "normality_check",
 ]
 
+_NORMALITY_TOL = 1e-8  # bound on both residuals of `normality_check`
+
 
 def tractor_metric(g: np.ndarray) -> np.ndarray:
     """Fiber metric H: H(alpha,beta) = 1, H(A,A) = g (each of a stack of g)."""
@@ -90,7 +92,7 @@ def curvature_all_pairs(stack: CurvatureStack) -> np.ndarray:
     return connection_curvature(omegas, _connection_matrix_partials(stack))
 
 
-def normality_check(stack: CurvatureStack, tol: float = 1e-8) -> dict:
+def normality_check(stack: CurvatureStack) -> dict:
     """Numerical form of the two normality conditions on the curvature.
 
     (a) the curvature preserves the distinguished null direction: the
@@ -99,6 +101,7 @@ def normality_check(stack: CurvatureStack, tol: float = 1e-8) -> dict:
     Failures are reported as findings, not raised.  On a batched stack
     each residual is the largest over the points (0 for none).
     """
+    tol = _NORMALITY_TOL
     n = stack.n
     R = curvature_all_pairs(stack).reshape((-1, n, n, n + 2, n + 2))
     scale = np.maximum(1.0, np.max(np.abs(R), axis=(1, 2, 3, 4)))

@@ -76,6 +76,7 @@ _T = ex.var(0)
 _HARMONICS = 2  # harmonics per coordinate of a `trig_loop`, each a sine and a cosine
 _TEMPLATE_LIMIT = 256  # template segments kept, least recently used dropped first
 _TEMPLATES: dict = {}  # key -> template segment, least recently used first
+_GAP_TOL = 1e-12  # largest gap between consecutive segments, and between a loop's ends
 
 
 class TransportError(RuntimeError):
@@ -239,14 +240,13 @@ class PathSpec:
     """Piecewise-smooth path: consecutive segments with matching endpoints."""
 
     segments: tuple
-    gap_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.segments:
             raise MetricError("path needs at least one segment")
         for a, b in zip(self.segments, self.segments[1:]):
             gap = np.max(np.abs(a.point(1.0) - b.point(0.0)))
-            if gap > self.gap_tol:
+            if gap > _GAP_TOL:
                 raise MetricError(f"segment endpoints mismatch (gap {gap:.2e})")
 
     @property
@@ -262,7 +262,7 @@ class PathSpec:
         return self.segments[-1].point(1.0)
 
     def is_loop(self) -> bool:
-        return bool(np.max(np.abs(self.end - self.base)) <= self.gap_tol)
+        return bool(np.max(np.abs(self.end - self.base)) <= _GAP_TOL)
 
 
 def segment_from_points(p0, p1) -> Segment:

@@ -162,7 +162,7 @@ def test_criterion_04_torsion_is_scaled_cotton_york():
     # lowered torsion has homogeneity degree 2: ratio 4 at t = 2
     u, w, z = rng.standard_normal((3, 5))
     t = 2.0
-    num = geom.torsion_lowered(geom.scale_point(p, t),
+    num = geom.torsion_lowered(geom.scale_tangent(p, t),
                                geom.scale_tangent(u, t),
                                geom.scale_tangent(w, t),
                                geom.scale_tangent(z, t), st)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from tractor_forge import ambient
 from tractor_forge.ambient import (AmbientGeometry, SingularMapError,
-                                   ambient_point, curvature_from_omega, split_point)
+                                   ambient_point, curvature_from_omega)
 from tractor_forge.curvature import stack_at
 from tractor_forge.metric import ChartDomainError, MetricError, preset
 from tractor_forge.tractor import connection_matrix
@@ -29,9 +30,8 @@ BASE3 = np.array([0.15, -0.2, 0.25])
 
 def test_point_packing():
     p = ambient_point(0.3, BASE3, 1.2)
-    s, x, q = split_point(p)
-    assert s == 0.3 and q == 1.2
-    assert x == pytest.approx(BASE3)
+    assert p[0] == 0.3 and p[-1] == 1.2
+    assert np.array_equal(p[1:-1], BASE3)
 
 
 def test_f_map_on_slice_is_identity(sphere_geom):
@@ -86,6 +86,27 @@ def test_non_finite_s_or_q_is_checked_before_the_bundle_map(sphere_geom):
     with pytest.raises(ChartDomainError) as batched:
         sphere_geom.f_map(np.array([singular, outside]))
     assert str(batched.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("q", [0.0, -0.0, -1.0])
+def test_q_not_positive_lies_outside_the_domain(bumpy_geom, q):
+    """f_map, which every ambient evaluator passes, refuses q <= 0 (off
+    R x M x R+) as it refuses a non-finite coordinate; a stack raises its
+    first bad row's error, as that row alone would."""
+    good, bad = ambient_point(0.2, BASE3, 1.0), ambient_point(0.2, BASE3, q)
+    with pytest.raises(ChartDomainError, match="q > 0") as alone:
+        bumpy_geom.f_map(bad)
+    u = np.ones(bumpy_geom.dim)
+    for call in (lambda p: bumpy_geom.omega(p, u), bumpy_geom.metric,
+                 lambda p: bumpy_geom.lift(p, BASE3), bumpy_geom.phi):
+        with pytest.raises(ChartDomainError) as err:
+            call(bad)
+        assert str(err.value) == str(alone.value)
+    stacked = np.array([good, bad, ambient_point(0.2, BASE3, -2.0)])
+    for call in (bumpy_geom.f_map, lambda p: bumpy_geom.omega(p, np.ones_like(p))):
+        with pytest.raises(ChartDomainError) as batched:
+            call(stacked)
+        assert str(batched.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("q", [np.nan, -np.inf, 0.0])
@@ -209,10 +230,10 @@ def test_checks_at_a_point_take_the_callers_stack(bumpy_geom, monkeypatch):
             bumpy_geom.nabF_check(p, np.random.default_rng(5)))
     st = stack_at(bumpy_geom.spec, BASE3)
 
-    def no_stack(self, x):
+    def no_stack(spec, x):
         raise AssertionError("stack rebuilt")
 
-    monkeypatch.setattr(AmbientGeometry, "stack", no_stack)
+    monkeypatch.setattr(ambient, "stack_at", no_stack)
     assert (bumpy_geom.homogeneity_checks(p, np.random.default_rng(5), st),
             bumpy_geom.nabF_check(p, np.random.default_rng(5), st)) == want
 
@@ -247,7 +268,7 @@ def _orthonormal_frame(g):
 def _frame_ricci(geom, p, pairs):
     """Ric(u, v) contracted over the h-dual frame (S, E~_1..E~_n, Q):
     h(R(S,u)v, Q) + h(R(Q,u)v, S) + sum_i eps_i h(R(E~_i,u)v, E~_i)."""
-    _, x, _ = split_point(p)
+    x = p[1:-1]
     st = stack_at(geom.spec, x)
     h = geom.metric(p, st)
     E, eps = _orthonormal_frame(st.g)
@@ -374,7 +395,7 @@ def test_ambient_connection_is_the_gauged_tractor_connection(name):
     rng = np.random.default_rng(5)
     n = geom.n
     for p in _off_slice_points(geom, 4, rng):
-        s, x, _ = split_point(p)
+        s, x = p[0], p[1:-1]
         st = stack_at(geom.spec, x)
         f, _ = geom.f_map(p)
         G = _gauge(geom, p)
@@ -395,6 +416,6 @@ def test_off_slice_transport_is_the_gauged_tractor_transport(name):
     points = _off_slice_points(geom, 3, np.random.default_rng(6))
     amb = transport_matrix(AmbientOracle(geom.spec), path_from_waypoints(points), 1e-11)
     chart = transport_matrix(TractorOracle(geom.spec),
-                             path_from_waypoints([split_point(p)[1] for p in points]), 1e-11)
+                             path_from_waypoints([p[1:-1] for p in points]), 1e-11)
     want = _gauge(geom, points[-1]) @ chart @ np.linalg.inv(_gauge(geom, points[0]))
     assert np.max(np.abs(amb - want)) <= 1e-9

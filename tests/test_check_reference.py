@@ -158,7 +158,7 @@ def _homogeneity_reference(geom, p, rng) -> dict:
     h0 = geom.metric(p, stack)
     vecs = rng.standard_normal((4, geom.dim))
     for t in (0.5, 2.0):
-        pt = geom.scale_point(p, t)
+        pt = geom.scale_tangent(p, t)
         ht = geom.metric(pt, stack)
         res_h = 0.0
         for u in vecs:
@@ -176,13 +176,13 @@ def _homogeneity_reference(geom, p, rng) -> dict:
                 res_t = max(res_t, abs(lhs - rhs))
         results[t] = {"metric_scaling": res_h, "torsion_scaling": res_t}
     res_dphi = 0.0
-    for pt in [p] + [geom.scale_point(p, t) for t in (0.5, 2.0)]:
+    for pt in [p] + [geom.scale_tangent(p, t) for t in (0.5, 2.0)]:
         d_sq = geom.fundamental_field(pt)[::-1]
         res_dphi = max(res_dphi, float(np.max(np.abs(geom.phi(pt, stack) - d_sq))))
     results["dphi"] = res_dphi
     res_lift = 0.0
     for t in (0.5, 2.0):
-        pt = geom.scale_point(p, t)
+        pt = geom.scale_tangent(p, t)
         for X in np.eye(geom.n):
             res_lift = max(res_lift, float(np.max(np.abs(
                 geom.lift(pt, X, stack) - geom.lift(p, X, stack) / t))))
@@ -274,7 +274,7 @@ def test_batched_ambient_helpers_equal_their_rows(name):
         assert np.array_equal(geom.covariant_derivative(p0, u, w[0], z, rows[1])[j],
                               geom.covariant_derivative(p0, u[j], w[0], z[j], rows[1]))
     # a dilation's points, with one row of a stack repeated for them
-    scaled = np.stack([geom.scale_point(p0, t) for t in (1.0, 0.5, 2.0)])
+    scaled = np.stack([geom.scale_tangent(p0, t) for t in (1.0, 0.5, 2.0)])
     repeated = take_rows(compute_stack(metric_jet(spec, x[1:2])), [0, 0, 0])
     for i, pt in enumerate(scaled):
         assert np.array_equal(geom.metric(scaled, repeated)[i], geom.metric(pt, rows[1]))

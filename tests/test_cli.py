@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from tractor_forge import cli
 from tractor_forge import transport as tp
 from tractor_forge.cli import main
+from tractor_forge.report import RunConfig, run_verify
 
 BUMPY = ["--preset", "bumpy", "--param", "eps=0.1"]
 POINT = ["--point", "0.1,-0.2,0.15"]
@@ -70,6 +73,13 @@ def test_ambient_regular_point(capsys):
     assert data["torsion_vs_cotton_york"] < 1e-7
 
 
+@pytest.mark.parametrize("q", ["0", "-1"])
+def test_ambient_q_not_positive_exits_two(capsys, q):
+    code, out, err = run(capsys, ["ambient"] + BUMPY + ["--s", "0.2", "--q", q])
+    assert code == 2 and not out
+    assert "q > 0" in err and "Traceback" not in err
+
+
 def test_holonomy_variants_and_csv(capsys, tmp_path):
     code, out, _ = run(capsys, ["holonomy", "--preset", "flat",
                                 "--loops", "4"] + POINT)
@@ -119,8 +129,17 @@ def test_bad_config_exit_two(capsys, tmp_path):
     (["--preset", "sphere", "--param", "radius=true"],
      "parameter radius must be a finite number, got True"),
     ("preset = sphere\nparam.n = 3.5\n", "parameter n must be an integer, got 3.5"),
+    ("dim = 3\ng[1][2] = 0.1\ng[2][1] = 0.3\n", "line 3: g[2][1] set again (first on line 2)"),
+    ("preset = sphere\ng[1][1] = 2\n",
+     "line 2: a preset config takes no dim, signature or g entries"),
+    ("preset = ppwave\nsignature = 4,0\n",
+     "line 2: a preset config takes no dim, signature or g entries"),
+    ("dim = 3\nparam.n = 5\n", "line 2: param keys need a preset"),
+    ("dim = 3\ng[1][1] = 1\ndim = 4\n", "line 3: dim set again (first on line 1)"),
 ], ids=["param-flag", "param-nan", "config-dim", "config-signature", "config-param",
-        "param-fraction", "param-bool", "config-param-fraction"])
+        "param-fraction", "param-bool", "config-param-fraction", "config-entry-twice",
+        "config-preset-and-entry", "config-preset-and-signature", "config-param-no-preset",
+        "config-dim-twice"])
 def test_malformed_number_exit_two(capsys, tmp_path, source, message):
     if isinstance(source, str):
         path = tmp_path / "metric.cfg"
@@ -245,6 +264,36 @@ def test_verify_json_is_strict_when_a_residual_is_inf(capsys):
     checks = {c["name"]: c for c in _strict_json(out)["checks"]}
     assert checks["holonomy-tractor-vs-ambient"]["residual"] == "inf"
     assert checks["holonomy-tractor-vs-ambient"]["pass"] is False
+
+
+@pytest.mark.parametrize("flags, settings", [
+    ([], {}),
+    (["--seed", "7", "--samples", "2", "--loops", "6", "--tol-rank", "1e-5"],
+     {"seed": 7, "samples": 2, "loops": 6, "tol_rank": 1e-5}),
+], ids=["defaults", "flags"])
+def test_cli_report_config_is_the_run_configs(capsys, tmp_path, flags, settings):
+    """The CLI sets only the flags given; RunConfig supplies every default."""
+    path = tmp_path / "report.json"
+    main(["verify", "--preset", "flat", "--out", str(path)] + flags)
+    want = run_verify(RunConfig(preset="flat", **settings)).to_dict()["config"]
+    assert json.loads(path.read_text())["config"] == want
+
+
+def test_parser_restates_no_run_config_default():
+    args = vars(cli._build_parser().parse_args(["verify", "--preset", "flat"]))
+    assert set(args) == {"command", "run", "preset"}
+
+
+def test_report_config_lists_every_field_but_the_output_ones():
+    config = RunConfig(point=np.array([0.1, 0.2, 0.3]), out="x.json", format="text").to_dict()
+    assert set(config) == {f.name for f in fields(RunConfig)} - {"out", "format"}
+    assert config["point"] == [0.1, 0.2, 0.3] and type(config["point"]) is list
+
+
+def test_empty_point_uses_the_default_base_point(capsys):
+    code, out, _ = run(capsys, ["tensors", "--preset", "sphere", "--point", ""])
+    assert code == 0
+    assert (code, out) == run(capsys, ["tensors", "--preset", "sphere"])[:2]
 
 
 def test_verify_flat_passes_and_deterministic(capsys, tmp_path):

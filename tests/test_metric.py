@@ -13,7 +13,7 @@ from tractor_forge import expr as ex
 from tractor_forge import metric as metric_mod
 from tractor_forge.metric import (PRESET_NAMES, ChartDomainError, MetricError,
                                   MetricSpec, SingularMetricError, metric_jet,
-                                  parse_config, preset, signature_at)
+                                  parse_config, preset, signature_of)
 from tractor_forge.transport import TractorOracle
 
 # exp, log and sqrt entries with an off-diagonal coupling; positive
@@ -74,8 +74,8 @@ def test_jet_order_two_skips_third_derivatives():
 
 
 def test_signature_at():
-    assert signature_at(preset("sphere"), np.zeros(3)) == (3, 0)
-    assert signature_at(preset("ppwave"), np.array([0.1, 0.2, 0.3, 0.4])) == (3, 1)
+    assert signature_of(metric_jet(preset("sphere"), np.zeros(3)).g) == (3, 0)
+    assert signature_of(metric_jet(preset("ppwave"), np.array([0.1, 0.2, 0.3, 0.4])).g) == (3, 1)
 
 
 def test_singular_metric_rejected():
@@ -194,7 +194,7 @@ def test_parse_config_errors():
 
 def _reference_partials(spec, order):
     """Every entry of the jet's flat layout (blocks g, dg, ... each in C
-    order), as the jet builds it but by plain recursive `Expr.diff`, with
+    order), as the jet builds it but by plain recursive `derivative`, with
     no memo: a partial differentiates the one of its sorted multi-index
     without the first index, so the last index is differentiated first."""
     n = spec.n
@@ -203,8 +203,8 @@ def _reference_partials(spec, order):
         for index in np.ndindex((n,) * (k + 2)):
             i, j, multi = min(index[k:]), max(index[k:]), tuple(sorted(index[:k]))
             if (i, j, multi) not in partials:
-                partials[i, j, multi] = (partials[i, j, multi[1:]].diff(multi[0]) if multi
-                                         else spec.entries[i][j])
+                partials[i, j, multi] = (ex.derivative(partials[i, j, multi[1:]], multi[0])
+                                         if multi else spec.entries[i][j])
             exprs.append(partials[i, j, multi])
     return exprs
 

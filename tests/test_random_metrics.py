@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tractor_forge.ambient import AmbientGeometry, ambient_point
 from tractor_forge.curvature import stack_at
-from tractor_forge.metric import parse_config, signature_at
+from tractor_forge.metric import metric_jet, parse_config, signature_of
 from tractor_forge.tractor import normality_check
 
 _COEFF = st.floats(-1.0, 1.0).map(lambda v: round(v, 4))
@@ -56,7 +56,7 @@ def test_normal_connection_and_ambient_curvature_on_random_metrics(text, data):
     spec = parse_config(text)
     n = spec.n
     x = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
-    assert signature_at(spec, x) == spec.signature
+    assert signature_of(metric_jet(spec, x).g) == spec.signature
     stack = stack_at(spec, x)
 
     rep = normality_check(stack)

@@ -808,7 +808,7 @@ def _tree_lift(path, s_expr, q_expr):
         s_loc = ex.substitute(s_expr, 0, glob)
         q_loc = ex.substitute(q_expr, 0, glob)
         segs.append(tp.Segment((s_loc,) + seg.coords + (q_loc,),
-                               (s_loc.diff(0),) + seg.tangents + (q_loc.diff(0),), seg.span))
+                               (ex.derivative(s_loc, 0),) + seg.tangents + (ex.derivative(q_loc, 0),), seg.span))
     return tp.PathSpec(tuple(segs))
 
 
@@ -901,7 +901,7 @@ def test_memoised_template_tangents_equal_the_plain_recursive_build(monkeypatch,
     for loop in tp.loop_family(base, 2, 0.25, np.random.default_rng(n)):
         for path in (loop, tp.lift_loop(loop), tp.lift_loop(loop, s_off, q_off)):
             for seg in path.segments + tp.reverse_path(path).segments:
-                tangents = tuple(c.diff(0) for c in seg.coords)
+                tangents = tuple(ex.derivative(c, 0) for c in seg.coords)
                 want = ex.compile_exprs(seg.coords + tangents, bound=len(seg.params))
                 assert seg.tangents == tangents
                 assert (seg._table.source, seg._table.constants, seg._table.columns) == \
