@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import (CurvatureStack, _christoffel_matrices, _repeat_rows, connection_at,
-                        connection_curvature, stack_at)
+                        connection_curvature)
 from .metric import ChartDomainError, MetricError, MetricSpec
 
 __all__ = [
@@ -142,10 +142,11 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
 class AmbientGeometry:
     """Point-wise evaluators for the ambient construction over one metric.
 
-    Each takes one point or a (k, n+2) stack (with `stack`, if given,
-    batched like it) and its vectors batched, and broadcast, as u is in
-    `omega`; each row of a batched call equals the call on its row alone,
-    bit for bit."""
+    Each takes one point or a (k, n+2) stack, the caller's curvature data
+    `stack` batched like it, and its vectors batched, and broadcast, as u is
+    in `omega`; each row of a batched call equals the call on its row
+    alone, bit for bit.  Only `metric` and `omega` build the data when no
+    `stack` is given."""
 
     spec: MetricSpec
 
@@ -159,19 +160,19 @@ class AmbientGeometry:
 
     # -- the bundle map and metric -------------------------------------------
 
-    def f_map(self, p, stack: CurvatureStack | None = None):
+    def f_map(self, p, stack):
         """(f, m) with m = s*Psharp + q*Id and f = m^{-1}; raises when singular.
 
-        For a stack of points f and m are (k, n, n) stacks.  Only Psharp is
-        read, so a `ConnectionPoint` serves as well as a full stack (and is
-        the default).  A non-finite s, or a q that is not finite and > 0,
-        lies outside the domain R x M x R+ (`ChartDomainError`); that check
-        precedes the singularity check, and a stack raises the error of its
-        first bad row, as that row's own call would.
+        For a stack of points f and m are (k, n, n) stacks.  Only g and
+        Psharp are read, so an order-2 `ConnectionPoint` serves as well as
+        a full stack.  A non-finite s, or a q that is not finite and > 0,
+        lies outside the domain R x M x R+ (`ChartDomainError`); next, a
+        point whose det m or m^T g m overflows cannot be represented
+        (`MetricError`); then comes the singularity check.  A stack raises
+        the error of its first bad row, in that order of checks, as that
+        row's own call would.
         """
         p = np.asarray(p, dtype=float)
-        if stack is None:
-            stack = connection_at(self.spec, p[..., 1:-1])
         points = p.reshape(-1, self.dim)
         inside = np.isfinite(points[:, [0, -1]]).all(axis=1) & (points[:, -1] > 0.0)
         if not inside.all():
@@ -181,7 +182,15 @@ class AmbientGeometry:
         n = self.n
         Psharp = np.reshape(stack.Psharp, (len(points), n, n))
         m = points[:, 0, None, None] * Psharp + points[:, -1, None, None] * np.eye(n)
-        singular = np.abs(np.linalg.det(m)) <= _DET_TOL
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(m)
+            block = np.swapaxes(m, -2, -1) @ np.reshape(stack.g, m.shape) @ m
+        finite = np.isfinite(det) & np.isfinite(block).all(axis=(1, 2))
+        if not finite.all():
+            bad = points[np.argmin(finite)]
+            raise MetricError(f"ambient point {bad.tolist()} cannot be represented: "
+                              "det m or m^T g m of the bundle map m overflows")
+        singular = np.abs(det) <= _DET_TOL
         if singular.any():
             row = int(np.argmax(singular))
             s, q = points[row, 0], points[row, -1]
@@ -191,7 +200,7 @@ class AmbientGeometry:
         f = np.linalg.inv(m)
         return (f, m) if p.ndim == 2 else (f[0], m[0])
 
-    def lift(self, p, X, stack: CurvatureStack | None = None) -> np.ndarray:
+    def lift(self, p, X, stack) -> np.ndarray:
         """Lift of a base vector X: the ambient vector (0, f(X), 0)."""
         p, X = np.asarray(p, dtype=float), np.asarray(X, dtype=float)
         v = np.zeros(X.shape[:-1] + (self.dim,))
@@ -216,7 +225,7 @@ class AmbientGeometry:
         F[..., 0], F[..., -1] = p[..., 0], p[..., -1]
         return F
 
-    def phi(self, p, stack: CurvatureStack | None = None) -> np.ndarray:
+    def phi(self, p, stack) -> np.ndarray:
         """Covector h(F, .); closed form q ds + s dq."""
         return (self.metric(p, stack) @ self.fundamental_field(p)[..., None])[..., 0]
 
@@ -289,7 +298,7 @@ class AmbientGeometry:
             raise
         return out
 
-    def covariant_derivative(self, p, u, w, dw, stack=None) -> np.ndarray:
+    def covariant_derivative(self, p, u, w, dw, stack) -> np.ndarray:
         """D_u w for an ambient vector w with directional component derivative dw."""
         u = np.asarray(u, dtype=float)
         w = np.broadcast_to(np.asarray(w, dtype=float), u.shape)
@@ -297,26 +306,22 @@ class AmbientGeometry:
 
     # -- torsion ----------------------------------------------------------------
 
-    def torsion(self, p, u, w, stack: CurvatureStack | None = None) -> np.ndarray:
+    def torsion(self, p, u, w, stack) -> np.ndarray:
         """T(u, w) for coordinate-constant directions, from the rules alone:
         one `omega` call on the directions of u and w together."""
         u, w = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
         Om = self.omega(p, np.stack([u, w], axis=-2), stack)
         return (Om[..., 0, :, :] @ w[..., None] - Om[..., 1, :, :] @ u[..., None])[..., 0]
 
-    def torsion_closed_form(self, p, X, Y, stack: CurvatureStack | None = None) -> np.ndarray:
+    def torsion_closed_form(self, p, X, Y, stack: CurvatureStack) -> np.ndarray:
         """s * (lift of CYsharp(X, Y)); the independent oracle for torsion."""
         p, X = np.asarray(p, dtype=float), np.asarray(X, dtype=float)
-        if stack is None:
-            stack = stack_at(self.spec, p[..., 1:-1])
         cy = np.einsum("...ijk,...i,...j->...k", _per_point(stack.CYsharp, p, X), X, Y)
         return _per_point(p[..., :1], p, X) * self.lift(p, cy, stack)
 
-    def torsion_lowered(self, p, u, w, z, stack: CurvatureStack | None = None):
+    def torsion_lowered(self, p, u, w, z, stack):
         """T*(u, w, z) = h(T(u, w), z): a float, or an array for batched input."""
         p = np.asarray(p, dtype=float)
-        if stack is None:
-            stack = stack_at(self.spec, p[..., 1:-1])
         T = self.torsion(p, u, w, stack)
         h = _per_point(self.metric(p, stack), p, T)
         low = (T[..., None, :] @ h @ np.asarray(z, dtype=float)[..., None])[..., 0, 0]
@@ -336,10 +341,9 @@ class AmbientGeometry:
         """
         return curvature_from_omega(self.omega, p, self.dim)
 
-    def ricci(self, p, pairs: np.ndarray | None = None) -> np.ndarray:
-        """Ricci matrix over the coordinate basis: Ric(u, v) = tr(w -> R(w, u) v)."""
-        if pairs is None:
-            pairs = self.curvature_all_pairs(p)
+    def ricci(self, pairs: np.ndarray) -> np.ndarray:
+        """Ricci matrix over the coordinate basis, Ric(u, v) = tr(w -> R(w, u) v),
+        from the curvature `pairs` of `curvature_all_pairs`."""
         return np.einsum("cacb->ab", pairs)
 
     # -- structural checks ---------------------------------------------------------
@@ -351,16 +355,13 @@ class AmbientGeometry:
             bound = np.where(top < 1e-12, np.inf, 0.5 * np.asarray(q, dtype=float) / top)
         return float(bound) if bound.ndim == 0 else bound
 
-    def homogeneity_checks(self, p, rng=None, stack: CurvatureStack | None = None) -> dict:
+    def homogeneity_checks(self, p, rng: np.random.Generator, stack) -> dict:
         """Degree bookkeeping under phi_t(s, x, q) = (ts, x, tq), at p and its
-        dilations by `_SCALES`, the three points in one batch.  `stack` is
-        the one-point stack at p's chart point, built here if not given."""
+        dilations by `_SCALES`, the three points in one batch: the largest
+        residual over the dilations of each check.  `stack` is the one-point
+        stack at p's chart point, of order 3 off the slice."""
         p = np.asarray(p, dtype=float)
-        if stack is None:
-            stack = stack_at(self.spec, p[1:-1])
         stack = _repeat_rows(stack, 1 + len(_SCALES))  # a row per point
-        if rng is None:
-            rng = np.random.default_rng(0)
         vecs = rng.standard_normal((4, self.dim))
 
         def pushed(u):  # u at p, then pushed forward by each dilation
@@ -372,29 +373,23 @@ class AmbientGeometry:
         u = pushed(vecs)
         pair = (u[:, :, None, None, :] @ h[:, None, None] @ u[:, None, :, :, None])[..., 0, 0]
         rhs = t * t * pair[0]
-        res_h = np.max(np.abs(pair[1:] - rhs) / np.maximum(1.0, np.abs(rhs)), axis=(1, 2))
+        res_h = np.max(np.abs(pair[1:] - rhs) / np.maximum(1.0, np.abs(rhs)))
         # lowered torsion degree 2, on the pairs (u, v) of vecs[:2] x vecs[2:]
         low = self.torsion_lowered(pts, u[:, [0, 0, 1, 1]], u[:, [2, 3, 2, 3]],
                                    pushed(vecs[0] + vecs[3])[:, None], stack)
-        res_t = np.max(np.abs(low[1:] - t[..., 0] * t[..., 0] * low[0]), axis=1)
-        results = {scale: {"metric_scaling": float(a), "torsion_scaling": float(b)}
-                   for scale, a, b in zip(_SCALES, res_h, res_t)}
+        res_t = np.max(np.abs(low[1:] - t[..., 0] * t[..., 0] * low[0]))
         # phi = h(F, .) equals q ds + s dq = d(sq) at p and its dilations, so dphi = 0
         d_sq = self.fundamental_field(pts)[:, ::-1]  # (q, 0, ..., 0, s)
-        results["dphi"] = float(np.max(np.abs(self.phi(pts, stack) - d_sq)))
+        res_phi = np.max(np.abs(self.phi(pts, stack) - d_sq))
         # lifted fields have homogeneity -1: lift at phi_t(p) = (1/t) * lift at p
         lifts = self.lift(pts, np.broadcast_to(np.eye(self.n), (len(pts), self.n, self.n)), stack)
-        results["lift_homogeneity"] = float(np.max(np.abs(lifts[1:] - lifts[0] / t)))
-        return results
+        res_lift = np.max(np.abs(lifts[1:] - lifts[0] / t))
+        return {"metric_scaling": float(res_h), "torsion_scaling": float(res_t),
+                "lift_homogeneity": float(res_lift), "dphi": float(res_phi)}
 
-    def nabF_check(self, p, rng=None, stack: CurvatureStack | None = None) -> float:
+    def nabF_check(self, p, rng: np.random.Generator, stack) -> float:
         """max residual of nabla_u F = u over random directions u; `stack` as
         in `homogeneity_checks`."""
-        p = np.asarray(p, dtype=float)
-        if stack is None:
-            stack = stack_at(self.spec, p[1:-1])
-        if rng is None:
-            rng = np.random.default_rng(0)
         u = rng.standard_normal((6, self.dim))
         dF = self.fundamental_field(u)  # coefficient derivatives of (s, 0, q)
         cov = self.covariant_derivative(p, u, self.fundamental_field(p), dF, stack)

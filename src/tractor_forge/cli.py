@@ -24,7 +24,7 @@ from .ambient import AmbientGeometry, SingularMapError, ambient_point
 from .curvature import compute_stack, stack_at
 from .expr import EvaluationDomainError
 from .metric import PRESET_NAMES, MetricError, metric_jet, signature_of
-from .report import LOOP_TOL, RunConfig, report_emit, run_verify
+from .report import AMBIENT_IDENTITY_TOL, LOOP_TOL, RunConfig, report_emit, run_verify
 from .tractor import connection_matrix, normality_check, tractor_metric
 
 log = logging.getLogger("tractor_forge")
@@ -201,19 +201,13 @@ def cmd_ambient(cfg: RunConfig, s: float, q: float) -> int:
         "metric_corner_SQ": float(h[0, -1]),
         "default_s_bound": geom.default_s_bound(base, q),
         "torsion_vs_cotton_york": res_tor,
-        "homogeneity": {
-            "metric_scaling": max(hom[0.5]["metric_scaling"],
-                                  hom[2.0]["metric_scaling"]),
-            "torsion_scaling": max(hom[0.5]["torsion_scaling"],
-                                   hom[2.0]["torsion_scaling"]),
-            "lift_homogeneity": hom["lift_homogeneity"],
-            "dphi": hom["dphi"],
-        },
+        "homogeneity": hom,
         "nabF_identity": geom.nabF_check(p, np.random.default_rng(cfg.seed), st),
     }
-    ok = (res_tor <= cfg.tol_transport
-          and payload["homogeneity"]["metric_scaling"] <= cfg.tol_transport
-          and payload["nabF_identity"] <= 1e-9)
+    # the residuals verify's ambient-torsion-cotton, -homogeneity, -dphi-closed
+    # and -nabF judge, by the same tolerances
+    ok = (all(res <= cfg.tol_transport for res in (res_tor, *hom.values()))
+          and payload["nabF_identity"] <= AMBIENT_IDENTITY_TOL)
     payload["pass"] = bool(ok)
     _emit(payload, cfg)
     return 0 if ok else 1

@@ -87,7 +87,7 @@ class CurvatureStack:
     W: np.ndarray           # lowered, same slot layout as riem_low
     CY: np.ndarray          # [i,j,k] = (nabla_i P)_jk - (nabla_j P)_ik
     CYsharp: np.ndarray     # [i,j,k] with last slot raised
-    dginv: np.ndarray = field(repr=False, default=None)
+    dginv: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -418,7 +418,7 @@ class ConnectionPoint:
     Scal: float             # a (k,) array for a batch of points
     P: np.ndarray
     Psharp: np.ndarray
-    dPsharp: np.ndarray | None = None
+    dPsharp: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -446,10 +446,11 @@ def connection_at(spec: MetricSpec, x, order: int = 2) -> ConnectionPoint:
     Ric, parts = _contracted_ricci(ginv, dg, d2g, c)
     Scal, P, Psharp = _schouten(g, ginv, Ric)
     fields = dict(Gamma=c["Gamma"], Ric=Ric, Scal=Scal, P=P, Psharp=Psharp)
-    if d3g is not None:
-        c.update(_christoffel_partials(ginv, dg, d2g, c))
-        dRic = _contracted_dricci(ginv, dg, d2g, d3g, c, parts)
-        fields["dPsharp"] = _schouten_partials(g, ginv, dg, Ric, Scal, P, dRic, c)[1]
+    if d3g is None:
+        return ConnectionPoint(jet=jet, dPsharp=None, **_batched_like(jet, fields))
+    c.update(_christoffel_partials(ginv, dg, d2g, c))
+    dRic = _contracted_dricci(ginv, dg, d2g, d3g, c, parts)
+    fields["dPsharp"] = _schouten_partials(g, ginv, dg, Ric, Scal, P, dRic, c)[1]
     return ConnectionPoint(jet=jet, **_batched_like(jet, fields))
 
 

@@ -585,8 +585,7 @@ class Table:
     parameters evaluates only once `bind` has set them.
     """
 
-    def __init__(self, function, source: str, constants: tuple, columns: tuple,
-                 bound: int = 0):
+    def __init__(self, function, source: str, constants: tuple, columns: tuple, bound: int):
         self.function = function
         self.source = source
         self.constants = constants

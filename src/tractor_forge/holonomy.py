@@ -140,8 +140,7 @@ def _pieces(path: tp.PathSpec) -> list:
     return [tp.PathSpec(segs[a:b]) for a, b in zip([0] + cuts, cuts + [len(segs)])]
 
 
-def holonomy_algebra(oracle, base, loops, tol: float = 1e-10,
-                     rank_tol: float = 1e-6) -> HolonomyAlgebra:
+def holonomy_algebra(oracle, base, loops, tol: float, rank_tol: float) -> HolonomyAlgebra:
     """Estimate the holonomy algebra of `oracle` from loops based at `base`.
 
     Every piece of every loop is a lane of one `parallel_transport` call,

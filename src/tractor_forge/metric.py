@@ -122,7 +122,7 @@ class MetricJet:
     d2g: np.ndarray
     d3g: np.ndarray | None
     ginv: np.ndarray
-    spec: MetricSpec = field(repr=False, default=None)
+    spec: MetricSpec = field(repr=False)
 
     @property
     def n(self) -> int:

@@ -29,6 +29,9 @@ __all__ = ["RunConfig", "VerifyReport", "run_verify", "report_emit", "SCHEMA_VER
 
 SCHEMA_VERSION = 1
 LOOP_TOL = 1e-9  # step tolerance of every loop transport that verify and holonomy run
+# residual bound of the ambient identities that hold up to rounding: lift
+# pairing, torsion on the slice and along F, nabla F = identity
+AMBIENT_IDENTITY_TOL = 1e-9
 
 
 @dataclass
@@ -116,7 +119,6 @@ class RunConfig:
 class VerifyReport:
     config: dict
     checks: list  # dicts: name, anchor, residual, tol, pass, seconds
-    schema_version: int = SCHEMA_VERSION
 
     @property
     def passed(self) -> bool:
@@ -125,7 +127,7 @@ class VerifyReport:
     def to_dict(self) -> dict:
         checks = sorted(self.checks, key=lambda c: c["name"])
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "config": self.config,
             "checks": checks,
             "summary": {
@@ -278,7 +280,7 @@ class _Suite:
         lhs = _bilinear(lifts[:, :, 0], geom.metric(p, st)[:, None], lifts[:, :, 1])
         rhs = _bilinear(XY[:, :, 0], st.g[:, None], XY[:, :, 1])
         self.add("ambient-lift-pairing", "lifted vectors pair to the base metric",
-                 _worst(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))), 1e-9)
+                 _worst(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))), AMBIENT_IDENTITY_TOL)
         self.add("ambient-f-commutes", "bundle map commutes with the Schouten endomorphism",
                  _worst(f @ st.Psharp - st.Psharp @ f), 1e-10)
 
@@ -294,20 +296,19 @@ class _Suite:
                  float(np.max(np.abs(geom.torsion(p_off, u, w, st)
                                      - geom.torsion_closed_form(p_off, X, Y, st)))), tol_t)
         self.add("ambient-torsion-on-slice", "torsion vanishes at s = 0",
-                 float(np.max(np.abs(geom.torsion(self.abase, u, w, st)))), 1e-9)
+                 float(np.max(np.abs(geom.torsion(self.abase, u, w, st)))), AMBIENT_IDENTITY_TOL)
         self.add("ambient-torsion-F-contraction", "fundamental field contracts torsion to zero",
-                 float(np.max(np.abs(geom.torsion(p_off, F, u, st)))), 1e-9)
+                 float(np.max(np.abs(geom.torsion(p_off, F, u, st)))), AMBIENT_IDENTITY_TOL)
 
         hom = geom.homogeneity_checks(p_off, np.random.default_rng(self.cfg.seed), st)
-        res_hom = max(hom[0.5]["metric_scaling"], hom[2.0]["metric_scaling"],
-                      hom[0.5]["torsion_scaling"], hom[2.0]["torsion_scaling"],
-                      hom["lift_homogeneity"])
+        res_hom = max(hom["metric_scaling"], hom["torsion_scaling"], hom["lift_homogeneity"])
         self.add("ambient-homogeneity", "metric degree 2, torsion degree 2, lifts degree -1",
                  res_hom, tol_t)
         self.add("ambient-dphi-closed", "dual form of the fundamental field is closed",
                  hom["dphi"], tol_t)
         self.add("ambient-nabF", "covariant derivative of the fundamental field is the identity",
-                 geom.nabF_check(p_off, np.random.default_rng(self.cfg.seed), st), 1e-9)
+                 geom.nabF_check(p_off, np.random.default_rng(self.cfg.seed), st),
+                 AMBIENT_IDENTITY_TOL)
 
         # curvature block identity, Ricci, and F-row checks at the slice
         pairs = geom.curvature_all_pairs(self.abase)
@@ -323,7 +324,7 @@ class _Suite:
                  "curvature acts as the Weyl block plus a Cotton-York Q-component",
                  float(np.max(np.abs(got - want))), self.cfg.tol_transport)
 
-        ric = geom.ricci(self.abase, pairs)
+        ric = geom.ricci(pairs)
         self.add("ambient-ricci-on-slice", "ambient Ricci vanishes on the embedded slice",
                  float(np.max(np.abs(ric))), self.cfg.tol_transport)
 
@@ -457,8 +458,8 @@ def _json_safe(obj):
     return obj
 
 
-def report_emit(report, fmt: str = "json", out=None) -> str:
-    """Serialize a report; writes to `out` when given, returns the text.
+def report_emit(report, fmt: str, out: str | None) -> str:
+    """Serialize a report; writes to `out` unless it is None or "", returns the text.
 
     `report` is a VerifyReport, a command's payload dict, or a table (a
     list of rows, header first).  json dumps a report or payload; text

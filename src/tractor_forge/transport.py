@@ -306,13 +306,10 @@ def trig_loop(base, radius: float, rng: np.random.Generator) -> PathSpec:
     return PathSpec((_shape(_trig, values),))
 
 
-def loop_family(base, count: int, radius: float,
-                rng: np.random.Generator | None = None) -> list:
+def loop_family(base, count: int, radius: float, rng: np.random.Generator) -> list:
     """Coordinate-pair rectangles plus `count` smooth random loops at base."""
     if radius <= 0:
         raise MetricError("loop radius must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
     base = np.asarray(base, dtype=float)
     n = len(base)
     loops = [rectangle_loop(base, i, j, radius)
@@ -718,7 +715,7 @@ def _integrate(oracle, lanes, V: np.ndarray, tol: float) -> np.ndarray:
     return V
 
 
-def parallel_transport(oracle, path, v0, tol: float = 1e-10) -> np.ndarray:
+def parallel_transport(oracle, path, v0, tol: float) -> np.ndarray:
     """Transport the fiber vector v0 along the path; local error per step <= tol.
 
     v0 is one fiber vector, or a matrix whose columns are fiber vectors.
@@ -747,6 +744,6 @@ def parallel_transport(oracle, path, v0, tol: float = 1e-10) -> np.ndarray:
     return V[0] if single else V
 
 
-def transport_matrix(oracle, path: PathSpec, tol: float = 1e-10) -> np.ndarray:
+def transport_matrix(oracle, path: PathSpec, tol: float) -> np.ndarray:
     """Full transport operator: columns are transported basis vectors."""
     return parallel_transport(oracle, path, np.eye(oracle.fiber_dim), tol)

@@ -16,7 +16,7 @@ from tractor_forge import holonomy as hol
 from tractor_forge import transport as tp
 from tractor_forge.ambient import AmbientGeometry, SingularMapError, ambient_point
 from tractor_forge.cli import main as cli_main
-from tractor_forge.curvature import stack_at, weyl_endomorphism
+from tractor_forge.curvature import connection_at, stack_at, weyl_endomorphism
 from tractor_forge.metric import preset
 from tractor_forge.tractor import normality_check
 
@@ -69,11 +69,11 @@ def _algebras(name):
             "loops": loops,
             "amb_loops": amb,
             "tractor": hol.holonomy_algebra(
-                tp.TractorOracle(spec), base, loops, 1e-9),
+                tp.TractorOracle(spec), base, loops, 1e-9, 1e-6),
             "ambient": hol.holonomy_algebra(
-                tp.AmbientOracle(spec), abase, amb, 1e-9),
+                tp.AmbientOracle(spec), abase, amb, 1e-9, 1e-6),
             "crude": hol.holonomy_algebra(
-                tp.CrudeOracle(spec), abase, amb, 1e-9),
+                tp.CrudeOracle(spec), abase, amb, 1e-9, 1e-6),
         }
     return _ALGEBRAS[name]
 
@@ -198,7 +198,7 @@ def test_criterion_05_curvature_blocks_vanishing_schouten():
                     [0.0], weyl_endomorphism(st, X, Y) @ Z,
                     [-float(np.einsum("ijk,i,j,k->", st.CY, X, Y, Z))]))
                 worst_block = max(worst_block, float(np.max(np.abs(got - want))))
-            worst_ric = max(worst_ric, float(np.max(np.abs(geom.ricci(p, pairs)))))
+            worst_ric = max(worst_ric, float(np.max(np.abs(geom.ricci(pairs)))))
     # curvature of slice-tangent pairs kills F, on every preset
     for name in PRESETS:
         spec = _spec(name)
@@ -223,7 +223,7 @@ def test_criterion_05_curvature_block_nonzero_schouten(name):
     p = ambient_point(0.0, base, 1.0)
     pairs = geom.curvature_all_pairs(p)
     rng = np.random.default_rng(6)
-    worst = float(np.max(np.abs(geom.ricci(p, pairs))))
+    worst = float(np.max(np.abs(geom.ricci(pairs))))
     for _ in range(3):
         X, Y, Z = rng.standard_normal((3, spec.n))
         R = np.einsum("a,b,abcd->cd", np.concatenate(([0.0], X, [0.0])),
@@ -337,7 +337,9 @@ def test_criterion_10_scale_lift_transport():
             F = geom.fundamental_field(p)
             dF = np.zeros(geom.dim)
             dF[0], dF[-1] = F[0], F[-1]
-            flow = max(flow, float(np.max(np.abs(geom.covariant_derivative(p, F, F, dF) - F))))
+            conn = connection_at(spec, p[1:-1], 3)
+            flow = max(flow, float(np.max(np.abs(
+                geom.covariant_derivative(p, F, F, dF, conn) - F))))
     # off-slice lifted loops leave the ambient holonomy dimension unchanged
     stable = True
     for name in ("sphere", "bumpy"):
@@ -351,7 +353,7 @@ def test_criterion_10_scale_lift_transport():
                for lp in algs["loops"][:2]]
         alg_off = hol.holonomy_algebra(
             tp.AmbientOracle(spec), ambient_point(0.0, base, 1.0),
-            algs["amb_loops"] + off, 1e-9)
+            algs["amb_loops"] + off, 1e-9, 1e-6)
         stable = stable and alg_off.dim == algs["ambient"].dim
     ok = worst <= 1e-6 and flow <= 1e-9 and stable
     _record(10, ok, f"2 reparameterizations x 3 presets residual "
@@ -362,7 +364,8 @@ def test_criterion_10_scale_lift_transport():
 def test_criterion_11_singular_bundle_map_reported():
     geom = AmbientGeometry(preset("sphere"))
     try:
-        geom.f_map(ambient_point(-2.0, _BASES["sphere"], 1.0))
+        geom.f_map(ambient_point(-2.0, _BASES["sphere"], 1.0),
+                   connection_at(geom.spec, _BASES["sphere"]))
         ok, msg = False, "no error raised"
     except SingularMapError as err:
         msg = str(err)

@@ -1,12 +1,14 @@
 """Ambient geometry on R x M x R+: bundle map, metric, torsion, scaling."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from tractor_forge import ambient
 from tractor_forge.ambient import (AmbientGeometry, SingularMapError,
                                    ambient_point, curvature_from_omega)
-from tractor_forge.curvature import stack_at
+from tractor_forge.curvature import connection_at, stack_at
 from tractor_forge.metric import ChartDomainError, MetricError, preset
 from tractor_forge.tractor import connection_matrix
 from tractor_forge.transport import (AmbientOracle, CrudeOracle, TractorOracle,
@@ -28,6 +30,11 @@ def bumpy_geom():
 BASE3 = np.array([0.15, -0.2, 0.25])
 
 
+def _conn(geom, p):
+    """Order-2 connection data at the chart points of p, batched like p."""
+    return connection_at(geom.spec, np.asarray(p, dtype=float)[..., 1:-1])
+
+
 def test_point_packing():
     p = ambient_point(0.3, BASE3, 1.2)
     assert p[0] == 0.3 and p[-1] == 1.2
@@ -36,7 +43,7 @@ def test_point_packing():
 
 def test_f_map_on_slice_is_identity(sphere_geom):
     p = ambient_point(0.0, BASE3, 1.0)
-    f, m = sphere_geom.f_map(p)
+    f, m = sphere_geom.f_map(p, _conn(sphere_geom, p))
     assert f == pytest.approx(np.eye(3))
     assert m == pytest.approx(np.eye(3))
 
@@ -44,12 +51,14 @@ def test_f_map_on_slice_is_identity(sphere_geom):
 def test_f_map_singular_names_eigenvalue(sphere_geom):
     # on the round sphere Psharp = (1/2) Id, so s*Psharp + q*Id degenerates
     # exactly when s = -2q
+    p = ambient_point(-2.0, BASE3, 1.0)
     with pytest.raises(SingularMapError) as err:
-        sphere_geom.f_map(ambient_point(-2.0, BASE3, 1.0))
+        sphere_geom.f_map(p, _conn(sphere_geom, p))
     assert "eigenvalue(s) 0.5" in str(err.value)
     assert "singular locus" in str(err.value)
     # nearby points are fine
-    f, _ = sphere_geom.f_map(ambient_point(-1.9, BASE3, 1.0))
+    p = ambient_point(-1.9, BASE3, 1.0)
+    f, _ = sphere_geom.f_map(p, _conn(sphere_geom, p))
     assert np.all(np.isfinite(f))
 
 
@@ -61,7 +70,7 @@ def test_non_finite_s_or_q_lies_outside_the_domain(bumpy_geom, value, slot):
     bad[slot] = value
     u = np.ones(bumpy_geom.dim)
     with pytest.raises(ChartDomainError) as alone:
-        bumpy_geom.f_map(bad)
+        bumpy_geom.f_map(bad, _conn(bumpy_geom, bad))
     for call in (lambda p: bumpy_geom.omega(p, u),
                  lambda p: AmbientOracle(bumpy_geom.spec).omega(p, u)):
         with pytest.raises(ChartDomainError) as err:
@@ -70,7 +79,7 @@ def test_non_finite_s_or_q_lies_outside_the_domain(bumpy_geom, value, slot):
     # a stack raises the first bad row's own error, whatever follows it; the
     # last row is on the slice, which omega_nodes evaluates apart
     stacked = np.array([good, bad, good, 2 * bad, ambient_point(0.0, BASE3, value)])
-    for call in (bumpy_geom.f_map,
+    for call in (lambda p: bumpy_geom.f_map(p, _conn(bumpy_geom, p)),
                  lambda p: bumpy_geom.omega(p, np.ones_like(p)),
                  lambda p: AmbientOracle(bumpy_geom.spec).omega_nodes(p, np.ones_like(p))):
         with pytest.raises(ChartDomainError) as batched:
@@ -82,9 +91,10 @@ def test_non_finite_s_or_q_is_checked_before_the_bundle_map(sphere_geom):
     singular = ambient_point(-2.0, BASE3, 1.0)  # Psharp = Id/2: m singular at s = -2q
     outside = ambient_point(0.1, BASE3, np.nan)
     with pytest.raises(ChartDomainError) as alone:
-        sphere_geom.f_map(outside)
+        sphere_geom.f_map(outside, _conn(sphere_geom, outside))
+    stacked = np.array([singular, outside])
     with pytest.raises(ChartDomainError) as batched:
-        sphere_geom.f_map(np.array([singular, outside]))
+        sphere_geom.f_map(stacked, _conn(sphere_geom, stacked))
     assert str(batched.value) == str(alone.value)
 
 
@@ -95,18 +105,47 @@ def test_q_not_positive_lies_outside_the_domain(bumpy_geom, q):
     first bad row's error, as that row alone would."""
     good, bad = ambient_point(0.2, BASE3, 1.0), ambient_point(0.2, BASE3, q)
     with pytest.raises(ChartDomainError, match="q > 0") as alone:
-        bumpy_geom.f_map(bad)
+        bumpy_geom.f_map(bad, _conn(bumpy_geom, bad))
     u = np.ones(bumpy_geom.dim)
     for call in (lambda p: bumpy_geom.omega(p, u), bumpy_geom.metric,
-                 lambda p: bumpy_geom.lift(p, BASE3), bumpy_geom.phi):
+                 lambda p: bumpy_geom.lift(p, BASE3, _conn(bumpy_geom, p)),
+                 lambda p: bumpy_geom.phi(p, _conn(bumpy_geom, p))):
         with pytest.raises(ChartDomainError) as err:
             call(bad)
         assert str(err.value) == str(alone.value)
     stacked = np.array([good, bad, ambient_point(0.2, BASE3, -2.0)])
-    for call in (bumpy_geom.f_map, lambda p: bumpy_geom.omega(p, np.ones_like(p))):
+    for call in (lambda p: bumpy_geom.f_map(p, _conn(bumpy_geom, p)),
+                 lambda p: bumpy_geom.omega(p, np.ones_like(p))):
         with pytest.raises(ChartDomainError) as batched:
             call(stacked)
         assert str(batched.value) == str(alone.value)
+
+
+def test_bundle_map_past_the_float_range_cannot_be_represented(bumpy_geom):
+    """f_map refuses a point whose det m or m^T g m overflows, naming it,
+    and lets no RuntimeWarning escape (pyproject makes one an error); a
+    stack raises its first bad row's error, as that row alone would."""
+    good, bad = ambient_point(0.2, BASE3, 1.0), ambient_point(0.2, BASE3, 1e300)
+    with pytest.raises(MetricError, match="cannot be represented") as alone:
+        bumpy_geom.f_map(bad, _conn(bumpy_geom, bad))
+    assert type(alone.value) is MetricError and str(bad.tolist()) in str(alone.value)
+    u = np.ones(bumpy_geom.dim)
+    for call in (lambda p: bumpy_geom.omega(p, u), bumpy_geom.metric,
+                 lambda p: bumpy_geom.lift(p, BASE3, _conn(bumpy_geom, p)),
+                 lambda p: bumpy_geom.phi(p, _conn(bumpy_geom, p))):
+        with pytest.raises(MetricError) as err:
+            call(bad)
+        assert str(err.value) == str(alone.value)
+    stacked = np.array([good, bad, ambient_point(0.2, BASE3, 1e250)])
+    for call in (lambda p: bumpy_geom.f_map(p, _conn(bumpy_geom, p)),
+                 lambda p: bumpy_geom.omega(p, np.ones_like(p))):
+        with pytest.raises(MetricError) as batched:
+            call(stacked)
+        assert str(batched.value) == str(alone.value)
+    # m^T g m overflows where det m = q^3 does not
+    huge_g = SimpleNamespace(Psharp=np.zeros((3, 3)), g=1e300 * np.eye(3))
+    with pytest.raises(MetricError, match="cannot be represented"):
+        bumpy_geom.f_map(ambient_point(0.0, BASE3, 1e10), huge_g)
 
 
 @pytest.mark.parametrize("q", [np.nan, -np.inf, 0.0])
@@ -151,7 +190,7 @@ def test_fundamental_field_and_phi(bumpy_geom):
     F = bumpy_geom.fundamental_field(p)
     assert F[0] == 0.4 and F[-1] == 1.5
     assert np.max(np.abs(F[1:-1])) == 0.0
-    phi = bumpy_geom.phi(p)
+    phi = bumpy_geom.phi(p, _conn(bumpy_geom, p))
     # phi = q ds + s dq
     assert phi[0] == pytest.approx(1.5)
     assert phi[-1] == pytest.approx(0.4)
@@ -204,36 +243,38 @@ def test_crude_connection_regular_everywhere(bumpy_geom):
 
 def test_nabla_F_is_identity_and_flow_geodesic(bumpy_geom):
     p = ambient_point(0.25, BASE3, 1.4)
-    assert bumpy_geom.nabF_check(p) < 1e-12
+    assert bumpy_geom.nabF_check(p, np.random.default_rng(0),
+                                 stack_at(bumpy_geom.spec, BASE3)) < 1e-12
     F = bumpy_geom.fundamental_field(p)
     dF = np.zeros(5)
     dF[0], dF[-1] = F[0], F[-1]
-    cov = bumpy_geom.covariant_derivative(p, F, F, dF)
+    cov = bumpy_geom.covariant_derivative(p, F, F, dF, connection_at(bumpy_geom.spec, BASE3, 3))
     assert cov == pytest.approx(F, abs=1e-12)
 
 
 def test_homogeneity_degrees(bumpy_geom):
     p = ambient_point(0.2, BASE3, 1.1)
-    rep = bumpy_geom.homogeneity_checks(p)
-    for t in (0.5, 2.0):
-        assert rep[t]["metric_scaling"] < 1e-10
-        assert rep[t]["torsion_scaling"] < 1e-10
+    rep = bumpy_geom.homogeneity_checks(p, np.random.default_rng(0),
+                                        stack_at(bumpy_geom.spec, BASE3))
+    # the largest residual over the dilations t = 0.5 and 2
+    assert rep["metric_scaling"] < 1e-10
+    assert rep["torsion_scaling"] < 1e-10
     assert rep["dphi"] < 1e-9
     assert rep["lift_homogeneity"] < 1e-11
 
 
 def test_checks_at_a_point_take_the_callers_stack(bumpy_geom, monkeypatch):
     """Given the stack at p's chart point, homogeneity_checks and nabF_check
-    build none and give exactly the results of building it themselves."""
+    build no curvature data of their own and read only that stack."""
     p = ambient_point(0.2, BASE3, 1.1)
-    want = (bumpy_geom.homogeneity_checks(p, np.random.default_rng(5)),
-            bumpy_geom.nabF_check(p, np.random.default_rng(5)))
     st = stack_at(bumpy_geom.spec, BASE3)
+    want = (bumpy_geom.homogeneity_checks(p, np.random.default_rng(5), st),
+            bumpy_geom.nabF_check(p, np.random.default_rng(5), st))
 
-    def no_stack(spec, x):
-        raise AssertionError("stack rebuilt")
+    def no_stack(spec, x, order=2):
+        raise AssertionError("connection data rebuilt")
 
-    monkeypatch.setattr(ambient, "stack_at", no_stack)
+    monkeypatch.setattr(ambient, "connection_at", no_stack)
     assert (bumpy_geom.homogeneity_checks(p, np.random.default_rng(5), st),
             bumpy_geom.nabF_check(p, np.random.default_rng(5), st)) == want
 
@@ -243,7 +284,7 @@ def test_curvature_ricci_vanishes_on_ricci_flat_slice():
     x = np.array([0.2, 0.1, -0.3, 0.25])
     p = ambient_point(0.0, x, 1.0)
     pairs = geom.curvature_all_pairs(p)
-    ric = geom.ricci(p, pairs)
+    ric = geom.ricci(pairs)
     assert np.max(np.abs(ric)) < 1e-7
     # slice-tangent curvature kills F
     F = geom.fundamental_field(p)
@@ -294,9 +335,8 @@ def test_ricci_trace_equals_frame_contraction(name, s):
     x = geom.spec.sample_points(np.random.default_rng(3), 1)[0] * 0.5
     p = ambient_point(s, x, 1.0)
     pairs = geom.curvature_all_pairs(p)
-    ric = geom.ricci(p, pairs)
+    ric = geom.ricci(pairs)
     assert np.max(np.abs(ric - _frame_ricci(geom, p, pairs))) <= 1e-12
-    assert np.array_equal(geom.ricci(p), ric)
 
 
 def test_default_s_bound(sphere_geom):
@@ -368,7 +408,7 @@ def test_fd_curvature_one_omega_call_per_stencil_point(bumpy_geom):
 
 def _gauge(geom, p):
     """G = diag(1, f, 1) at the ambient point p, with f = m^-1."""
-    f, _ = geom.f_map(p)
+    f, _ = geom.f_map(p, _conn(geom, p))
     G = np.eye(geom.dim)
     G[1:-1, 1:-1] = f
     return G
@@ -397,7 +437,7 @@ def test_ambient_connection_is_the_gauged_tractor_connection(name):
     for p in _off_slice_points(geom, 4, rng):
         s, x = p[0], p[1:-1]
         st = stack_at(geom.spec, x)
-        f, _ = geom.f_map(p)
+        f, _ = geom.f_map(p, _conn(geom, p))
         G = _gauge(geom, p)
         for u in rng.standard_normal((3, geom.dim)):
             a, U, b = u[0], u[1:-1], u[-1]

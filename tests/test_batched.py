@@ -138,15 +138,15 @@ def test_geometry_omega_direction_stacks_per_point():
             assert np.array_equal(batch[i, c], geom.omega(points[i], dirs[i, c]))
 
 
-def test_f_map_on_a_stack_of_points_without_a_stack():
+def test_f_map_on_a_stack_of_points_equals_each_row():
     geom = AmbientGeometry(SPECS["bumpy"])
     rng = np.random.default_rng(5)
     points = np.column_stack([[0.0, 0.1, -0.1], rng.uniform(-0.5, 0.5, (3, 3)),
                               [1.0, 1.2, 0.8]])
-    f, m = geom.f_map(points)
+    f, m = geom.f_map(points, connection_at(geom.spec, points[:, 1:-1]))
     assert f.shape == m.shape == (3, geom.n, geom.n)
     for i in range(3):
-        f_i, m_i = geom.f_map(points[i])
+        f_i, m_i = geom.f_map(points[i], connection_at(geom.spec, points[i, 1:-1]))
         assert np.array_equal(f[i], f_i) and np.array_equal(m[i], m_i)
 
 

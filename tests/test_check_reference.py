@@ -131,7 +131,7 @@ def _ambient_reference(suite) -> dict:
             [-float(np.einsum("ijk,i,j,k->", st.CY, X, Y, Z))]))
         res_block = max(res_block, float(np.max(np.abs(got - want))))
     out["ambient-curvature-block"] = res_block
-    out["ambient-ricci-on-slice"] = float(np.max(np.abs(geom.ricci(suite.abase, pairs))))
+    out["ambient-ricci-on-slice"] = float(np.max(np.abs(geom.ricci(pairs))))
     F0 = geom.fundamental_field(suite.abase)
     out["ambient-curvature-F"] = float(np.max(np.abs(
         np.einsum("abcd,d->abc", pairs[1:-1, 1:-1], F0))))

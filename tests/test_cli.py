@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from tractor_forge import cli
+from tractor_forge import ambient, cli
 from tractor_forge import transport as tp
 from tractor_forge.cli import main
 from tractor_forge.report import RunConfig, run_verify
@@ -78,6 +78,31 @@ def test_ambient_q_not_positive_exits_two(capsys, q):
     code, out, err = run(capsys, ["ambient"] + BUMPY + ["--s", "0.2", "--q", q])
     assert code == 2 and not out
     assert "q > 0" in err and "Traceback" not in err
+
+
+def test_ambient_point_past_the_float_range_exits_two(capsys):
+    # det m overflows at q = 1e300; no RuntimeWarning escapes (pyproject
+    # makes one an error)
+    code, out, err = run(capsys, ["ambient"] + BUMPY + ["--s", "0.2", "--q", "1e300"])
+    assert code == 2 and not out
+    assert "cannot be represented" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["metric_scaling", "torsion_scaling", "lift_homogeneity",
+                                  "dphi"])
+def test_ambient_pass_judges_every_homogeneity_residual(capsys, monkeypatch, name):
+    """A homogeneity residual over tol_transport fails the command, as its
+    check (ambient-homogeneity or ambient-dphi-closed) fails verify."""
+    checks = ambient.AmbientGeometry.homogeneity_checks
+
+    def one_off(self, p, rng, stack):
+        return {**checks(self, p, rng, stack), name: 1e-3}
+
+    monkeypatch.setattr(ambient.AmbientGeometry, "homogeneity_checks", one_off)
+    code, out, _ = run(capsys, ["ambient"] + BUMPY + POINT + ["--s", "0.2"])
+    data = json.loads(out)
+    assert data["homogeneity"][name] == 1e-3
+    assert (code, data["pass"]) == (1, False)
 
 
 def test_holonomy_variants_and_csv(capsys, tmp_path):
@@ -264,6 +289,16 @@ def test_verify_json_is_strict_when_a_residual_is_inf(capsys):
     checks = {c["name"]: c for c in _strict_json(out)["checks"]}
     assert checks["holonomy-tractor-vs-ambient"]["residual"] == "inf"
     assert checks["holonomy-tractor-vs-ambient"]["pass"] is False
+
+
+# ROADMAP item 1 (the exact ambient curvature) must make these pass
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the finite-difference ambient "
+                   "curvature's noise fails ambient and holonomy checks at this radius")
+@pytest.mark.parametrize("name, radius", [("sphere", "0.5"), ("sphere", "0.35"),
+                                          ("hyperbolic", "0.5")])
+def test_verify_passes_at_a_curvature_radius_below_one(capsys, name, radius):
+    code, _, _ = run(capsys, ["verify", "--preset", name, "--param", f"radius={radius}"])
+    assert code == 0
 
 
 @pytest.mark.parametrize("flags, settings", [

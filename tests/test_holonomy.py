@@ -23,8 +23,8 @@ def sphere_algebras():
     amb = [tp.lift_loop(lp) for lp in loops]
     abase = np.concatenate(([0.0], BASE, [1.0]))
     alg_t = hol.holonomy_algebra(tp.TractorOracle(spec),
-                                 BASE, loops, 1e-9)
-    alg_a = hol.holonomy_algebra(tp.AmbientOracle(spec), abase, amb, 1e-9)
+                                 BASE, loops, 1e-9, 1e-6)
+    alg_a = hol.holonomy_algebra(tp.AmbientOracle(spec), abase, amb, 1e-9, 1e-6)
     return alg_t, alg_a
 
 
@@ -47,7 +47,7 @@ def test_matrix_log_roundtrip():
 def test_flat_holonomy_dimension_zero():
     spec = preset("flat")
     alg = hol.holonomy_algebra(tp.TractorOracle(spec),
-                               BASE, _loops(BASE), 1e-9)
+                               BASE, _loops(BASE), 1e-9, 1e-6)
     assert alg.dim == 0
     assert hol.fixed_vectors(alg)  # whole fiber is fixed
 
@@ -59,7 +59,7 @@ def test_conformally_flat_dimension_zero():
         base = BASE * (0.5 if name == "hyperbolic" else 1.0)
         radius = 0.1 if name == "hyperbolic" else 0.25
         loops = _loops(base, count=1, radius=radius)
-        alg = hol.holonomy_algebra(tp.TractorOracle(spec), base, loops, 1e-9)
+        alg = hol.holonomy_algebra(tp.TractorOracle(spec), base, loops, 1e-9, 1e-6)
         assert alg.dim == 0, name
 
 
@@ -82,7 +82,7 @@ def test_sphere_fixed_einstein_tractor():
     # S2 x S2 is Einstein with P = g/6, so (1, 0, -1/6) is parallel
     base = np.array([0.15, 0.10, -0.12, 0.20])
     alg_t = hol.holonomy_algebra(tp.TractorOracle(preset("s2xs2")), base,
-                                 _loops(base, radius=0.2), 1e-9)
+                                 _loops(base, radius=0.2), 1e-9, 1e-6)
     v = np.array([1.0, 0.0, 0.0, 0.0, 0.0, -1.0 / 6.0])
     for B in alg_t.basis:
         assert np.max(np.abs(B @ v)) < 1e-6
@@ -98,17 +98,17 @@ def test_loops_must_be_based_and_closed():
     oracle = tp.TractorOracle(spec)
     open_path = tp.path_from_waypoints([BASE, BASE + [0.1, 0, 0]])
     with pytest.raises(Exception):
-        hol.holonomy_algebra(oracle, BASE, [open_path], 1e-9)
+        hol.holonomy_algebra(oracle, BASE, [open_path], 1e-9, 1e-6)
     loop = tp.rectangle_loop(BASE + 1.0, 0, 1, 0.1)
     with pytest.raises(Exception):
-        hol.holonomy_algebra(oracle, BASE, [loop], 1e-9)
+        hol.holonomy_algebra(oracle, BASE, [loop], 1e-9, 1e-6)
 
 
 def test_holonomy_stable_under_radius_halving():
     spec = preset("bumpy", eps=0.1)
     oracle = tp.TractorOracle(spec)
-    alg1 = hol.holonomy_algebra(oracle, BASE, _loops(BASE, 2, 0.25), 1e-9)
-    alg2 = hol.holonomy_algebra(oracle, BASE, _loops(BASE, 4, 0.125), 1e-9)
+    alg1 = hol.holonomy_algebra(oracle, BASE, _loops(BASE, 2, 0.25), 1e-9, 1e-6)
+    alg2 = hol.holonomy_algebra(oracle, BASE, _loops(BASE, 4, 0.125), 1e-9, 1e-6)
     assert alg1.dim == alg2.dim
 
 
@@ -140,7 +140,7 @@ def test_rectangle_loop_transport_is_the_product_of_its_piece_transports():
     oracle = tp.TractorOracle(preset("bumpy", eps=0.1))
     loop = tp.rectangle_loop(BASE, 0, 2, 0.25)
     assert [len(p.segments) for p in hol._pieces(loop)] == [2, 1, 1]
-    alg = hol.holonomy_algebra(oracle, BASE, [loop], 1e-10)
+    alg = hol.holonomy_algebra(oracle, BASE, [loop], 1e-10, 1e-6)
     G = alg.loop_transports[0]
     assert np.array_equal(G, _piece_product(oracle, loop, 1e-10))
     assert np.max(np.abs(G - tp.transport_matrix(oracle, loop, 1e-10))) <= 1e-9
@@ -154,7 +154,7 @@ def test_one_segment_loop_splits_at_its_midpoint():
     for t in (0.0, 0.3, 1.0):
         assert np.array_equal(first.segments[0].point(t), seg.point(0.5 * t))
         assert np.array_equal(second.segments[0].point(t), seg.point(0.5 + 0.5 * t))
-    G = hol.holonomy_algebra(oracle, BASE, [loop], 1e-10).loop_transports[0]
+    G = hol.holonomy_algebra(oracle, BASE, [loop], 1e-10, 1e-6).loop_transports[0]
     assert G == pytest.approx(tp.transport_matrix(oracle, loop, 1e-10), abs=1e-8)
 
 
@@ -166,7 +166,7 @@ def test_loop_without_a_log_series_still_gives_the_algebra():
     G = tp.transport_matrix(oracle, loop, 1e-9)
     with pytest.raises(hol.LogConvergenceError):
         hol.matrix_log(G)
-    alg = hol.holonomy_algebra(oracle, BASE, [loop], 1e-9)
+    alg = hol.holonomy_algebra(oracle, BASE, [loop], 1e-9, 1e-6)
     assert alg.log_residuals == [np.inf]
     assert np.array_equal(alg.loop_transports[0], _piece_product(oracle, loop, 1e-9))
     assert np.max(np.abs(alg.loop_transports[0] - G)) <= 1e-9
@@ -176,7 +176,7 @@ def test_loop_without_a_log_series_still_gives_the_algebra():
 def test_lockstep_loop_transports_equal_products_of_piece_transports_exactly():
     oracle = tp.TractorOracle(preset("bumpy", eps=0.1))
     loops = _loops(BASE, count=3)
-    alg = hol.holonomy_algebra(oracle, BASE, loops, 1e-10)
+    alg = hol.holonomy_algebra(oracle, BASE, loops, 1e-10, 1e-6)
     for loop, G in zip(loops, alg.loop_transports):
         assert np.array_equal(G, _piece_product(oracle, loop, 1e-10))
         assert np.max(np.abs(G - tp.transport_matrix(oracle, loop, 1e-10))) <= 1e-9
@@ -242,7 +242,7 @@ def test_one_curvature_call_per_piece_index(cls, monkeypatch):
         return original(oracle, paths, v0, tol)
 
     monkeypatch.setattr(tp, "parallel_transport", counting)
-    alg = hol.holonomy_algebra(oracle, base, loops, 1e-10)
+    alg = hol.holonomy_algebra(oracle, base, loops, 1e-10, 1e-6)
     monkeypatch.undo()
     # one transport call, every piece of every loop a lane of it
     assert lanes == [13]

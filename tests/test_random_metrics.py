@@ -73,4 +73,4 @@ def test_normal_connection_and_ambient_curvature_on_random_metrics(text, data):
     want[:, :, -1] = -stack.CY
     assert float(np.max(np.abs(block - want))) <= 1e-7
 
-    assert float(np.max(np.abs(geom.ricci(p, pairs)))) <= 1e-7
+    assert float(np.max(np.abs(geom.ricci(pairs)))) <= 1e-7

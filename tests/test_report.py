@@ -25,7 +25,7 @@ def _sample_report():
 
 def test_empty_report_valid_json():
     rep = VerifyReport(config=RunConfig(preset="flat").to_dict(), checks=[])
-    data = json.loads(report_emit(rep, "json"))
+    data = json.loads(report_emit(rep, "json", None))
     assert data["schema_version"] == SCHEMA_VERSION
     assert data["checks"] == []
     assert data["summary"]["pass"] is True
@@ -34,7 +34,7 @@ def test_empty_report_valid_json():
 
 def test_failing_check_fails_summary_and_sorting():
     rep = _sample_report()
-    data = json.loads(report_emit(rep, "json"))
+    data = json.loads(report_emit(rep, "json", None))
     assert data["summary"]["pass"] is False
     assert data["summary"]["failed"] == ["a-check"]
     assert [c["name"] for c in data["checks"]] == ["a-check", "b-check"]
@@ -42,29 +42,29 @@ def test_failing_check_fails_summary_and_sorting():
 
 def test_json_roundtrip_identity():
     rep = _sample_report()
-    text = report_emit(rep, "json")
+    text = report_emit(rep, "json", None)
     assert json.loads(text) == rep.to_dict()
 
 
 def test_csv_and_text_formats():
     rep = _sample_report()
-    csv_text = report_emit(rep, "csv")
+    csv_text = report_emit(rep, "csv", None)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "name,anchor,residual,tol,pass,seconds"
     assert len(lines) == 3
-    txt = report_emit(rep, "text")
+    txt = report_emit(rep, "text", None)
     assert "FAIL" in txt and "pass" in txt
     with pytest.raises(MetricError):
-        report_emit(rep, "yaml")
+        report_emit(rep, "yaml", None)
 
 
 def test_json_writes_non_finite_floats_as_strings():
     payload = {"rows": [{"r": float("inf")}, {"r": -float("inf")}, {"r": float("nan")}],
                "finite": 1.5}
-    data = json.loads(report_emit(payload, "json"))
+    data = json.loads(report_emit(payload, "json", None))
     assert data == {"rows": [{"r": "inf"}, {"r": "-inf"}, {"r": "nan"}], "finite": 1.5}
     assert payload["rows"][0]["r"] == float("inf")  # the caller's data is untouched
-    assert "residual: inf" in report_emit(payload | {"residual": float("inf")}, "text")
+    assert "residual: inf" in report_emit(payload | {"residual": float("inf")}, "text", None)
 
 
 def test_report_emit_writes_file(tmp_path):

@@ -215,18 +215,19 @@ def test_parallel_transport_rejects_misshapen_v0():
     loop = tp.rectangle_loop(BASE, 0, 1, 0.3)
     for v0 in (1.0, np.zeros(4), np.eye(4), np.zeros((4, 5)), np.zeros((5, 5, 1))):
         with pytest.raises(MetricError):
-            tp.parallel_transport(oracle, loop, v0)
-    assert tp.parallel_transport(oracle, loop, np.eye(5)[:, :2]).shape == (5, 2)
+            tp.parallel_transport(oracle, loop, v0, 1e-10)
+    assert tp.parallel_transport(oracle, loop, np.eye(5)[:, :2], 1e-10).shape == (5, 2)
     # a list of L paths takes an (L, fiber) or (L, fiber, k) stack only
     loops = [loop, tp.rectangle_loop(BASE, 1, 2, 0.3)]
     for v0 in (np.zeros(5), np.eye(5), np.zeros((3, 5)), np.zeros((2, 4)),
                np.zeros((2, 5, 5, 1))):
         with pytest.raises(MetricError):
-            tp.parallel_transport(oracle, loops, v0)
-    assert tp.parallel_transport(oracle, loops, np.ones((2, 5))).shape == (2, 5)
-    assert tp.parallel_transport(oracle, loops, np.ones((2, 5, 1))).shape == (2, 5, 1)
+            tp.parallel_transport(oracle, loops, v0, 1e-10)
+    assert tp.parallel_transport(oracle, loops, np.ones((2, 5)), 1e-10).shape == (2, 5)
+    assert tp.parallel_transport(oracle, loops, np.ones((2, 5, 1)), 1e-10).shape == (2, 5, 1)
     # the stack is read the same way whatever the number of paths
-    assert tp.parallel_transport(oracle, loops * 2 + [loop], np.ones((5, 5))).shape == (5, 5)
+    five = tp.parallel_transport(oracle, loops * 2 + [loop], np.ones((5, 5)), 1e-10)
+    assert five.shape == (5, 5)
 
 
 def _reference_step(omegas, h, v):
@@ -649,7 +650,7 @@ def test_transport_error_on_the_verify_loops(name):
         want = {id(path): G for path, G in zip(paths, dop853.transport(oracle, paths, eyes,
                                                                        1e-13))}
         got = tp.parallel_transport(oracle, paths, eyes, 1e-9)
-        products = hol.holonomy_algebra(oracle, base, loops, 1e-9).loop_transports
+        products = hol.holonomy_algebra(oracle, base, loops, 1e-9, 1e-6).loop_transports
         for path, G in [*zip(paths, got), *zip(loops, products)]:
             assert np.max(np.abs(G - want[id(path)])) <= 1e-9, oracle.name
 
