@@ -36,7 +36,10 @@ builds it that way from the tractor connection.
 The curvature R[a, b] of the ambient connection differentiates its
 connection matrices by a finite-difference stencil (`curvature_from_omega`)
 and assembles them by the formula the tractor curvature also uses,
-`curvature.connection_curvature`.  The Ricci tensor is its trace,
+`curvature.connection_curvature`.  The stencils run in chunks of whole
+base points, at most `_NODE_CHUNK` stencil rows a chunk, with one
+`connection_at` row per distinct chart point: a base point's centre, S-
+and Q-shifted rows share its chart point.  The Ricci tensor is its trace,
 Ric(u, v) = tr(w -> R(w, u) v).  Every evaluator also takes stacks of
 points and of directions (see `AmbientGeometry`), each row equal to its
 one-point call bit for bit.
@@ -45,6 +48,7 @@ one-point call bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,6 +64,10 @@ __all__ = [
 ]
 
 _FD_STEP = 2e-3
+# Rows per batched connection evaluation: transport's node batches and the
+# FD stencil's chunks, whose jets would otherwise all be held at once.  Rows
+# are independent, so the chunks change no value.
+_NODE_CHUNK = 128
 _DET_TOL = 1e-10  # |det m| at or below this counts as a singular bundle map
 _SCALES = (0.5, 2.0)  # the dilations t of phi_t that `homogeneity_checks` tests
 
@@ -138,6 +146,18 @@ def curvature_from_omega(omega_fn, point, dim: int, h: float = _FD_STEP) -> np.n
     return R.reshape(point.shape[:-1] + R.shape[1:])
 
 
+def _gather(parts, rows) -> SimpleNamespace:
+    """The fields `AmbientGeometry.omega` reads (g, P, Psharp, Gamma and
+    dPsharp) at `rows` of the batched connection data `parts`, laid end to
+    end.  dPsharp is zero on the rows of an order-2 part: `omega` reads it
+    off the slice only, where the data is of order 3."""
+    fields = {name: np.concatenate([getattr(d, name) for d in parts])[rows]
+              for name in ("g", "P", "Psharp", "Gamma")}
+    fields["dPsharp"] = np.concatenate([np.zeros_like(d.Gamma) if d.dPsharp is None
+                                        else d.dPsharp for d in parts])[rows]
+    return SimpleNamespace(**fields)
+
+
 @dataclass
 class AmbientGeometry:
     """Point-wise evaluators for the ambient construction over one metric.
@@ -172,6 +192,11 @@ class AmbientGeometry:
         the error of its first bad row, in that order of checks, as that
         row's own call would.
         """
+        return self._bundle_map(p, stack)[:2]
+
+    def _bundle_map(self, p, stack):
+        """`f_map`'s (f, m) and the block m^T g m, which its overflow check
+        computes and `metric` reads; batched like f and m."""
         p = np.asarray(p, dtype=float)
         points = p.reshape(-1, self.dim)
         inside = np.isfinite(points[:, [0, -1]]).all(axis=1) & (points[:, -1] > 0.0)
@@ -198,7 +223,7 @@ class AmbientGeometry:
             bad = [ev for ev in evals if abs(s * ev + q) <= 1e-6 * max(1.0, abs(q))]
             raise SingularMapError(points[row], bad if bad else evals)
         f = np.linalg.inv(m)
-        return (f, m) if p.ndim == 2 else (f[0], m[0])
+        return (f, m, block) if p.ndim == 2 else (f[0], m[0], block[0])
 
     def lift(self, p, X, stack) -> np.ndarray:
         """Lift of a base vector X: the ambient vector (0, f(X), 0)."""
@@ -212,10 +237,9 @@ class AmbientGeometry:
         p = np.asarray(p, dtype=float)
         if stack is None:
             stack = connection_at(self.spec, p[..., 1:-1])
-        _, m = self.f_map(p, stack)
         h = np.zeros(p.shape[:-1] + (self.dim, self.dim))
         h[..., 0, -1] = h[..., -1, 0] = 1.0
-        h[..., 1:-1, 1:-1] = np.swapaxes(m, -2, -1) @ stack.g @ m
+        h[..., 1:-1, 1:-1] = self._bundle_map(p, stack)[2]
         return h
 
     def fundamental_field(self, p) -> np.ndarray:
@@ -293,10 +317,14 @@ class AmbientGeometry:
             for rows in (on, ~on):
                 out[rows] = self.omega(points[rows], dirs[rows])
         except MetricError:
-            for point, d in zip(points, dirs):
-                self.omega(point, d)  # the first bad row raises its own error
+            self._raise_first_bad_row(points, dirs)
             raise
         return out
+
+    def _raise_first_bad_row(self, points, dirs) -> None:
+        """`omega` row by row, so the first bad row raises its own error."""
+        for point, d in zip(points, dirs):
+            self.omega(point, d)
 
     def covariant_derivative(self, p, u, w, dw, stack) -> np.ndarray:
         """D_u w for an ambient vector w with directional component derivative dw."""
@@ -333,13 +361,48 @@ class AmbientGeometry:
         """Finite-difference curvature R[a, b] at p, by `curvature_from_omega`.
 
         p is one point or a (k, n+2) stack of points, each row of the
-        result equal to the one-point result.  The stencils' connection
-        matrices come from one batched `omega` call, which picks each stencil
-        point's data itself: at a point on the slice, only the four
-        S-shifted points of the stencil are off it and read the order-3
-        `connection_at`.
+        result equal to the one-point result.  The points go in chunks of
+        as many whole stencils as fit in `_NODE_CHUNK` rows (at least one),
+        one `curvature_from_omega` call a chunk, whose connection matrices
+        `_stencil_omega` evaluates.
         """
-        return curvature_from_omega(self.omega, p, self.dim)
+        p = np.asarray(p, dtype=float)
+        points = p.reshape(-1, self.dim)
+        per = max(1, _NODE_CHUNK // (1 + 4 * self.dim))
+        R = np.concatenate([curvature_from_omega(self._stencil_omega, points[lo:lo + per],
+                                                 self.dim) for lo in range(0, len(points), per)])
+        return R.reshape(p.shape[:-1] + R.shape[1:])
+
+    def _stencil_omega(self, rows, dirs) -> np.ndarray:
+        """`omega` over the rows of whole `_stencil`s, with one `connection_at`
+        row per distinct chart point.
+
+        A base point's centre, S- and Q-shifted rows share its chart point,
+        which reads the order-3 data (its S-shifted rows lie off the slice);
+        each chart-shifted row reads its own chart point, at order 3 off the
+        slice and order 2 on it.  One `connection_at` call per order, then
+        one `omega` call on every row, built from that data; each row equals
+        `omega` at its point alone, and a bad row raises the error of the
+        first bad row, as in `omega`.
+        """
+        m = 1 + 4 * self.dim
+        src = np.arange(len(rows)).reshape(-1, m)  # the row whose chart point each row reads
+        src[:, np.r_[1:5, m - 4:m]] = src[:, :1]
+        src = src.ravel()
+        order3 = np.zeros(len(rows), dtype=bool)
+        order3[src[rows[:, 0] != 0.0]] = True  # read by a row off the slice
+        own = src == np.arange(len(rows))
+        sources = [np.flatnonzero(own & order3), np.flatnonzero(own & ~order3)]
+        placed = np.concatenate(sources)
+        at = np.empty(len(rows), dtype=int)  # a source row's place in the data
+        at[placed] = np.arange(len(placed))
+        try:
+            parts = [connection_at(self.spec, rows[x, 1:-1], order=order)
+                     for order, x in zip((3, 2), sources) if len(x)]
+            return self.omega(rows, dirs, _gather(parts, at[src]))
+        except MetricError:
+            self._raise_first_bad_row(rows, dirs)
+            raise
 
     def ricci(self, pairs: np.ndarray) -> np.ndarray:
         """Ricci matrix over the coordinate basis, Ric(u, v) = tr(w -> R(w, u) v),

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import holonomy as hol
 from . import transport as tp
-from .ambient import AmbientGeometry, SingularMapError, ambient_point
+from .ambient import AmbientGeometry, ambient_point
 from .curvature import compute_stack, stack_at
 from .expr import EvaluationDomainError
 from .metric import PRESET_NAMES, MetricError, metric_jet, signature_of
@@ -272,12 +272,8 @@ def main(argv=None) -> int:
         # the flags left are the command's own: ambient's s and q, holonomy's variant
         return run(cfg, **{name: value for name, value in args.items()
                            if name not in _SETTINGS})
-    except SingularMapError as exc:
-        log.error("singular bundle map: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (MetricError, EvaluationDomainError, tp.TransportError, OSError) as exc:
-        log.error("%s", exc)
+        log.debug("exit 2", exc_info=exc)  # the traceback, at TRACTOR_FORGE_LOG=DEBUG
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,13 +8,13 @@ that end at those partial points, and every piece of every loop is a lane
 of one lockstep `parallel_transport` call, started from the identity.
 Transport is linear, so the ordered products of the piece transports are
 the prefix transports, and the product over all pieces is the loop
-transport.  The curvature at those points is grouped by piece index: one
-`curvature_pairs` call on the stack of each index's piece ends, a loop's
-last end left out (and one call for the base point), each row equal to
-the call on its point alone.  The generators are closed under
-brackets; the dimension is the rank of the flattened set under a
-singular-value cut (relative threshold plus a small absolute floor, so a
-flat connection whose curvature is zero up to noise reports dimension 0).
+transport.  The curvature at those points comes from one
+`curvature_pairs` call on the stack of the base point and every piece end
+but a loop's last, each row equal to the call on its point alone.  The
+generators are closed under brackets; the dimension is the rank of the
+flattened set under a singular-value cut (relative threshold plus a small
+absolute floor, so a flat connection whose curvature is zero up to noise
+reports dimension 0).
 
 Each loop transport G is independent evidence: the residual of matrix_log(G)
 off the estimated algebra is reported per loop (inf where the log series
@@ -145,10 +145,9 @@ def holonomy_algebra(oracle, base, loops, tol: float, rank_tol: float) -> Holono
 
     Every piece of every loop is a lane of one `parallel_transport` call,
     started from the identity; a loop's prefix transports P_k ... P_1 and
-    its loop transport are ordered products of its pieces' transports.  The
-    base point has one `curvature_pairs` call, and each piece index one
-    more on the stack of that index's piece ends that are conjugation
-    points (every end but a loop's last).  Each loop's prefixes are
+    its loop transport are ordered products of its pieces' transports.  One
+    `curvature_pairs` call takes the base point and every conjugation point
+    (every piece end but a loop's last).  Each loop's prefixes are
     inverted in one batched call and its i < j curvature pairs conjugated
     in one broadcast product.  The generators are the conjugated curvatures
     alone; each loop transport's log is then measured against their closed
@@ -171,21 +170,17 @@ def holonomy_algebra(oracle, base, loops, tol: float, rank_tol: float) -> Holono
         for _ in p:
             Ts.append(next(ends) @ Ts[-1])
         prefixes.append(Ts)
-    base_pairs = oracle.curvature_pairs(base[None])[0]
-    pairs = [[base_pairs] for _ in loops]  # at base, then each conjugation point
-    for k in range(max((len(p) for p in pieces), default=1) - 1):
-        # the last piece ends at the base
-        inner = [i for i, p in enumerate(pieces) if k + 1 < len(p)]
-        Rs = oracle.curvature_pairs(np.stack([pieces[i][k].end for i in inner]))
-        for i, R in zip(inner, Rs):
-            pairs[i].append(R)
+    # the base point, then each loop's piece ends but the last, which is the base
+    R = oracle.curvature_pairs(np.stack([base] + [piece.end for p in pieces for piece in p[:-1]]))
+    rows, cols = np.triu_indices(R.shape[1], 1)
+    R = R[:, rows, cols]
     loop_transports = [Ts.pop() for Ts in prefixes]
-    rows, cols = np.triu_indices(len(base_pairs), 1)
-    generators = []
-    for Ts, Rs in zip(prefixes, pairs):
-        T = np.stack(Ts)
-        conj = np.linalg.inv(T)[:, None] @ np.stack(Rs)[:, rows, cols] @ T[:, None]
+    generators, lo = [], 1
+    for Ts in prefixes:
+        T, hi = np.stack(Ts), lo + len(Ts) - 1
+        conj = np.linalg.inv(T)[:, None] @ np.concatenate([R[:1], R[lo:hi]]) @ T[:, None]
         generators.extend(conj.reshape(-1, *eye.shape))
+        lo = hi
 
     basis, svals = closed_span(generators, rank_tol)
     return HolonomyAlgebra(

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .ambient import AmbientGeometry
+from .ambient import _NODE_CHUNK, AmbientGeometry
 from .curvature import _christoffel_matrices, compute_stack, connection_at, stack_at
 from .metric import MetricError, MetricSpec, metric_jet
 from .tractor import connection_matrix, curvature_all_pairs, tractor_metric
@@ -575,10 +575,9 @@ _DOUBLE = list(range(_STAGES))
 _FIRST = [0, *range(_STAGES, 2 * _STAGES - 2), _MID]
 _SECOND = [_MID, *range(2 * _STAGES - 2, 3 * _STAGES - 4), _STAGES - 1]
 _NEW_NODES = 3 * _STAGES - 5
-# Rows per `omega_nodes` call and per batched stage solve: the connection's
-# jets and the (8 fiber)-square stage systems of a wide round would otherwise
-# all be held at once.  Rows are independent, so the chunks change no value.
-_NODE_CHUNK = 128
+# Rows per batched stage solve (rows per `omega_nodes` call: `_NODE_CHUNK`):
+# the (8 fiber)-square stage systems of a wide round would otherwise all be
+# held at once.  Rows are independent, so the chunks change no value.
 _SOLVE_CHUNK = 16
 
 

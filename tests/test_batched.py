@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractor_forge import curvature
+from tractor_forge import ambient, curvature
 from tractor_forge import transport as tp
 from tractor_forge.ambient import (AmbientGeometry, SingularMapError, ambient_point,
                                    curvature_from_omega)
@@ -205,11 +205,66 @@ def test_batched_fd_curvature_equals_per_point_path(name, s):
     geom = AmbientGeometry(spec)
     x = spec.sample_points(np.random.default_rng(8), 1)[0] * 0.5
     p = ambient_point(s, x, 1.1)
-    # one omega call per stencil point, each with its own single-point stack
-    per_point = curvature_from_omega(
+    assert np.array_equal(geom.curvature_all_pairs(p), _per_point_fd(geom, p))
+
+
+def _per_point_fd(geom, p):
+    """The FD curvature at p with one `omega` call per stencil point, each
+    with its own single-point stack."""
+    return curvature_from_omega(
         lambda pts, dirs: np.stack([geom.omega(pt, d) for pt, d in zip(pts, dirs)]),
         p, geom.dim)
-    assert np.array_equal(geom.curvature_all_pairs(p), per_point)
+
+
+def _fd_stack(spec, count, seed):
+    """`count` ambient points over the spec's sample points, every other one
+    on the slice."""
+    rng = np.random.default_rng(seed)
+    s = np.where(np.arange(count) % 2, rng.uniform(-0.1, 0.1, count), 0.0)
+    return np.column_stack([s, spec.sample_points(rng, count) * 0.5,
+                            rng.uniform(0.8, 1.2, count)])
+
+
+@pytest.mark.parametrize("name", ["bumpy", "ppwave"])
+def test_fd_curvature_over_several_chunks_equals_per_point_path(name):
+    geom = AmbientGeometry(SPECS[name])
+    per = ambient._NODE_CHUNK // (1 + 4 * geom.dim)  # whole stencils per chunk
+    points = _fd_stack(geom.spec, 2 * per + 3, 11)
+    Rs = geom.curvature_all_pairs(points)
+    assert Rs.shape[0] == len(points)
+    for row, point in zip(Rs, points):
+        assert np.array_equal(row, _per_point_fd(geom, point))
+
+
+def test_each_distinct_chart_point_reaches_connection_at_once_per_chunk(monkeypatch):
+    geom = AmbientGeometry(SPECS["bumpy"])
+    n, m = geom.n, 1 + 4 * geom.dim
+    per = ambient._NODE_CHUNK // m
+    points = _fd_stack(geom.spec, 2 * per + 3, 12)
+    chunks = []  # per chunk: the (order, chart rows) of each connection_at call
+
+    def fd(omega_fn, p, dim, original=ambient.curvature_from_omega):
+        chunks.append([])
+        return original(omega_fn, p, dim)
+
+    def counting(spec, x, order=2, original=ambient.connection_at):
+        chunks[-1].append((order, np.array(x)))
+        return original(spec, x, order=order)
+
+    monkeypatch.setattr(ambient, "curvature_from_omega", fd)
+    monkeypatch.setattr(ambient, "connection_at", counting)
+    geom.curvature_all_pairs(points)
+    assert len(chunks) == 3
+    for lo, calls in zip(range(0, len(points), per), chunks):
+        chunk = points[lo:lo + per]
+        stencil = ambient._stencil(chunk, geom.dim, ambient._FD_STEP)
+        distinct = set(map(tuple, stencil[..., 1:-1].reshape(-1, n).tolist()))
+        seen = [tuple(x) for _, rows in calls for x in rows.tolist()]
+        assert len(seen) == len(distinct) == len(chunk) * (1 + 4 * n) and set(seen) == distinct
+        # order 3: every base chart point, and the chart shifts of points off the slice
+        off = int(np.count_nonzero(chunk[:, 0]))
+        assert {order: len(rows) for order, rows in calls} == {
+            3: len(chunk) + 4 * n * off, 2: 4 * n * (len(chunk) - off)}
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -258,7 +313,8 @@ def test_only_off_slice_ambient_points_reach_the_order3_stack(monkeypatch, name)
         crude.omega_nodes(points, dirs[:len(points)])
     assert jets[3] == []
     geom.curvature_all_pairs(p)
-    assert jets[3] == [tuple(x.tolist())] * 4  # the S-shifted stencil points
+    # one row for the centre, S- and Q-shifted stencil points, which share x
+    assert jets[3] == [tuple(x.tolist())]
     jets[3].clear()
     crude.curvature_pairs(off)  # one stack_at per point, for its tractor curvature
     assert jets[3] == [tuple(row[1:-1].tolist()) for row in off]

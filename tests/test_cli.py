@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import tractor_forge
 from tractor_forge import ambient, cli
 from tractor_forge import transport as tp
 from tractor_forge.cli import main
@@ -62,6 +66,19 @@ def test_ambient_singular_point_exit_two(capsys):
     assert code == 2
     assert "eigenvalue(s) 0.5" in err
     assert "singular" in err
+
+
+@pytest.mark.parametrize("argv", [["tensors", "--preset", "sphere", "--param", "n=3.5"],
+                                  ["ambient", "--preset", "bumpy", "--s", "0.2", "--q", "1e300"]])
+def test_exit_two_writes_one_stderr_line(argv):
+    """A fresh interpreter, so the CLI sets up logging at its default level:
+    the error reaches stderr once, as the `error:` line."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tractor_forge.__file__)))
+    env.pop("TRACTOR_FORGE_LOG", None)
+    done = subprocess.run([sys.executable, "-m", "tractor_forge.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
 
 
 def test_ambient_regular_point(capsys):

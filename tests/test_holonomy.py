@@ -1,5 +1,7 @@
 """Holonomy algebra estimation and comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,8 +248,8 @@ def test_one_curvature_call_per_piece_index(cls, monkeypatch):
     monkeypatch.undo()
     # one transport call, every piece of every loop a lane of it
     assert lanes == [13]
-    # the base point, then the first and second piece ends that are not a loop's last
-    assert oracle.calls == [1, 5, 3]
+    # one call: the base point and the 8 piece ends that are not a loop's last
+    assert oracle.calls == [9]
     want = _per_point_generators(cls(spec), base, loops, 1e-10)
     assert len(alg.generators) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(alg.generators, want))
@@ -276,6 +278,26 @@ def test_verify_estimates_keep_a_rank_margin(name, dim):
         want_basis, want_svals = _per_matrix_span(alg.generators, suite.cfg.tol_rank)
         assert len(basis) == len(want_basis) and np.array_equal(svals, want_svals), oracle.name
         assert all(np.array_equal(a, b) for a, b in zip(basis, want_basis)), oracle.name
+
+
+def test_fd_curvature_of_verify_ambient_estimate_stays_under_its_memory_bound():
+    """One `curvature_pairs` call over the base point and every conjugation
+    point of verify's off-slice bumpy estimate traces under 1.2 MB: the
+    stencil runs in chunks, so its batch does not grow with the points."""
+    suite = report._Suite(report.RunConfig(preset="bumpy"))
+    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
+           for lp in suite.loops]
+    points = np.stack([suite.abase] + [piece.end for loop in off
+                                       for piece in hol._pieces(loop)[:-1]])
+    assert len(points) == 16
+    suite.ambient.curvature_pairs(points)  # the jet tables, built once
+    tracemalloc.start()
+    try:
+        suite.ambient.curvature_pairs(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def _per_matrix_span(mats, rank_tol):
