@@ -273,20 +273,33 @@ class AmbientGeometry:
         each matrix equals the one for its point and direction alone.
 
         Without a `stack`, points on the slice s = 0 read the order-2
-        `connection_at` data, and points off it the order-3 `connection_at`,
-        whose dPsharp the s*dPsharp term needs.  A batch with points on both
-        sides is evaluated in those two parts and raises the error of its
-        first bad row, as that row's own call would.
+        `connection_at` data, and points off it the order-3 `connection_at`
+        with dPsharp along the chart part U of their own directions, which is
+        all the s*dPsharp(U) term needs; several directions at a point off the
+        slice go in as one row each, so that each reads its own.  A batch with
+        points on both sides is evaluated in those two parts and raises the
+        error of its first bad row, as that row's own call would.  A caller's
+        `stack` carries the full dPsharp, contracted with U here.
         """
-        p = np.asarray(p, dtype=float)
-        if stack is None:
-            on = p[..., 0] == 0.0
-            if on.any() and not on.all():
-                return self._omega_in_parts(p, np.asarray(u, dtype=float), on)
-            stack = connection_at(self.spec, p[..., 1:-1], order=2 if on.all() else 3)
+        p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
         points = p.reshape(-1, self.dim)
-        dirs = np.asarray(u, dtype=float).reshape(len(points), -1, self.dim)
+        dirs = u.reshape(len(points), -1, self.dim)
         k, n = len(points), self.n
+        dPsharp_U = None  # set when omega builds its order-3 data along U
+        if stack is None:
+            on = points[:, 0] == 0.0
+            if on.any() and not on.all():
+                return self._omega_in_parts(p, u, on)
+            if on.all():
+                stack = connection_at(self.spec, p[..., 1:-1])
+            elif dirs.shape[1] > 1:  # a row per direction
+                rows = np.repeat(points, dirs.shape[1], axis=0)
+                return self.omega(rows, dirs.reshape(-1, self.dim)).reshape(
+                    u.shape[:-1] + (self.dim, self.dim))
+            else:
+                stack = connection_at(self.spec, p[..., 1:-1], order=3,
+                                      directions=dirs[..., 1:-1])
+                dPsharp_U = np.reshape(stack.dPsharp, (k, 1, n, n))
         # g, P and Psharp broadcast over the directions of each point
         g, P, Psharp = (np.reshape(arr, (k, 1, n, n)) for arr in (stack.g, stack.P, stack.Psharp))
         Gamma = np.reshape(stack.Gamma, (k, n, n, n))
@@ -301,13 +314,15 @@ class AmbientGeometry:
         Omega[..., 1:-1, -1] = (f @ Ucol)[..., 0]
         tm_block = _christoffel_matrices(Gamma, U) @ m + a * Psharp + b * np.eye(n)
         off = s != 0.0
-        if off.any():
+        if dPsharp_U is not None:
+            tm_block = tm_block + s[:, None, None, None] * dPsharp_U
+        elif off.any():
             # dPsharp(U)[i,j] = U^k d_k Psharp^i_j: one (1, n) @ (n, n*n) product per direction
             dPsharp, U_off = np.reshape(stack.dPsharp, (k, 1, n, n * n))[off], U[off]
             tm_block[off] = tm_block[off] + s[off, None, None, None] * (
                 U_off[..., None, :] @ dPsharp).reshape(U_off.shape + (n,))
         Omega[..., 1:-1, 1:-1] = f @ tm_block
-        return Omega.reshape(np.shape(u)[:-1] + (self.dim, self.dim))
+        return Omega.reshape(u.shape[:-1] + (self.dim, self.dim))
 
     def _omega_in_parts(self, points, dirs, on) -> np.ndarray:
         """`omega` of a (k, n+2) stack of points, the rows on the slice (`on`)
@@ -334,12 +349,18 @@ class AmbientGeometry:
 
     # -- torsion ----------------------------------------------------------------
 
-    def torsion(self, p, u, w, stack) -> np.ndarray:
-        """T(u, w) for coordinate-constant directions, from the rules alone:
-        one `omega` call on the directions of u and w together."""
+    def torsion_terms(self, p, u, w, stack) -> tuple:
+        """(Omega(u) w, Omega(w) u) for coordinate-constant directions: one
+        `omega` call on the directions of u and w together."""
         u, w = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
         Om = self.omega(p, np.stack([u, w], axis=-2), stack)
-        return (Om[..., 0, :, :] @ w[..., None] - Om[..., 1, :, :] @ u[..., None])[..., 0]
+        return (Om[..., 0, :, :] @ w[..., None])[..., 0], (Om[..., 1, :, :] @ u[..., None])[..., 0]
+
+    def torsion(self, p, u, w, stack) -> np.ndarray:
+        """T(u, w) = Omega(u) w - Omega(w) u for coordinate-constant
+        directions, from the rules alone."""
+        uw, wu = self.torsion_terms(p, u, w, stack)
+        return uw - wu
 
     def torsion_closed_form(self, p, X, Y, stack: CurvatureStack) -> np.ndarray:
         """s * (lift of CYsharp(X, Y)); the independent oracle for torsion."""

@@ -24,7 +24,8 @@ from .ambient import AmbientGeometry, ambient_point
 from .curvature import compute_stack, stack_at
 from .expr import EvaluationDomainError
 from .metric import PRESET_NAMES, MetricError, metric_jet, signature_of
-from .report import AMBIENT_IDENTITY_TOL, LOOP_TOL, RunConfig, report_emit, run_verify
+from .report import (AMBIENT_IDENTITY_TOL, LOOP_TOL, RunConfig, report_emit, run_verify,
+                     torsion_cotton_residual)
 from .tractor import connection_matrix, normality_check, tractor_metric
 
 log = logging.getLogger("tractor_forge")
@@ -191,9 +192,7 @@ def cmd_ambient(cfg: RunConfig, s: float, q: float) -> int:
     f, _ = geom.f_map(p, st)
     h = geom.metric(p, st)
     XY = np.random.default_rng(cfg.seed).standard_normal((4, 2, spec.n))  # four pairs (X, Y)
-    X, Y = XY[:, 0], XY[:, 1]
-    u, w = ambient_point(0.0, X, 0.0), ambient_point(0.0, Y, 0.0)  # directions (0, V, 0)
-    res_tor = _maxabs(geom.torsion(p, u, w, st) - geom.torsion_closed_form(p, X, Y, st))
+    res_tor = torsion_cotton_residual(geom, p, XY[:, 0], XY[:, 1], st)
     hom = geom.homogeneity_checks(p, np.random.default_rng(cfg.seed), st)
     payload = {
         "point": {"s": s, "base": [float(v) for v in base], "q": q},

@@ -25,7 +25,14 @@ Schouten tail (Scal, P, Psharp, and dP, dPsharp from dRic):
     use it.
   - `connection_at(..., order=3)` adds dGamma and contracts dRic straight
     from g^{-1}, dg, d2g and d3g (`_contracted_dricci`), for dPsharp; the
-    order-2 fields stay bit for bit.  Off-slice ambient nodes use it.
+    order-2 fields stay bit for bit.  Along the coordinate directions it
+    gives the full dPsharp, which the ambient FD stencil reads.  Given
+    directions, every factor that carries the derivative index is
+    contracted with them first (`_along`), so dGamma, dRic and dPsharp
+    come along those directions only, at n**4 per direction rather than
+    n**5 per point: each off-slice ambient transport node asks for its own
+    tangent.  It is one formula; the coordinate directions skip the
+    contraction.
 The routes agree to rounding.  The caller's need picks the route: at one
 point the number of numpy calls, not the array size, sets the cost, and
 the contracted dRic made one-point `compute_stack` calls slower when tried
@@ -132,24 +139,40 @@ def _christoffel(ginv, dg) -> dict:
     return dict(Gamma=Gamma, B=B, ginvT=ginvT)
 
 
-def _christoffel_partials(ginv, dg, d2g, c: dict) -> dict:
-    """dGamma and dginv over a leading batch axis, plus the intermediates
-    the order-3 stack reuses: dB, the partials of B, and
-    ginv_dg[m,a,c] = g^{ab} d_m g_bc; `c` is the `_christoffel` head."""
+def _along(a, dirs):
+    """a with its derivative axis, the first after the batch axis,
+    contracted with the (k, c, n) directions `dirs`: the derivative axis
+    then holds the c directional derivatives.  dirs None stands for the
+    coordinate directions, whose contraction is skipped: a itself."""
+    if dirs is None:
+        return a
+    nb, n = a.shape[:2]
+    return (dirs @ a.reshape(nb, n, -1)).reshape(dirs.shape[:2] + a.shape[2:])
+
+
+def _christoffel_partials(ginv, dg, d2g, c: dict, dirs=None) -> dict:
+    """dGamma along the directions `dirs` (`_along`) and dginv over a leading
+    batch axis, plus the intermediates the order-3 stack and dRic reuse: dB
+    along `dirs`, ginv_dg[m,a,c] = g^{ab} d_m g_bc, and dginv_u and d2g_u,
+    dginv and d2g along `dirs`; `c` is the `_christoffel` head."""
     nb, n = ginv.shape[:2]
     ginvT = c["ginvT"]
     # ginv_dg with rows (m,c) against a; dginv[m,a,d] = -ginv_dg[m,a,c] g^{cd}, rows (m,a)
     ginv_dg = ((dg.transpose(0, 1, 3, 2).reshape(nb, n * n, n) @ ginvT)
                .reshape(nb, n, n, n).transpose(0, 1, 3, 2))
     dginv = -(ginv_dg.reshape(nb, n * n, n) @ ginv).reshape(nb, n, n, n)
-    dB = d2g + d2g.transpose(0, 1, 3, 2, 4) - d2g.transpose(0, 1, 3, 4, 2)
+    dginv_u, d2g_u = _along(dginv, dirs), _along(d2g, dirs)
+    d = dginv_u.shape[1]  # the derivative axis: n coordinate directions, or c
+    dB = d2g_u + d2g_u.transpose(0, 1, 3, 2, 4) - d2g_u.transpose(0, 1, 3, 4, 2)
     # dGamma[m,k,i,j] = 1/2 (d_m g^{kl} B[i,j,l] + g^{kl} dB[m,i,j,l]): rows (i,j)
     # against columns (m,k), and rows (m,i,j) against k
-    from_dginv = c["B"].reshape(nb, n * n, n) @ dginv.transpose(0, 3, 1, 2).reshape(nb, n, n * n)
-    from_dB = dB.reshape(nb, n ** 3, n) @ ginvT
-    dGamma = 0.5 * (from_dginv.reshape(nb, n, n, n, n).transpose(0, 3, 4, 1, 2)
-                    + from_dB.reshape(nb, n, n, n, n).transpose(0, 1, 4, 2, 3))
-    return dict(dGamma=dGamma, dginv=dginv, dB=dB, ginv_dg=ginv_dg)
+    from_dginv = (c["B"].reshape(nb, n * n, n)
+                  @ dginv_u.transpose(0, 3, 1, 2).reshape(nb, n, d * n))
+    from_dB = dB.reshape(nb, d * n * n, n) @ ginvT
+    dGamma = 0.5 * (from_dginv.reshape(nb, n, n, d, n).transpose(0, 3, 4, 1, 2)
+                    + from_dB.reshape(nb, d, n, n, n).transpose(0, 1, 4, 2, 3))
+    return dict(dGamma=dGamma, dginv=dginv, dB=dB, ginv_dg=ginv_dg, dginv_u=dginv_u,
+                d2g_u=d2g_u)
 
 
 def _second_christoffel(ginv, dg, d2g, d3g, c: dict):
@@ -236,10 +259,11 @@ def _contracted_ricci(ginv, dg, d2g, c: dict):
     return div_Gamma - d_trace + trace_Gamma - quadratic, parts
 
 
-def _contracted_dricci(ginv, dg, d2g, d3g, c: dict, parts: dict):
+def _contracted_dricci(ginv, dg, d2g, d3g, c: dict, parts: dict, dirs=None):
     """d_p Ric_jk over a leading batch axis from the order-3 jet, without
-    d2Gamma or the Riemann tensor; `c` is the `_christoffel` head with its
-    `_christoffel_partials`, and `parts` the intermediates `_contracted_ricci`
+    d2Gamma or the Riemann tensor, along the directions `dirs` (`_along`);
+    `c` is the `_christoffel` head with its `_christoffel_partials` along the
+    same directions, and `parts` the intermediates `_contracted_ricci`
     returned with Ric:
 
       d_p Ric_jk = d_p d_i Gamma^i_jk - d_p d_j c_k + (d_p c_m) Gamma^m_jk
@@ -256,43 +280,53 @@ def _contracted_dricci(ginv, dg, d2g, d3g, c: dict, parts: dict):
       d_p d_j c_k = 1/2 (g^{ab} d_p d_j d_k g_ab + U_pjk + U_jpk + U_kpj
                          + tr(D_p D_j D_k) + tr(D_p D_k D_j)),
       U_pjk = d_p g^{ab} d_j d_k g_ab.
-    Each contraction is one batched matmul, and no array is larger than d3g.
+    Along directions u, p stands for u: every factor that carries it (the
+    differentiated slot of d3g and d2g, dginv, dg_ginv, D, dB, dGamma and
+    d_trace) is contracted with u before any product, so each term costs
+    n**4 per direction, apart from D_j D_k, which no direction enters.  Each
+    contraction is one batched matmul, and no array is larger than d3g.
     """
     nb, n = ginv.shape[:2]
     Gamma, dGamma, dginv, D = c["Gamma"], c["dGamma"], c["dginv"], c["ginv_dg"]
     v = parts["v"]
+    dginv_u, D_u, d3g_u = c["dginv_u"], _along(D, dirs), _along(d3g, dirs)
+    inner_u, dg_ginv_u, d_trace_u = (_along(parts[name], dirs)
+                                     for name in ("inner", "dg_ginv", "d_trace"))
+    d = dginv_u.shape[1]  # the derivative axis: n coordinate directions, or c
     ginv_row = ginv.reshape(nb, 1, 1, n * n)
-    dginv_rows = dginv.reshape(nb, n, n * n)
+    dginv_rows = dginv_u.reshape(nb, d, n * n)
     d2g_sq = d2g.reshape(nb, n * n, n * n)
-    d3g_sq = d3g.reshape(nb, n, n * n, n * n)
-    dv = (-((dginv_rows @ dg.reshape(nb, n * n, n) + parts["inner"]) @ ginv)
-          - (v[:, None] @ parts["dg_ginv"])[:, :, 0])
-    # U[p,j,k] = U_pjk; with it, d_p g^{il} d_i d_j g_kl - U_jpk in the [j,p,k]
-    # layout of its matmul, (i, l) the middle rows of each j in d2g[j,i,l,k]
-    U = (dginv_rows @ d2g_sq.transpose(0, 2, 1)).reshape(nb, n, n, n)
-    XU = (dginv.reshape(nb, 1, n, n * n) @ d2g.reshape(nb, n, n * n, n)) - U
+    d3g_sq = d3g_u.reshape(nb, d, n * n, n * n)
+    dv = (-((dginv_rows @ dg.reshape(nb, n * n, n) + inner_u) @ ginv)
+          - (v[:, None] @ dg_ginv_u)[:, :, 0])
+    # U[p,j,k] = U_pjk; XU[j,p,k] = d_p g^{il} d_i d_j g_kl - U_jpk, the first
+    # with (i, l) the middle rows of each j in d2g[j,i,l,k]
+    U = (dginv_rows @ d2g_sq.transpose(0, 2, 1)).reshape(nb, d, n, n)
+    U_jpk = U if dirs is None else (dginv.reshape(nb, n, n * n) @ c["d2g_u"].reshape(
+        nb, d * n, n * n).transpose(0, 2, 1)).reshape(nb, n, d, n)
+    XU = (dginv_u.reshape(nb, 1, d, n * n) @ d2g.reshape(nb, n, n * n, n)) - U_jpk
     # DD[j,a,k,c] = (D_j D_k)[a,c], then tr(D_p D_j D_k) with rows (c,a)
     DD = D.reshape(nb, n * n, n) @ D.transpose(0, 2, 1, 3).reshape(nb, n, n * n)
-    C = (D.reshape(nb, n, n * n)
+    C = (D_u.reshape(nb, d, n * n)
          @ DD.reshape(nb, n, n, n, n).transpose(0, 4, 2, 1, 3).reshape(nb, n * n, n * n))
     # d_p Gamma^i_jm Gamma^m_ik: rows (p,j) against (i,m), and rows (i,m) against k
-    quadratic = (dGamma.transpose(0, 1, 3, 2, 4).reshape(nb, n * n, n * n)
+    quadratic = (dGamma.transpose(0, 1, 3, 2, 4).reshape(nb, d * n, n * n)
                  @ parts["GammaT"].reshape(nb, n * n, n))
     # W + W^T collects the terms that are not symmetric in (j, k) one by one
     W = (XU.transpose(0, 2, 1, 3)
-         + (ginv_row @ d3g.reshape(nb, n * n, n * n, n)).reshape(nb, n, n, n)
-         - C.reshape(nb, n, n, n) - 2.0 * quadratic.reshape(nb, n, n, n))
+         + (ginv_row @ d3g_u.reshape(nb, d * n, n * n, n)).reshape(nb, d, n, n)
+         - C.reshape(nb, d, n, n) - 2.0 * quadratic.reshape(nb, d, n, n))
     # the symmetric terms, with rows p against (j,k)
     symmetric = (dv @ c["B"].reshape(nb, n * n, n).transpose(0, 2, 1)
-                 + (c["dB"].reshape(nb, n, n * n, n) @ v.reshape(nb, 1, n, 1))[..., 0]
+                 + (c["dB"].reshape(nb, d, n * n, n) @ v.reshape(nb, 1, n, 1))[..., 0]
                  - dginv_rows @ d2g_sq - (ginv_row @ d3g_sq)[:, :, 0]
-                 - (d3g_sq @ ginv.reshape(nb, 1, n * n, 1))[..., 0] - U.reshape(nb, n, n * n))
+                 - (d3g_sq @ ginv.reshape(nb, 1, n * n, 1))[..., 0] - U.reshape(nb, d, n * n))
     # (d_p c_m) Gamma^m_jk + c_m d_p Gamma^m_jk
-    trace_Gamma = ((parts["d_trace"] @ Gamma.reshape(nb, n, n * n))
+    trace_Gamma = ((d_trace_u @ Gamma.reshape(nb, n, n * n))
                    + (parts["trace"].reshape(nb, 1, 1, n)
-                      @ dGamma.reshape(nb, n, n, n * n))[:, :, 0])
-    return (0.5 * (symmetric.reshape(nb, n, n, n) + W + W.transpose(0, 1, 3, 2))
-            + trace_Gamma.reshape(nb, n, n, n))
+                      @ dGamma.reshape(nb, d, n, n * n))[:, :, 0])
+    return (0.5 * (symmetric.reshape(nb, d, n, n) + W + W.transpose(0, 1, 3, 2))
+            + trace_Gamma.reshape(nb, d, n, n))
 
 
 def _schouten(g, ginv, Ric) -> tuple:
@@ -306,21 +340,23 @@ def _schouten(g, ginv, Ric) -> tuple:
     return Scal, P, ginv @ P
 
 
-def _schouten_partials(g, ginv, dg, Ric, Scal, P, dRic, c: dict) -> tuple:
+def _schouten_partials(g, ginv, dg, Ric, Scal, P, dRic, c: dict, dirs=None) -> tuple:
     """dP and dPsharp over a leading batch axis from dRic and the Schouten
-    tail; `c` carries the jet's dginv and ginvT."""
+    tail, along the directions `dirs` of dRic (`_along`); `c` carries the
+    jet's dginv along them and ginvT."""
     nb, n = g.shape[:2]
-    dginv = c["dginv"]
-    dScal = (dginv.reshape(nb, n, n * n) @ Ric.reshape(nb, n * n, 1)
-             + dRic.reshape(nb, n, n * n) @ ginv.reshape(nb, n * n, 1))[..., 0]
+    dginv, dg = c["dginv_u"], _along(dg, dirs)
+    d = dginv.shape[1]  # the derivative axis: n coordinate directions, or c
+    dScal = (dginv.reshape(nb, d, n * n) @ Ric.reshape(nb, n * n, 1)
+             + dRic.reshape(nb, d, n * n) @ ginv.reshape(nb, n * n, 1))[..., 0]
     cP = 1.0 / (n - 2)
     cS = 1.0 / (2 * n - 2)
     dP = cP * (dRic - cS * (dScal[:, :, None, None] * g[:, None]
                             + Scal[:, None, None, None] * dg))
     # dPsharp[p,i,j] = d_p g^{ik} P_kj + g^{ik} d_p P_kj, the second with rows (p,j)
-    dPsharp = ((dginv.reshape(nb, n * n, n) @ P).reshape(nb, n, n, n)
-               + (dP.transpose(0, 1, 3, 2).reshape(nb, n * n, n) @ c["ginvT"])
-               .reshape(nb, n, n, n).transpose(0, 1, 3, 2))
+    dPsharp = ((dginv.reshape(nb, d * n, n) @ P).reshape(nb, d, n, n)
+               + (dP.transpose(0, 1, 3, 2).reshape(nb, d * n, n) @ c["ginvT"])
+               .reshape(nb, d, n, n).transpose(0, 1, 3, 2))
     return dP, dPsharp
 
 
@@ -408,8 +444,10 @@ class ConnectionPoint:
     Built with Ricci by its contracted formula, so it forms neither the
     Riemann tensor nor, from an order-2 jet, dGamma, and is cheap enough for
     the inner loop of a transport integrator.  From an order-3 jet it also
-    carries dPsharp, which the ambient connection needs off the slice; from
-    an order-2 jet dPsharp is None.  Field layout mirrors CurvatureStack.
+    carries dPsharp, which the ambient connection needs off the slice: the
+    full [p,i,j] = d_p Psharp^i_j, or [c,i,j] along the c directions that
+    `connection_at` was given; from an order-2 jet dPsharp is None.  Field
+    layout mirrors CurvatureStack.
     """
 
     jet: MetricJet
@@ -433,12 +471,16 @@ class ConnectionPoint:
         return self.jet.ginv
 
 
-def connection_at(spec: MetricSpec, x, order: int = 2) -> ConnectionPoint:
+def connection_at(spec: MetricSpec, x, order: int = 2, directions=None) -> ConnectionPoint:
     """Christoffel and Schouten data from the jet of the given order (2 or 3).
 
     x is one point or a (k, n) stack of points, as for `metric_jet`.  At
     order 3 dPsharp comes from the contracted dRic (`_contracted_dricci`);
-    Gamma, Ric, P and Psharp are those of order 2, bit for bit.
+    Gamma, Ric, P and Psharp are those of order 2, bit for bit.  With
+    `directions` None, dPsharp[p] = d_p Psharp along the coordinate
+    directions; given a (c, n) stack of directions u per point ((k, c, n)
+    for k points), dPsharp[c] = u_c^p d_p Psharp, each factor contracted
+    with the directions before any product (an order-2 call ignores them).
     """
     jet = metric_jet(spec, x, order=order)
     g, ginv, dg, d2g, d3g = _batched(jet)
@@ -448,9 +490,10 @@ def connection_at(spec: MetricSpec, x, order: int = 2) -> ConnectionPoint:
     fields = dict(Gamma=c["Gamma"], Ric=Ric, Scal=Scal, P=P, Psharp=Psharp)
     if d3g is None:
         return ConnectionPoint(jet=jet, dPsharp=None, **_batched_like(jet, fields))
-    c.update(_christoffel_partials(ginv, dg, d2g, c))
-    dRic = _contracted_dricci(ginv, dg, d2g, d3g, c, parts)
-    fields["dPsharp"] = _schouten_partials(g, ginv, dg, Ric, Scal, P, dRic, c)[1]
+    dirs = None if directions is None else np.reshape(directions, (len(g), -1, jet.n))
+    c.update(_christoffel_partials(ginv, dg, d2g, c, dirs))
+    dRic = _contracted_dricci(ginv, dg, d2g, d3g, c, parts, dirs)
+    fields["dPsharp"] = _schouten_partials(g, ginv, dg, Ric, Scal, P, dRic, c, dirs)[1]
     return ConnectionPoint(jet=jet, **_batched_like(jet, fields))
 
 

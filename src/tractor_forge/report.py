@@ -151,6 +151,17 @@ def _worst(a, scale=1.0) -> float:
                         initial=0.0))
 
 
+def torsion_cotton_residual(geom, p, X, Y, stack) -> float:
+    """The largest over the rows of (X, Y) of |T(u, w) - s (CYsharp(X, Y))~|,
+    with u = (0, X, 0) and w = (0, Y, 0), relative to max(1, |Omega(u) w|,
+    |Omega(w) u|): T is the difference of those two terms, whose entries
+    grow like q, so its rounding does too."""
+    u, w = ambient_point(0.0, X, 0.0), ambient_point(0.0, Y, 0.0)  # directions (0, V, 0)
+    uw, wu = geom.torsion_terms(p, u, w, stack)
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(uw), axis=-1), np.max(np.abs(wu), axis=-1)))
+    return _worst(uw - wu - geom.torsion_closed_form(p, X, Y, stack), scale)
+
+
 def _bilinear(a, M, b) -> np.ndarray:
     """a @ M @ b for each row of the stacks a and b and matrices M."""
     return (a[..., None, :] @ M @ b[..., None])[..., 0, 0]
@@ -293,8 +304,7 @@ class _Suite:
         F = geom.fundamental_field(p_off)
         self.add("ambient-torsion-cotton",
                  "rule-path torsion equals s times the lifted Cotton-York",
-                 float(np.max(np.abs(geom.torsion(p_off, u, w, st)
-                                     - geom.torsion_closed_form(p_off, X, Y, st)))), tol_t)
+                 torsion_cotton_residual(geom, p_off, X, Y, st), tol_t)
         self.add("ambient-torsion-on-slice", "torsion vanishes at s = 0",
                  float(np.max(np.abs(geom.torsion(self.abase, u, w, st)))), AMBIENT_IDENTITY_TOL)
         self.add("ambient-torsion-F-contraction", "fundamental field contracts torsion to zero",

@@ -382,7 +382,9 @@ def _reference_fd_curvature(omega_fn, point, dim, h):
 
 def test_fd_curvature_one_omega_call_per_stencil_point(bumpy_geom):
     # one batched call, with each stencil point in it once
-    fn = bumpy_geom.omega
+    def fn(pts, dirs):  # omega on the full order-3 data, which the stencil reads
+        return bumpy_geom.omega(pts, dirs, connection_at(bumpy_geom.spec, pts[..., 1:-1], order=3))
+
     calls, points = [], []
 
     def omega_fn(pts, dirs):
@@ -404,6 +406,18 @@ def test_fd_curvature_one_omega_call_per_stencil_point(bumpy_geom):
     assert Rs.shape == (3,) + R.shape
     for row, point in zip(Rs, stack):
         assert np.array_equal(row, curvature_from_omega(fn, point, bumpy_geom.dim))
+
+
+@pytest.mark.parametrize("name", ["bumpy", "ppwave", "s2xs2"])
+def test_fd_curvature_of_own_data_nodes_agrees_with_the_stencil(name):
+    # omega's own off-slice data differentiates Psharp along each direction
+    # only; the stencil reads the full dPsharp: equal to rounding, not bit for bit
+    geom = AmbientGeometry(preset(name))
+    x = geom.spec.sample_points(np.random.default_rng(13), 2) * 0.5
+    p = np.column_stack([[0.1, 0.0], x, [1.1, 0.9]])
+    want = geom.curvature_all_pairs(p)
+    got = curvature_from_omega(geom.omega, p, geom.dim)
+    assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
 
 
 def _gauge(geom, p):

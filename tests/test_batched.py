@@ -210,9 +210,12 @@ def test_batched_fd_curvature_equals_per_point_path(name, s):
 
 def _per_point_fd(geom, p):
     """The FD curvature at p with one `omega` call per stencil point, each
-    with its own single-point stack."""
+    with its own single-point stack: the order-3 one with the full dPsharp,
+    which the stencil reads (`omega`'s own off-slice data is along its
+    direction, equal to it only to rounding)."""
     return curvature_from_omega(
-        lambda pts, dirs: np.stack([geom.omega(pt, d) for pt, d in zip(pts, dirs)]),
+        lambda pts, dirs: np.stack([geom.omega(pt, d, connection_at(geom.spec, pt[1:-1], order=3))
+                                    for pt, d in zip(pts, dirs)]),
         p, geom.dim)
 
 
@@ -304,17 +307,35 @@ def test_only_off_slice_ambient_points_reach_the_order3_stack(monkeypatch, name)
         jets[order].extend(map(tuple, np.atleast_2d(x).tolist()))
         return original(spec, x, order)
 
+    along = []  # the directions of every order-3 connection_at call
+
+    def connection(spec, x, order=2, directions=None, original=ambient.connection_at):
+        if order == 3:
+            along.append(directions)
+        return original(spec, x, order=order, directions=directions)
+
     monkeypatch.setattr(curvature, "metric_jet", counting)
+    monkeypatch.setattr(ambient, "connection_at", connection)
     geom.omega(p, dirs[0])
     geom.omega(np.array([p, ambient_point(0.0, 0.5 * x, 0.9)]), dirs)
     assert jets[2] == [tuple(x.tolist()), tuple(x.tolist()), tuple((0.5 * x).tolist())]
     crude = tp.CrudeOracle(spec)
     for points in (p[None], off[:1], off):
         crude.omega_nodes(points, dirs[:len(points)])
-    assert jets[3] == []
+    assert jets[3] == [] and along == []
     geom.curvature_all_pairs(p)
-    # one row for the centre, S- and Q-shifted stencil points, which share x
-    assert jets[3] == [tuple(x.tolist())]
+    # one row for the centre, S- and Q-shifted stencil points, which share x,
+    # with dPsharp along the coordinate directions (None)
+    assert jets[3] == [tuple(x.tolist())] and along == [None]
+    jets[3].clear()
+    along.clear()
+    # off-slice nodes: dPsharp along each direction's chart part, one a row;
+    # several directions at a point go in as a row each
+    geom.omega(off, dirs)
+    geom.omega(off[0], dirs)
+    assert jets[3] == [tuple(row[1:-1].tolist()) for row in (*off, off[0], off[0])]
+    assert [np.shape(u) for u in along] == [(2, 1, spec.n), (2, 1, spec.n)]
+    assert all(np.array_equal(np.reshape(u, dirs[:, 1:-1].shape), dirs[:, 1:-1]) for u in along)
     jets[3].clear()
     crude.curvature_pairs(off)  # one stack_at per point, for its tractor curvature
     assert jets[3] == [tuple(row[1:-1].tolist()) for row in off]

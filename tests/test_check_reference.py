@@ -101,8 +101,10 @@ def _ambient_reference(suite) -> dict:
         Y = rng.standard_normal(n)
         u = np.concatenate(([0.0], X, [0.0]))
         w = np.concatenate(([0.0], Y, [0.0]))
+        uw, wu = geom.torsion_terms(p_off, u, w, st)  # T = uw - wu, relative to their size
+        scale = max(1.0, float(np.max(np.abs(uw))), float(np.max(np.abs(wu))))
         res_tor = max(res_tor, float(np.max(np.abs(
-            geom.torsion(p_off, u, w, st) - geom.torsion_closed_form(p_off, X, Y, st)))))
+            uw - wu - geom.torsion_closed_form(p_off, X, Y, st)))) / scale)
         res_tor0 = max(res_tor0, float(np.max(np.abs(geom.torsion(suite.abase, u, w, st)))))
         res_torf = max(res_torf, float(np.max(np.abs(geom.torsion(p_off, F, u, st)))))
     out["ambient-torsion-cotton"] = res_tor

@@ -90,6 +90,26 @@ def test_ambient_regular_point(capsys):
     assert data["torsion_vs_cotton_york"] < 1e-7
 
 
+@pytest.mark.parametrize("q", ["1e20", "1e100"])
+def test_ambient_torsion_residual_is_relative_at_large_q(capsys, q):
+    # T = Omega(u) w - Omega(w) u cancels entries of size q: an absolute
+    # residual read 32768.0 at q = 1e20 and 9.7e84 at q = 1e100
+    code, out, _ = run(capsys, ["ambient", "--preset", "bumpy", "--s", "0.2", "--q", q])
+    data = json.loads(out)
+    assert (code, data["pass"]) == (0, True)
+    assert data["torsion_vs_cotton_york"] < 1e-14
+
+
+def test_ambient_relative_torsion_residual_still_fails_a_wrong_torsion(capsys, monkeypatch):
+    closed_form = ambient.AmbientGeometry.torsion_closed_form
+    monkeypatch.setattr(ambient.AmbientGeometry, "torsion_closed_form",
+                        lambda self, *args: 1.01 * closed_form(self, *args))
+    code, out, _ = run(capsys, ["ambient"] + BUMPY + POINT + ["--s", "0.2", "--q", "1.1"])
+    data = json.loads(out)
+    assert (code, data["pass"]) == (1, False)
+    assert data["torsion_vs_cotton_york"] > 1e-5
+
+
 @pytest.mark.parametrize("q", ["0", "-1"])
 def test_ambient_q_not_positive_exits_two(capsys, q):
     code, out, err = run(capsys, ["ambient"] + BUMPY + ["--s", "0.2", "--q", q])

@@ -1,11 +1,13 @@
 """Report serialization, config round-trips, and emit formats."""
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tractor_forge import report
+from tractor_forge import ambient, report
 from tractor_forge.ambient import AmbientGeometry
 from tractor_forge.metric import MetricError, preset
 from tractor_forge.report import (SCHEMA_VERSION, RunConfig, VerifyReport,
@@ -126,6 +128,50 @@ def test_verify_catches_an_off_slice_connection_error(monkeypatch, rows, cols):
     assert not any(passed[name] for name in ("transport-scale-lift",
                                              "ambient-metric-compatibility",
                                              "holonomy-tractor-vs-ambient"))
+
+
+def _scaled_node_dpsharp(connection_at, factor):
+    """`connection_at` with dPsharp times `factor` when it is taken along
+    given directions: the data `omega` builds for its own off-slice nodes."""
+    def mutated(spec, x, order=2, directions=None):
+        out = connection_at(spec, x, order=order, directions=directions)
+        return out if directions is None else dataclasses.replace(
+            out, dPsharp=factor * out.dPsharp)
+    return mutated
+
+
+def _scaled_stack_dpsharp(omega, factor):
+    """`omega` with the full dPsharp of a caller's `stack` times `factor`:
+    the data of the torsion, homogeneity and nabla F checks and of the FD
+    stencil."""
+    def mutated(self, p, u, stack=None):
+        if stack is not None:
+            stack = copy.copy(stack)
+            stack.dPsharp = factor * np.asarray(stack.dPsharp)
+        return omega(self, p, u, stack)
+    return mutated
+
+
+# the checks that catch a dropped or doubled s*dPsharp(U) term on each data
+# path of the off-slice connection: transport reads the nodes' own data, the
+# torsion check and the FD curvature a caller's full dPsharp
+_NODE_CATCHERS = {"transport-scale-lift", "ambient-metric-compatibility", "holonomy-loop-logs",
+                  "holonomy-orthogonal-algebra", "holonomy-tractor-vs-ambient"}
+_STACK_CATCHERS = {"ambient-torsion-cotton", "ambient-ricci-on-slice",
+                   "holonomy-orthogonal-algebra", "holonomy-tractor-vs-ambient"}
+
+
+@pytest.mark.parametrize("factor", [0.0, 2.0], ids=["dropped", "doubled"])
+@pytest.mark.parametrize("path", ["node", "stack"])
+def test_verify_catches_an_off_slice_dpsharp_error_on_each_data_path(monkeypatch, path, factor):
+    if path == "node":
+        monkeypatch.setattr(ambient, "connection_at",
+                            _scaled_node_dpsharp(ambient.connection_at, factor))
+    else:
+        monkeypatch.setattr(AmbientGeometry, "omega",
+                            _scaled_stack_dpsharp(AmbientGeometry.omega, factor))
+    failed = {c["name"] for c in run_verify(RunConfig(preset="bumpy")).checks if not c["pass"]}
+    assert failed == (_NODE_CATCHERS if path == "node" else _STACK_CATCHERS)
 
 
 def test_each_check_is_timed_from_the_previous_one(monkeypatch):

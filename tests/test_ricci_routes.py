@@ -7,6 +7,9 @@ partials.  Their Ric, Scal, P and Psharp at both orders, and dRic and
 dPsharp at order 3, must agree within 1e-13 of max(1, max|field|) on the
 presets and on random config metrics up to n = 5, and at both orders a
 batch of points must still give each point's own result bit for bit.
+At order 3 along given directions (one per point, and three), dPsharp
+must agree to the same bound with the stack's dPsharp contracted with
+them, batched rows equal to one-point calls bit for bit.
 The Levi-Civita oracle's curvature reads the stack's Riemann tensor.
 """
 
@@ -34,6 +37,13 @@ def _points(spec, box, size=6):
     return st.lists(coord, min_size=size, max_size=size).map(np.array)
 
 
+def _directions(n, size=6, count=3):
+    """(size, count, n) stacks of directions, `count` at each of `size` points."""
+    vec = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    return st.lists(st.lists(vec, min_size=count, max_size=count),
+                    min_size=size, max_size=size).map(np.array)
+
+
 def _contracted_dricci(jet):
     """dRic by `connection_at`'s order-3 chain."""
     g, ginv, dg, d2g, d3g = curvature._batched(jet)
@@ -58,9 +68,16 @@ def _assert_close(got, want, label):
     assert float(np.max(np.abs(got - want))) <= TOL * scale, label
 
 
-def _check_routes(spec, xs):
+def _check_routes(spec, xs, dirs):
     jet = metric_jet(spec, xs)
     stack = compute_stack(jet)
+    for u in (dirs[:, :1], dirs):  # one direction per point, and several
+        conn = connection_at(spec, xs, order=3, directions=u)
+        _assert_close(conn.dPsharp, np.einsum("kcp,kpij->kcij", u, stack.dPsharp),
+                      ("dPsharp along", u.shape[1]))
+        for i, x in enumerate(xs):
+            assert np.array_equal(conn.dPsharp[i],
+                                  connection_at(spec, x, order=3, directions=u[i]).dPsharp), i
     for order in (2, 3):
         names = _RICCI_FIELDS + (("dPsharp",) if order == 3 else ())
         conn = connection_at(spec, xs, order=order)
@@ -81,7 +98,7 @@ def _check_routes(spec, xs):
 @given(data=st.data())
 def test_contracted_ricci_equals_traced_riemann_on_presets(name, data):
     spec = SPECS[name]
-    _check_routes(spec, data.draw(_points(spec, spec.domain_box())))
+    _check_routes(spec, data.draw(_points(spec, spec.domain_box())), data.draw(_directions(spec.n)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -89,7 +106,7 @@ def test_contracted_ricci_equals_traced_riemann_on_presets(name, data):
 @given(data=st.data())
 def test_contracted_ricci_equals_traced_riemann_on_random_metrics(n, data):
     spec = parse_config(data.draw(_config(dims=(n,))))
-    _check_routes(spec, data.draw(_points(spec, [(-0.5, 0.5)] * n)))
+    _check_routes(spec, data.draw(_points(spec, [(-0.5, 0.5)] * n)), data.draw(_directions(n)))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

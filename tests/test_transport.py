@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tractor_forge import curvature, report
+from tractor_forge import ambient, curvature, report
 from tractor_forge import holonomy as hol
 from tractor_forge import expr as ex
 from tractor_forge import transport as tp
@@ -402,16 +402,28 @@ def test_mixed_slice_rounds_send_only_off_slice_nodes_to_the_order3_stack(monkey
         jets[order].extend(map(tuple, np.atleast_2d(x).tolist()))
         return original(spec, x, order)
 
+    along = []  # (chart point, direction) of each row of the order-3 calls
+
+    def connection(spec, x, order=2, directions=None, original=ambient.connection_at):
+        if order == 3:  # one direction per off-slice node: its tangent's chart part
+            assert np.shape(directions) == np.shape(np.atleast_2d(x))[:1] + (1, spec.n)
+            along.extend(zip(map(tuple, np.atleast_2d(x).tolist()),
+                             map(tuple, np.reshape(directions, (-1, spec.n)).tolist())))
+        return original(spec, x, order=order, directions=directions)
+
     monkeypatch.setattr(curvature, "metric_jet", counting)
+    monkeypatch.setattr(ambient, "connection_at", connection)
     counted = _CountingOracle(oracle)
     eye = np.eye(oracle.fiber_dim)
     tp.parallel_transport(counted, paths, np.broadcast_to(eye, (len(paths),) + eye.shape), tol)
-    nodes = [np.frombuffer(point) for point, _ in counted.nodes]
-    off = [tuple(p[1:-1].tolist()) for p in nodes if p[0] != 0.0]
-    on = [tuple(p[1:-1].tolist()) for p in nodes if p[0] == 0.0]
+    nodes = [(np.frombuffer(point), np.frombuffer(u)) for point, u in counted.nodes]
+    off = [tuple(p[1:-1].tolist()) for p, _ in nodes if p[0] != 0.0]
+    on = [tuple(p[1:-1].tolist()) for p, _ in nodes if p[0] == 0.0]
     assert off and on  # both kinds of node occur
     assert sorted(jets[3]) == sorted(off)
     assert sorted(jets[2]) == sorted(on)
+    assert sorted(along) == sorted((tuple(p[1:-1].tolist()), tuple(u[1:-1].tolist()))
+                                   for p, u in nodes if p[0] != 0.0)
 
 
 def _chunks(rows):
