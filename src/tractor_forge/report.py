@@ -405,9 +405,9 @@ class _Suite:
                      "holonomy annihilates the Einstein-scale tractor", res_fix, 1e-6)
 
         # the off-slice loop transports: each preserves the ambient metric at
-        # (0, base, 1), and, starting and ending there, equals the tractor
-        # transport of its chart loop
-        h0 = self.geom.metric(self.abase)
+        # (0, base, 1), the estimate's fiber metric, and, starting and ending
+        # there, equals the tractor transport of its chart loop
+        h0 = alg_a.fiber_metric
         Ga, Gt = np.stack(alg_a.loop_transports), np.stack(alg_t.loop_transports)
         self.add("ambient-metric-compatibility",
                  "transport around loops that leave the slice preserves the ambient metric",
@@ -416,13 +416,21 @@ class _Suite:
                  "a loop lifted off the slice transports as its chart loop does",
                  _worst(Ga - Gt), 1e-6)
 
-        # plumbing invariants: reversal and fiber-metric preservation, on the
-        # last loop's transport from the tractor holonomy estimate
+        # plumbing invariants on the tractor estimate's transport G of the
+        # last loop: its reverse transport Gi is the ordered product over the
+        # loop's pieces, split as the estimate splits it, each reversed and in
+        # reverse order a lane of one lockstep transport; and G preserves the
+        # estimate's fiber metric
         G = alg_t.loop_transports[-1]
-        Gi = tp.transport_matrix(self.tractor, tp.reverse_path(loops[-1]), LOOP_TOL)
-        H = self.tractor.fiber_metric(self.base)
+        back = [tp.reverse_path(piece) for piece in reversed(hol._pieces(loops[-1]))]
+        eye = np.eye(self.spec.n + 2)
+        Gi = eye
+        for T in tp.parallel_transport(self.tractor, back,
+                                       np.broadcast_to(eye, (len(back),) + eye.shape), LOOP_TOL):
+            Gi = T @ Gi
+        H = alg_t.fiber_metric
         self.add("transport-reversal", "reverse transport inverts the loop transport",
-                 float(np.max(np.abs(Gi @ G - np.eye(self.spec.n + 2)))), self.cfg.tol_transport)
+                 float(np.max(np.abs(Gi @ G - eye))), self.cfg.tol_transport)
         self.add("transport-metric-preservation",
                  "loop transport is an isometry of the fiber metric",
                  float(np.max(np.abs(G.T @ H @ G - H))), self.cfg.tol_transport)

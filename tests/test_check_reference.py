@@ -6,7 +6,10 @@ same checks written one point and one random vector at a time, drawing
 from the run's generator in the same order.  On the presets, on another
 seed and on random config metrics, every residual of the tensor, tractor
 and ambient groups must equal its reference exactly.  The batched ambient
-helpers must equal their one-row calls exactly too.
+helpers must equal their one-row calls exactly too.  The holonomy group's
+transport checks must equal their references exactly: the reversal from
+its reversed pieces each transported alone, the metric checks from freshly
+evaluated fiber metrics.
 """
 
 import json
@@ -16,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from test_random_metrics import _config
 
+from tractor_forge import holonomy as hol
 from tractor_forge import report
+from tractor_forge import transport as tp
 from tractor_forge.ambient import AmbientGeometry, ambient_point
 from tractor_forge.cli import main
 from tractor_forge.curvature import compute_stack, stack_at, take_rows, weyl_endomorphism
@@ -233,6 +238,62 @@ def test_check_groups_equal_the_reference_on_random_metrics(text):
     cfg = report.RunConfig(preset="flat")
     cfg.metric_spec = lambda: parse_config(text)
     _check_groups_equal_reference(cfg)
+
+
+# the presets, and two families of coordinate rectangles only, whose last
+# loop is a 4-segment rectangle: its reversal has three lanes, and the
+# 2-segment one starts its second segment mid-run
+_HOLONOMY_CONFIGS = [report.RunConfig(preset=name) for name in PRESET_NAMES] + [
+    report.RunConfig(preset="sphere", loops=3), report.RunConfig(preset="ppwave", loops=6)]
+_HOLONOMY_IDS = list(PRESET_NAMES) + ["sphere-rectangles", "ppwave-rectangles"]
+
+
+def _holonomy_group(monkeypatch, cfg):
+    """holonomy_checks on a fresh suite: the suite, each check's residual
+    before rounding, and the tractor and ambient estimates it made."""
+    suite, got, algs = report._Suite(cfg), {}, []
+    suite.add = lambda name, anchor, residual, tol: got.__setitem__(name, residual)
+    holonomy_algebra = hol.holonomy_algebra
+
+    def estimate(*args):
+        algs.append(holonomy_algebra(*args))
+        return algs[-1]
+
+    monkeypatch.setattr(hol, "holonomy_algebra", estimate)
+    suite.holonomy_checks()
+    return suite, got, algs
+
+
+@pytest.mark.parametrize("cfg", _HOLONOMY_CONFIGS, ids=_HOLONOMY_IDS)
+def test_transport_reversal_equals_its_reversed_pieces_alone(monkeypatch, cfg):
+    """transport-reversal from the last loop's pieces, as the tractor
+    estimate splits it, each reversed and transported alone, multiplied in
+    reverse order: bit for bit the lockstep check, and within 1e-9."""
+    suite, got, (alg_t, _) = _holonomy_group(monkeypatch, cfg)
+    loop = suite.loops[-1]
+    back = [tp.reverse_path(piece) for piece in reversed(hol._pieces(loop))]
+    eye = np.eye(suite.spec.n + 2)
+    Gi = eye
+    for piece in back:
+        Gi = tp.transport_matrix(suite.tractor, piece, report.LOOP_TOL) @ Gi
+    want = float(np.max(np.abs(Gi @ alg_t.loop_transports[-1] - eye)))
+    assert got["transport-reversal"] == want
+    assert want <= 1e-9
+    if cfg.loops == suite.spec.n * (suite.spec.n - 1) // 2:
+        assert [len(piece.segments) for piece in back] == [1, 1, 2]
+
+
+@pytest.mark.parametrize("cfg", _HOLONOMY_CONFIGS, ids=_HOLONOMY_IDS)
+def test_transport_metric_checks_equal_fresh_fiber_metrics(monkeypatch, cfg):
+    """ambient-metric-compatibility and transport-metric-preservation read
+    the estimates' fiber metrics: bit for bit those evaluated afresh."""
+    suite, got, (alg_t, alg_a) = _holonomy_group(monkeypatch, cfg)
+    h0 = suite.geom.metric(suite.abase)
+    H = suite.tractor.fiber_metric(suite.base)
+    Ga, G = np.stack(alg_a.loop_transports), alg_t.loop_transports[-1]
+    assert got["ambient-metric-compatibility"] == float(np.max(np.abs(
+        Ga.swapaxes(1, 2) @ h0 @ Ga - h0)))
+    assert got["transport-metric-preservation"] == float(np.max(np.abs(G.T @ H @ G - H)))
 
 
 @pytest.mark.parametrize("name", ["sphere", "ppwave", "bumpy"])
