@@ -24,8 +24,8 @@ from .ambient import AmbientGeometry, ambient_point
 from .curvature import compute_stack, stack_at
 from .expr import EvaluationDomainError
 from .metric import PRESET_NAMES, MetricError, metric_jet, signature_of
-from .report import (AMBIENT_IDENTITY_TOL, LOOP_TOL, RunConfig, report_emit, run_verify,
-                     torsion_cotton_residual)
+from .report import (AMBIENT_IDENTITY_TOL, LOOP_TOL, RunConfig, off_slice_family, report_emit,
+                     run_verify, torsion_cotton_residual)
 from .tractor import connection_matrix, normality_check, tractor_metric
 
 log = logging.getLogger("tractor_forge")
@@ -217,8 +217,8 @@ def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
     base = cfg.base_point(spec)
     loops = cfg.loop_family(spec, base)
     oracle = _ORACLES[variant](spec)
-    if oracle.point_dim == spec.n + 2:
-        loops = [tp.lift_loop(lp) for lp in loops]
+    if oracle.point_dim == spec.n + 2:  # ambient and crude: verify's loops off the slice
+        _, loops = off_slice_family(AmbientGeometry(spec), base, loops)
         base = ambient_point(0.0, base, 1.0)
     alg = hol.holonomy_algebra(oracle, base, loops, LOOP_TOL, cfg.tol_rank)
     H = oracle.fiber_metric(base)

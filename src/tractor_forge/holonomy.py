@@ -19,6 +19,11 @@ reports dimension 0).
 Each loop transport G is independent evidence: the residual of matrix_log(G)
 off the estimated algebra is reported per loop (inf where the log series
 does not converge), and never feeds the generators.
+
+After the transports every step runs on stacked arrays, each member bit
+for bit what a loop over the members gives: the conjugation of every
+prefix, each closure round's i < j brackets, the log series of every loop
+transport and their projections onto the algebra.
 """
 
 from __future__ import annotations
@@ -51,28 +56,36 @@ class LogConvergenceError(RuntimeError):
 
 
 def matrix_log(G: np.ndarray) -> np.ndarray:
-    """log(G) by the series in X = G - I.
+    """log(G) by the series in X = G - I, for one matrix or a (k, f, f) stack.
 
     Raises LogConvergenceError when the Frobenius norm ||X||_F >= 0.5, or
-    when the series has not converged after `_LOG_MAX_TERMS` terms.
-    ||X||_F bounds the operator norm, so below the gate the k-th term is
-    under 0.5^k / k and the series converges well within the cap; only a
-    non-finite G reaches it.
+    when the series has not converged after `_LOG_MAX_TERMS` terms; a
+    stack raises when any member does.  ||X||_F bounds the operator norm,
+    so below the gate the k-th term is under 0.5^k / k and the series
+    converges well within the cap; only a non-finite G reaches it.  Each
+    member of a stack stops at its own last term, so it equals the call on
+    that member alone.
     """
-    X = G - np.eye(G.shape[0])
-    norm = float(np.linalg.norm(X))
-    if norm >= 0.5:
-        raise LogConvergenceError(f"||G - I||_F = {norm:.3f} >= 0.5")
-    term = X.copy()
-    out = X.copy()
+    X = G - np.eye(G.shape[-1])
+    Xs = X.reshape((-1,) + X.shape[-2:])
+    flat = Xs.reshape(len(Xs), X.shape[-1] ** 2)
+    norms = np.sqrt(np.vecdot(flat, flat))  # np.linalg.norm of each member
+    if np.any(norms >= 0.5):
+        raise LogConvergenceError(f"||G - I||_F = {norms[norms >= 0.5][0]:.3f} >= 0.5")
+    term = Xs.copy()
+    out = Xs.copy()
+    live, Xl = np.arange(len(Xs)), Xs  # the members whose series runs on, and their X
     for k in range(2, _LOG_MAX_TERMS):
-        term = term @ X
+        term = term @ Xl
         contrib = ((-1) ** (k + 1)) * term / k
-        out += contrib
-        if float(np.max(np.abs(contrib))) < _LOG_TOL:
-            return out
+        out[live] += contrib
+        done = np.max(np.abs(contrib), axis=(1, 2)) < _LOG_TOL
+        if done.all():
+            return out.reshape(X.shape)
+        if done.any():
+            live, term, Xl = live[~done], term[~done], Xl[~done]
     raise LogConvergenceError(f"log series not converged after {_LOG_MAX_TERMS} terms "
-                              f"(||G - I||_F = {norm:.3f})")
+                              f"(||G - I||_F = {norms[live[0]]:.3f})")
 
 
 @dataclass
@@ -82,7 +95,8 @@ class HolonomyAlgebra:
     generators: list        # conjugated curvature matrices
     basis: list             # orthonormal (Frobenius) spanning matrices
     dim: int
-    sv_profile: np.ndarray  # singular values behind the rank decision
+    sv_profile: np.ndarray  # singular values after bracket closure (not of the raw
+                            # generators), behind the rank cut
     rank_tol: float
     base: np.ndarray
     fiber_metric: np.ndarray
@@ -112,12 +126,16 @@ def _orthonormal_span(mats, rank_tol: float):
 def closed_span(generators, rank_tol: float):
     """Orthonormal basis of the Lie algebra the generators span, and the
     singular values behind its rank cut: the span, closed under brackets
-    to a fixed point (at most 8 rounds)."""
+    to a fixed point (at most 8 rounds).  Each round forms its i < j
+    brackets in one batched product."""
     basis, svals = _orthonormal_span(generators, rank_tol)
     for _ in range(8):
-        brackets = [a @ b - b @ a for ai, a in enumerate(basis)
-                    for b in basis[ai + 1:]]
-        new_basis, new_svals = _orthonormal_span(basis + brackets, rank_tol)
+        if not basis:
+            break
+        B = np.stack(basis)
+        i, j = np.triu_indices(len(B), 1)
+        new_basis, new_svals = _orthonormal_span(
+            np.concatenate([B, B[i] @ B[j] - B[j] @ B[i]]), rank_tol)
         if len(new_basis) == len(basis):
             return new_basis, new_svals
         basis, svals = new_basis, new_svals
@@ -147,11 +165,11 @@ def holonomy_algebra(oracle, base, loops, tol: float, rank_tol: float) -> Holono
     started from the identity; a loop's prefix transports P_k ... P_1 and
     its loop transport are ordered products of its pieces' transports.  One
     `curvature_pairs` call takes the base point and every conjugation point
-    (every piece end but a loop's last).  Each loop's prefixes are
-    inverted in one batched call and its i < j curvature pairs conjugated
-    in one broadcast product.  The generators are the conjugated curvatures
-    alone; each loop transport's log is then measured against their closed
-    span (`log_residuals`).
+    (every piece end but a loop's last).  The prefixes of every loop are
+    inverted in one batched call and the i < j curvature pairs at their
+    points conjugated in one broadcast product.  The generators are the
+    conjugated curvatures alone; each loop transport's log is then measured
+    against their closed span (`log_residuals`).
     """
     base = np.asarray(base, dtype=float)
     for loop in loops:
@@ -164,47 +182,60 @@ def holonomy_algebra(oracle, base, loops, tol: float, rank_tol: float) -> Holono
     eye = np.eye(oracle.fiber_dim)
     ends = iter(tp.parallel_transport(
         oracle, lanes, np.broadcast_to(eye, (len(lanes),) + eye.shape), tol))
-    prefixes = []  # per loop: at base, then each piece end
+    # each loop's prefix transports: at the base point, then at each piece
+    # end but the last; `at` is the curvature row of each prefix's point
+    prefixes, at, loop_transports, row = [], [], [], 0
     for p in pieces:
-        Ts = [eye]
-        for _ in p:
-            Ts.append(next(ends) @ Ts[-1])
-        prefixes.append(Ts)
+        T = eye
+        prefixes.append(T)
+        at.append(0)
+        for _ in p[:-1]:
+            T, row = next(ends) @ T, row + 1
+            prefixes.append(T)
+            at.append(row)
+        loop_transports.append(next(ends) @ T)
     # the base point, then each loop's piece ends but the last, which is the base
     R = oracle.curvature_pairs(np.stack([base] + [piece.end for p in pieces for piece in p[:-1]]))
     rows, cols = np.triu_indices(R.shape[1], 1)
-    R = R[:, rows, cols]
-    loop_transports = [Ts.pop() for Ts in prefixes]
-    generators, lo = [], 1
-    for Ts in prefixes:
-        T, hi = np.stack(Ts), lo + len(Ts) - 1
-        conj = np.linalg.inv(T)[:, None] @ np.concatenate([R[:1], R[lo:hi]]) @ T[:, None]
-        generators.extend(conj.reshape(-1, *eye.shape))
-        lo = hi
+    T = np.reshape(prefixes, (-1,) + eye.shape)
+    generators = (np.linalg.inv(T)[:, None] @ R[:, rows, cols][at] @ T[:, None]
+                  ).reshape((-1,) + eye.shape)
 
     basis, svals = closed_span(generators, rank_tol)
     return HolonomyAlgebra(
-        generators=generators, basis=basis, dim=len(basis),
+        generators=list(generators), basis=basis, dim=len(basis),
         sv_profile=svals, rank_tol=rank_tol, base=base,
         fiber_metric=oracle.fiber_metric(base), loop_transports=loop_transports,
-        log_residuals=[_log_residual(G, basis) for G in loop_transports])
+        log_residuals=_log_residuals(np.reshape(loop_transports, (-1,) + eye.shape), basis))
 
 
 def _off_span(mats, basis) -> list:
-    """Frobenius norm of each matrix minus its projection onto span(basis)."""
-    if not basis:
-        return [float(np.linalg.norm(m)) for m in mats]
-    B = np.stack([b.ravel() for b in basis])
-    return [float(np.linalg.norm(m.ravel() - B.T @ (B @ m.ravel()))) for m in mats]
+    """Frobenius norm of each matrix minus its projection onto span(basis),
+    all in one product."""
+    if not len(mats):
+        return []
+    M = np.reshape(mats, (len(mats), -1))
+    if len(basis):
+        B = np.reshape(basis, (len(basis), -1))
+        M = M - (B.T @ (B @ M[..., None]))[..., 0]
+    return np.sqrt(np.vecdot(M, M)).tolist()  # np.linalg.norm of each row
 
 
-def _log_residual(G, basis) -> float:
-    """How far log(G) lies off span(basis); inf where the log series fails."""
+def _log_residuals(Gs: np.ndarray, basis) -> list:
+    """How far each log(G) of the stack Gs lies off span(basis), from one
+    log series over the stack; inf where a loop has no log series, which
+    one call per loop then finds."""
     try:
-        L = matrix_log(G)
+        return _off_span(matrix_log(Gs), basis)
     except LogConvergenceError:
-        return float("inf")
-    return _off_span([L], basis)[0]
+        pass
+    res = []
+    for G in Gs:
+        try:
+            res += _off_span(matrix_log(G)[None], basis)
+        except LogConvergenceError:
+            res.append(float("inf"))
+    return res
 
 
 def algebra_metric_residual(alg: HolonomyAlgebra) -> float:

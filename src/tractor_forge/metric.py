@@ -72,9 +72,12 @@ class MetricSpec:
     signature: tuple
     chart_domain: tuple | None = None
     name: str = "custom"
-    # compiled jet tables by order, filled by metric_jet; freed with the spec
+    # compiled jet tables by order, filled by metric_jet, and the symbolic
+    # partials they share, filled by their builds; freed with the spec
     _jet_tables: dict = field(default_factory=dict, init=False, compare=False,
                               hash=False, repr=False)
+    _jet_partials: dict = field(default_factory=dict, init=False, compare=False,
+                                hash=False, repr=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -139,11 +142,15 @@ class _JetEvaluator:
     holds the same `Expr` object, built once by differentiating the
     partial of the sorted multi-index without its first index, so
     mixed-partial symmetry holds exactly and `compile_exprs` computes each
-    distinct partial once.  All of the table's `derivative` calls share one
-    memo, so a subtree shared between entries and partials (the sphere's
-    conformal factor sits on every diagonal) is differentiated once per
-    index, not once per path to it; the memo is dropped with the build.
-    `jet` is the table's `rows` split at `bounds`.
+    distinct partial once.  The partials, keyed (i, j, sorted multi-index)
+    with i <= j, live on the spec until `metric_jet` has built both orders,
+    so a spec's second table reuses those of its first and differentiates
+    only what that one lacks.  All of a
+    build's `derivative` calls share one memo, so a subtree shared between
+    entries and partials (the sphere's conformal factor sits on every
+    diagonal) is differentiated once per index, not once per path to it;
+    the memo is dropped with the build.  `jet` is the table's `rows` split
+    at `bounds`.
     """
 
     def __init__(self, spec: MetricSpec, max_order: int):
@@ -151,7 +158,7 @@ class _JetEvaluator:
         self.shapes = [(n,) * (order + 2) for order in range(max_order + 1)]
         self.bounds = np.cumsum([0] + [n ** (order + 2) for order in range(max_order + 1)])
 
-        partials, exprs = {}, []  # (i, j, sorted multi-index) -> Expr, with i <= j
+        partials, exprs = spec._jet_partials, []
         memo = {}
         for shape in self.shapes:
             for index in np.ndindex(shape):
@@ -204,6 +211,8 @@ def metric_jet(spec: MetricSpec, x, order: int = 3) -> MetricJet:
     evaluator = spec._jet_tables.get(order)
     if evaluator is None:
         evaluator = spec._jet_tables[order] = _JetEvaluator(spec, order)
+        if len(spec._jet_tables) == 2:  # no build is left to share the partials with
+            spec._jet_partials.clear()
     g, dg, d2g, d3g = evaluator.jet(points) + [None] * (3 - order)
     try:
         ginv = np.linalg.inv(g)

@@ -162,6 +162,22 @@ def torsion_cotton_residual(geom, p, X, Y, stack) -> float:
     return _worst(uw - wu - geom.torsion_closed_form(p, X, Y, stack), scale)
 
 
+def off_slice_family(geom, base, loops) -> tuple:
+    """(s_test, lifted loops): the test height off the slice at `base` and
+    the chart loops lifted to ambient loops that leave the slice, as
+    `verify` and `holonomy --variant ambient` (or `crude`) run them.
+
+    s_test is min(0.3, 0.6 * default_s_bound(base)), or 0.3 where Psharp
+    vanishes.  Each loop is lifted with s(t) = (s_test / 2) sin^2(pi t) and
+    q(t) = 1 + sin^2(pi t) / 4, so it starts and ends at (0, base, 1)."""
+    s_cap = geom.default_s_bound(base)
+    s_test = min(0.3, 0.6 * s_cap) if np.isfinite(s_cap) else 0.3
+    sin2 = ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), ex.var(0))), 2)
+    s_expr = ex.mul(ex.const(0.5 * s_test), sin2)
+    q_expr = ex.add(ex.const(1.0), ex.mul(ex.const(0.25), sin2))
+    return s_test, [tp.lift_loop(lp, s_expr=s_expr, q_expr=q_expr) for lp in loops]
+
+
 def _bilinear(a, M, b) -> np.ndarray:
     """a @ M @ b for each row of the stacks a and b and matrices M."""
     return (a[..., None, :] @ M @ b[..., None])[..., 0, 0]
@@ -190,8 +206,7 @@ class _Suite:
         self.ambient = tp.AmbientOracle(self.spec)
         self.geom = self.ambient.geom
         self.abase = ambient_point(0.0, self.base, 1.0)
-        s_cap = self.geom.default_s_bound(self.base)
-        self.s_test = min(0.3, 0.6 * s_cap) if np.isfinite(s_cap) else 0.3
+        self.s_test, self.off_loops = off_slice_family(self.geom, self.base, self.loops)
 
     def add(self, name: str, anchor: str, residual: float, tol: float):
         """Record a check, timed from the previous check of its group (or
@@ -358,22 +373,11 @@ class _Suite:
 
     # -- holonomy checks ------------------------------------------------------------------
 
-    def _s_profile(self):
-        t = ex.var(0)
-        amp = 0.5 * self.s_test
-        return ex.mul(ex.const(amp), ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), t)), 2))
-
-    def _q_profile(self):
-        t = ex.var(0)
-        return ex.add(ex.const(1.0), ex.mul(
-            ex.const(0.25), ex.pow_(ex.call("sin", ex.mul(ex.const(np.pi), t)), 2)))
-
     def holonomy_checks(self):
         loops = self.loops
-        s_expr, q_expr = self._s_profile(), self._q_profile()
-        off = [tp.lift_loop(lp, s_expr=s_expr, q_expr=q_expr) for lp in loops]
         alg_t = hol.holonomy_algebra(self.tractor, self.base, loops, LOOP_TOL, self.cfg.tol_rank)
-        alg_a = hol.holonomy_algebra(self.ambient, self.abase, off, LOOP_TOL, self.cfg.tol_rank)
+        alg_a = hol.holonomy_algebra(self.ambient, self.abase, self.off_loops, LOOP_TOL,
+                                     self.cfg.tol_rank)
 
         cmp = hol.compare_holonomy(alg_t, alg_a)
         res = max(cmp["residual_a_in_b"], cmp["residual_b_in_a"])

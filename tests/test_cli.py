@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import tractor_forge
-from tractor_forge import ambient, cli
+from tractor_forge import ambient, cli, report
+from tractor_forge import holonomy as hol
 from tractor_forge import transport as tp
 from tractor_forge.cli import main
-from tractor_forge.report import RunConfig, run_verify
+from tractor_forge.report import LOOP_TOL, RunConfig, run_verify
 
 BUMPY = ["--preset", "bumpy", "--param", "eps=0.1"]
 POINT = ["--point", "0.1,-0.2,0.15"]
@@ -286,6 +287,29 @@ def test_holonomy_loops_stay_in_the_hyperbolic_chart(capsys, variant, dimension)
     code, out, _ = run(capsys, ["holonomy", "--preset", "hyperbolic", "--variant", variant])
     assert code == 0
     assert json.loads(out)["dimension"] == dimension
+
+
+@pytest.mark.parametrize("variant", ["ambient", "crude"])
+def test_holonomy_lifted_variants_leave_the_slice(capsys, monkeypatch, variant):
+    """`holonomy --variant ambient` (and `crude`) transports verify's
+    off-slice loop family: the connection sees nodes with s != 0, and the
+    dimension is that of verify's ambient estimate."""
+    heights = []
+    cls = tp.AmbientOracle if variant == "ambient" else tp.CrudeOracle
+    real = cls.omega_nodes
+
+    def recording(self, points, tangents):
+        heights.append(np.max(np.abs(np.asarray(points)[:, 0])))
+        return real(self, points, tangents)
+
+    monkeypatch.setattr(cls, "omega_nodes", recording)
+    code, out, _ = run(capsys, ["holonomy", "--preset", "bumpy", "--variant", variant])
+    monkeypatch.undo()
+    assert code == 0 and max(heights) > 0.01
+    suite = report._Suite(RunConfig(preset="bumpy"))
+    alg = hol.holonomy_algebra(suite.ambient, suite.abase, suite.off_loops, LOOP_TOL,
+                               suite.cfg.tol_rank)
+    assert json.loads(out)["dimension"] == alg.dim == 10
 
 
 def _strict_json(text):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import holonomy_reference as ref
 from tractor_forge import expr as ex
 from tractor_forge import holonomy as hol
 from tractor_forge import report
@@ -20,13 +21,17 @@ def _loops(base, count=2, radius=0.25, seed=3):
 
 @pytest.fixture(scope="module")
 def sphere_algebras():
+    """The tractor estimate, and the ambient one on the same loops lifted
+    off the slice as verify lifts them."""
     spec = preset("sphere")
+    ambient = tp.AmbientOracle(spec)
     loops = _loops(BASE)
-    amb = [tp.lift_loop(lp) for lp in loops]
+    _, amb = report.off_slice_family(ambient.geom, BASE, loops)
+    assert all(lp.segments[0].point(0.5)[0] > 0 for lp in amb)  # s > 0 off the base
     abase = np.concatenate(([0.0], BASE, [1.0]))
     alg_t = hol.holonomy_algebra(tp.TractorOracle(spec),
                                  BASE, loops, 1e-9, 1e-6)
-    alg_a = hol.holonomy_algebra(tp.AmbientOracle(spec), abase, amb, 1e-9, 1e-6)
+    alg_a = hol.holonomy_algebra(ambient, abase, amb, 1e-9, 1e-6)
     return alg_t, alg_a
 
 
@@ -196,18 +201,21 @@ def test_pieces_compile_nothing(monkeypatch):
 
 
 class _CountingOracle:
-    """An oracle that records the number of points of each curvature_pairs call."""
+    """An oracle that records the number of points of each curvature_pairs
+    call, and what the call returns."""
 
     def __init__(self, oracle):
         self.inner = oracle
         self.calls = []
+        self.curvatures = []
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def curvature_pairs(self, points):
         self.calls.append(len(points))
-        return self.inner.curvature_pairs(points)
+        self.curvatures.append(self.inner.curvature_pairs(points))
+        return self.curvatures[-1]
 
 
 def _per_point_generators(oracle, base, loops, tol):
@@ -267,8 +275,7 @@ def test_verify_estimates_keep_a_rank_margin(name, dim):
     filter over the stacked generators keeps what a per-matrix filter keeps,
     with the same basis."""
     suite = report._Suite(report.RunConfig(preset=name))
-    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
-           for lp in suite.loops]
+    off = suite.off_loops
     for oracle, base, loops in ((suite.tractor, suite.base, suite.loops),
                                 (suite.ambient, suite.abase, off)):
         alg = hol.holonomy_algebra(oracle, base, loops, 1e-9, suite.cfg.tol_rank)
@@ -285,8 +292,7 @@ def test_fd_curvature_of_verify_ambient_estimate_stays_under_its_memory_bound():
     point of verify's off-slice bumpy estimate traces under 1.2 MB: the
     stencil runs in chunks, so its batch does not grow with the points."""
     suite = report._Suite(report.RunConfig(preset="bumpy"))
-    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
-           for lp in suite.loops]
+    off = suite.off_loops
     points = np.stack([suite.abase] + [piece.end for loop in off
                                        for piece in hol._pieces(loop)[:-1]])
     assert len(points) == 16
@@ -338,9 +344,88 @@ def test_unequal_sphere_product_has_the_full_algebra(tmp_path):
     path = tmp_path / "unequal-spheres.cfg"
     path.write_text(_UNEQUAL_SPHERES)
     suite = report._Suite(report.RunConfig(config_path=str(path)))
-    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
-           for lp in suite.loops]
+    off = suite.off_loops
     alg_t = hol.holonomy_algebra(suite.tractor, suite.base, suite.loops, 1e-9, suite.cfg.tol_rank)
     alg_a = hol.holonomy_algebra(suite.ambient, suite.abase, off, 1e-9, suite.cfg.tol_rank)
     assert alg_t.dim == alg_a.dim == 15
     assert hol.compare_holonomy(alg_t, alg_a)["verdict"] == "equal"
+
+
+def _assert_estimate_is_the_reference(oracle, base, loops, rank_tol, monkeypatch):
+    """The stacked estimate equals the one-loop-at-a-time reference fed the
+    same lane transports and curvature rows, bit for bit; returns it."""
+    counted, transports = _CountingOracle(oracle), []
+
+    def keep(oracle, paths, v0, tol, original=tp.parallel_transport):
+        transports.append(original(oracle, paths, v0, tol))
+        return transports[-1]
+
+    monkeypatch.setattr(tp, "parallel_transport", keep)
+    alg = hol.holonomy_algebra(counted, base, loops, 1e-9, rank_tol)
+    monkeypatch.undo()
+    gens, basis, svals, loop_transports, log_residuals = ref.estimate(
+        [len(hol._pieces(lp)) for lp in loops], transports[0], counted.curvatures[0],
+        rank_tol)
+    assert isinstance(alg.generators, list) and isinstance(alg.basis, list)
+    assert len(alg.generators) == len(gens)
+    assert all(np.array_equal(a, b) for a, b in zip(alg.generators, gens))
+    assert alg.dim == len(alg.basis) == len(basis)
+    assert all(np.array_equal(a, b) for a, b in zip(alg.basis, basis))
+    assert np.array_equal(alg.sv_profile, svals)
+    assert all(np.array_equal(a, b) for a, b in zip(alg.loop_transports, loop_transports))
+    assert alg.log_residuals == log_residuals
+    return alg
+
+
+_FAMILIES = {
+    **{name: {"preset": name} for name in ("flat", "sphere", "hyperbolic", "ppwave",
+                                           "s2xs2", "bumpy")},
+    **{f"{name}-seed3": {"preset": name, "seed": 3} for name in ("ppwave", "s2xs2", "bumpy")},
+    "sphere-loops3": {"preset": "sphere", "loops": 3},
+    "ppwave-loops6": {"preset": "ppwave", "loops": 6},
+    # several loop transports have no log series: the per-loop fallback
+    "s2xs2-no-log": {"preset": "s2xs2", "radius": 0.5, "point": [0.0, 0.0, 0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_stacked_estimates_equal_the_per_loop_reference(family, monkeypatch):
+    """verify's tractor and off-slice ambient estimates on its loop
+    families: generators, basis, singular values, dimension and log
+    residuals are the reference's, bit for bit."""
+    suite = report._Suite(report.RunConfig(**_FAMILIES[family]))
+    for oracle, base, loops in ((suite.tractor, suite.base, suite.loops),
+                                (suite.ambient, suite.abase, suite.off_loops)):
+        alg = _assert_estimate_is_the_reference(oracle, base, loops, suite.cfg.tol_rank,
+                                                monkeypatch)
+        if family == "s2xs2-no-log":
+            assert np.inf in alg.log_residuals and alg.dim == 10
+
+
+def test_closure_of_a_dimension_45_algebra_equals_the_pairwise_reference():
+    """Three random elements of so(9, 1) close to all of it, 45 dimensions
+    and 990 brackets in the last round, as the reference closes them."""
+    H = np.diag([1.0] * 9 + [-1.0])
+    rng = np.random.default_rng(5)
+    gens = [H @ (A - A.T) for A in rng.standard_normal((3, 10, 10))]
+    basis, svals = hol.closed_span(gens, 1e-6)
+    want_basis, want_svals = ref.closed_span(gens, 1e-6)
+    assert len(basis) == len(want_basis) == 45
+    assert all(np.array_equal(a, b) for a, b in zip(basis, want_basis))
+    assert np.array_equal(svals, want_svals)
+
+
+def test_stacked_log_stops_each_member_at_its_own_term():
+    """A stack's log series: each member equals its one-matrix call and the
+    reference, though the members converge after different numbers of
+    terms; a member over the gate makes the stack raise."""
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((4, 5, 5))
+    G = np.eye(5) + A * (np.array([1e-6, 1e-3, 0.02, 0.08]) / np.linalg.norm(A, axis=(1, 2))
+                         )[:, None, None]
+    L = hol.matrix_log(G)
+    for member, log in zip(G, L):
+        assert np.array_equal(log, hol.matrix_log(member))
+        assert np.array_equal(log, ref.matrix_log(member))
+    with pytest.raises(hol.LogConvergenceError, match=r"\|\|G - I\|\|_F = 0\.600 >= 0\.5"):
+        hol.matrix_log(np.concatenate([G, [np.eye(5) + 0.12 * np.ones((5, 5))]]))

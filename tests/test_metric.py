@@ -263,6 +263,36 @@ def test_memoised_jet_tables_equal_the_plain_build_on_random_metrics(text):
     _assert_table_is_the_plain_build(parse_config(text))
 
 
+@pytest.mark.parametrize("name, n", [("bumpy", 3), ("sphere", 3), ("bumpy", 5)])
+def test_second_jet_table_reuses_the_first_tables_partials(name, n, monkeypatch):
+    """A spec's tables share their symbolic partials: built as verify builds
+    them, order 3 and then order 2, the second build calls `derivative`
+    not once, and either order of builds gives tables equal to fresh
+    single builds in source, constants, columns and values.  The partials
+    are dropped once `metric_jet` has built both tables."""
+    calls, real = [], metric_mod.derivative
+    monkeypatch.setattr(metric_mod, "derivative", lambda *args: calls.append(1) or real(*args))
+    rows = preset(name, n=n).sample_points(np.random.default_rng(4), 3).tolist()
+    for orders in ((3, 2), (2, 3)):
+        spec = preset(name, n=n)
+        first = metric_mod._JetEvaluator(spec, orders[0]).table
+        before = len(calls)
+        second = metric_mod._JetEvaluator(spec, orders[1]).table
+        if orders == (3, 2):
+            assert len(calls) == before
+        for order, got in zip(orders, (first, second)):
+            want = metric_mod._JetEvaluator(preset(name, n=n), order).table
+            assert (got.source, got.constants, got.columns) == \
+                (want.source, want.constants, want.columns)
+            assert np.array_equal(got.rows(rows), want.rows(rows))
+    # metric_jet drops the partials once a spec has both tables
+    spec = preset(name, n=n)
+    metric_jet(spec, rows[0], 3)
+    assert spec._jet_partials
+    metric_jet(spec, rows[0], 2)
+    assert spec._jet_partials == {}
+
+
 def test_sphere_order_three_table_has_one_assignment_per_subexpression():
     spec = preset("sphere")
     metric_jet(spec, np.zeros(3))

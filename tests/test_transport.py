@@ -497,8 +497,7 @@ def test_verify_estimates_send_at_most_128_nodes_per_call(monkeypatch):
     rounds have 27 lanes of 22 new nodes, and every batched stage solve
     has at most 16 systems."""
     suite = report._Suite(report.RunConfig(preset="bumpy"))
-    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
-           for lp in suite.loops]
+    off = suite.off_loops
     stage_size = 8 * suite.tractor.fiber_dim
     solves, solve = [], np.linalg.solve
 
@@ -653,8 +652,7 @@ def test_transport_error_on_the_verify_loops(name):
     ambient) take for the loop transports."""
     suite = report._Suite(report.RunConfig(preset=name))
     lifted = [tp.lift_loop(lp) for lp in suite.loops]
-    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
-           for lp in suite.loops]
+    off = suite.off_loops
     for oracle, base, paths, loops in ((suite.tractor, suite.base, suite.loops, suite.loops),
                                        (suite.ambient, suite.abase, lifted + off, off)):
         eyes = np.broadcast_to(np.eye(oracle.fiber_dim), (len(paths), oracle.fiber_dim,
@@ -674,8 +672,7 @@ def test_dop853_lockstep_equals_each_path_alone():
     of three of them, whose lanes mix order-2 and order-3 ambient nodes."""
     suite = report._Suite(report.RunConfig(preset="bumpy"))
     lifted = [tp.lift_loop(lp) for lp in suite.loops[:3]]
-    off = [tp.lift_loop(lp, s_expr=suite._s_profile(), q_expr=suite._q_profile())
-           for lp in suite.loops[:3]]
+    off = suite.off_loops[:3]
     for oracle, paths in ((suite.tractor, suite.loops), (suite.ambient, lifted + off)):
         eye = np.eye(oracle.fiber_dim)
         together = _CountingOracle(oracle)
