@@ -6,9 +6,6 @@ the coordinate basis (S = d/ds, d/dx_i, Q = d/dq) are (n+2)-vectors
 tangent vectors with lifted base fields: V corresponds to the lift of
 m(V), and f = m^{-1} lifts a base vector X to X~ = f(X).
 
-The ambient metric pairs lifted fields to g, so its coordinate TM-block
-is m^T g m; h(S,Q) = 1 and all other S,Q pairings vanish.
-
 Connection rules, for base fields X, Y and the lift tilde:
     nabla_X Y~ = (nabla_X Y)~ - g(X,Y) S - P(X,Y) Q
     nabla_X Q = X~,  nabla_X S = (P(X))~,
@@ -20,18 +17,20 @@ transport solves vdot = -Omega v.
 The crude connection of the alternative construction keeps q explicit:
     nabla_X Y = nabla_X Y - q g(X,Y) S - q P(X,Y) Q,
     nabla_X Q = X/q,  nabla_X S = P(X)/q,  nabla_Q X = X/q,  nabla_S X = 0.
-It is the normal tractor connection in a q-dependent gauge (the gauge law
-of Bailey, Eastwood and Gover): with L = diag(1/q, Id_n, 1/q) on the
-fiber and u = (a, U, b),
-    Omega_crude(u) = L^{-1} Omega_tractor(U) L + L^{-1} dL(u) + (b/q) Id.
-Proof: conjugating by L multiplies the S and Q rows by q and the S and Q
-columns by 1/q, which rescales the off-diagonal blocks by q^{+-1} as
-above; L^{-1} dL(u) = -(b/q) diag(1, 0, 1), and (b/q) Id = d(log q)(u) Id
-is a closed scalar form.  So its curvature is L^{-1} R_tractor L on
-chart-chart pairs and 0 on every pair with S or Q, it preserves
-tractor_metric(q^2 g), it is regular for all q > 0, and it coincides with
-the lifted connection on the slice q = 1, s = 0.  `transport.CrudeOracle`
-builds it that way from the tractor connection.
+
+Both are the normal tractor connection Omega_T in a point-dependent gauge
+(the gauge law of Bailey, Eastwood and Gover; see docs/conventions.md),
+and both are built that way from `tractor.connection_matrix`.  With
+u = (a, U, b), G = diag(1, f, 1) and L = diag(1/q, Id_n, 1/q),
+    Omega(u) = G Omega_T(U) G^{-1} + G d(G^{-1})(u),
+    Omega_crude(u) = L^{-1} Omega_T(U) L + L^{-1} dL(u) + (b/q) Id,
+where d(G^{-1})(u) = diag(0, dm(u), 0) with dm(u) = a*Psharp + b*Id +
+s*dPsharp(U), and (b/q) Id = d(log q)(u) Id is closed.  The ambient metric
+is the tractor metric in the same gauge, tractor_metric(m^T g m).  So the
+exact curvatures are G R_T G^{-1} and L^{-1} R_T L on chart-chart pairs
+and 0 on every pair with S or Q; the crude connection preserves
+tractor_metric(q^2 g), is regular for all q > 0, and coincides with the
+ambient one on the slice q = 1, s = 0.
 
 The curvature R[a, b] of the ambient connection differentiates its
 connection matrices by a finite-difference stencil (`curvature_from_omega`)
@@ -52,9 +51,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .curvature import (CurvatureStack, _christoffel_matrices, _repeat_rows, connection_at,
-                        connection_curvature)
+from .curvature import CurvatureStack, _repeat_rows, connection_at, connection_curvature
 from .metric import ChartDomainError, MetricError, MetricSpec
+from .tractor import connection_matrix, tractor_metric
 
 __all__ = [
     "SingularMapError",
@@ -233,14 +232,12 @@ class AmbientGeometry:
         return v
 
     def metric(self, p, stack: CurvatureStack | None = None) -> np.ndarray:
-        """Ambient metric h in the coordinate basis (S, d_i, Q); reads g and Psharp."""
+        """Ambient metric h = tractor_metric(m^T g m) in the coordinate basis
+        (S, d_i, Q); reads g and Psharp."""
         p = np.asarray(p, dtype=float)
         if stack is None:
             stack = connection_at(self.spec, p[..., 1:-1])
-        h = np.zeros(p.shape[:-1] + (self.dim, self.dim))
-        h[..., 0, -1] = h[..., -1, 0] = 1.0
-        h[..., 1:-1, 1:-1] = self._bundle_map(p, stack)[2]
-        return h
+        return tractor_metric(self._bundle_map(p, stack)[2])
 
     def fundamental_field(self, p) -> np.ndarray:
         """F = s S + q Q."""
@@ -300,28 +297,23 @@ class AmbientGeometry:
                 stack = connection_at(self.spec, p[..., 1:-1], order=3,
                                       directions=dirs[..., 1:-1])
                 dPsharp_U = np.reshape(stack.dPsharp, (k, 1, n, n))
-        # g, P and Psharp broadcast over the directions of each point
-        g, P, Psharp = (np.reshape(arr, (k, 1, n, n)) for arr in (stack.g, stack.P, stack.Psharp))
-        Gamma = np.reshape(stack.Gamma, (k, n, n, n))
         s = points[:, 0]
         a, U, b = dirs[..., 0, None, None], dirs[..., 1:-1], dirs[..., -1, None, None]
-        Ucol = U[..., None]
         f, m = (arr.reshape(k, 1, n, n) for arr in self.f_map(points, stack))
-        Omega = np.zeros(dirs.shape[:2] + (self.dim, self.dim))
-        Omega[..., 0, 1:-1] = -(U[..., None, :] @ (g @ m))[..., 0, :]
-        Omega[..., -1, 1:-1] = -(U[..., None, :] @ (P @ m))[..., 0, :]
-        Omega[..., 1:-1, 0] = (f @ (Psharp @ Ucol))[..., 0]
-        Omega[..., 1:-1, -1] = (f @ Ucol)[..., 0]
-        tm_block = _christoffel_matrices(Gamma, U) @ m + a * Psharp + b * np.eye(n)
+        # G (Omega_T(U) G^-1 + d(G^-1)(u)) with G = diag(1, f, 1), G^-1 = diag(1, m, 1)
+        Omega = connection_matrix(stack, U)
+        Omega[..., :, 1:-1] = Omega[..., :, 1:-1] @ m
+        dm = a * np.reshape(stack.Psharp, (k, 1, n, n)) + b * np.eye(n)
         off = s != 0.0
         if dPsharp_U is not None:
-            tm_block = tm_block + s[:, None, None, None] * dPsharp_U
+            dm = dm + s[:, None, None, None] * dPsharp_U
         elif off.any():
             # dPsharp(U)[i,j] = U^k d_k Psharp^i_j: one (1, n) @ (n, n*n) product per direction
             dPsharp, U_off = np.reshape(stack.dPsharp, (k, 1, n, n * n))[off], U[off]
-            tm_block[off] = tm_block[off] + s[off, None, None, None] * (
+            dm[off] = dm[off] + s[off, None, None, None] * (
                 U_off[..., None, :] @ dPsharp).reshape(U_off.shape + (n,))
-        Omega[..., 1:-1, 1:-1] = f @ tm_block
+        Omega[..., 1:-1, 1:-1] += dm
+        Omega[..., 1:-1, :] = f @ Omega[..., 1:-1, :]
         return Omega.reshape(u.shape[:-1] + (self.dim, self.dim))
 
     def _omega_in_parts(self, points, dirs, on) -> np.ndarray:

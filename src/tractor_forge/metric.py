@@ -289,15 +289,17 @@ def preset(name: str, **params) -> MetricSpec:
     if n < 3:
         raise MetricError("dimension must be at least 3")
 
+    if name in ("sphere", "hyperbolic"):
+        radius = _number(float, params.pop("radius", 1.0), "parameter radius")
+        if radius <= 0.0:
+            raise MetricError(f"parameter radius must be > 0, got {radius:g}")
     if name == "flat":
         spec = MetricSpec(n, _delta(n), (n, 0), name=name)
     elif name == "sphere":
-        radius = _number(float, params.pop("radius", 1.0), "parameter radius")
         c = _conformal_round(n, range(n), +1.0, radius)
         spec = MetricSpec(n, _delta(n, c), (n, 0),
                           chart_domain=tuple((-1.0, 1.0) for _ in range(n)), name=name)
     elif name == "hyperbolic":
-        radius = _number(float, params.pop("radius", 1.0), "parameter radius")
         c = _conformal_round(n, range(n), -1.0, radius)
         bound = 0.45 * radius / math.sqrt(n)
         spec = MetricSpec(n, _delta(n, c), (n, 0),

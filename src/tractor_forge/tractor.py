@@ -54,8 +54,8 @@ def connection_matrix(stack: CurvatureStack, X) -> np.ndarray:
     stack of their directions, or (k, c, n) with c at each, and each of the
     resulting matrices equals the single-point matrix.
     """
-    n = stack.n
     X = np.asarray(X, dtype=float)
+    n = X.shape[-1]
     each = (slice(None), None) if stack.g.ndim == 3 and X.ndim == 3 else ()  # c per point
     g, P, Psharp, Gamma = (a[each] for a in (stack.g, stack.P, stack.Psharp, stack.Gamma))
     Xcol = X[..., None]

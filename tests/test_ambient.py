@@ -9,8 +9,8 @@ from tractor_forge import ambient
 from tractor_forge.ambient import (AmbientGeometry, SingularMapError,
                                    ambient_point, curvature_from_omega)
 from tractor_forge.curvature import connection_at, stack_at
-from tractor_forge.metric import ChartDomainError, MetricError, preset
-from tractor_forge.tractor import connection_matrix
+from tractor_forge.metric import PRESET_NAMES, ChartDomainError, MetricError, preset
+from tractor_forge.tractor import connection_matrix, curvature_all_pairs
 from tractor_forge.transport import (AmbientOracle, CrudeOracle, TractorOracle,
                                     path_from_waypoints, transport_matrix)
 
@@ -460,6 +460,25 @@ def test_ambient_connection_is_the_gauged_tractor_connection(name):
             want[1:-1, 1:-1] += f @ dm
             got = geom.omega(p, u)
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("s, q", [(0.0, 1.0), (0.1, 1.2)], ids=["slice", "off-slice"])
+@pytest.mark.parametrize("name, params", [(name, {}) for name in PRESET_NAMES]
+                         + [("sphere", {"radius": 0.5})],
+                         ids=list(PRESET_NAMES) + ["sphere-radius-0.5"])
+def test_fd_curvature_converges_to_the_gauged_tractor_curvature(name, params, s, q):
+    # the gauge law makes the ambient curvature G R_T G^-1 on chart pairs and
+    # 0 on every pair with S or Q; the 4th-order stencil's error falls by
+    # 2^4 = 16 from h = 4e-3 to h = 2e-3
+    geom = AmbientGeometry(preset(name, **params))
+    x = geom.spec.sample_points(np.random.default_rng(3), 1)[0] * 0.5
+    p = ambient_point(s, x, q)
+    G = _gauge(geom, p)
+    want = np.zeros((geom.dim,) * 4)
+    want[1:-1, 1:-1] = G @ curvature_all_pairs(stack_at(geom.spec, x)) @ np.linalg.inv(G)
+    err = [np.max(np.abs(curvature_from_omega(geom.omega, p, geom.dim, h) - want))
+           for h in (4e-3, 2e-3)]
+    assert 15.0 <= err[0] / err[1] <= 17.0
 
 
 @pytest.mark.parametrize("name", ["sphere", "ppwave", "s2xs2", "bumpy"])

@@ -199,10 +199,15 @@ def test_bad_config_exit_two(capsys, tmp_path):
      "line 2: a preset config takes no dim, signature or g entries"),
     ("dim = 3\nparam.n = 5\n", "line 2: param keys need a preset"),
     ("dim = 3\ng[1][1] = 1\ndim = 4\n", "line 3: dim set again (first on line 1)"),
+    (["--preset", "sphere", "--param", "radius=-1"], "parameter radius must be > 0, got -1"),
+    (["--preset", "sphere", "--param", "radius=0"], "parameter radius must be > 0, got 0"),
+    (["--preset", "hyperbolic", "--param", "radius=-1"], "parameter radius must be > 0, got -1"),
+    ("preset = hyperbolic\nparam.radius = 0\n", "parameter radius must be > 0, got 0"),
 ], ids=["param-flag", "param-nan", "config-dim", "config-signature", "config-param",
         "param-fraction", "param-bool", "config-param-fraction", "config-entry-twice",
         "config-preset-and-entry", "config-preset-and-signature", "config-param-no-preset",
-        "config-dim-twice"])
+        "config-dim-twice", "sphere-radius-negative", "sphere-radius-zero",
+        "hyperbolic-radius-negative", "config-hyperbolic-radius-zero"])
 def test_malformed_number_exit_two(capsys, tmp_path, source, message):
     if isinstance(source, str):
         path = tmp_path / "metric.cfg"
@@ -361,6 +366,16 @@ def test_verify_json_is_strict_when_a_residual_is_inf(capsys):
 def test_verify_passes_at_a_curvature_radius_below_one(capsys, name, radius):
     code, _, _ = run(capsys, ["verify", "--preset", name, "--param", f"radius={radius}"])
     assert code == 0
+
+
+# ROADMAP item 1 (the exact ambient curvature) must make this pass
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the finite-difference ambient "
+                   "curvature's stencil steps past the chart edge")
+def test_verify_passes_with_a_loop_near_the_chart_edge(capsys):
+    # the loops stay inside the 0.9 * margin cap, with a rectangle corner at
+    # x1 = 0.997; the stencil around it steps h = 2e-3 past the edge x1 = 1
+    code, _, err = run(capsys, ["verify", "--preset", "sphere", "--point", "0.97,0,0"])
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("flags, settings", [

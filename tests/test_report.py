@@ -174,6 +174,32 @@ def test_verify_catches_an_off_slice_dpsharp_error_on_each_data_path(monkeypatch
     assert failed == (_NODE_CATCHERS if path == "node" else _STACK_CATCHERS)
 
 
+# the checks that catch a dropped a*Psharp or b*Id term of the gauge shift
+# f dm(u), dm(u) = a Psharp + b Id + s dPsharp(U), in every matrix
+_GAUGE_SHIFT_CATCHERS = {"ambient-curvature-F-pairing", "ambient-metric-compatibility",
+                         "ambient-ricci-on-slice", "ambient-torsion-F-contraction",
+                         "holonomy-orthogonal-algebra", "holonomy-tractor-vs-ambient",
+                         "transport-scale-lift"}
+
+
+@pytest.mark.parametrize("slot", [0, -1], ids=["a-Psharp", "b-Id"])
+@pytest.mark.parametrize("name", ["bumpy", "sphere"])
+def test_verify_catches_a_dropped_gauge_shift_term(monkeypatch, name, slot):
+    # u = (a, U, b) enters Omega(u) only through its chart part U and through
+    # dm(u), so zeroing a (or b) in every direction drops the a*Psharp (or
+    # b*Id) term and nothing else
+    omega = AmbientGeometry.omega
+
+    def mutated(self, p, u, stack=None):
+        u = np.array(u, dtype=float)
+        u[..., slot] = 0.0
+        return omega(self, p, u, stack)
+
+    monkeypatch.setattr(AmbientGeometry, "omega", mutated)
+    failed = {c["name"] for c in run_verify(RunConfig(preset=name)).checks if not c["pass"]}
+    assert failed == _GAUGE_SHIFT_CATCHERS
+
+
 def test_each_check_is_timed_from_the_previous_one(monkeypatch):
     """A check's seconds run from the previous check of its group (the
     first from the group's start), the last check also takes the time
