@@ -221,17 +221,16 @@ def cmd_holonomy(cfg: RunConfig, variant: str) -> int:
         _, loops = off_slice_family(AmbientGeometry(spec), base, loops)
         base = ambient_point(0.0, base, 1.0)
     alg = hol.holonomy_algebra(oracle, base, loops, LOOP_TOL, cfg.tol_rank)
-    H = oracle.fiber_metric(base)
-    loop_rows = []
-    for idx, (lp, G, log_res) in enumerate(zip(loops, alg.loop_transports, alg.log_residuals)):
-        kind = "rectangle" if len(lp.segments) > 1 else "trig"
-        loop_rows.append({
-            "loop": idx,
-            "kind": kind,
-            "metric_drift": _maxabs(G.T @ H @ G - H),
-            "distance_from_identity": _maxabs(G - np.eye(oracle.fiber_dim)),
-            "log_residual": log_res,
-        })
+    H, G = alg.fiber_metric, alg.loop_transports
+    drift = np.max(np.abs(G.swapaxes(1, 2) @ H @ G - H), axis=(1, 2))
+    distance = np.max(np.abs(G - np.eye(len(H))), axis=(1, 2))
+    loop_rows = [{
+        "loop": idx,
+        "kind": "rectangle" if len(lp.segments) > 1 else "trig",
+        "metric_drift": float(drift[idx]),
+        "distance_from_identity": float(distance[idx]),
+        "log_residual": float(alg.log_residuals[idx]),
+    } for idx, lp in enumerate(loops)]
     payload = {
         "variant": variant,
         "base_point": [float(v) for v in base],

@@ -90,52 +90,50 @@ def matrix_log(G: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HolonomyAlgebra:
-    """Estimated holonomy Lie algebra at a base point."""
+    """Estimated holonomy Lie algebra at a base point.  Every matrix field
+    is a stack of (f, f) fiber matrices."""
 
-    generators: list        # conjugated curvature matrices
-    basis: list             # orthonormal (Frobenius) spanning matrices
-    dim: int
-    sv_profile: np.ndarray  # singular values after bracket closure (not of the raw
-                            # generators), behind the rank cut
+    generators: np.ndarray       # (m, f, f): conjugated curvature matrices
+    basis: np.ndarray            # (dim, f, f): orthonormal (Frobenius) spanning matrices
+    sv_profile: np.ndarray       # singular values after bracket closure (not of the raw
+                                 # generators), behind the rank cut
     rank_tol: float
     base: np.ndarray
     fiber_metric: np.ndarray
-    loop_transports: list   # each loop's transport
-    log_residuals: list     # per loop: ||log G off span(basis)||_F, inf if no log series
+    loop_transports: np.ndarray  # (L, f, f): each loop's transport
+    log_residuals: np.ndarray    # (L,): per loop ||log G off span(basis)||_F, inf if no log series
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
-def _orthonormal_span(mats, rank_tol: float):
-    """Orthonormal basis of span(mats) with the rank cut; (basis, svals).
+def _orthonormal_span(mats: np.ndarray, rank_tol: float):
+    """Orthonormal basis of the span of the (k, f, f) stack `mats` with the
+    rank cut; (basis, svals), the basis a (dim, f, f) stack.
 
     Matrices of Frobenius norm at or below the absolute floor are left out,
     all filtered in one norm over the stacked rows."""
-    if not len(mats):
-        return [], np.zeros(0)
-    shape = mats[0].shape
-    A = np.reshape(mats, (len(mats), -1))
+    A = mats.reshape(len(mats), mats.shape[-1] ** 2)
     A = A[np.linalg.norm(A, axis=1) > _ABS_FLOOR]
-    if not len(A):
-        return [], np.zeros(0)
+    if not len(A):  # no svals[0] to cut at
+        return mats[:0], np.zeros(0)
     _, svals, vt = np.linalg.svd(A, full_matrices=False)
     cut = max(rank_tol * svals[0], _ABS_FLOOR)
     keep = int(np.sum(svals > cut))
-    basis = [vt[k].reshape(shape) for k in range(keep)]
-    return basis, svals
+    return vt[:keep].reshape((keep,) + mats.shape[1:]), svals
 
 
-def closed_span(generators, rank_tol: float):
-    """Orthonormal basis of the Lie algebra the generators span, and the
-    singular values behind its rank cut: the span, closed under brackets
-    to a fixed point (at most 8 rounds).  Each round forms its i < j
-    brackets in one batched product."""
+def closed_span(generators: np.ndarray, rank_tol: float):
+    """Orthonormal basis of the Lie algebra the (m, f, f) stack of
+    generators spans, and the singular values behind its rank cut: the
+    span, closed under brackets to a fixed point (at most 8 rounds).  Each
+    round forms its i < j brackets in one batched product."""
     basis, svals = _orthonormal_span(generators, rank_tol)
     for _ in range(8):
-        if not basis:
-            break
-        B = np.stack(basis)
-        i, j = np.triu_indices(len(B), 1)
+        i, j = np.triu_indices(len(basis), 1)
         new_basis, new_svals = _orthonormal_span(
-            np.concatenate([B, B[i] @ B[j] - B[j] @ B[i]]), rank_tol)
+            np.concatenate([basis, basis[i] @ basis[j] - basis[j] @ basis[i]]), rank_tol)
         if len(new_basis) == len(basis):
             return new_basis, new_svals
         basis, svals = new_basis, new_svals
@@ -184,8 +182,9 @@ def holonomy_algebra(oracle, base, loops, tol: float, rank_tol: float) -> Holono
         oracle, lanes, np.broadcast_to(eye, (len(lanes),) + eye.shape), tol))
     # each loop's prefix transports: at the base point, then at each piece
     # end but the last; `at` is the curvature row of each prefix's point
-    prefixes, at, loop_transports, row = [], [], [], 0
-    for p in pieces:
+    prefixes, at, row = [], [], 0
+    loop_transports = np.empty((len(loops),) + eye.shape)
+    for k, p in enumerate(pieces):
         T = eye
         prefixes.append(T)
         at.append(0)
@@ -193,35 +192,31 @@ def holonomy_algebra(oracle, base, loops, tol: float, rank_tol: float) -> Holono
             T, row = next(ends) @ T, row + 1
             prefixes.append(T)
             at.append(row)
-        loop_transports.append(next(ends) @ T)
+        loop_transports[k] = next(ends) @ T
     # the base point, then each loop's piece ends but the last, which is the base
     R = oracle.curvature_pairs(np.stack([base] + [piece.end for p in pieces for piece in p[:-1]]))
     rows, cols = np.triu_indices(R.shape[1], 1)
-    T = np.reshape(prefixes, (-1,) + eye.shape)
+    T = np.stack(prefixes)
     generators = (np.linalg.inv(T)[:, None] @ R[:, rows, cols][at] @ T[:, None]
                   ).reshape((-1,) + eye.shape)
 
     basis, svals = closed_span(generators, rank_tol)
     return HolonomyAlgebra(
-        generators=list(generators), basis=basis, dim=len(basis),
-        sv_profile=svals, rank_tol=rank_tol, base=base,
+        generators=generators, basis=basis, sv_profile=svals, rank_tol=rank_tol, base=base,
         fiber_metric=oracle.fiber_metric(base), loop_transports=loop_transports,
-        log_residuals=_log_residuals(np.reshape(loop_transports, (-1,) + eye.shape), basis))
+        log_residuals=_log_residuals(loop_transports, basis))
 
 
-def _off_span(mats, basis) -> list:
-    """Frobenius norm of each matrix minus its projection onto span(basis),
-    all in one product."""
-    if not len(mats):
-        return []
-    M = np.reshape(mats, (len(mats), -1))
-    if len(basis):
-        B = np.reshape(basis, (len(basis), -1))
-        M = M - (B.T @ (B @ M[..., None]))[..., 0]
-    return np.sqrt(np.vecdot(M, M)).tolist()  # np.linalg.norm of each row
+def _off_span(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of the stack `mats` minus its
+    projection onto span(basis), all in one product."""
+    M = mats.reshape(len(mats), mats.shape[-1] ** 2)
+    B = basis.reshape(len(basis), M.shape[1])
+    M = M - (B.T @ (B @ M[..., None]))[..., 0]
+    return np.sqrt(np.vecdot(M, M))  # np.linalg.norm of each row
 
 
-def _log_residuals(Gs: np.ndarray, basis) -> list:
+def _log_residuals(Gs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """How far each log(G) of the stack Gs lies off span(basis), from one
     log series over the stack; inf where a loop has no log series, which
     one call per loop then finds."""
@@ -229,19 +224,18 @@ def _log_residuals(Gs: np.ndarray, basis) -> list:
         return _off_span(matrix_log(Gs), basis)
     except LogConvergenceError:
         pass
-    res = []
-    for G in Gs:
+    res = np.full(len(Gs), np.inf)
+    for k, G in enumerate(Gs):
         try:
-            res += _off_span(matrix_log(G)[None], basis)
+            res[k] = _off_span(matrix_log(G)[None], basis)[0]
         except LogConvergenceError:
-            res.append(float("inf"))
+            pass
     return res
 
 
 def algebra_metric_residual(alg: HolonomyAlgebra) -> float:
     """max of ||B^T H + H B|| over basis elements (orthogonal-algebra check)."""
-    H = alg.fiber_metric
-    B = np.reshape(alg.basis, (-1,) + H.shape)
+    H, B = alg.fiber_metric, alg.basis
     res = (np.max(np.abs(B.swapaxes(1, 2) @ H + H @ B), axis=(1, 2))
            / np.maximum(1.0, np.max(np.abs(B), axis=(1, 2))))
     return float(np.max(res, initial=0.0))
@@ -249,8 +243,7 @@ def algebra_metric_residual(alg: HolonomyAlgebra) -> float:
 
 def bracket_closure_residual(alg: HolonomyAlgebra) -> float:
     """max projection residual of basis brackets onto the span, all pairs at once."""
-    H = alg.fiber_metric
-    A = np.reshape(alg.basis, (-1,) + H.shape)
+    H, A = alg.fiber_metric, alg.basis
     B = A.reshape(len(A), H.size)
     i, j = np.triu_indices(len(A), 1)
     W = (A[i] @ A[j] - A[j] @ A[i]).reshape(len(i), H.size, 1)  # each bracket as a column
@@ -261,13 +254,14 @@ def bracket_closure_residual(alg: HolonomyAlgebra) -> float:
 
 def span_residual(algA: HolonomyAlgebra, algB: HolonomyAlgebra) -> float:
     """max Frobenius residual of A-basis elements projected onto span(B)."""
-    return max(_off_span(algA.basis, algB.basis), default=0.0)
+    return float(np.max(_off_span(algA.basis, algB.basis), initial=0.0))
 
 
 def compare_holonomy(algA: HolonomyAlgebra, algB: HolonomyAlgebra) -> dict:
     """Dimension and mutual-span comparison of two holonomy algebras; "tol"
-    bounds each span residual."""
-    if algA.basis and algB.basis and algA.basis[0].shape != algB.basis[0].shape:
+    bounds each span residual.  Raises MetricError on algebras of different
+    fiber sizes, trivial ones included."""
+    if algA.basis.shape[1:] != algB.basis.shape[1:]:
         raise MetricError("holonomy algebras live in different matrix sizes")
     res_ab = span_residual(algA, algB)
     res_ba = span_residual(algB, algA)
@@ -282,14 +276,11 @@ def compare_holonomy(algA: HolonomyAlgebra, algB: HolonomyAlgebra) -> dict:
     }
 
 
-def fixed_vectors(alg: HolonomyAlgebra) -> list:
-    """Orthonormal basis of the joint null space of all basis generators."""
+def fixed_vectors(alg: HolonomyAlgebra) -> np.ndarray:
+    """Orthonormal basis of the joint null space of all basis generators,
+    as the rows of a (k, f) array."""
     size = alg.fiber_metric.shape[0]
-    if not alg.basis:
-        return [np.eye(size)[:, k] for k in range(size)]
-    stacked = np.vstack(alg.basis)
-    _, svals, vt = np.linalg.svd(stacked)
+    # a (0, f) stack has no singular value and vt = I: the whole fiber is fixed
+    _, svals, vt = np.linalg.svd(alg.basis.reshape(-1, size))
     svals = np.concatenate([svals, np.zeros(size - len(svals))])
-    keep = [k for k in range(size) if svals[k] <= _FIXED_TOL * svals[0]]
-    return [vt[k] for k in keep]
-
+    return vt[svals <= _FIXED_TOL * svals[0]]

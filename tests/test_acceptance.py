@@ -256,7 +256,7 @@ def test_criterion_07_tractor_equals_ambient_holonomy():
         algs = _algebras(name)
         rep = hol.compare_holonomy(algs["tractor"], algs["ambient"])
         # every loop transport's log lies in the algebra of the curvature generators
-        logs = max(algs["tractor"].log_residuals + algs["ambient"].log_residuals)
+        logs = max(max(algs["tractor"].log_residuals), max(algs["ambient"].log_residuals))
         ok = ok and rep["verdict"] == "equal" and logs <= 1e-6
         details.append(f"{name}:dim={rep['dim_a']}/{rep['dim_b']},"
                        f"res={max(rep['residual_a_in_b'], rep['residual_b_in_a']):.1e},"

@@ -10,7 +10,7 @@ from tractor_forge import expr as ex
 from tractor_forge import holonomy as hol
 from tractor_forge import report
 from tractor_forge import transport as tp
-from tractor_forge.metric import preset
+from tractor_forge.metric import MetricError, preset
 
 BASE = np.array([0.12, -0.18, 0.22])
 
@@ -56,7 +56,7 @@ def test_flat_holonomy_dimension_zero():
     alg = hol.holonomy_algebra(tp.TractorOracle(spec),
                                BASE, _loops(BASE), 1e-9, 1e-6)
     assert alg.dim == 0
-    assert hol.fixed_vectors(alg)  # whole fiber is fixed
+    assert len(hol.fixed_vectors(alg)) == 5  # whole fiber is fixed
 
 
 def test_conformally_flat_dimension_zero():
@@ -94,7 +94,7 @@ def test_sphere_fixed_einstein_tractor():
     for B in alg_t.basis:
         assert np.max(np.abs(B @ v)) < 1e-6
     fixed = hol.fixed_vectors(alg_t)
-    assert fixed
+    assert len(fixed)
     vn = v / np.linalg.norm(v)
     best = max(abs(float(vn @ w)) for w in fixed)
     assert best == pytest.approx(1.0, abs=1e-6)
@@ -174,7 +174,7 @@ def test_loop_without_a_log_series_still_gives_the_algebra():
     with pytest.raises(hol.LogConvergenceError):
         hol.matrix_log(G)
     alg = hol.holonomy_algebra(oracle, BASE, [loop], 1e-9, 1e-6)
-    assert alg.log_residuals == [np.inf]
+    assert np.array_equal(alg.log_residuals, [np.inf])
     assert np.array_equal(alg.loop_transports[0], _piece_product(oracle, loop, 1e-9))
     assert np.max(np.abs(alg.loop_transports[0] - G)) <= 1e-9
     assert alg.dim == 3
@@ -261,7 +261,7 @@ def test_one_curvature_call_per_piece_index(cls, monkeypatch):
     want = _per_point_generators(cls(spec), base, loops, 1e-10)
     assert len(alg.generators) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(alg.generators, want))
-    basis, svals = hol.closed_span(want, alg.rank_tol)
+    basis, svals = hol.closed_span(np.stack(want), alg.rank_tol)
     assert np.array_equal(alg.sv_profile, svals) and alg.dim == len(basis)
     assert all(np.array_equal(a, b) for a, b in zip(alg.basis, basis))
 
@@ -323,13 +323,13 @@ def test_norm_filter_drops_small_generators():
     rng = np.random.default_rng(0)
     mats = [rng.standard_normal((4, 4)) for _ in range(3)]
     small = [np.full((4, 4), hol._ABS_FLOOR / 8), np.zeros((4, 4))]
-    basis, svals = hol._orthonormal_span(small + mats[:2] + small + mats[2:], 1e-6)
+    basis, svals = hol._orthonormal_span(np.stack(small + mats[:2] + small + mats[2:]), 1e-6)
     want_basis, want_svals = _per_matrix_span(mats, 1e-6)
     assert np.array_equal(svals, want_svals) and len(basis) == len(want_basis) == 3
     assert all(np.array_equal(a, b) for a, b in zip(basis, want_basis))
-    basis, svals = hol._orthonormal_span(small, 1e-6)
-    assert basis == [] and svals.shape == (0,)
-    assert hol._orthonormal_span([], 1e-6)[0] == []
+    basis, svals = hol._orthonormal_span(np.stack(small), 1e-6)
+    assert basis.shape == (0, 4, 4) and svals.shape == (0,)
+    assert hol._orthonormal_span(np.zeros((0, 4, 4)), 1e-6)[0].shape == (0, 4, 4)
 
 
 _UNEQUAL_SPHERES = ("dim = 4\n"
@@ -366,14 +366,16 @@ def _assert_estimate_is_the_reference(oracle, base, loops, rank_tol, monkeypatch
     gens, basis, svals, loop_transports, log_residuals = ref.estimate(
         [len(hol._pieces(lp)) for lp in loops], transports[0], counted.curvatures[0],
         rank_tol)
-    assert isinstance(alg.generators, list) and isinstance(alg.basis, list)
-    assert len(alg.generators) == len(gens)
+    f = oracle.fiber_dim
+    assert (alg.generators.shape, alg.basis.shape, alg.loop_transports.shape,
+            alg.log_residuals.shape) == ((len(gens), f, f), (len(basis), f, f),
+                                         (len(loops), f, f), (len(loops),))
     assert all(np.array_equal(a, b) for a, b in zip(alg.generators, gens))
     assert alg.dim == len(alg.basis) == len(basis)
     assert all(np.array_equal(a, b) for a, b in zip(alg.basis, basis))
     assert np.array_equal(alg.sv_profile, svals)
     assert all(np.array_equal(a, b) for a, b in zip(alg.loop_transports, loop_transports))
-    assert alg.log_residuals == log_residuals
+    assert np.array_equal(alg.log_residuals, log_residuals)
     return alg
 
 
@@ -385,6 +387,9 @@ _FAMILIES = {
     "ppwave-loops6": {"preset": "ppwave", "loops": 6},
     # several loop transports have no log series: the per-loop fallback
     "s2xs2-no-log": {"preset": "s2xs2", "radius": 0.5, "point": [0.0, 0.0, 0.0, 0.0]},
+    # a cut above the largest singular value: dimension 0 and, after the
+    # empty closure round, an empty singular-value profile
+    "bumpy-rank-tol-2": {"preset": "bumpy", "tol_rank": 2.0},
 }
 
 
@@ -400,6 +405,8 @@ def test_stacked_estimates_equal_the_per_loop_reference(family, monkeypatch):
                                                 monkeypatch)
         if family == "s2xs2-no-log":
             assert np.inf in alg.log_residuals and alg.dim == 10
+        if family == "bumpy-rank-tol-2":
+            assert alg.dim == 0 and alg.sv_profile.shape == (0,)
 
 
 def test_closure_of_a_dimension_45_algebra_equals_the_pairwise_reference():
@@ -408,7 +415,7 @@ def test_closure_of_a_dimension_45_algebra_equals_the_pairwise_reference():
     H = np.diag([1.0] * 9 + [-1.0])
     rng = np.random.default_rng(5)
     gens = [H @ (A - A.T) for A in rng.standard_normal((3, 10, 10))]
-    basis, svals = hol.closed_span(gens, 1e-6)
+    basis, svals = hol.closed_span(np.stack(gens), 1e-6)
     want_basis, want_svals = ref.closed_span(gens, 1e-6)
     assert len(basis) == len(want_basis) == 45
     assert all(np.array_equal(a, b) for a, b in zip(basis, want_basis))
@@ -429,3 +436,18 @@ def test_stacked_log_stops_each_member_at_its_own_term():
         assert np.array_equal(log, ref.matrix_log(member))
     with pytest.raises(hol.LogConvergenceError, match=r"\|\|G - I\|\|_F = 0\.600 >= 0\.5"):
         hol.matrix_log(np.concatenate([G, [np.eye(5) + 0.12 * np.ones((5, 5))]]))
+
+
+def test_compare_holonomy_refuses_trivial_algebras_of_different_fiber_sizes():
+    """On the flat metric the tractor (5 x 5) and Levi-Civita (3 x 3)
+    estimates both have dimension 0; they live on different fibers, so
+    they do not compare."""
+    spec, base = preset("flat"), np.array([0.1, 0.2, 0.3])
+    loops = tp.loop_family(base, 1, 0.25, np.random.default_rng(0))
+    alg_t = hol.holonomy_algebra(tp.TractorOracle(spec), base, loops, 1e-9, 1e-6)
+    alg_l = hol.holonomy_algebra(tp.LeviCivitaOracle(spec), base, loops, 1e-9, 1e-6)
+    assert alg_t.dim == alg_l.dim == 0
+    assert alg_t.basis.shape == (0, 5, 5) and alg_l.basis.shape == (0, 3, 3)
+    for algs in ((alg_t, alg_l), (alg_l, alg_t)):
+        with pytest.raises(MetricError, match="different matrix sizes"):
+            hol.compare_holonomy(*algs)

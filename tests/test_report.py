@@ -200,6 +200,44 @@ def test_verify_catches_a_dropped_gauge_shift_term(monkeypatch, name, slot):
     assert failed == _GAUGE_SHIFT_CATCHERS
 
 
+def _lift_through_m(self, p, X, stack):
+    """`AmbientGeometry.lift` built from m where f = m^-1 belongs: (0, m(X), 0)."""
+    p, X = np.asarray(p, dtype=float), np.asarray(X, dtype=float)
+    v = np.zeros(X.shape[:-1] + (self.dim,))
+    v[..., 1:-1] = (ambient._per_point(self.f_map(p, stack)[1], p, X) @ X[..., None])[..., 0]
+    return v
+
+
+def _negated_torsion_closed_form(closed_form):
+    """`torsion_closed_form` with its sign flipped."""
+    def mutated(self, p, X, Y, stack):
+        return -closed_form(self, p, X, Y, stack)
+    return mutated
+
+
+# the checks that catch each mutation, by preset.  The sphere has CY = 0, so
+# its torsion closed form s (CYsharp(X, Y))~ is 0 through either lift and of
+# either sign: no check can see the sign there, and none fails
+_LIFT_AND_TORSION_CATCHERS = {
+    ("lift-through-m", "bumpy"): {"ambient-homogeneity", "ambient-lift-pairing",
+                                  "ambient-torsion-cotton"},
+    ("lift-through-m", "sphere"): {"ambient-homogeneity", "ambient-lift-pairing"},
+    ("negated-torsion", "bumpy"): {"ambient-torsion-cotton"},
+    ("negated-torsion", "sphere"): set(),
+}
+
+
+@pytest.mark.parametrize("mutation, name", list(_LIFT_AND_TORSION_CATCHERS))
+def test_verify_catches_a_wrong_lift_and_a_wrong_torsion_sign(monkeypatch, mutation, name):
+    if mutation == "lift-through-m":
+        monkeypatch.setattr(AmbientGeometry, "lift", _lift_through_m)
+    else:
+        monkeypatch.setattr(AmbientGeometry, "torsion_closed_form",
+                            _negated_torsion_closed_form(AmbientGeometry.torsion_closed_form))
+    failed = {c["name"] for c in run_verify(RunConfig(preset=name)).checks if not c["pass"]}
+    assert failed == _LIFT_AND_TORSION_CATCHERS[mutation, name]
+
+
 def test_each_check_is_timed_from_the_previous_one(monkeypatch):
     """A check's seconds run from the previous check of its group (the
     first from the group's start), the last check also takes the time
